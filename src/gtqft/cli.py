@@ -3,8 +3,8 @@
 Commands: check, derive, orbifold, eval, cerf, fuzz.  Exit status is 0
 when every executed check passed, 1 when a check failed, and 2 when an
 error stopped the run; errors print one machine-readable line
-``error: category=<parse|type|degenerate-pairing|check-failure> ...`` to
-stderr.  Output is deterministic for fixed inputs and seed.
+``error: category=<parse|type|degenerate-pairing|check-failure|budget> ...``
+to stderr.  Output is deterministic for fixed inputs and seed.
 """
 
 from __future__ import annotations
@@ -96,9 +96,25 @@ def parse_records(text: str) -> tuple[int, int]:
     return passed, failed
 
 
-def _load_group_source(source: str) -> FiniteGroup:
+def _source_file(source: str) -> Path | None:
+    """The file named by a source argument, or None when it names no file
+    and is inline text or a builtin name.  An empty source or a directory
+    is a parse error."""
+    if not source:
+        raise SchemaError("empty source: expected a file name or an inline value")
     path = Path(source)
-    if path.exists():
+    try:
+        is_dir, exists = path.is_dir(), path.exists()
+    except OSError:  # e.g. inline text longer than a file name may be
+        return None
+    if is_dir:
+        raise SchemaError(f"{source} is a directory, not a file")
+    return path if exists else None
+
+
+def _load_group_source(source: str) -> FiniteGroup:
+    path = _source_file(source)
+    if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             return load_group(json.load(fh))
     return builtin_from_string(source)
@@ -112,8 +128,8 @@ def _load_algebra_source(config: RunConfig) -> GFrobeniusAlgebra:
         if config.group is None:
             raise SchemaError("builtin:group-algebra needs --group")
         return group_algebra(_load_group_source(config.group))
-    path = Path(source)
-    if not path.exists():
+    path = _source_file(source)
+    if path is None:
         raise SchemaError(f"algebra file not found: {source}")
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -124,8 +140,8 @@ def _load_algebra_source(config: RunConfig) -> GFrobeniusAlgebra:
 
 
 def _read_cobordism_text(source: str) -> str:
-    path = Path(source)
-    if path.exists():
+    path = _source_file(source)
+    if path is not None:
         return path.read_text(encoding="utf-8")
     return source
 
@@ -320,13 +336,22 @@ def minimize_word(word: Cobordism, predicate) -> Cobordism:
 
 
 def _cmd_fuzz(config: RunConfig) -> int:
+    if config.budget < 1:
+        raise SchemaError(f"--budget must be at least 1, got {config.budget}")
+    if config.count < 0:
+        raise SchemaError(f"--count must be non-negative, got {config.count}")
     a = _load_algebra_source(config)
     ev = Evaluator(a)
     rng = random.Random(config.seed)
     previous: Cobordism | None = None
+    previous_value: Matrix | None = None
     for index in range(config.count):
         word = random_cobordism(a.group, rng.getrandbits(32), config.budget)
-        witness = word_functoriality_witness(ev, word)
+        # The prefix maps end in the word's value, which every later check
+        # of this word and the next tensor check reuse.
+        prefixes = ev.prefixes(word)
+        value = prefixes[-1]
+        witness = word_functoriality_witness(ev, word, prefixes)
         if witness is not None:
             shrunk = minimize_word(
                 word, lambda w: word_functoriality_witness(ev, w) is not None
@@ -337,26 +362,21 @@ def _cmd_fuzz(config: RunConfig) -> int:
             print(f"witness: {dict(witness.context)}")
             return 1
         rewritten = rewrite_equivalent(word, rng)
-        if rewritten is not None and ev(rewritten).matrix != ev(word).matrix:
-            bad = rewritten
-
-            def still_differs(w, original=word):
-                return ev(w).matrix != ev(original).matrix
-
-            shrunk = minimize_word(bad, still_differs)
+        if rewritten is not None and ev(rewritten).matrix != value:
+            shrunk = minimize_word(rewritten, lambda w: ev(w).matrix != value)
             print(f"fuzz: rewrite equality failed at word {index}")
             print(f"word: {word.to_text()}")
             print(f"rewritten: {shrunk.to_text()}")
             return 1
         if previous is not None and index % 10 == 0:
             side_by_side = ev(tensor_words(previous, word))
-            separate = kron(ev(previous).matrix, ev(word).matrix)
+            separate = kron(previous_value, value)
             if side_by_side.matrix != separate:
                 print(f"fuzz: tensor functoriality failed at word {index}")
                 print(f"left: {previous.to_text()}")
                 print(f"right: {word.to_text()}")
                 return 1
-        previous = word
+        previous, previous_value = word, value
     print(
         f"fuzz: {config.count} words over budget {config.budget} passed "
         f"functoriality, rewrite-equality and type checks (seed={config.seed})"

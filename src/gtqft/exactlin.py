@@ -52,16 +52,6 @@ def vector_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vector_scale(c: Fraction, u: Vector) -> Vector:
-    return tuple(c * a for a in u)
-
-
-def dot(u: Vector, v: Vector) -> Fraction:
-    if len(u) != len(v):
-        raise DimensionMismatch(f"vector lengths differ: {len(u)} vs {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), ZERO)
-
-
 class Matrix:
     """Dense matrix of exact rationals, immutable after construction."""
 
@@ -156,9 +146,8 @@ class Matrix:
         )
 
     def transpose(self) -> "Matrix":
-        return Matrix._wrap(
-            self.cols, self.rows, tuple(tuple(row[i] for row in self.data) for i in range(self.cols))
-        )
+        columns = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
+        return Matrix._wrap(self.cols, self.rows, columns)
 
     def kron(self, other: "Matrix") -> "Matrix":
         # Left factor is the most significant index of the product.

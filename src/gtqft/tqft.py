@@ -7,6 +7,17 @@ circle as the most significant index (the same convention as the Kronecker
 product in exactlin).  Any single consistent choice would do, but matrix
 equality across decompositions requires fixing one.
 
+Evaluation is leg-wise: the running map is kept as one sparse row per
+index of the current signature, and each piece of a layer is applied only
+to the legs it touches, so a layer of width w over components of dimension
+d costs about d^(w+1) rather than the d^(2w) of its whole-layer matrix.
+Pieces whose matrix is exactly the identity are skipped, and piece entries
+with denominator 1 are kept as ints, which mix exactly with Fractions.  The
+result is converted to a Fraction `Matrix` at the edge.
+`Evaluator.layer_matrix` (the Kronecker product of a layer's pieces) is
+kept as the independent whole-layer reference path that the tests compare
+against; the fuzz tensor check likewise compares with `Matrix.kron`.
+
 Closed surfaces: a genus-h labelling (a1, b1, .., ah, bh) is flat when the
 left-to-right product of the commutators b*a*b^-1*a^-1 is the identity.
 The handle attached to (a, b) contributes the element obtained by acting
@@ -61,13 +72,95 @@ class BlockLinearMap:
     matrix: Matrix
 
 
+def _exact(x: Fraction):
+    """x as an int when its denominator is 1, else x itself."""
+    return x.numerator if x.denominator == 1 else x
+
+
+# A running map is a list of rows, one per index of the current signature;
+# a row is a dict from column to its nonzero entries.  Rows are shared
+# between maps and never mutated.
+_ZERO_ROW: dict = {}
+
+
+def _identity_rows(n: int) -> list[dict]:
+    return [{i: 1} for i in range(n)]
+
+
+# Building a Fraction costs about as much as a Fraction product, and most
+# entries of a running map are small integers, so those are shared.
+_SMALL_FRACTIONS = {i: Fraction(i) for i in range(-16, 17) if i}
+
+
+def _rows_to_matrix(rows: list[dict], cols: int) -> Matrix:
+    small = _SMALL_FRACTIONS
+    grid = []
+    for row in rows:
+        dense = [ZERO] * cols
+        for j, x in row.items():
+            if type(x) is not Fraction:
+                x = small.get(x) or Fraction(x)
+            dense[j] = x
+        grid.append(tuple(dense))
+    return Matrix._wrap(len(rows), cols, tuple(grid))
+
+
+def _apply_piece(rows: list[dict], terms, left: int, src: int, right: int) -> list[dict]:
+    """Apply a piece to the middle index of rows grouped as (left, src,
+    right).  `terms[o]` lists the (input index, coefficient) pairs of the
+    piece's nonzero entries in output row o."""
+    if src * right == 0:
+        return [_ZERO_ROW] * (left * len(terms) * right)
+    out: list[dict] = []
+    extend = out.extend
+    for base in range(0, left * src * right, src * right):
+        for row_terms in terms:
+            if not row_terms:
+                extend([_ZERO_ROW] * right)
+            elif len(row_terms) == 1:
+                m, c = row_terms[0]
+                block = rows[base + m * right : base + (m + 1) * right]
+                extend(block if c == 1 else [{j: c * x for j, x in r.items()} for r in block])
+            else:
+                for r in range(base, base + right):
+                    acc: dict = {}
+                    for m, c in row_terms:
+                        for j, x in rows[r + m * right].items():
+                            acc[j] = acc.get(j, 0) + c * x
+                    out.append(acc)
+    return out
+
+
+class _PieceMatrix(Matrix):
+    """A piece's matrix together with its kernel form.
+
+    `terms[o]` lists the (input index, coefficient) pairs of the nonzero
+    entries in row o, with coefficients of denominator 1 as ints, and
+    `transposed[i]` does the same for column i.  Both are None when the
+    matrix is exactly the identity, so the kernel skips the piece.
+    """
+
+    __slots__ = ("terms", "transposed")
+
+    def __init__(self, m: Matrix):
+        self.rows, self.cols, self.data = m.rows, m.cols, m.data
+        if m.rows == m.cols and m == Matrix.identity(m.rows):
+            self.terms = self.transposed = None
+            return
+        grid = [[_exact(x) for x in row] for row in m.data]
+        self.terms = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in grid)
+        self.transposed = tuple(
+            tuple((i, grid[i][j]) for i in range(m.rows) if grid[i][j]) for j in range(m.cols)
+        )
+
+
 class Evaluator:
     """Caches per-piece matrices for one algebra across many evaluations."""
 
     def __init__(self, algebra: GFrobeniusAlgebra, derived: DerivedStructure | None = None):
         self.algebra = algebra
         self.derived = derived if derived is not None else derive(algebra)
-        self._pieces: dict[Piece, Matrix] = {}
+        self._pieces: dict[Piece, _PieceMatrix] = {}
 
     def signature_dimension(self, signature) -> int:
         dim = 1
@@ -75,7 +168,7 @@ class Evaluator:
             dim *= self.algebra.dims[g]
         return dim
 
-    def piece_matrix(self, piece: Piece) -> Matrix:
+    def piece_matrix(self, piece: Piece) -> _PieceMatrix:
         cached = self._pieces.get(piece)
         if cached is not None:
             return cached
@@ -115,30 +208,72 @@ class Evaluator:
                 for j in range(dh):
                     grid[j * dg + i][i * dh + j] = ONE
             out = Matrix(dh * dg, dg * dh, grid)
-        self._pieces[piece] = out
+        out = self._pieces[piece] = _PieceMatrix(out)
+        return out
+
+    def _apply_layer(self, rows: list[dict], layer, transposed: bool = False) -> list[dict]:
+        """Apply a layer to a running map, each piece to its own legs only.
+
+        Transposed, the rows index the layer's codomain and the transposed
+        pieces carry them back to its domain, so that the running map is a
+        transposed suffix of a word.
+        """
+        mats = [self.piece_matrix(piece) for piece in layer]
+        if all(m.terms is None for m in mats):
+            return rows
+        # (source dimension, target dimension, terms) of each piece
+        ops = (
+            [(m.rows, m.cols, m.transposed) for m in mats]
+            if transposed
+            else [(m.cols, m.rows, m.terms) for m in mats]
+        )
+        right = [1] * len(ops)
+        for i in range(len(ops) - 1, 0, -1):
+            right[i - 1] = right[i] * ops[i][0]
+        left = 1
+        for (src, dst, terms), r in zip(ops, right):
+            if terms is not None:
+                rows = _apply_piece(rows, terms, left, src, r)
+            left *= dst
+        return rows
+
+    def _start(self, word: Cobordism) -> tuple[list[dict], int]:
+        if word.group != self.algebra.group:
+            raise SignatureMismatch("word and algebra use different groups")
+        dim = self.signature_dimension(word.dom)
+        return _identity_rows(dim), dim
+
+    def __call__(self, word: Cobordism) -> BlockLinearMap:
+        rows, dim = self._start(word)
+        for layer in word.layers:
+            rows = self._apply_layer(rows, layer)
+        return BlockLinearMap(word.dom, word.cod, _rows_to_matrix(rows, dim))
+
+    def prefixes(self, word: Cobordism) -> list[Matrix]:
+        """The values of the word's first 0, 1, .., n layers; the last is
+        the value of the word."""
+        rows, dim = self._start(word)
+        out = [_rows_to_matrix(rows, dim)]
+        for layer in word.layers:
+            rows = self._apply_layer(rows, layer)
+            out.append(_rows_to_matrix(rows, dim))
         return out
 
     def layer_matrix(self, layer) -> Matrix:
+        """Whole-layer matrix, the Kronecker product of the layer's pieces:
+        the reference the leg-wise kernel is tested against."""
         out = None
         for piece in layer:
             m = self.piece_matrix(piece)
             out = m if out is None else out.kron(m)
         return Matrix.identity(1) if out is None else out
 
-    def __call__(self, word: Cobordism) -> BlockLinearMap:
-        if word.group != self.algebra.group:
-            raise SignatureMismatch("word and algebra use different groups")
-        total = Matrix.identity(self.signature_dimension(word.dom))
-        for layer in word.layers:
-            total = self.layer_matrix(layer) @ total
-        return BlockLinearMap(word.dom, word.cod, total)
-
 
 def evaluate(
     a: GFrobeniusAlgebra, word: Cobordism, derived: DerivedStructure | None = None
 ) -> BlockLinearMap:
-    """Value of a surface word: tensor products across each layer, matrix
-    products along the word."""
+    """Value of a surface word: each piece applied to its own legs, layer
+    after layer along the word."""
     return Evaluator(a, derived)(word)
 
 
@@ -426,24 +561,30 @@ def hom_count_oracle(group: FiniteGroup, genus: int, budget: int = 10_000_000) -
 # Functoriality probes
 
 
-def word_functoriality_witness(ev: Evaluator, word: Cobordism) -> Witness | None:
+def word_functoriality_witness(
+    ev: Evaluator, word: Cobordism, prefixes: list[Matrix] | None = None
+) -> Witness | None:
     """Check that the word's value equals suffix times prefix across every
-    layer boundary; None when all agree."""
-    layer_mats = [ev.layer_matrix(layer) for layer in word.layers]
-    dim_dom = ev.signature_dimension(word.dom)
-    dim_cod = ev.signature_dimension(word.cod)
-    prefixes = [Matrix.identity(dim_dom)]
-    for m in layer_mats:
-        prefixes.append(m @ prefixes[-1])
+    layer boundary; None when all agree.
+
+    Prefixes grow by applying layers from the left, suffixes by applying
+    transposed layers from the right; each split is compared with a full
+    matrix product.  `prefixes` takes `ev.prefixes(word)` when the caller
+    already has it.
+    """
+    if prefixes is None:
+        prefixes = ev.prefixes(word)
     total = prefixes[-1]
-    suffix = Matrix.identity(dim_cod)
-    for i in range(len(layer_mats), -1, -1):
-        if suffix @ prefixes[i] != total:
+    dim_cod = ev.signature_dimension(word.cod)
+    suffix_rows = _identity_rows(dim_cod)  # rows of the transposed suffix
+    for i in range(len(word.layers), -1, -1):
+        product = _rows_to_matrix(suffix_rows, dim_cod).transpose() @ prefixes[i]
+        if product != total:
             return Witness(
                 (("split-after-layer", str(i)), ("word", word.to_text())),
-                matrix_literal(suffix @ prefixes[i]),
+                matrix_literal(product),
                 matrix_literal(total),
             )
         if i > 0:
-            suffix = suffix @ layer_mats[i - 1]
+            suffix_rows = ev._apply_layer(suffix_rows, word.layers[i - 1], transposed=True)
     return None

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from gtqft import GFrobeniusAlgebra, builtin, dual_numbers_algebra, group_algebra
@@ -14,6 +17,54 @@ def dual_number_group_algebra(group) -> GFrobeniusAlgebra:
     product = {(g, h): cell for g in range(n) for h in range(n)}
     action = {(k, g): block for k in range(n) for g in range(n)}
     return GFrobeniusAlgebra(group, (2,) * n, product, action, (1, 0), (0, 1))
+
+
+def rescaled_algebra(a: GFrobeniusAlgebra, seed: int) -> GFrobeniusAlgebra:
+    """The isomorphic algebra on the basis c_b * b, with one seeded positive
+    rational c_b per basis vector b, so that most of its structure
+    constants are no longer integers."""
+    rng = random.Random(seed)
+    group = a.group
+    scale = [
+        tuple(Fraction(rng.randint(1, 5), rng.randint(2, 5)) for _ in range(a.dims[g]))
+        for g in group.elements()
+    ]
+    product = {}
+    for (g, h), t in a.product.items():
+        cg, ch, cgh = scale[g], scale[h], scale[group.mul(g, h)]
+        grid = [
+            [
+                [cg[i] * ch[j] * t.data[i][j][p] / cgh[p] for p in range(t.dim2)]
+                for j in range(t.dim1)
+            ]
+            for i in range(t.dim0)
+        ]
+        product[(g, h)] = Tensor3(t.dim0, t.dim1, t.dim2, grid)
+    action = {}
+    for (k, g), m in a.action.items():
+        cs, ct = scale[g], scale[group.conj(k, g)]
+        grid = [[cs[j] * m.data[i][j] / ct[i] for j in range(m.cols)] for i in range(m.rows)]
+        action[(k, g)] = Matrix(m.rows, m.cols, grid)
+    ce = scale[group.identity]
+    unit = tuple(u / c for u, c in zip(a.unit, ce))
+    trace = tuple(t * c for t, c in zip(a.trace, ce))
+    return GFrobeniusAlgebra(group, a.dims, product, action, unit, trace)
+
+
+def zero_grade_algebra(group) -> GFrobeniusAlgebra:
+    """Dual numbers on the identity grade and zero-dimensional components
+    everywhere else, so that words can pass through empty tensor legs."""
+    n = group.order
+    e = group.identity
+    dims = tuple(2 if g == e else 0 for g in range(n))
+    cell = Tensor3.from_entries(2, 2, 2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1})
+    product = {
+        (g, h): cell if g == h == e else Tensor3.zeros(dims[g], dims[h], dims[group.mul(g, h)])
+        for g in range(n)
+        for h in range(n)
+    }
+    action = {(k, g): Matrix.identity(dims[g]) for k in range(n) for g in range(n)}
+    return GFrobeniusAlgebra(group, dims, product, action, (1, 0), (0, 1))
 
 
 @pytest.fixture(scope="session")
@@ -69,3 +120,18 @@ def dual_numbers():
 @pytest.fixture(scope="session")
 def rich_s3(s3):
     return dual_number_group_algebra(s3)
+
+
+@pytest.fixture(scope="session")
+def rescaled_s3(s3_algebra):
+    return rescaled_algebra(s3_algebra, 3)
+
+
+@pytest.fixture(scope="session")
+def rescaled_rich_s3(rich_s3):
+    return rescaled_algebra(rich_s3, 5)
+
+
+@pytest.fixture(scope="session")
+def zero_grade_z3(z3):
+    return zero_grade_algebra(z3)

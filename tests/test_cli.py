@@ -1,6 +1,9 @@
 import json
 
-from gtqft import CheckReport, group_algebra, save_algebra
+import pytest
+
+from conftest import dual_number_group_algebra
+from gtqft import CheckReport, closed_surface_word, group_algebra, save_algebra
 from gtqft.cli import RunConfig, format_report, main, parse_records, minimize_word, run
 from gtqft.cobordism import PieceKind, parse as parse_word
 from gtqft.report import failing, passing
@@ -148,6 +151,52 @@ class TestEvalCommand:
         assert "error: category=degenerate-pairing" in captured.err
 
 
+class TestCommandSources:
+    def _eval(self, capsys, cobordism, group="cyclic:2"):
+        argv = ["eval", "--group", group, "--algebra", "builtin:group-algebra"]
+        status = main(argv + ["--cobordism", cobordism])
+        return status, capsys.readouterr()
+
+    def test_inline_word_longer_than_a_file_name(self, capsys):
+        word = " ; ".join(["id(g1)"] * 60)
+        assert len(word.encode()) > 255
+        status, captured = self._eval(capsys, word)
+        assert status == 0
+        assert "matrix (1 x 1)" in captured.out
+
+    def test_inline_genus_two_word_matches_file(self, tmp_path, s3, capsys):
+        text = closed_surface_word(s3, (5, 4, 5, 3)).to_text()
+        assert len(text.encode()) > 255
+        path = tmp_path / "genus2.txt"
+        path.write_text(text)
+        inline_status, inline = self._eval(capsys, text, "symmetric:3")
+        file_status, from_file = self._eval(capsys, str(path), "symmetric:3")
+        assert inline_status == file_status == 0
+        assert inline.out == from_file.out and "matrix (1 x 1)" in inline.out
+
+    @pytest.mark.parametrize("flag", ["--cobordism", "--group", "--algebra"])
+    @pytest.mark.parametrize("kind", ["empty", "directory"])
+    def test_empty_or_directory_source_is_a_parse_error(self, tmp_path, capsys, flag, kind):
+        sources = {
+            "--group": "cyclic:2",
+            "--algebra": "builtin:group-algebra",
+            "--cobordism": "id(e)",
+        }
+        sources[flag] = "" if kind == "empty" else str(tmp_path)
+        argv = ["eval"]
+        for name, value in sources.items():
+            argv += [name, value]
+        status = main(argv)
+        captured = capsys.readouterr()
+        assert status == 2
+        assert "error: category=parse" in captured.err
+
+    def test_long_group_name_is_a_parse_error(self, capsys):
+        status, captured = self._eval(capsys, "id(e)", "nosuchgroup" * 30)
+        assert status == 2
+        assert "error: category=parse" in captured.err
+
+
 class TestCerfCommand:
     def test_all_labels_pass(self, capsys):
         status = run(
@@ -232,6 +281,86 @@ class TestFuzzCommand:
         run(cfg)
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestFuzzGolden:
+    """Byte-exact stdout of fuzz runs, passing and failing."""
+
+    def _fuzz(self, capsys, *argv):
+        status = main(["fuzz", *argv])
+        return status, capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "group,seed,budget,count",
+        [("symmetric:3", 11, 6, 150), ("cyclic:4", 7, 5, 50)],
+    )
+    def test_passing_runs(self, capsys, group, seed, budget, count):
+        status, out = self._fuzz(
+            capsys, "--group", group, "--algebra", "builtin:group-algebra",
+            "--seed", str(seed), "--budget", str(budget), "--count", str(count),
+        )
+        assert status == 0
+        assert out == (
+            f"fuzz: {count} words over budget {budget} passed functoriality, "
+            f"rewrite-equality and type checks (seed={seed})\n"
+        )
+
+    S3_FAILURES = {
+        0: "fuzz: rewrite equality failed at word 94\n"
+        "word: id(p021) ; split(p102,p120) ; merge(p102,p120) ; "
+        "split(p210,p201) ; swap(p210,p201)\n"
+        "rewritten: cyl(p021;p021)\n",
+        1: "fuzz: rewrite equality failed at word 7\n"
+        "word: cyl(p021;e) ; split(p201,p102)\n"
+        "rewritten: cyl(p021;p021)\n",
+        2: "fuzz: rewrite equality failed at word 57\n"
+        "word: cap * id(p021)\n"
+        "rewritten: cap * cyl(p021;p021)\n",
+    }
+
+    RICH_S3_FAILURES = {
+        0: "fuzz: rewrite equality failed at word 115\n"
+        "word: id(p021) ; id(p021) ; id(p021) ; cyl(p021;p021) ; id(p021) ; cyl(p021;p021)\n"
+        "rewritten: cyl(e;e)\n",
+        3: "fuzz: rewrite equality failed at word 73\n"
+        "word: cap * split(p021,p201) ; merge(e,p021) * split(p021,p102)\n"
+        "rewritten: cyl(e;e) * id(e) * id(e)\n",
+    }
+
+    @staticmethod
+    def _mutated(tmp_path, doc, i, value):
+        # the self-conjugation of p021 is no longer the identity
+        for entry in doc["action"]:
+            if entry["k"] == entry["g"] == "p021" and entry["i"] == entry["j"] == i:
+                entry["value"] = value
+        path = tmp_path / "mutated.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("seed", sorted(S3_FAILURES))
+    def test_failing_group_algebra(self, tmp_path, s3, capsys, seed):
+        path = self._mutated(tmp_path, save_algebra(group_algebra(s3)), 0, "-1")
+        status, out = self._fuzz(capsys, "--algebra", path, "--seed", str(seed), "--budget", "6")
+        assert status == 1
+        assert out == self.S3_FAILURES[seed]
+
+    @pytest.mark.parametrize("seed", sorted(RICH_S3_FAILURES))
+    def test_failing_rich_algebra(self, tmp_path, s3, capsys, seed):
+        doc = save_algebra(dual_number_group_algebra(s3))
+        path = self._mutated(tmp_path, doc, 1, "1/2")
+        status, out = self._fuzz(capsys, "--algebra", path, "--seed", str(seed), "--budget", "6")
+        assert status == 1
+        assert out == self.RICH_S3_FAILURES[seed]
+
+    @pytest.mark.parametrize("flag,value", [("--budget", "0"), ("--count", "-5")])
+    def test_invalid_arguments_are_parse_errors(self, capsys, flag, value):
+        status = main(
+            ["fuzz", "--group", "cyclic:2", "--algebra", "builtin:group-algebra", flag, value]
+        )
+        captured = capsys.readouterr()
+        assert status == 2
+        assert "error: category=parse" in captured.err
+        assert captured.out == ""
 
 
 class TestMinimize:

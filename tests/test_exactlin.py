@@ -45,6 +45,17 @@ def square_matrices(n):
     ).map(Matrix.from_rows)
 
 
+class TestTranspose:
+    @pytest.mark.parametrize("rows,cols", [(2, 3), (3, 1), (0, 3), (3, 0), (0, 0)])
+    def test_entries_and_shape(self, rows, cols):
+        m = Matrix(rows, cols, [[F(i * cols + j, 7) for j in range(cols)] for i in range(rows)])
+        t = m.transpose()
+        assert (t.rows, t.cols) == (cols, rows)
+        assert all(t.data[j][i] == m.data[i][j] for i in range(rows) for j in range(cols))
+        assert len(t.data) == cols and all(len(row) == rows for row in t.data)
+        assert t.transpose() == m
+
+
 class TestScalar:
     def test_parse_forms(self):
         assert scalar_from_string("3") == F(3)

@@ -108,11 +108,85 @@ class TestFunctoriality:
             side_by_side = ev(tensor(w1, w2)).matrix
             assert side_by_side == kron(ev(w1).matrix, ev(w2).matrix)
 
-    def test_prefix_suffix_witness_clean(self, s3_algebra):
+    def test_prefix_suffix_witness_clean(self, s3_algebra, rich_s3, rescaled_rich_s3):
+        # every piece of a group algebra is an identity the kernel skips, so
+        # the rich and rescaled algebras exercise the transposed suffixes
+        for a, count in ((s3_algebra, 300), (rich_s3, 120), (rescaled_rich_s3, 120)):
+            ev = Evaluator(a)
+            for seed in range(count):
+                word = random_cobordism(a.group, seed, 8)
+                assert word_functoriality_witness(ev, word) is None
+
+    def test_witness_reports_a_wrong_prefix(self, rich_s3):
+        ev = Evaluator(rich_s3)
+        word = parse("split(p021,p021) ; merge(p021,p021)", rich_s3.group)
+        prefixes = ev.prefixes(word)
+        prefixes[1] = prefixes[1].scale(2)
+        witness = word_functoriality_witness(ev, word, prefixes)
+        assert witness is not None
+        assert dict(witness.context)["split-after-layer"] == "1"
+
+
+def kron_reference(ev: Evaluator, word: Cobordism) -> Matrix:
+    """The word's value as the product of its whole-layer Kronecker matrices."""
+    total = Matrix.identity(ev.signature_dimension(word.dom))
+    for layer in word.layers:
+        total = ev.layer_matrix(layer) @ total
+    return total
+
+
+class TestLegwiseKernel:
+    @pytest.mark.parametrize(
+        "name", ["s3_algebra", "rich_s3", "rescaled_s3", "rescaled_rich_s3", "zero_grade_z3"]
+    )
+    def test_matches_kronecker_layers(self, request, name):
+        a = request.getfixturevalue(name)
+        ev = Evaluator(a)
+        words = [random_cobordism(a.group, seed, 9) for seed in range(150)]
+        assert any(not w.dom or not w.cod for w in words)  # cap/cup ends occur
+        for word in words:
+            value = ev(word).matrix
+            assert value == kron_reference(ev, word), word.to_text()
+            assert all(type(x) is F for row in value.data for x in row)
+
+    @pytest.mark.parametrize("name", ["s3_algebra", "rich_s3", "rescaled_rich_s3"])
+    def test_closed_surfaces_match_kronecker_layers(self, request, name):
+        a = request.getfixturevalue(name)
+        ev = Evaluator(a)
+        for labels in ((0, 0), (1, 1), (3, 0), (1, 1, 3, 3), (2, 4, 0, 5)):
+            try:
+                word = closed_surface_word(a.group, labels)
+            except FlatnessViolation:
+                continue
+            assert ev(word).matrix == kron_reference(ev, word)
+
+    def test_empty_middle_legs(self, zero_grade_z3):
+        ev = Evaluator(zero_grade_z3)
+        text = "id(e) * split(g1,g2) ; id(e) * merge(g1,g2) ; merge(e,e)"
+        word = parse(text, zero_grade_z3.group)
+        value = ev(word).matrix
+        assert value == kron_reference(ev, word) == Matrix.zeros(2, 4)
+
+    def test_prefixes_end_in_the_value(self, rescaled_rich_s3):
+        ev = Evaluator(rescaled_rich_s3)
+        for seed in range(40):
+            word = random_cobordism(rescaled_rich_s3.group, seed, 8)
+            prefixes = ev.prefixes(word)
+            assert len(prefixes) == len(word.layers) + 1
+            assert prefixes[-1] == ev(word).matrix
+            cut = len(word.layers) // 2
+            head = Cobordism(word.group, word.layers[:cut], domain=word.dom)
+            assert prefixes[cut] == kron_reference(ev, head)
+
+    def test_group_algebra_pieces_are_skipped(self, s3_algebra, rich_s3):
+        # exact identity pieces cost no arithmetic
         ev = Evaluator(s3_algebra)
-        for seed in range(300):
-            word = random_cobordism(s3_algebra.group, seed, 8)
-            assert word_functoriality_witness(ev, word) is None
+        for seed in range(50):
+            for layer in random_cobordism(s3_algebra.group, seed, 8).layers:
+                assert all(ev.piece_matrix(p).terms is None for p in layer)
+        rich = Evaluator(rich_s3)
+        assert rich.piece_matrix(id_piece(1)).terms is None
+        assert rich.piece_matrix(merge(1, 2)).terms is not None
 
 
 class TestRewriteEquality:
