@@ -24,6 +24,19 @@ and satisfies trace(basis_i * dual_j) = delta_ij.  The derived coproduct
 into grades (g, h) is computed by both equivalent one-sided formulas
 (multiply by the dual basis of h on the right, or by the dual basis of g on
 the left) and the two results are cross-asserted entrywise.
+
+Law checks
+----------
+Each law is a small generator that yields its cases as
+``(context, lhs, rhs)`` in a fixed loop order; ``context`` is the tuple of
+raw element and basis indices of the case.  `report.first_failure` stops
+at the first case whose sides differ and only then renders the witness:
+every int in the context is named through the group (basis indices
+included, so index 0 reads as the identity's name) and both sides are
+formatted as exact literals.  A law over several kinds of case yields
+contexts that a single renderer tells apart, such as the unit check of
+each k in ``action-automorphism`` (context ``(k,)``) before that k's
+product cases (``(k, g, h, i, j)``).
 """
 
 from __future__ import annotations
@@ -54,7 +67,7 @@ from .exactlin import (
     zero_vector,
 )
 from .groups import FiniteGroup, builtin, builtin_from_string, load_group, save_group
-from .report import CheckEntry, CheckReport, Witness
+from .report import CheckReport, Witness, failing, first_failure, renderer
 
 
 class GFrobeniusAlgebra:
@@ -519,17 +532,13 @@ def derive(a: GFrobeniusAlgebra) -> DerivedStructure:
 
 
 # ---------------------------------------------------------------------------
-# Law checking
+# Law checking (see "Law checks" above)
 
 
-def _name_ctx(group: FiniteGroup, **kwargs) -> tuple[tuple[str, str], ...]:
-    out = []
-    for key, value in kwargs.items():
-        if isinstance(value, int):
-            out.append((key, group.name(value)))
-        else:
-            out.append((key, str(value)))
-    return tuple(out)
+def _group_renderer(group: FiniteGroup, keys: Sequence[str], left=str, right=None):
+    """Witness renderer naming int context values through the group and
+    anything else with str."""
+    return renderer(keys, lambda v: group.name(v) if isinstance(v, int) else str(v), left, right)
 
 
 def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
@@ -543,260 +552,137 @@ def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
     n = group.order
     e = group.identity
     dims = a.dims
-    entries: list[CheckEntry] = []
+    mul, conj, inv = group.mul, group.conj, group.inv
+    prod, act = a.apply_product, a.apply_action
+    bases = [[basis_vector(d, i) for i in range(d)] for d in dims]
+    pairings: dict[int, Matrix] = {}
 
-    def basis(g: int):
-        return [basis_vector(dims[g], i) for i in range(dims[g])]
-
-    # associativity of the product
-    witness = None
-    for g in range(n):
-        for h in range(n):
-            gh = group.mul(g, h)
-            for k in range(n):
-                hk = group.mul(h, k)
-                for i, bi in enumerate(basis(g)):
-                    for j, bj in enumerate(basis(h)):
-                        via_left = a.apply_product(g, h, bi, bj)
-                        for l, bl in enumerate(basis(k)):
-                            lhs = a.apply_product(gh, k, via_left, bl)
-                            rhs = a.apply_product(g, hk, bi, a.apply_product(h, k, bj, bl))
-                            if lhs != rhs:
-                                witness = Witness(
-                                    _name_ctx(group, g=g, h=h, k=k, i=i, j=j, l=l),
-                                    vector_literal(lhs),
-                                    vector_literal(rhs),
+    def associativity():
+        for g in range(n):
+            for h in range(n):
+                gh = mul(g, h)
+                for k in range(n):
+                    hk = mul(h, k)
+                    for i, bi in enumerate(bases[g]):
+                        for j, bj in enumerate(bases[h]):
+                            via_left = prod(g, h, bi, bj)
+                            for l, bl in enumerate(bases[k]):
+                                yield (
+                                    (g, h, k, i, j, l),
+                                    prod(gh, k, via_left, bl),
+                                    prod(g, hk, bi, prod(h, k, bj, bl)),
                                 )
-                                break
-                        if witness:
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    entries.append(CheckEntry("product-associativity", witness is None, witness))
 
-    # unit laws
-    witness = None
-    for g in range(n):
-        for j, bj in enumerate(basis(g)):
-            left = a.apply_product(e, g, a.unit, bj)
-            right = a.apply_product(g, e, bj, a.unit)
-            if left != bj:
-                witness = Witness(
-                    _name_ctx(group, g=g, j=j, side="left"),
-                    vector_literal(left),
-                    vector_literal(bj),
-                )
-                break
-            if right != bj:
-                witness = Witness(
-                    _name_ctx(group, g=g, j=j, side="right"),
-                    vector_literal(right),
-                    vector_literal(bj),
-                )
-                break
-        if witness:
-            break
-    entries.append(CheckEntry("unit-laws", witness is None, witness))
+    def unit_laws():
+        for g in range(n):
+            for j, bj in enumerate(bases[g]):
+                yield (g, j, "left"), prod(e, g, a.unit, bj), bj
+                yield (g, j, "right"), prod(g, e, bj, a.unit), bj
 
-    # the identity element acts as the identity map
-    witness = None
-    for g in range(n):
-        if a.action[(e, g)] != Matrix.identity(dims[g]):
-            witness = Witness(
-                _name_ctx(group, g=g),
-                "action block of the identity element",
-                "identity matrix",
-            )
-            break
-    entries.append(CheckEntry("action-of-identity", witness is None, witness))
+    def action_of_identity():
+        for g in range(n):
+            yield (g,), a.action[(e, g)], Matrix.identity(dims[g])
 
-    # the action is a group homomorphism, blockwise
-    witness = None
-    for k in range(n):
-        for l in range(n):
-            kl = group.mul(k, l)
+    def action_homomorphism():
+        for k in range(n):
+            for l in range(n):
+                kl = mul(k, l)
+                for g in range(n):
+                    yield (k, l, g), a.action[(k, conj(l, g))] @ a.action[(l, g)], a.action[(kl, g)]
+
+    def action_automorphism():
+        # multiplicative, and fixes the unit (checked first for each k)
+        for k in range(n):
+            yield (k,), act(k, e, a.unit), a.unit
             for g in range(n):
-                composed = a.action[(k, group.conj(l, g))] @ a.action[(l, g)]
-                direct = a.action[(kl, g)]
-                if composed != direct:
-                    witness = Witness(
-                        _name_ctx(group, k=k, l=l, g=g),
-                        matrix_literal(composed),
-                        matrix_literal(direct),
-                    )
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    entries.append(CheckEntry("action-homomorphism", witness is None, witness))
-
-    # each action map is an algebra automorphism (multiplicative, fixes unit)
-    witness = None
-    for k in range(n):
-        if a.apply_action(k, e, a.unit) != a.unit:
-            witness = Witness(
-                _name_ctx(group, k=k),
-                vector_literal(a.apply_action(k, e, a.unit)),
-                vector_literal(a.unit),
-            )
-            break
-        for g in range(n):
-            for h in range(n):
-                gh = group.mul(g, h)
-                for i, bi in enumerate(basis(g)):
-                    for j, bj in enumerate(basis(h)):
-                        lhs = a.apply_action(k, gh, a.apply_product(g, h, bi, bj))
-                        rhs = a.apply_product(
-                            group.conj(k, g),
-                            group.conj(k, h),
-                            a.apply_action(k, g, bi),
-                            a.apply_action(k, h, bj),
-                        )
-                        if lhs != rhs:
-                            witness = Witness(
-                                _name_ctx(group, k=k, g=g, h=h, i=i, j=j),
-                                vector_literal(lhs),
-                                vector_literal(rhs),
+                kg = conj(k, g)
+                for h in range(n):
+                    gh, kh = mul(g, h), conj(k, h)
+                    for i, bi in enumerate(bases[g]):
+                        for j, bj in enumerate(bases[h]):
+                            yield (
+                                (k, g, h, i, j),
+                                act(k, gh, prod(g, h, bi, bj)),
+                                prod(kg, kh, act(k, g, bi), act(k, h, bj)),
                             )
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    entries.append(CheckEntry("action-automorphism", witness is None, witness))
 
-    # each element acts trivially on its own grade
-    witness = None
-    for g in range(n):
-        if a.action[(g, g)] != Matrix.identity(dims[g]):
-            witness = Witness(
-                _name_ctx(group, g=g),
-                matrix_literal(a.action[(g, g)]),
-                "identity matrix",
-            )
-            break
-    entries.append(CheckEntry("action-trivial-on-own-grade", witness is None, witness))
-
-    # the trace is invariant under the action
-    witness = None
-    for h in range(n):
-        for t, bt in enumerate(basis(e)):
-            moved = a.trace_of(a.apply_action(h, e, bt))
-            if moved != a.trace[t]:
-                witness = Witness(
-                    _name_ctx(group, h=h, t=t),
-                    format_scalar(moved),
-                    format_scalar(a.trace[t]),
-                )
-                break
-        if witness:
-            break
-    entries.append(CheckEntry("trace-invariance", witness is None, witness))
-
-    # nondegenerate pairing on every grade
-    witness = None
-    degenerate = False
-    for g in range(n):
-        gi = group.inv(g)
-        if dims[g] != dims[gi]:
-            witness = Witness(
-                _name_ctx(group, g=g),
-                f"dim {dims[g]}",
-                f"dim {dims[gi]} of the inverse grade",
-            )
-            degenerate = True
-            break
-        theta = pairing_matrix(a, g)
-        if theta.det() == ZERO:
-            witness = Witness(_name_ctx(group, g=g), "det 0", "nonzero determinant")
-            degenerate = True
-            break
-    entries.append(CheckEntry("pairing-nondegenerate", witness is None, witness))
-
-    # twisted commutativity
-    witness = None
-    for g in range(n):
-        for h in range(n):
-            tw = group.conj(g, h)
-            for i, bi in enumerate(basis(g)):
-                for j, bj in enumerate(basis(h)):
-                    lhs = a.apply_product(g, h, bi, bj)
-                    rhs = a.apply_product(tw, g, a.apply_action(g, h, bj), bi)
-                    if lhs != rhs:
-                        witness = Witness(
-                            _name_ctx(group, g=g, h=h, i=i, j=j),
-                            vector_literal(lhs),
-                            vector_literal(rhs),
-                        )
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    entries.append(CheckEntry("twisted-commutativity", witness is None, witness))
-
-    # torus identity over dual bases
-    if degenerate:
-        entries.append(
-            CheckEntry(
-                "torus-identity",
-                False,
-                Witness(
-                    (("blocked", "degenerate pairing; identity not evaluated"),),
-                    "",
-                    "",
-                ),
-            )
-        )
-    else:
-        duals = {g: pairing_matrix(a, g).inverse() for g in range(n)}
-        witness = None
+    def trivial_on_own_grade():
         for g in range(n):
-            gi = group.inv(g)
-            for h in range(n):
-                hi = group.inv(h)
-                lhs = zero_vector(dims[group.mul(group.conj(h, g), gi)])
-                for i in range(dims[g]):
-                    moved = a.apply_action(h, g, basis_vector(dims[g], i))
-                    lhs = vector_add(
-                        lhs,
-                        a.apply_product(
-                            group.conj(h, g), gi, moved, duals[g].column_vector(i)
-                        ),
-                    )
-                rhs = zero_vector(dims[group.mul(h, group.conj(g, hi))])
-                for i in range(dims[h]):
-                    moved = a.apply_action(g, hi, duals[h].column_vector(i))
-                    rhs = vector_add(
-                        rhs,
-                        a.apply_product(
-                            h, group.conj(g, hi), basis_vector(dims[h], i), moved
-                        ),
-                    )
-                if lhs != rhs:
-                    witness = Witness(
-                        _name_ctx(group, g=g, h=h),
-                        vector_literal(lhs),
-                        vector_literal(rhs),
-                    )
-                    break
-            if witness:
-                break
-        entries.append(CheckEntry("torus-identity", witness is None, witness))
+            yield (g,), a.action[(g, g)], Matrix.identity(dims[g])
 
+    def trace_invariance():
+        for h in range(n):
+            for t, bt in enumerate(bases[e]):
+                yield (h, t), a.trace_of(act(h, e, bt)), a.trace[t]
+
+    def nondegenerate():
+        # each grade's pairing is built once, here, and reused by the torus
+        for g in range(n):
+            yield (g, "dim"), dims[g], dims[inv(g)]
+            theta = pairings[g] = pairing_matrix(a, g)
+            yield (g, "det"), theta.det() != ZERO, True
+
+    def render_degenerate(context, lhs, rhs) -> Witness:
+        g, kind = context
+        where = (("g", group.name(g)),)
+        if kind == "dim":
+            return Witness(where, f"dim {lhs}", f"dim {rhs} of the inverse grade")
+        return Witness(where, "det 0", "nonzero determinant")
+
+    def twisted_commutativity():
+        for g in range(n):
+            for h in range(n):
+                tw = conj(g, h)
+                for i, bi in enumerate(bases[g]):
+                    for j, bj in enumerate(bases[h]):
+                        yield (g, h, i, j), prod(g, h, bi, bj), prod(tw, g, act(g, h, bj), bi)
+
+    def torus_identity():
+        duals = {g: theta.inverse() for g, theta in pairings.items()}
+        for g in range(n):
+            gi = inv(g)
+            for h in range(n):
+                hi = inv(h)
+                hg, ghi = conj(h, g), conj(g, hi)
+                lhs = zero_vector(dims[mul(hg, gi)])
+                for i, bi in enumerate(bases[g]):
+                    lhs = vector_add(lhs, prod(hg, gi, act(h, g, bi), duals[g].column_vector(i)))
+                rhs = zero_vector(dims[mul(h, ghi)])
+                for i, bi in enumerate(bases[h]):
+                    rhs = vector_add(rhs, prod(h, ghi, bi, act(g, hi, duals[h].column_vector(i))))
+                yield (g, h), lhs, rhs
+
+    def law(name, cases, keys, left=vector_literal, right=None):
+        return first_failure(name, cases, _group_renderer(group, keys, left, right))
+
+    entries = [
+        law("product-associativity", associativity(), ("g", "h", "k", "i", "j", "l")),
+        law("unit-laws", unit_laws(), ("g", "j", "side")),
+        law(
+            "action-of-identity",
+            action_of_identity(),
+            ("g",),
+            lambda _: "action block of the identity element",
+            lambda _: "identity matrix",
+        ),
+        law("action-homomorphism", action_homomorphism(), ("k", "l", "g"), matrix_literal),
+        law("action-automorphism", action_automorphism(), ("k", "g", "h", "i", "j")),
+        law(
+            "action-trivial-on-own-grade",
+            trivial_on_own_grade(),
+            ("g",),
+            matrix_literal,
+            lambda _: "identity matrix",
+        ),
+        law("trace-invariance", trace_invariance(), ("h", "t"), format_scalar),
+        first_failure("pairing-nondegenerate", nondegenerate(), render_degenerate),
+        law("twisted-commutativity", twisted_commutativity(), ("g", "h", "i", "j")),
+    ]
+    if entries[-2].passed:
+        entries.append(law("torus-identity", torus_identity(), ("g", "h")))
+    else:
+        blocked = (("blocked", "degenerate pairing; identity not evaluated"),)
+        entries.append(failing("torus-identity", blocked, "", ""))
     return CheckReport(tuple(entries))
 
 
@@ -805,54 +691,32 @@ def check_frobenius_diagram(a: GFrobeniusAlgebra, d: DerivedStructure) -> CheckR
     group = a.group
     n = group.order
     dims = a.dims
-    witness = None
-    for g in range(n):
-        for h in range(n):
-            gh = group.mul(g, h)
-            prod_gh = a.product[(g, h)]
-            for k in range(n):
-                hk = group.mul(h, k)
-                cop_hk = d.coproducts[(h, k)]
-                prod_ghk = a.product[(g, hk)]
-                cop_ghk = d.coproducts[(gh, k)]
-                for i in range(dims[g]):
-                    for c in range(dims[hk]):
-                        for p in range(dims[gh]):
-                            for b in range(dims[k]):
-                                lhs = sum(
-                                    (
-                                        prod_gh.data[i][x][p] * cop_hk.data[c][x][b]
-                                        for x in range(dims[h])
-                                    ),
-                                    ZERO,
-                                )
-                                rhs = sum(
-                                    (
-                                        prod_ghk.data[i][c][q] * cop_ghk.data[q][p][b]
-                                        for q in range(dims[group.mul(g, hk)])
-                                    ),
-                                    ZERO,
-                                )
-                                if lhs != rhs:
-                                    witness = Witness(
-                                        _name_ctx(group, g=g, h=h, k=k, i=i, c=c, p=p, b=b),
-                                        format_scalar(lhs),
-                                        format_scalar(rhs),
+
+    def cases():
+        for g in range(n):
+            for h in range(n):
+                gh = group.mul(g, h)
+                prod_gh = a.product[(g, h)].data
+                for k in range(n):
+                    hk = group.mul(h, k)
+                    cop_hk = d.coproducts[(h, k)].data
+                    prod_ghk = a.product[(g, hk)].data
+                    cop_ghk = d.coproducts[(gh, k)].data
+                    over_x, over_q = range(dims[h]), range(dims[group.mul(g, hk)])
+                    for i in range(dims[g]):
+                        for c in range(dims[hk]):
+                            for p in range(dims[gh]):
+                                for b in range(dims[k]):
+                                    lhs = sum(
+                                        (prod_gh[i][x][p] * cop_hk[c][x][b] for x in over_x), ZERO
                                     )
-                                    break
-                            if witness:
-                                break
-                        if witness:
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    return CheckReport((CheckEntry("frobenius-relation", witness is None, witness),))
+                                    rhs = sum(
+                                        (prod_ghk[i][c][q] * cop_ghk[q][p][b] for q in over_q), ZERO
+                                    )
+                                    yield (g, h, k, i, c, p, b), lhs, rhs
+
+    render = _group_renderer(group, ("g", "h", "k", "i", "c", "p", "b"), format_scalar)
+    return CheckReport((first_failure("frobenius-relation", cases(), render),))
 
 
 def check_cocommutativity(a: GFrobeniusAlgebra, d: DerivedStructure) -> CheckReport:
@@ -860,42 +724,26 @@ def check_cocommutativity(a: GFrobeniusAlgebra, d: DerivedStructure) -> CheckRep
     group = a.group
     n = group.order
     dims = a.dims
-    witness = None
-    for g in range(n):
-        for h in range(n):
-            tw = group.conj(g, h)
-            lhs_t = d.coproducts[(tw, g)]  # same source grade: tw * g = g * h
-            rhs_t = d.coproducts[(g, h)]
-            act = a.action[(g, h)]
-            bad = None
-            for c in range(dims[group.mul(g, h)]):
-                for i in range(dims[tw]):
-                    for j in range(dims[g]):
-                        rhs = sum(
-                            (
-                                act.data[i][b] * rhs_t.data[c][j][b]
-                                for b in range(dims[h])
-                            ),
-                            ZERO,
-                        )
-                        if lhs_t.data[c][i][j] != rhs:
-                            bad = (c, i, j, lhs_t.data[c][i][j], rhs)
-                            break
-                    if bad:
-                        break
-                if bad:
-                    break
-            if bad:
-                c, i, j, left, right = bad
-                witness = Witness(
-                    _name_ctx(group, g=g, h=h, c=c, i=i, j=j),
-                    format_scalar(left),
-                    format_scalar(right),
-                )
-                break
-        if witness:
-            break
-    return CheckReport((CheckEntry("twisted-cocommutativity", witness is None, witness),))
+
+    def cases():
+        for g in range(n):
+            for h in range(n):
+                tw = group.conj(g, h)
+                lhs_t = d.coproducts[(tw, g)].data  # same source grade: tw * g = g * h
+                rhs_t = d.coproducts[(g, h)].data
+                act = a.action[(g, h)].data
+                over_b = range(dims[h])
+                for c in range(dims[group.mul(g, h)]):
+                    for i in range(dims[tw]):
+                        for j in range(dims[g]):
+                            yield (
+                                (g, h, c, i, j),
+                                lhs_t[c][i][j],
+                                sum((act[i][b] * rhs_t[c][j][b] for b in over_b), ZERO),
+                            )
+
+    render = _group_renderer(group, ("g", "h", "c", "i", "j"), format_scalar)
+    return CheckReport((first_failure("twisted-cocommutativity", cases(), render),))
 
 
 def action_on_dual_basis_check(a: GFrobeniusAlgebra, d: DerivedStructure) -> CheckReport:
@@ -906,19 +754,13 @@ def action_on_dual_basis_check(a: GFrobeniusAlgebra, d: DerivedStructure) -> Che
     aligning dual bases along conjugation.
     """
     group = a.group
-    witness = None
-    for g in group.elements():
-        gi = group.inv(g)
-        for h in group.elements():
-            moved = a.action[(h, g)] @ d.euler[g] @ a.action[(h, gi)].transpose()
-            target = d.euler[group.conj(h, g)]
-            if moved != target:
-                witness = Witness(
-                    _name_ctx(group, g=g, h=h),
-                    matrix_literal(moved),
-                    matrix_literal(target),
-                )
-                break
-        if witness:
-            break
-    return CheckReport((CheckEntry("dual-basis-equivariance", witness is None, witness),))
+
+    def cases():
+        for g in group.elements():
+            gi = group.inv(g)
+            for h in group.elements():
+                moved = a.action[(h, g)] @ d.euler[g] @ a.action[(h, gi)].transpose()
+                yield (g, h), moved, d.euler[group.conj(h, g)]
+
+    render = _group_renderer(group, ("g", "h"), matrix_literal)
+    return CheckReport((first_failure("dual-basis-equivariance", cases(), render),))

@@ -29,11 +29,18 @@ from .algebra import (
 from .cobordism import Cobordism, Piece, parse, random_cobordism, rewrite_equivalent
 from .cobordism import tensor as tensor_words
 from .errors import EngineError, SchemaError
-from .exactlin import Matrix, format_matrix, format_scalar, kron
+from .exactlin import Matrix, format_matrix, format_scalar
 from .groups import FiniteGroup, builtin_from_string, load_group
 from .orbifold import orbifold_algebra
 from .report import CheckReport, failing
-from .tqft import BlockLinearMap, Evaluator, cerf_check, evaluate, word_functoriality_witness
+from .tqft import (
+    BlockLinearMap,
+    Evaluator,
+    cerf_check,
+    evaluate,
+    split_matrix,
+    word_functoriality_witness,
+)
 
 
 @dataclass
@@ -112,11 +119,20 @@ def _source_file(source: str) -> Path | None:
     return path if exists else None
 
 
+def _read_json(path: Path, source: str):
+    """The parsed JSON document in a group or algebra file; text that is
+    not UTF-8 JSON is a parse error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"invalid JSON in {source}: {exc}") from None
+
+
 def _load_group_source(source: str) -> FiniteGroup:
     path = _source_file(source)
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            return load_group(json.load(fh))
+        return load_group(_read_json(path, source))
     return builtin_from_string(source)
 
 
@@ -131,12 +147,7 @@ def _load_algebra_source(config: RunConfig) -> GFrobeniusAlgebra:
     path = _source_file(source)
     if path is None:
         raise SchemaError(f"algebra file not found: {source}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON in {source}: {exc}") from None
-    return load_algebra(doc)
+    return load_algebra(_read_json(path, source))
 
 
 def _read_cobordism_text(source: str) -> str:
@@ -237,12 +248,7 @@ def _cmd_derive(config: RunConfig) -> int:
                     f"coproduct[{group.name(g)},{group.name(h)}] "
                     f"(matrix of the splitting map, rows flatten the two output legs):"
                 )
-                grid = [
-                    tuple(t.data[c][i][j] for c in range(t.dim0))
-                    for i in range(t.dim1)
-                    for j in range(t.dim2)
-                ]
-                out.extend(format_matrix(Matrix(t.dim1 * t.dim2, t.dim0, grid)))
+                out.extend(format_matrix(split_matrix(t)))
     print("\n".join(out))
     return 0
 
@@ -370,7 +376,7 @@ def _cmd_fuzz(config: RunConfig) -> int:
             return 1
         if previous is not None and index % 10 == 0:
             side_by_side = ev(tensor_words(previous, word))
-            separate = kron(previous_value, value)
+            separate = previous_value.kron(value)
             if side_by_side.matrix != separate:
                 print(f"fuzz: tensor functoriality failed at word {index}")
                 print(f"left: {previous.to_text()}")

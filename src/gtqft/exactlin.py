@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, SingularMatrix
 
@@ -219,16 +219,6 @@ class Matrix:
         return Matrix._wrap(n, n, tuple(tuple(row[n:]) for row in work))
 
 
-def mat_inverse(m: Matrix) -> Matrix:
-    """Exact inverse; raises SingularMatrix when the determinant vanishes."""
-    return m.inverse()
-
-
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product with the left factor as the most significant index."""
-    return a.kron(b)
-
-
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot columns (least-index pivots)."""
     work = [list(row) for row in m.data]
@@ -311,92 +301,6 @@ class Tensor3:
 
     def __repr__(self) -> str:
         return f"Tensor3({self.dim0}x{self.dim1}x{self.dim2})"
-
-
-def contract(tensor: Tensor3, axis: int, operand: Union[Matrix, Sequence]) -> Union[Matrix, Tensor3]:
-    """Contract one tensor axis against a vector or a matrix.
-
-    A vector removes the axis and returns the matrix over the two remaining
-    axes in index order.  A matrix (contracted against its row index)
-    replaces the axis size by the matrix's column count.
-    """
-    if axis not in (0, 1, 2):
-        raise DimensionMismatch(f"axis must be 0, 1 or 2, got {axis}")
-    dims = tensor.dims
-    data = tensor.data
-    if isinstance(operand, Matrix):
-        if operand.rows != dims[axis]:
-            raise DimensionMismatch(
-                f"axis {axis} has size {dims[axis]} but matrix has {operand.rows} rows"
-            )
-        c = operand.cols
-        if axis == 0:
-            out = tuple(
-                tuple(
-                    tuple(
-                        sum((data[b][j][k] * operand.data[b][a] for b in range(dims[0])), ZERO)
-                        for k in range(dims[2])
-                    )
-                    for j in range(dims[1])
-                )
-                for a in range(c)
-            )
-            return Tensor3._wrap(c, dims[1], dims[2], out)
-        if axis == 1:
-            out = tuple(
-                tuple(
-                    tuple(
-                        sum((data[i][b][k] * operand.data[b][a] for b in range(dims[1])), ZERO)
-                        for k in range(dims[2])
-                    )
-                    for a in range(c)
-                )
-                for i in range(dims[0])
-            )
-            return Tensor3._wrap(dims[0], c, dims[2], out)
-        out = tuple(
-            tuple(
-                tuple(
-                    sum((data[i][j][b] * operand.data[b][a] for b in range(dims[2])), ZERO)
-                    for a in range(c)
-                )
-                for j in range(dims[1])
-            )
-            for i in range(dims[0])
-        )
-        return Tensor3._wrap(dims[0], dims[1], c, out)
-
-    vec = as_vector(operand)
-    if len(vec) != dims[axis]:
-        raise DimensionMismatch(
-            f"axis {axis} has size {dims[axis]} but vector has length {len(vec)}"
-        )
-    if axis == 0:
-        grid = tuple(
-            tuple(
-                sum((vec[i] * data[i][j][k] for i in range(dims[0])), ZERO)
-                for k in range(dims[2])
-            )
-            for j in range(dims[1])
-        )
-        return Matrix._wrap(dims[1], dims[2], grid)
-    if axis == 1:
-        grid = tuple(
-            tuple(
-                sum((vec[j] * data[i][j][k] for j in range(dims[1])), ZERO)
-                for k in range(dims[2])
-            )
-            for i in range(dims[0])
-        )
-        return Matrix._wrap(dims[0], dims[2], grid)
-    grid = tuple(
-        tuple(
-            sum((vec[k] * data[i][j][k] for k in range(dims[2])), ZERO)
-            for j in range(dims[1])
-        )
-        for i in range(dims[0])
-    )
-    return Matrix._wrap(dims[0], dims[1], grid)
 
 
 def format_matrix(m: Matrix) -> list[str]:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import GFrobeniusAlgebra, frobenius_untwisted
-from .errors import NotClosed, SingularMatrix
+from .errors import NotClosed
 from .exactlin import (
     ZERO,
     Matrix,
@@ -25,7 +25,7 @@ from .exactlin import (
     vector_literal,
 )
 from .groups import conjugacy
-from .report import CheckEntry, CheckReport, Witness
+from .report import CheckReport, Witness, failing, first_failure, passing, renderer
 
 
 def _offsets(a: GFrobeniusAlgebra) -> tuple[tuple[int, ...], int]:
@@ -84,18 +84,27 @@ def _image_basis(m: Matrix) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
     return basis, pivots
 
 
-def _coordinates(
-    basis: Sequence[Vector], pivots: Sequence[int], vec: Vector, what: str
-) -> Vector:
-    """Coordinates of `vec` in an echelonized basis; NotClosed if outside the span."""
+def _span_coordinates(
+    basis: Sequence[Vector], pivots: Sequence[int], vec: Vector
+) -> tuple[Vector, Vector]:
+    """Coordinates of `vec` in an echelonized basis, and the vector they
+    span; the two vectors agree exactly when `vec` lies in the span."""
     coords = tuple(vec[p] for p in pivots)
-    residual = list(vec)
+    spanned = [ZERO] * len(vec)
     for c, b in zip(coords, basis):
         if c:
             for idx, value in enumerate(b):
                 if value:
-                    residual[idx] -= c * value
-    if any(residual):
+                    spanned[idx] += c * value
+    return coords, tuple(spanned)
+
+
+def _coordinates(
+    basis: Sequence[Vector], pivots: Sequence[int], vec: Vector, what: str
+) -> Vector:
+    """Coordinates of `vec` in an echelonized basis; NotClosed if outside the span."""
+    coords, spanned = _span_coordinates(basis, pivots, vec)
+    if spanned != tuple(vec):
         raise NotClosed(f"{what} leaves the invariant span: {vector_literal(vec)}")
     return coords
 
@@ -247,123 +256,89 @@ def orbifold_algebra(a: GFrobeniusAlgebra) -> OrbifoldAlgebra:
 
     The certification report covers closure of the product, commutativity,
     associativity, unit membership and the unit law, and nondegeneracy of
-    the restricted trace pairing.
+    the restricted trace pairing.  Products and a unit that leave the
+    invariant span are zero-filled, so that every entry is still computed.
     """
     group = a.group
     offsets, total = _offsets(a)
     basis, pivots = _image_basis(invariant_projector(a))
     d = len(basis)
-    entries: list[CheckEntry] = []
+    inside = "a vector inside the invariant span"
 
     products: dict[tuple[int, int], Vector] = {}
-    closure_witness = None
+    closure = []  # every product is needed below, so all cases are built
     for i, vi in enumerate(basis):
         for j, vj in enumerate(basis):
             w = multiply_total(a, offsets, vi, vj)
-            try:
-                products[(i, j)] = _coordinates(basis, pivots, w, "product")
-            except NotClosed:
-                closure_witness = Witness(
-                    (("i", str(i)), ("j", str(j))),
-                    vector_literal(w),
-                    "a vector inside the invariant span",
-                )
-                products[(i, j)] = (ZERO,) * d
-    entries.append(CheckEntry("orbifold-closure", closure_witness is None, closure_witness))
+            coords, spanned = _span_coordinates(basis, pivots, w)
+            products[(i, j)] = coords if spanned == w else (ZERO,) * d
+            closure.append(((i, j), w, spanned))
 
-    commut_witness = None
-    for i in range(d):
-        for j in range(i + 1, d):
-            if products[(i, j)] != products[(j, i)]:
-                commut_witness = Witness(
-                    (("i", str(i)), ("j", str(j))),
-                    vector_literal(products[(i, j)]),
-                    vector_literal(products[(j, i)]),
-                )
-                break
-        if commut_witness:
-            break
-    entries.append(CheckEntry("orbifold-commutativity", commut_witness is None, commut_witness))
-
-    assoc_witness = None
-    for i in range(d):
-        for j in range(d):
-            ij = products[(i, j)]
-            for k in range(d):
-                jk = products[(j, k)]
-                lhs = [ZERO] * d
-                for m, c in enumerate(ij):
-                    if c:
-                        for p, v in enumerate(products[(m, k)]):
-                            if v:
-                                lhs[p] += c * v
-                rhs = [ZERO] * d
-                for m, c in enumerate(jk):
-                    if c:
-                        for p, v in enumerate(products[(i, m)]):
-                            if v:
-                                rhs[p] += c * v
-                if lhs != rhs:
-                    assoc_witness = Witness(
-                        (("i", str(i)), ("j", str(j)), ("k", str(k))),
-                        vector_literal(tuple(lhs)),
-                        vector_literal(tuple(rhs)),
-                    )
-                    break
-            if assoc_witness:
-                break
-        if assoc_witness:
-            break
-    entries.append(CheckEntry("orbifold-associativity", assoc_witness is None, assoc_witness))
+    def associativity():
+        for i in range(d):
+            for j in range(d):
+                ij = products[(i, j)]
+                for k in range(d):
+                    jk = products[(j, k)]
+                    lhs = [ZERO] * d
+                    for m, c in enumerate(ij):
+                        if c:
+                            for p, v in enumerate(products[(m, k)]):
+                                if v:
+                                    lhs[p] += c * v
+                    rhs = [ZERO] * d
+                    for m, c in enumerate(jk):
+                        if c:
+                            for p, v in enumerate(products[(i, m)]):
+                                if v:
+                                    rhs[p] += c * v
+                    yield (i, j, k), lhs, rhs
 
     # the unit is invariant, so it must lie in the span and act as identity
-    unit_witness = None
-    unit_total = [ZERO] * total
     e = group.identity
+    unit_total = [ZERO] * total
     for i, v in enumerate(a.unit):
         unit_total[offsets[e] + i] = v
-    try:
-        unit_coords = _coordinates(basis, pivots, tuple(unit_total), "unit")
-    except NotClosed:
+    unit_total = tuple(unit_total)
+    unit_coords, unit_spanned = _span_coordinates(basis, pivots, unit_total)
+    if unit_spanned != unit_total:
         unit_coords = (ZERO,) * d
-        unit_witness = Witness(
-            (("vector", "unit"),),
-            vector_literal(tuple(unit_total)),
-            "a vector inside the invariant span",
-        )
-    if unit_witness is None:
+
+    def unit_law():
+        yield None, unit_total, unit_spanned
         for j, vj in enumerate(basis):
-            acted = multiply_total(a, offsets, tuple(unit_total), vj)
-            if acted != vj:
-                unit_witness = Witness(
-                    (("j", str(j)),), vector_literal(acted), vector_literal(vj)
-                )
-                break
-    entries.append(CheckEntry("orbifold-unit", unit_witness is None, unit_witness))
+            yield j, multiply_total(a, offsets, unit_total, vj), vj
+
+    def render_unit(j, lhs, rhs) -> Witness:
+        if j is None:
+            return Witness((("vector", "unit"),), vector_literal(lhs), inside)
+        return Witness((("j", str(j)),), vector_literal(lhs), vector_literal(rhs))
+
+    commuting = (
+        ((i, j), products[(i, j)], products[(j, i)]) for i in range(d) for j in range(i + 1, d)
+    )
+    outside = renderer(("i", "j"), str, vector_literal, lambda _: inside)
+    pairs = renderer(("i", "j"), str, vector_literal)
+    triples = renderer(("i", "j", "k"), str, vector_literal)
+    entries = [
+        first_failure("orbifold-closure", closure, outside),
+        first_failure("orbifold-commutativity", commuting, pairs),
+        first_failure("orbifold-associativity", associativity(), triples),
+        first_failure("orbifold-unit", unit_law(), render_unit),
+    ]
 
     # restricted trace: evaluate on the identity component only
-    trace_coords = tuple(
-        a.trace_of(_component(a, offsets, v, e)) for v in basis
-    )
-    gram_rows = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            row.append(
-                sum((c * trace_coords[m] for m, c in enumerate(products[(i, j)]) if c), ZERO)
-            )
-        gram_rows.append(row)
-    gram = Matrix(d, d, gram_rows)
-    trace_witness = None
-    try:
-        gram.inverse()
-    except SingularMatrix:
-        trace_witness = Witness(
-            (("gram", "determinant"),), "0", "nonzero determinant"
-        )
-    entries.append(
-        CheckEntry("orbifold-trace-nondegenerate", trace_witness is None, trace_witness)
-    )
+    trace_coords = tuple(a.trace_of(_component(a, offsets, v, e)) for v in basis)
+
+    def traced(i: int, j: int) -> Fraction:
+        return sum((c * trace_coords[m] for m, c in enumerate(products[(i, j)]) if c), ZERO)
+
+    gram = Matrix(d, d, [[traced(i, j) for j in range(d)] for i in range(d)])
+    name = "orbifold-trace-nondegenerate"
+    if gram.det() != ZERO:
+        entries.append(passing(name))
+    else:
+        entries.append(failing(name, (("gram", "determinant"),), "0", "nonzero determinant"))
 
     product_tensor = Tensor3(
         d,

@@ -1,9 +1,20 @@
-"""Structured pass/fail reports carrying first-counterexample witnesses."""
+"""Structured pass/fail reports carrying first-counterexample witnesses.
+
+Every exhaustive law check is written the same way: a generator yields
+the law's cases as ``(context, lhs, rhs)`` in a fixed order, where
+``context`` is the raw data that locates the case (group element and
+basis indices, not yet names), and `first_failure` turns the first case
+with ``lhs != rhs`` into a failing `CheckEntry`.  Only that case is ever
+rendered: names and exact literals are built by the law's renderer once,
+at the first mismatch, never per case.  A check that needs every case
+computed anyway (the orbifold builds its whole product table) may pass a
+list instead of a generator.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -58,5 +69,33 @@ def failing(name: str, context: Sequence[tuple[str, str]], left: str, right: str
     )
 
 
-def entry_from(name: str, witness: Witness | None) -> CheckEntry:
-    return CheckEntry(name=name, passed=witness is None, witness=witness)
+Render = Callable[[object, object, object], Witness]
+
+
+def first_failure(
+    name: str, cases: Iterable[tuple[object, object, object]], render: Render
+) -> CheckEntry:
+    """The entry of law `name`: failing with ``render(context, lhs, rhs)``
+    of the first case whose sides differ, passing when every case agrees.
+    Cases after the first mismatch are never drawn."""
+    for context, lhs, rhs in cases:
+        if lhs != rhs:
+            return CheckEntry(name, False, render(context, lhs, rhs))
+    return CheckEntry(name, True)
+
+
+def renderer(
+    keys: Sequence[str],
+    name: Callable[[object], str] = str,
+    left: Callable[[object], str] = str,
+    right: Callable[[object], str] | None = None,
+) -> Render:
+    """A renderer pairing `keys` with the context values passed through
+    `name`, and formatting the sides with `left` and `right` (default
+    `left`).  A context shorter than `keys` names only its prefix."""
+    right = left if right is None else right
+
+    def render(context, lhs, rhs) -> Witness:
+        return Witness(tuple((k, name(v)) for k, v in zip(keys, context)), left(lhs), right(rhs))
+
+    return render

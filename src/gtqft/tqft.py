@@ -54,13 +54,14 @@ from .exactlin import (
     ONE,
     ZERO,
     Matrix,
+    Tensor3,
     Vector,
     matrix_literal,
     vector_add,
     zero_vector,
 )
 from .groups import FiniteGroup
-from .report import CheckEntry, CheckReport, Witness
+from .report import CheckEntry, CheckReport, Witness, first_failure, renderer
 
 
 @dataclass(frozen=True)
@@ -131,6 +132,24 @@ def _apply_piece(rows: list[dict], terms, left: int, src: int, right: int) -> li
     return out
 
 
+def merge_matrix(t: Tensor3) -> Matrix:
+    """A product tensor (i, j, p) as the matrix of its merging map: row p,
+    column i * dim1 + j, the two input legs flattened left-major."""
+    grid = tuple(
+        tuple(t.data[i][j][p] for i in range(t.dim0) for j in range(t.dim1)) for p in range(t.dim2)
+    )
+    return Matrix._wrap(t.dim2, t.dim0 * t.dim1, grid)
+
+
+def split_matrix(t: Tensor3) -> Matrix:
+    """A coproduct tensor (c, i, j) as the matrix of its splitting map: row
+    i * dim2 + j, the two output legs flattened left-major, column c."""
+    grid = tuple(
+        tuple(t.data[c][i][j] for c in range(t.dim0)) for i in range(t.dim1) for j in range(t.dim2)
+    )
+    return Matrix._wrap(t.dim1 * t.dim2, t.dim0, grid)
+
+
 class _PieceMatrix(Matrix):
     """A piece's matrix together with its kernel form.
 
@@ -180,22 +199,9 @@ class Evaluator:
             g, k = labels
             out = a.action[(k, g)]
         elif kind is PieceKind.MERGE:
-            g, h = labels
-            t = a.product[(g, h)]
-            grid = [
-                tuple(t.data[i][j][p] for i in range(t.dim0) for j in range(t.dim1))
-                for p in range(t.dim2)
-            ]
-            out = Matrix._wrap(t.dim2, t.dim0 * t.dim1, tuple(grid))
+            out = merge_matrix(a.product[labels])
         elif kind is PieceKind.SPLIT:
-            g, h = labels
-            t = self.derived.coproducts[(g, h)]
-            grid = [
-                tuple(t.data[c][i][j] for c in range(t.dim0))
-                for i in range(t.dim1)
-                for j in range(t.dim2)
-            ]
-            out = Matrix._wrap(t.dim1 * t.dim2, t.dim0, tuple(grid))
+            out = split_matrix(self.derived.coproducts[labels])
         elif kind is PieceKind.CAP:
             out = Matrix.column(a.unit)
         elif kind is PieceKind.CUP:
@@ -297,73 +303,54 @@ def dehn_invariance_check(
     ev = Evaluator(a, derived)
     group = a.group
     n = group.order
-    entries: list[CheckEntry] = []
 
-    witness = None
-    for g in range(n):
-        value = ev.piece_matrix(cyl(g, g))
-        if value != Matrix.identity(a.dims[g]):
-            witness = Witness(
-                (("g", group.name(g)),), matrix_literal(value), "identity matrix"
-            )
-            break
-    entries.append(CheckEntry("cylinder-self-twist-identity", witness is None, witness))
+    def self_twist():
+        for g in range(n):
+            yield (g,), ev.piece_matrix(cyl(g, g)), Matrix.identity(a.dims[g])
 
-    witness = None
-    for g in range(n):
-        for k in range(n):
-            base = ev.piece_matrix(cyl(g, k))
-            h = group.conj(k, g)
-            for twist_out in range(3):
-                for twist_in in range(3):
-                    conjugator = group.mul(
-                        group.mul(group.power(h, twist_out), k), group.power(g, twist_in)
-                    )
-                    value = ev.piece_matrix(cyl(g, conjugator))
-                    if value != base:
-                        witness = Witness(
-                            (
-                                ("g", group.name(g)),
-                                ("k", group.name(k)),
-                                ("n", str(twist_out)),
-                                ("m", str(twist_in)),
-                            ),
-                            matrix_literal(value),
-                            matrix_literal(base),
+    def twists():
+        for g in range(n):
+            for k in range(n):
+                base = ev.piece_matrix(cyl(g, k))
+                h = group.conj(k, g)
+                for twist_out in range(3):
+                    for twist_in in range(3):
+                        conjugator = group.mul(
+                            group.mul(group.power(h, twist_out), k), group.power(g, twist_in)
                         )
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    entries.append(CheckEntry("dehn-twist-invariance", witness is None, witness))
+                        yield (g, k, twist_out, twist_in), ev.piece_matrix(cyl(g, conjugator)), base
 
-    witness = None
-    for g in range(n):
-        by_normal_form: dict[int, tuple[int, Matrix]] = {}
-        for k in range(n):
-            nf = normalize_cylinder(group, g, k)
-            value = ev.piece_matrix(cyl(g, k))
-            if nf not in by_normal_form:
-                by_normal_form[nf] = (k, value)
-            elif by_normal_form[nf][1] != value:
-                witness = Witness(
-                    (
-                        ("g", group.name(g)),
-                        ("k", group.name(k)),
-                        ("k'", group.name(by_normal_form[nf][0])),
-                    ),
-                    matrix_literal(value),
-                    matrix_literal(by_normal_form[nf][1]),
-                )
-                break
-        if witness:
-            break
-    entries.append(CheckEntry("dehn-normal-form-constant", witness is None, witness))
+    def render_twist(context, value, base) -> Witness:
+        g, k, twist_out, twist_in = context
+        names = (("g", group.name(g)), ("k", group.name(k)))
+        where = names + (("n", str(twist_out)), ("m", str(twist_in)))
+        return Witness(where, matrix_literal(value), matrix_literal(base))
 
-    return CheckReport(tuple(entries))
+    def normal_forms():
+        # every conjugator is compared with the first of its normal form
+        for g in range(n):
+            first: dict[int, tuple[int, Matrix]] = {}
+            for k in range(n):
+                value = ev.piece_matrix(cyl(g, k))
+                k0, base = first.setdefault(normalize_cylinder(group, g, k), (k, value))
+                if k0 != k:
+                    yield (g, k, k0), value, base
+
+    return CheckReport(
+        (
+            first_failure(
+                "cylinder-self-twist-identity",
+                self_twist(),
+                renderer(("g",), group.name, matrix_literal, lambda _: "identity matrix"),
+            ),
+            first_failure("dehn-twist-invariance", twists(), render_twist),
+            first_failure(
+                "dehn-normal-form-constant",
+                normal_forms(),
+                renderer(("g", "k", "k'"), group.name, matrix_literal),
+            ),
+        )
+    )
 
 
 def pants_ordering_check(
@@ -374,21 +361,16 @@ def pants_ordering_check(
     input's label."""
     ev = Evaluator(a, derived)
     group = a.group
-    witness = None
-    for g in group.elements():
-        for h in group.elements():
-            crossed = ev(Cobordism(group, ((swap(g, h),), (merge(h, g),))))
-            twisted = ev(Cobordism(group, ((merge(g, h),), (cyl(group.mul(g, h), h),))))
-            if crossed.matrix != twisted.matrix:
-                witness = Witness(
-                    (("g", group.name(g)), ("h", group.name(h))),
-                    matrix_literal(crossed.matrix),
-                    matrix_literal(twisted.matrix),
-                )
-                break
-        if witness:
-            break
-    return CheckReport((CheckEntry("pants-ordering", witness is None, witness),))
+
+    def cases():
+        for g in group.elements():
+            for h in group.elements():
+                crossed = ev(Cobordism(group, ((swap(g, h),), (merge(h, g),))))
+                twisted = ev(Cobordism(group, ((merge(g, h),), (cyl(group.mul(g, h), h),))))
+                yield (g, h), crossed.matrix, twisted.matrix
+
+    render = renderer(("g", "h"), group.name, matrix_literal)
+    return CheckReport((first_failure("pants-ordering", cases(), render),))
 
 
 def cerf_check(
@@ -576,15 +558,16 @@ def word_functoriality_witness(
         prefixes = ev.prefixes(word)
     total = prefixes[-1]
     dim_cod = ev.signature_dimension(word.cod)
-    suffix_rows = _identity_rows(dim_cod)  # rows of the transposed suffix
-    for i in range(len(word.layers), -1, -1):
-        product = _rows_to_matrix(suffix_rows, dim_cod).transpose() @ prefixes[i]
-        if product != total:
-            return Witness(
-                (("split-after-layer", str(i)), ("word", word.to_text())),
-                matrix_literal(product),
-                matrix_literal(total),
-            )
-        if i > 0:
-            suffix_rows = ev._apply_layer(suffix_rows, word.layers[i - 1], transposed=True)
-    return None
+
+    def splits():
+        suffix_rows = _identity_rows(dim_cod)  # rows of the transposed suffix
+        for i in range(len(word.layers), -1, -1):
+            yield i, _rows_to_matrix(suffix_rows, dim_cod).transpose() @ prefixes[i], total
+            if i > 0:
+                suffix_rows = ev._apply_layer(suffix_rows, word.layers[i - 1], transposed=True)
+
+    def render(i, product, total) -> Witness:
+        where = (("split-after-layer", str(i)), ("word", word.to_text()))
+        return Witness(where, matrix_literal(product), matrix_literal(total))
+
+    return first_failure("functoriality", splits(), render).witness

@@ -191,6 +191,20 @@ class TestCommandSources:
         assert status == 2
         assert "error: category=parse" in captured.err
 
+    @pytest.mark.parametrize("flag", ["--group", "--algebra"])
+    @pytest.mark.parametrize(
+        "content", [b"{bad", b'{"group": "cyclic:2", "name": "caf\xe9"}'], ids=["json", "utf8"]
+    )
+    def test_malformed_file_is_a_parse_error(self, tmp_path, capsys, flag, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        sources = {"--group": "cyclic:2", "--algebra": "builtin:group-algebra", flag: str(path)}
+        status = main(["check", *(x for pair in sources.items() for x in pair)])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.err.startswith(f"error: category=parse invalid JSON in {path}: ")
+        assert captured.out == ""
+
     def test_long_group_name_is_a_parse_error(self, capsys):
         status, captured = self._eval(capsys, "id(e)", "nosuchgroup" * 30)
         assert status == 2

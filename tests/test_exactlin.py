@@ -6,15 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtqft.errors import DimensionMismatch, SingularMatrix
-from gtqft.exactlin import (
-    Matrix,
-    Tensor3,
-    contract,
-    kron,
-    mat_inverse,
-    rref,
-    scalar_from_string,
-)
+from gtqft.exactlin import Matrix, rref, scalar_from_string
 
 F = Fraction
 
@@ -69,29 +61,29 @@ class TestScalar:
 
 class TestInverse:
     def test_identity(self):
-        assert mat_inverse(Matrix.identity(2)) == Matrix.identity(2)
+        assert Matrix.identity(2).inverse() == Matrix.identity(2)
 
     def test_involution(self):
         flip = Matrix.from_rows([[0, 1], [1, 0]])
-        assert mat_inverse(flip) == flip
+        assert flip.inverse() == flip
 
     def test_unitriangular(self):
         m = Matrix.from_rows([[1, 1], [0, 1]])
-        inv = mat_inverse(m)
+        inv = m.inverse()
         assert inv == Matrix.from_rows([[1, -1], [0, 1]])
         assert m @ inv == Matrix.identity(2)
         assert inv @ m == Matrix.identity(2)
 
     def test_singular_raises(self):
         with pytest.raises(SingularMatrix):
-            mat_inverse(Matrix.from_rows([[1, 2], [2, 4]]))
+            Matrix.from_rows([[1, 2], [2, 4]]).inverse()
 
     def test_zero_by_zero(self):
-        assert mat_inverse(Matrix.identity(0)) == Matrix.identity(0)
+        assert Matrix.identity(0).inverse() == Matrix.identity(0)
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatch):
-            mat_inverse(Matrix.zeros(2, 3))
+            Matrix.zeros(2, 3).inverse()
 
     @settings(max_examples=60)
     @given(square_matrices(3))
@@ -100,68 +92,22 @@ class TestInverse:
         assert m.det() == det
         if det == 0:
             with pytest.raises(SingularMatrix):
-                mat_inverse(m)
+                m.inverse()
         else:
-            inv = mat_inverse(m)
+            inv = m.inverse()
             assert m @ inv == Matrix.identity(3)
             assert inv @ m == Matrix.identity(3)
 
 
-class TestContract:
-    def test_zero_tensor(self):
-        t = Tensor3.zeros(2, 3, 2)
-        assert contract(t, 1, (1, 1, 1)) == Matrix.zeros(2, 2)
-
-    def test_delta_picks_slice(self):
-        t = Tensor3.from_entries(2, 2, 2, {(0, 0, 0): 1, (0, 1, 1): 5})
-        sliced = contract(t, 0, (1, 0))
-        assert sliced == Matrix.from_rows([[1, 0], [0, 5]])
-
-    def test_contraction_order_independent(self):
-        # oracle: direct double loop over both contracted axes
-        entries = {
-            (i, j, k): F(3 * i - 2 * j + k + 1, 2) for i in range(2) for j in range(2) for k in range(2)
-        }
-        t = Tensor3.from_entries(2, 2, 2, entries)
-        u = (F(1), F(-2))
-        v = (F(3), F(1, 2))
-        direct = [
-            sum(entries[(i, j, k)] * u[i] * v[j] for i in range(2) for j in range(2))
-            for k in range(2)
-        ]
-        via_0 = contract(t, 0, u)  # rows j, cols k
-        first = tuple(
-            sum(v[j] * via_0.data[j][k] for j in range(2)) for k in range(2)
-        )
-        via_1 = contract(t, 1, v)  # rows i, cols k
-        second = tuple(
-            sum(u[i] * via_1.data[i][k] for i in range(2)) for k in range(2)
-        )
-        assert first == second == tuple(direct)
-
-    def test_matrix_operand_mode_product(self):
-        t = Tensor3.from_entries(2, 1, 1, {(0, 0, 0): 1, (1, 0, 0): 2})
-        m = Matrix.from_rows([[1, 0, 2], [0, 1, 3]])
-        out = contract(t, 0, m)
-        assert out.dims == (3, 1, 1)
-        assert out[(0, 0, 0)] == 1 and out[(1, 0, 0)] == 2 and out[(2, 0, 0)] == 8
-
-    def test_mismatch_raises(self):
-        with pytest.raises(DimensionMismatch):
-            contract(Tensor3.zeros(2, 2, 2), 0, (1, 2, 3))
-        with pytest.raises(DimensionMismatch):
-            contract(Tensor3.zeros(2, 2, 2), 3, (1, 2))
-
-
 class TestKron:
     def test_identity_blocks(self):
-        assert kron(Matrix.identity(2), Matrix.identity(3)) == Matrix.identity(6)
+        assert Matrix.identity(2).kron(Matrix.identity(3)) == Matrix.identity(6)
 
     def test_scalar_factor(self):
         a = Matrix.from_rows([[1, 2], [3, 4]])
         s = Matrix.from_rows([[F(1, 2)]])
-        assert kron(a, s) == a.scale(F(1, 2))
-        assert kron(s, a) == a.scale(F(1, 2))
+        assert a.kron(s) == a.scale(F(1, 2))
+        assert s.kron(a) == a.scale(F(1, 2))
 
     def test_applies_factorwise(self):
         a = Matrix.from_rows([[1, 2], [0, 1]])
@@ -172,12 +118,12 @@ class TestKron:
         av = a.apply(v)
         bw = b.apply(w)
         expected = tuple(x * y for x in av for y in bw)
-        assert kron(a, b).apply(vw) == expected
+        assert a.kron(b).apply(vw) == expected
 
     @settings(max_examples=30)
     @given(square_matrices(2), square_matrices(2), square_matrices(2))
     def test_associative_up_to_flattening(self, a, b, c):
-        assert kron(kron(a, b), c) == kron(a, kron(b, c))
+        assert a.kron(b).kron(c) == a.kron(b.kron(c))
 
 
 class TestRref:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gtqft import (
+    GFrobeniusAlgebra,
     Matrix,
     builtin,
     check_axioms,
@@ -139,6 +140,32 @@ class TestOrbifoldAlgebra:
         orb = orbifold_algebra(rich_s3)
         assert orb.certification.passed
         assert orb.dimension == 6  # three classes, two dimensions each
+
+    def test_closure_reports_first_product_outside_the_span(self, z4):
+        # the action of g1 flips delta_g3 and those of g2, g3 kill it, so the
+        # invariants are delta_e, delta_g1, delta_g2, and both products
+        # delta_g1 * delta_g2 and delta_g2 * delta_g1 land on delta_g3
+        a = group_algebra(z4)
+        action = dict(a.action)
+        for k, value in ((1, -1), (2, 0), (3, 0)):
+            action[(k, 3)] = Matrix.from_rows([[value]])
+        broken = GFrobeniusAlgebra(z4, a.dims, a.product, action, a.unit, a.trace)
+        orb = orbifold_algebra(broken)
+        assert orb.basis == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+        entry = orb.certification.entry("orbifold-closure")
+        assert not entry.passed
+        assert entry.witness.context == (("i", "1"), ("j", "2"))
+        assert entry.witness.left == "(0, 0, 0, 1)"
+        # the failed products are zero-filled and every later entry still runs
+        assert [orb.product[(1, 2, k)] for k in range(3)] == [0, 0, 0]
+        assert [orb.product[(2, 1, k)] for k in range(3)] == [0, 0, 0]
+        assert [e.name for e in orb.certification.entries] == [
+            "orbifold-closure",
+            "orbifold-commutativity",
+            "orbifold-associativity",
+            "orbifold-unit",
+            "orbifold-trace-nondegenerate",
+        ]
 
 
 class TestSectorIsomorphism:

@@ -18,7 +18,6 @@ from gtqft import (
     group_algebra,
     hom_count_oracle,
     id_piece,
-    kron,
     merge,
     pants_ordering_check,
     parse,
@@ -106,7 +105,7 @@ class TestFunctoriality:
             w1 = random_cobordism(group, seed, 4)
             w2 = random_cobordism(group, seed + 1, 4)
             side_by_side = ev(tensor(w1, w2)).matrix
-            assert side_by_side == kron(ev(w1).matrix, ev(w2).matrix)
+            assert side_by_side == ev(w1).matrix.kron(ev(w2).matrix)
 
     def test_prefix_suffix_witness_clean(self, s3_algebra, rich_s3, rescaled_rich_s3):
         # every piece of a group algebra is an identity the kernel skips, so
