@@ -42,6 +42,7 @@ product cases (``(k, g, h, i, j)``).
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -71,9 +72,13 @@ from .report import CheckReport, Witness, failing, first_failure, renderer
 
 
 class GFrobeniusAlgebra:
-    """Shape-validated graded algebra data; laws are checked separately."""
+    """Shape-validated graded algebra data; laws are checked separately.
 
-    __slots__ = ("group", "dims", "product", "action", "unit", "trace")
+    Nothing mutates an algebra after it is built, so `derive` stores its
+    result on the instance and every later call reuses it.
+    """
+
+    __slots__ = ("group", "dims", "product", "action", "unit", "trace", "_derived")
 
     def __init__(
         self,
@@ -134,6 +139,7 @@ class GFrobeniusAlgebra:
         self.action = full_action
         self.unit = unit
         self.trace = trace
+        self._derived = None
 
     def dim(self, g: int) -> int:
         return self.dims[g]
@@ -431,15 +437,18 @@ class DerivedStructure:
       basis_i x basis_j in the coproduct of basis_c.
     * ``euler[g]``: the diagonal sum basis_i x dual_i of grade g paired
       with grade g^-1, stored as a dims[g] x dims[g^-1] matrix.
+
+    `derive` hands one structure to every caller on an algebra, so the four
+    mappings are read-only views.
     """
 
     __slots__ = ("pairings", "dual_bases", "coproducts", "euler")
 
     def __init__(self, pairings, dual_bases, coproducts, euler):
-        self.pairings = pairings
-        self.dual_bases = dual_bases
-        self.coproducts = coproducts
-        self.euler = euler
+        self.pairings = MappingProxyType(pairings)
+        self.dual_bases = MappingProxyType(dual_bases)
+        self.coproducts = MappingProxyType(coproducts)
+        self.euler = MappingProxyType(euler)
 
 
 def pairing_matrix(a: GFrobeniusAlgebra, g: int) -> Matrix:
@@ -462,8 +471,12 @@ def derive(a: GFrobeniusAlgebra) -> DerivedStructure:
     Requires every pairing to be nondegenerate; raises DegeneratePairing
     otherwise.  The coproduct for each grade pair is computed by both
     one-sided formulas and cross-asserted, so downstream code may rely on
-    either reading.
+    either reading.  The structure is computed once per algebra and then
+    returned from the algebra itself; a failed derive is not stored, so it
+    raises again on every call.
     """
+    if a._derived is not None:
+        return a._derived
     group = a.group
     n = group.order
     pairings: dict[int, Matrix] = {}
@@ -528,7 +541,24 @@ def derive(a: GFrobeniusAlgebra) -> DerivedStructure:
                 grid.append(tuple(plane))
             coproducts[(g, h)] = Tensor3._wrap(dgh, dg, dh, tuple(grid))
 
-    return DerivedStructure(pairings, dual_bases, coproducts, euler)
+    a._derived = DerivedStructure(pairings, dual_bases, coproducts, euler)
+    return a._derived
+
+
+def handle_element(a: GFrobeniusAlgebra, dual: Matrix, x: int, y: int) -> tuple[int, Vector]:
+    """The handle contribution for the pair (x, y): act with y on each basis
+    vector of grade x and multiply by its dual partner, the columns of
+    `dual`, the dual-basis matrix of grade x.  Returns the grade (the
+    commutator y x y^-1 x^-1) and the element."""
+    group = a.group
+    moved_grade, xi = group.conj(y, x), group.inv(x)
+    grade = group.mul(moved_grade, xi)
+    act = a.action[(y, x)]
+    out = zero_vector(a.dims[grade])
+    for i in range(a.dims[x]):
+        product = a.apply_product(moved_grade, xi, act.column_vector(i), dual.column_vector(i))
+        out = vector_add(out, product)
+    return grade, out
 
 
 # ---------------------------------------------------------------------------
@@ -640,13 +670,10 @@ def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
     def torus_identity():
         duals = {g: theta.inverse() for g, theta in pairings.items()}
         for g in range(n):
-            gi = inv(g)
             for h in range(n):
                 hi = inv(h)
-                hg, ghi = conj(h, g), conj(g, hi)
-                lhs = zero_vector(dims[mul(hg, gi)])
-                for i, bi in enumerate(bases[g]):
-                    lhs = vector_add(lhs, prod(hg, gi, act(h, g, bi), duals[g].column_vector(i)))
+                ghi = conj(g, hi)
+                _, lhs = handle_element(a, duals[g], g, h)
                 rhs = zero_vector(dims[mul(h, ghi)])
                 for i, bi in enumerate(bases[h]):
                     rhs = vector_add(rhs, prod(h, ghi, bi, act(g, hi, duals[h].column_vector(i))))

@@ -3,8 +3,11 @@
 Commands: check, derive, orbifold, eval, cerf, fuzz.  Exit status is 0
 when every executed check passed, 1 when a check failed, and 2 when an
 error stopped the run; errors print one machine-readable line
-``error: category=<parse|type|degenerate-pairing|check-failure|budget> ...``
-to stderr.  Output is deterministic for fixed inputs and seed.
+``error: category=<parse|type|degenerate-pairing|check-failure|budget|internal> ...``
+to stderr.  ``internal`` is any exception that is not a package error, a
+fault of the program rather than of the input, printed as
+``error: category=internal <Type>: <message>``.  Output is deterministic
+for fixed inputs and seed.
 """
 
 from __future__ import annotations
@@ -292,52 +295,48 @@ def _cmd_cerf(config: RunConfig) -> int:
     return 0 if report.passed else 1
 
 
-def minimize_word(word: Cobordism, predicate) -> Cobordism:
-    """Greedy shrink of a failing word: drop layers while the predicate
-    still holds, then push labels toward the identity element."""
-    current = word
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(current.layers)):
-            layers = current.layers[:idx] + current.layers[idx + 1 :]
-            if not layers:
-                continue
-            try:
-                candidate = Cobordism(current.group, layers)
-            except EngineError:
-                continue
-            if predicate(candidate):
-                current = candidate
-                changed = True
-                break
+def _layer_drops(word: Cobordism):
+    """The layer lists of `word` with one layer left out, first layer first."""
+    layers = word.layers
+    if len(layers) > 1:
+        for idx in range(len(layers)):
+            yield layers[:idx] + layers[idx + 1 :]
 
-    e = current.group.identity
-    changed = True
-    while changed:
-        changed = False
-        for li, layer in enumerate(current.layers):
-            for pi, piece in enumerate(layer):
-                for slot, label in enumerate(piece.labels):
-                    if label == e:
-                        continue
+
+def _label_pushes(word: Cobordism):
+    """The layer lists of `word` with one non-identity label set to the
+    identity, in layer, piece and slot order."""
+    e, layers = word.group.identity, word.layers
+    for li, layer in enumerate(layers):
+        for pi, piece in enumerate(layer):
+            for slot, label in enumerate(piece.labels):
+                if label != e:
                     labels = piece.labels[:slot] + (e,) + piece.labels[slot + 1 :]
                     new_layer = layer[:pi] + (Piece(piece.kind, labels),) + layer[pi + 1 :]
-                    layers = (
-                        current.layers[:li] + (new_layer,) + current.layers[li + 1 :]
-                    )
-                    try:
-                        candidate = Cobordism(current.group, layers)
-                    except EngineError:
-                        continue
-                    if predicate(candidate):
-                        current = candidate
-                        changed = True
-                        break
-                if changed:
-                    break
-            if changed:
+                    yield layers[:li] + (new_layer,) + layers[li + 1 :]
+
+
+def _well_typed(group: FiniteGroup, layer_lists):
+    """The words of the layer lists whose adjacent signatures match."""
+    for layers in layer_lists:
+        try:
+            yield Cobordism(group, layers)
+        except EngineError:
+            pass
+
+
+def minimize_word(word: Cobordism, predicate) -> Cobordism:
+    """Greedy shrink of a failing word: take the first shrink the predicate
+    still holds for until none is left, dropping layers to a fixpoint
+    before pushing any label toward the identity element."""
+    current = word
+    for shrinks in (_layer_drops, _label_pushes):
+        while True:
+            candidates = _well_typed(current.group, shrinks(current))
+            accepted = next((c for c in candidates if predicate(c)), None)
+            if accepted is None:
                 break
+            current = accepted
     return current
 
 
@@ -411,7 +410,9 @@ def run(config: RunConfig) -> int:
     except EngineError as exc:
         category = getattr(exc, "category", "check-failure")
         print(f"error: category={category} {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:  # a fault of the program, not of the input
+        print(f"error: category=internal {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 2
 
 
 def build_parser() -> argparse.ArgumentParser:

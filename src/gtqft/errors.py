@@ -4,7 +4,8 @@ Each error carries a short machine category that the CLI uses for its exit
 diagnostics: "parse" (malformed input), "type" (well-formed but inconsistent
 labels, shapes or signatures), "degenerate-pairing" (a singular trace
 pairing blocks a construction), "check-failure" or "budget" (an enumeration
-would exceed its work budget).
+would exceed its work budget).  The CLI reports any other exception as
+"internal": a fault of the program, not of its input.
 """
 
 from __future__ import annotations

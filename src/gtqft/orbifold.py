@@ -255,9 +255,11 @@ def orbifold_algebra(a: GFrobeniusAlgebra) -> OrbifoldAlgebra:
     """Restrict the algebra to its invariants and certify the result.
 
     The certification report covers closure of the product, commutativity,
-    associativity, unit membership and the unit law, and nondegeneracy of
-    the restricted trace pairing.  Products and a unit that leave the
-    invariant span are zero-filled, so that every entry is still computed.
+    associativity, unit membership and the unit law, nondegeneracy of the
+    restricted trace pairing, and the sector isomorphism (`class_data`,
+    None when the sector change of basis fails).  Products and a unit that
+    leave the invariant span are zero-filled, so that every entry is still
+    computed.
     """
     group = a.group
     offsets, total = _offsets(a)
@@ -346,7 +348,14 @@ def orbifold_algebra(a: GFrobeniusAlgebra) -> OrbifoldAlgebra:
         d,
         [[[products[(i, j)][k] for k in range(d)] for j in range(d)] for i in range(d)],
     )
-    class_data = _sector_decomposition(a, basis, pivots)
+    name = "orbifold-sector-isomorphism"
+    try:
+        class_data = _sector_decomposition(a, basis, pivots)
+    except NotClosed as exc:
+        class_data = None
+        entries.append(failing(name, (("error", str(exc)),), "", ""))
+    else:
+        entries.append(passing(name))
     return OrbifoldAlgebra(
         parent=a,
         basis=basis,

@@ -19,12 +19,17 @@ kept as the independent whole-layer reference path that the tests compare
 against; the fuzz tensor check likewise compares with `Matrix.kron`.
 
 Closed surfaces: a genus-h labelling (a1, b1, .., ah, bh) is flat when the
-left-to-right product of the commutators b*a*b^-1*a^-1 is the identity.
-The handle attached to (a, b) contributes the element obtained by acting
-with b on each basis vector of grade a and multiplying by its dual; the
-invariant is the trace of the product of all handle contributions.  No
-global normalisation (no 1/|G| weight) is applied; weighting belongs to
-callers.
+left-to-right product of the commutators b*a*b^-1*a^-1 is the identity;
+any other labelling raises FlatnessViolation.  The handle attached to
+(a, b) contributes `algebra.handle_element`: act with b on each basis
+vector of grade a and multiply by its dual.  The invariant is the trace of
+the product of all handle contributions, cross-checked against the explicit
+word for genus at most two.  No global normalisation (no 1/|G| weight) is
+applied; weighting belongs to callers.
+
+Every function here takes the algebra alone: `derive` computes its
+pairings, dual bases and coproducts once per algebra, and every later
+evaluator, check and closed invariant on it reuses them.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import DerivedStructure, GFrobeniusAlgebra, derive
+from .algebra import GFrobeniusAlgebra, derive, handle_element
 from .cobordism import (
     Cobordism,
     Piece,
@@ -50,16 +55,7 @@ from .cobordism import (
     swap,
 )
 from .errors import BudgetExceeded, EngineError, FlatnessViolation, SignatureMismatch
-from .exactlin import (
-    ONE,
-    ZERO,
-    Matrix,
-    Tensor3,
-    Vector,
-    matrix_literal,
-    vector_add,
-    zero_vector,
-)
+from .exactlin import ONE, ZERO, Matrix, Tensor3, matrix_literal
 from .groups import FiniteGroup
 from .report import CheckEntry, CheckReport, Witness, first_failure, renderer
 
@@ -176,9 +172,9 @@ class _PieceMatrix(Matrix):
 class Evaluator:
     """Caches per-piece matrices for one algebra across many evaluations."""
 
-    def __init__(self, algebra: GFrobeniusAlgebra, derived: DerivedStructure | None = None):
+    def __init__(self, algebra: GFrobeniusAlgebra):
         self.algebra = algebra
-        self.derived = derived if derived is not None else derive(algebra)
+        self.derived = derive(algebra)
         self._pieces: dict[Piece, _PieceMatrix] = {}
 
     def signature_dimension(self, signature) -> int:
@@ -275,12 +271,10 @@ class Evaluator:
         return Matrix.identity(1) if out is None else out
 
 
-def evaluate(
-    a: GFrobeniusAlgebra, word: Cobordism, derived: DerivedStructure | None = None
-) -> BlockLinearMap:
+def evaluate(a: GFrobeniusAlgebra, word: Cobordism) -> BlockLinearMap:
     """Value of a surface word: each piece applied to its own legs, layer
     after layer along the word."""
-    return Evaluator(a, derived)(word)
+    return Evaluator(a)(word)
 
 
 def _labels_ctx(group: FiniteGroup, labels) -> tuple[tuple[str, str], ...]:
@@ -291,16 +285,14 @@ def _labels_ctx(group: FiniteGroup, labels) -> tuple[tuple[str, str], ...]:
 # Well-definedness checks
 
 
-def dehn_invariance_check(
-    a: GFrobeniusAlgebra, derived: DerivedStructure | None = None
-) -> CheckReport:
+def dehn_invariance_check(a: GFrobeniusAlgebra) -> CheckReport:
     """Twist-equivalent cylinders evaluate identically.
 
     Covers the self-conjugating cylinder being the identity map, twisting
     either boundary of an arbitrary cylinder (exponents 0..2), and equality
     across each full twist class grouped by normal form.
     """
-    ev = Evaluator(a, derived)
+    ev = Evaluator(a)
     group = a.group
     n = group.order
 
@@ -353,13 +345,11 @@ def dehn_invariance_check(
     )
 
 
-def pants_ordering_check(
-    a: GFrobeniusAlgebra, derived: DerivedStructure | None = None
-) -> CheckReport:
+def pants_ordering_check(a: GFrobeniusAlgebra) -> CheckReport:
     """The two boundary orderings of a pair of pants agree up to conjugation:
     merging after a crossing equals merging then twisting by the second
     input's label."""
-    ev = Evaluator(a, derived)
+    ev = Evaluator(a)
     group = a.group
 
     def cases():
@@ -374,11 +364,7 @@ def pants_ordering_check(
 
 
 def cerf_check(
-    a: GFrobeniusAlgebra,
-    case: str,
-    labels=None,
-    all_labels: bool = False,
-    derived: DerivedStructure | None = None,
+    a: GFrobeniusAlgebra, case: str, labels=None, all_labels: bool = False
 ) -> CheckReport:
     """Evaluate every alternative decomposition of a move case and demand
     exact matrix equality, for one labelling or exhaustively over all.
@@ -386,7 +372,7 @@ def cerf_check(
     One report entry per alternative word (compared against the first),
     carrying the first failing labelling as witness.
     """
-    ev = Evaluator(a, derived)
+    ev = Evaluator(a)
     group = a.group
     want = case_label_count(case)
     if all_labels:
@@ -439,38 +425,19 @@ def _flatness_defect(group: FiniteGroup, holonomies) -> tuple[list[tuple[int, in
     return pairs, product
 
 
-def handle_element(
-    a: GFrobeniusAlgebra, d: DerivedStructure, x: int, y: int
-) -> tuple[int, Vector]:
-    """The handle contribution for the pair (x, y): act with y on each basis
-    vector of grade x and multiply by its dual partner.  Returns the grade
-    (the commutator y x y^-1 x^-1) and the element."""
-    group = a.group
-    moved_grade = group.conj(y, x)
-    xi = group.inv(x)
-    grade = group.mul(moved_grade, xi)
-    dual = d.dual_bases[x]
-    act = a.action[(y, x)]
-    out = zero_vector(a.dims[grade])
-    for i in range(a.dims[x]):
-        out = vector_add(
-            out,
-            a.apply_product(
-                moved_grade, xi, act.column_vector(i), dual.column_vector(i)
-            ),
-        )
-    return grade, out
+def _flat_pairs(group: FiniteGroup, holonomies) -> list[tuple[int, int]]:
+    """The (a_i, b_i) pairs of a flat labelling; FlatnessViolation if the
+    labelling is not flat."""
+    pairs, defect = _flatness_defect(group, holonomies)
+    if defect != group.identity:
+        raise FlatnessViolation(f"commutator product is {group.name(defect)}, not the identity")
+    return pairs
 
 
 def closed_surface_word(group: FiniteGroup, holonomies) -> Cobordism:
     """An explicit cap/split/cyl/merge/cup word for the closed genus-h
     surface with the given flat holonomies."""
-    pairs, defect = _flatness_defect(group, holonomies)
-    if defect != group.identity:
-        raise FlatnessViolation(
-            "commutator product is "
-            f"{group.name(defect)}, not the identity"
-        )
+    pairs = _flat_pairs(group, holonomies)
     layers: list[tuple] = [(cap(),)]
     current = group.identity
     for x, y in pairs:
@@ -487,12 +454,7 @@ def closed_surface_word(group: FiniteGroup, holonomies) -> Cobordism:
     return Cobordism(group, layers)
 
 
-def closed_invariant(
-    a: GFrobeniusAlgebra,
-    holonomies,
-    derived: DerivedStructure | None = None,
-    cross_check: bool = True,
-) -> Fraction:
+def closed_invariant(a: GFrobeniusAlgebra, holonomies) -> Fraction:
     """Scalar value of the closed labelled surface of genus len(holonomies)/2.
 
     Computed as the trace of the product of handle contributions; for genus
@@ -500,22 +462,18 @@ def closed_invariant(
     explicit word built from the elementary pieces.
     """
     group = a.group
-    pairs, defect = _flatness_defect(group, holonomies)
-    if defect != group.identity:
-        raise FlatnessViolation(
-            f"commutator product is {group.name(defect)}, not the identity"
-        )
-    d = derived if derived is not None else derive(a)
+    pairs = _flat_pairs(group, holonomies)
+    dual_bases = derive(a).dual_bases
     vec = a.unit
     grade = group.identity
     for x, y in pairs:
-        handle_grade, handle = handle_element(a, d, x, y)
+        handle_grade, handle = handle_element(a, dual_bases[x], x, y)
         vec = a.apply_product(grade, handle_grade, vec, handle)
         grade = group.mul(grade, handle_grade)
     value = a.trace_of(vec)
-    if cross_check and len(pairs) <= 2:
+    if len(pairs) <= 2:
         word = closed_surface_word(group, holonomies)
-        by_word = evaluate(a, word, d).matrix.data[0][0]
+        by_word = evaluate(a, word).matrix.data[0][0]
         if by_word != value:
             raise EngineError(
                 f"handle formula gives {value} but the explicit word gives {by_word}"

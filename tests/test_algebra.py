@@ -247,6 +247,21 @@ class TestDerive:
         for g in s3.elements():
             assert d.euler[g] == Matrix.identity(1)
 
+    def test_computed_once_per_algebra(self, rich_s3):
+        assert derive(rich_s3) is derive(rich_s3)
+
+    def test_shared_structure_is_read_only(self, rich_s3):
+        d = derive(rich_s3)
+        with pytest.raises(TypeError):
+            d.coproducts[(0, 0)] = d.coproducts[(1, 1)]
+
+    def test_degenerate_pairing_raises_on_every_call(self):
+        product = Tensor3.from_entries(2, 2, 2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1})
+        a = frobenius_untwisted(2, product, (1, 0), (1, 0))
+        for _ in range(3):
+            with pytest.raises(DegeneratePairing):
+                derive(a)
+
     def test_pairings_inverse_to_dual_bases(self, rich_s3):
         d = derive(rich_s3)
         for g in rich_s3.group.elements():

@@ -3,9 +3,10 @@ import json
 import pytest
 
 from conftest import dual_number_group_algebra
-from gtqft import CheckReport, closed_surface_word, group_algebra, save_algebra
+from gtqft import CheckReport, closed_surface_word, frobenius_untwisted, group_algebra, save_algebra
 from gtqft.cli import RunConfig, format_report, main, parse_records, minimize_word, run
 from gtqft.cobordism import PieceKind, parse as parse_word
+from gtqft.exactlin import Tensor3
 from gtqft.report import failing, passing
 
 
@@ -264,6 +265,22 @@ class TestOrbifoldCommand:
         assert doc["group"] == "cyclic:1"
         assert doc["dims"] == {"e": 3}
 
+    def test_failed_sector_isomorphism_is_a_failed_check(self, tmp_path, s3, capsys):
+        doc = save_algebra(group_algebra(s3))
+        for entry in doc["action"]:
+            if entry["k"] == "e" and entry["g"] == "p102":
+                entry["value"] = "2"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        status = main(["orbifold", "--algebra", str(path)])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert json.loads(captured.out)["group"] == "cyclic:1"
+        assert captured.err.splitlines()[-1] == (
+            "FAIL  orbifold-sector-isomorphism  "
+            "[error=sector change of basis failed to invert]  left=  right="
+        )
+
 
 class TestFuzzCommand:
     def test_small_run_passes(self, capsys):
@@ -429,3 +446,16 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert status == 2
         assert "error:" in captured.err
+
+    def test_unexpected_exception_is_an_internal_error(self, tmp_path, capsys):
+        # the associativity witness of this algebra names basis index 1
+        # through the one-element group, which raises IndexError
+        product = Tensor3.from_entries(2, 2, 2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 2})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(save_algebra(frobenius_untwisted(2, product, (1, 0), (0, 1)))))
+        status = main(["check", "--algebra", str(path)])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: category=internal IndexError: ")
+        assert len(captured.err.splitlines()) == 1

@@ -165,7 +165,27 @@ class TestOrbifoldAlgebra:
             "orbifold-associativity",
             "orbifold-unit",
             "orbifold-trace-nondegenerate",
+            "orbifold-sector-isomorphism",
         ]
+
+
+    def test_failed_sector_decomposition_is_reported(self, s3):
+        # the identity acts as 2 on grade p102: not an automorphism action
+        a = group_algebra(s3)
+        action = dict(a.action)
+        action[(s3.identity, s3.index("p102"))] = Matrix.from_rows([[2]])
+        broken = GFrobeniusAlgebra(s3, a.dims, a.product, action, a.unit, a.trace)
+        orb = orbifold_algebra(broken)
+        assert orb.class_data is None
+        assert [e.name for e in orb.certification.failures()] == ["orbifold-sector-isomorphism"]
+        entry = orb.certification.entry("orbifold-sector-isomorphism")
+        assert entry.witness.context == (("error", "sector change of basis failed to invert"),)
+        assert (entry.witness.left, entry.witness.right) == ("", "")
+
+    def test_passing_certification_has_six_entries(self, s3_algebra):
+        orb = orbifold_algebra(s3_algebra)
+        assert len(orb.certification.entries) == 6
+        assert orb.class_data is not None
 
 
 class TestSectorIsomorphism:
