@@ -18,8 +18,10 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,7 @@ from conftest import dual_number_group_algebra, rescaled_algebra  # noqa: E402
 from gtqft import (  # noqa: E402
     action_on_dual_basis_check,
     builtin_from_string,
+    check_axioms,
     dehn_invariance_check,
     derive,
     group_algebra,
@@ -96,6 +99,34 @@ ALGEBRAS = {
 }
 
 
+def _rescaled_twin(name: str) -> tuple:
+    """The mutation `name` on the rescaled twin of its base algebra: each
+    edit value other than 0 becomes a factor on the saved entry, except
+    where the mutation sets an entry that is zero (no factor reaches it)."""
+    kind, spec, edits = ALGEBRAS[name]
+
+    def factor(value):
+        if isinstance(value, list):
+            return [factor(v) for v in value]
+        return value if value == "0" else f"*{value}"
+
+    if name not in ("rich-offdiag", "rich-swap"):
+        edits = tuple((*e[:-1], factor(e[-1])) for e in edits)
+    return (f"rescaled-{kind}", spec, edits)
+
+
+_UNMUTATED = ("s3", "rich-s3", "rescaled-rich-s3")
+for _name in [name for name in ALGEBRAS if name not in (*_UNMUTATED, "dims-mismatch")]:
+    ALGEBRAS[f"rescaled-{_name}"] = _rescaled_twin(_name)
+# the smallest change of a product table over its common denominator
+ALGEBRAS["rescaled-step"] = ("rescaled-group", "symmetric:3", (("step", "p021", "p102", 0, 0, 0),))
+ALGEBRAS["rescaled-rich-step"] = ("rescaled-rich", "symmetric:3", (("step", "p120", "p120", 1, 0, 1),))
+
+
+def _edited(old: str, new: str) -> str:
+    return str(Fraction(old) * Fraction(new[1:])) if new.startswith("*") else new
+
+
 def algebra_doc(name: str) -> dict:
     kind, spec, edits = ALGEBRAS[name]
     group = builtin_from_string(spec)
@@ -103,13 +134,20 @@ def algebra_doc(name: str) -> dict:
         a = group_algebra(group)
     elif kind == "rich":
         a = dual_number_group_algebra(group)
+    elif kind == "rescaled-group":
+        a = rescaled_algebra(group_algebra(group), 3)
     else:
         a = rescaled_algebra(dual_number_group_algebra(group), 5)
     doc = save_algebra(a)
     for edit in edits:
         op, args = edit[0], edit[1:]
         if op in ("unit", "trace"):
-            doc[op] = args[0]
+            doc[op] = [_edited(old, new) for old, new in zip(doc[op], args[0])]
+        elif op == "step":
+            d_p = math.lcm(*(Fraction(e["value"]).denominator for e in doc["product"]))
+            where = dict(zip(("g", "h", "i", "j", "k"), args))
+            (match,) = [e for e in doc["product"] if all(e[key] == v for key, v in where.items())]
+            match["value"] = str(Fraction(match["value"]) + Fraction(1, d_p))
         elif op == "zero-grade":
             (gone,) = args
             doc["dims"][gone] = 0
@@ -126,7 +164,7 @@ def algebra_doc(name: str) -> dict:
             entries = doc[op]
             match = [e for e in entries if all(e[key] == v for key, v in where.items())]
             if match:
-                match[0]["value"] = args[-1]
+                match[0]["value"] = _edited(match[0]["value"], args[-1])
             else:
                 entries.append({**where, "value": args[-1]})
     return doc
@@ -143,9 +181,10 @@ for _alg in ALGEBRAS:
     CLI_CASES[f"check-{_alg}"] = (_alg, ("check",))
 for _alg in ("s3", "rich-s3", "rescaled-rich-s3", "frobenius", "trace-zero"):
     CLI_CASES[f"derive-{_alg}"] = (_alg, ("derive",))
+_ORBIFOLD_MUTATIONS = ("unit-left", "unit-right", "sign", "trace-zero", "rich-swap", "twisted", "closure")
 for _alg in (
-    "s3", "rich-s3", "rescaled-rich-s3", "unit-left", "unit-right", "sign",
-    "trace-zero", "rich-swap", "twisted", "closure",
+    "s3", "rich-s3", "rescaled-rich-s3", *_ORBIFOLD_MUTATIONS,
+    *(f"rescaled-{m}" for m in _ORBIFOLD_MUTATIONS),
 ):
     CLI_CASES[f"orbifold-{_alg}"] = (_alg, ("orbifold",))
 for _alg in ("s3", "rich-s3", "rescaled-rich-s3", "rich-half"):
@@ -164,12 +203,13 @@ LIBRARY_CHECKS = {
     "dual-basis": lambda a: action_on_dual_basis_check(a, derive(a)),
     "orbifold": lambda a: orbifold_algebra(a).certification,
 }
+_LIBRARY_MUTATIONS = (
+    "sign", "rich-sign", "rich-half", "rich-offdiag", "action-identity",
+    "action-moves-unit", "rich-swap", "unit-right", "closure",
+)
 LIBRARY_CASES = {
     f"{check}-{alg}": (alg, check)
-    for alg in (
-        "sign", "rich-sign", "rich-half", "rich-offdiag", "action-identity",
-        "action-moves-unit", "rich-swap", "unit-right", "closure",
-    )
+    for alg in (*_LIBRARY_MUTATIONS, *(f"rescaled-{m}" for m in _LIBRARY_MUTATIONS))
     for check in LIBRARY_CHECKS
 }
 
@@ -213,6 +253,12 @@ def test_every_case_is_pinned(golden):
 @pytest.mark.parametrize("case", ALL_CASES)
 def test_golden_output(golden, tmp_path, case):
     assert run_case(case, tmp_path) == golden[case]
+
+
+@pytest.mark.parametrize("alg", ["rescaled-step", "rescaled-rich-step"])
+def test_smallest_product_step_is_caught(alg):
+    a = load_algebra(algebra_doc(alg))
+    assert not check_axioms(a).entry("product-associativity").passed
 
 
 if __name__ == "__main__":
