@@ -37,6 +37,22 @@ formatted as exact literals.  A law over several kinds of case yields
 contexts that a single renderer tells apart, such as the unit check of
 each k in ``action-automorphism`` (context ``(k,)``) before that k's
 product cases (``(k, g, h, i, j)``).
+
+The laws read the tables through their int images (`exactlin.int_image`):
+the product over D_P, the action over D_A, the unit over D_U, the trace
+over D_T and the coproducts over D_C, each the lcm of its table's
+denominators, so group and rich algebras have every D equal to 1.  A side
+that multiplies k table entries is the exact value times the product of
+their k denominators; the side with fewer factors is multiplied by the
+missing ones, so that both sides of a case are at one total scale S
+(associativity D_P^2 on both sides; twisted commutativity, the action
+automorphism and twisted cocommutativity multiply their left side by D_A;
+Frobenius is D_P*D_C on both sides).  Since x = y exactly when S*x = S*y,
+the comparison is still exact, and `report.descaled` renders a witness as
+``Fraction(x, S)``, the same bytes as a side computed in `Fraction`
+arithmetic.  Nondegeneracy and the torus identity read the pairings and
+their inverses, which are computed per grade rather than per case, and
+stay in `Fraction` arithmetic.
 """
 
 from __future__ import annotations
@@ -61,6 +77,7 @@ from .exactlin import (
     as_vector,
     basis_vector,
     format_scalar,
+    int_image,
     matrix_literal,
     scalar_from_string,
     vector_add,
@@ -68,7 +85,7 @@ from .exactlin import (
     zero_vector,
 )
 from .groups import FiniteGroup, builtin, builtin_from_string, load_group, save_group
-from .report import CheckReport, Witness, failing, first_failure, renderer
+from .report import CheckReport, Witness, descaled, failing, first_failure, renderer
 
 
 class GFrobeniusAlgebra:
@@ -571,6 +588,39 @@ def _group_renderer(group: FiniteGroup, keys: Sequence[str], left=str, right=Non
     return renderer(keys, lambda v: group.name(v) if isinstance(v, int) else str(v), left, right)
 
 
+def _int_vector(v: Vector) -> tuple[list[int], int]:
+    """A vector as dense int numerators over its common denominator."""
+    image, scale = int_image({0: v})
+    out = [0] * len(v)
+    for i, x in image[0]:
+        out[i] = x
+    return out, scale
+
+
+def _int_times(entries, x, y, size: int) -> list[int]:
+    """Product of the dense int vectors x and y through the nonzero entries
+    (i, j, p, numerator) of one product block of an int image."""
+    out = [0] * size
+    for i, j, p, v in entries:
+        xi = x[i]
+        if xi:
+            yj = y[j]
+            if yj:
+                out[p] += xi * yj * v
+    return out
+
+
+def _int_apply(entries, x, size: int) -> list[int]:
+    """A matrix block of an int image, entries (i, j, numerator), applied
+    to the dense int vector x."""
+    out = [0] * size
+    for i, j, v in entries:
+        xj = x[j]
+        if xj:
+            out[i] += v * xj
+    return out
+
+
 def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
     """Exhaustively verify the defining laws on all basis and group elements.
 
@@ -583,67 +633,98 @@ def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
     e = group.identity
     dims = a.dims
     mul, conj, inv = group.mul, group.conj, group.inv
-    prod, act = a.apply_product, a.apply_action
-    bases = [[basis_vector(d, i) for i in range(d)] for d in dims]
+    P, d_p = int_image(a.product)
+    A, d_a = int_image(a.action)
+    unit, d_u = _int_vector(a.unit)
+    trace, d_t = _int_vector(a.trace)
+    bases = [[[int(q == i) for q in range(d)] for i in range(d)] for d in dims]
     pairings: dict[int, Matrix] = {}
 
-    def associativity():
+    def grid(k, g, factor=1):
+        """The dense action block of (k, g), times `factor`."""
+        out = [[0] * dims[g] for _ in range(dims[conj(k, g)])]
+        for i, j, v in A[(k, g)]:
+            out[i][j] = v * factor
+        return out
+
+    def identity(d, factor):
+        return [[factor if i == j else 0 for j in range(d)] for i in range(d)]
+
+    def scaled(v, c):
+        return v if c == 1 else [c * x for x in v]
+
+    def associativity():  # over d_p^2
         for g in range(n):
             for h in range(n):
                 gh = mul(g, h)
+                first = P[(g, h)]
                 for k in range(n):
                     hk = mul(h, k)
+                    left, inner, right = P[(gh, k)], P[(h, k)], P[(g, hk)]
+                    size = dims[mul(gh, k)]
                     for i, bi in enumerate(bases[g]):
                         for j, bj in enumerate(bases[h]):
-                            via_left = prod(g, h, bi, bj)
+                            via_left = _int_times(first, bi, bj, dims[gh])
                             for l, bl in enumerate(bases[k]):
                                 yield (
                                     (g, h, k, i, j, l),
-                                    prod(gh, k, via_left, bl),
-                                    prod(g, hk, bi, prod(h, k, bj, bl)),
+                                    _int_times(left, via_left, bl, size),
+                                    _int_times(right, bi, _int_times(inner, bj, bl, dims[hk]), size),
                                 )
 
-    def unit_laws():
+    def unit_laws():  # over d_u * d_p
         for g in range(n):
             for j, bj in enumerate(bases[g]):
-                yield (g, j, "left"), prod(e, g, a.unit, bj), bj
-                yield (g, j, "right"), prod(g, e, bj, a.unit), bj
+                sj = scaled(bj, d_u * d_p)
+                yield (g, j, "left"), _int_times(P[(e, g)], unit, bj, dims[g]), sj
+                yield (g, j, "right"), _int_times(P[(g, e)], bj, unit, dims[g]), sj
 
-    def action_of_identity():
+    def action_of_identity():  # over d_a
         for g in range(n):
-            yield (g,), a.action[(e, g)], Matrix.identity(dims[g])
+            yield (g,), grid(e, g), identity(dims[g], d_a)
 
-    def action_homomorphism():
+    def action_homomorphism():  # over d_a^2
+        targets = {key: grid(*key, d_a) for key in A}
         for k in range(n):
             for l in range(n):
                 kl = mul(k, l)
                 for g in range(n):
-                    yield (k, l, g), a.action[(k, conj(l, g))] @ a.action[(l, g)], a.action[(kl, g)]
+                    composed = [[0] * dims[g] for _ in range(dims[conj(kl, g)])]
+                    for i, m, v in A[(k, conj(l, g))]:
+                        for m2, j, w in A[(l, g)]:
+                            if m == m2:
+                                composed[i][j] += v * w
+                    yield (k, l, g), composed, targets[(kl, g)]
 
     def action_automorphism():
-        # multiplicative, and fixes the unit (checked first for each k)
+        # multiplicative (over d_p * d_a^2), and fixes the unit (over
+        # d_a * d_u, checked first for each k)
         for k in range(n):
-            yield (k,), act(k, e, a.unit), a.unit
+            yield (k,), _int_apply(A[(k, e)], unit, dims[e]), scaled(unit, d_a)
             for g in range(n):
                 kg = conj(k, g)
+                moved = [_int_apply(A[(k, g)], bi, dims[kg]) for bi in bases[g]]
                 for h in range(n):
                     gh, kh = mul(g, h), conj(k, h)
+                    product, act_gh, act_h = P[(g, h)], A[(k, gh)], A[(k, h)]
+                    moved_product, size = P[(kg, kh)], dims[conj(k, gh)]
                     for i, bi in enumerate(bases[g]):
                         for j, bj in enumerate(bases[h]):
-                            yield (
-                                (k, g, h, i, j),
-                                act(k, gh, prod(g, h, bi, bj)),
-                                prod(kg, kh, act(k, g, bi), act(k, h, bj)),
+                            lhs = _int_apply(act_gh, _int_times(product, bi, bj, dims[gh]), size)
+                            rhs = _int_times(
+                                moved_product, moved[i], _int_apply(act_h, bj, dims[kh]), size
                             )
+                            yield (k, g, h, i, j), scaled(lhs, d_a), rhs
 
-    def trivial_on_own_grade():
+    def trivial_on_own_grade():  # over d_a
         for g in range(n):
-            yield (g,), a.action[(g, g)], Matrix.identity(dims[g])
+            yield (g,), grid(g, g), identity(dims[g], d_a)
 
-    def trace_invariance():
+    def trace_invariance():  # over d_t * d_a
         for h in range(n):
             for t, bt in enumerate(bases[e]):
-                yield (h, t), a.trace_of(act(h, e, bt)), a.trace[t]
+                moved = _int_apply(A[(h, e)], bt, dims[e])
+                yield (h, t), sum(x * y for x, y in zip(trace, moved)), d_a * trace[t]
 
     def nondegenerate():
         # each grade's pairing is built once, here, and reused by the torus
@@ -659,13 +740,20 @@ def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
             return Witness(where, f"dim {lhs}", f"dim {rhs} of the inverse grade")
         return Witness(where, "det 0", "nonzero determinant")
 
-    def twisted_commutativity():
+    def twisted_commutativity():  # over d_p * d_a
         for g in range(n):
             for h in range(n):
                 tw = conj(g, h)
+                product, twisted, act_h = P[(g, h)], P[(tw, g)], A[(g, h)]
+                size = dims[mul(g, h)]
+                moved = [_int_apply(act_h, bj, dims[tw]) for bj in bases[h]]
                 for i, bi in enumerate(bases[g]):
                     for j, bj in enumerate(bases[h]):
-                        yield (g, h, i, j), prod(g, h, bi, bj), prod(tw, g, act(g, h, bj), bi)
+                        yield (
+                            (g, h, i, j),
+                            scaled(_int_times(product, bi, bj, size), d_a),
+                            _int_times(twisted, moved[j], bi, size),
+                        )
 
     def torus_identity():
         duals = {g: theta.inverse() for g, theta in pairings.items()}
@@ -675,35 +763,59 @@ def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
                 ghi = conj(g, hi)
                 _, lhs = handle_element(a, duals[g], g, h)
                 rhs = zero_vector(dims[mul(h, ghi)])
-                for i, bi in enumerate(bases[h]):
-                    rhs = vector_add(rhs, prod(h, ghi, bi, act(g, hi, duals[h].column_vector(i))))
+                for i in range(dims[h]):
+                    moved = a.apply_action(g, hi, duals[h].column_vector(i))
+                    bi = basis_vector(dims[h], i)
+                    rhs = vector_add(rhs, a.apply_product(h, ghi, bi, moved))
                 yield (g, h), lhs, rhs
 
-    def law(name, cases, keys, left=vector_literal, right=None):
-        return first_failure(name, cases, _group_renderer(group, keys, left, right))
+    def law(name, cases, keys, left=vector_literal, right=None, scale=None):
+        render = _group_renderer(group, keys, left, right)
+        return first_failure(name, cases, render if scale is None else descaled(render, scale))
+
+    def automorphism_scale(context):
+        return d_a * d_u if len(context) == 1 else d_p * d_a * d_a
 
     entries = [
-        law("product-associativity", associativity(), ("g", "h", "k", "i", "j", "l")),
-        law("unit-laws", unit_laws(), ("g", "j", "side")),
+        law("product-associativity", associativity(), ("g", "h", "k", "i", "j", "l"), scale=d_p * d_p),
+        law("unit-laws", unit_laws(), ("g", "j", "side"), scale=d_u * d_p),
         law(
             "action-of-identity",
             action_of_identity(),
             ("g",),
             lambda _: "action block of the identity element",
             lambda _: "identity matrix",
+            scale=d_a,
         ),
-        law("action-homomorphism", action_homomorphism(), ("k", "l", "g"), matrix_literal),
-        law("action-automorphism", action_automorphism(), ("k", "g", "h", "i", "j")),
+        law(
+            "action-homomorphism",
+            action_homomorphism(),
+            ("k", "l", "g"),
+            matrix_literal,
+            scale=d_a * d_a,
+        ),
+        law(
+            "action-automorphism",
+            action_automorphism(),
+            ("k", "g", "h", "i", "j"),
+            scale=automorphism_scale,
+        ),
         law(
             "action-trivial-on-own-grade",
             trivial_on_own_grade(),
             ("g",),
             matrix_literal,
             lambda _: "identity matrix",
+            scale=d_a,
         ),
-        law("trace-invariance", trace_invariance(), ("h", "t"), format_scalar),
+        law("trace-invariance", trace_invariance(), ("h", "t"), format_scalar, scale=d_t * d_a),
         first_failure("pairing-nondegenerate", nondegenerate(), render_degenerate),
-        law("twisted-commutativity", twisted_commutativity(), ("g", "h", "i", "j")),
+        law(
+            "twisted-commutativity",
+            twisted_commutativity(),
+            ("g", "h", "i", "j"),
+            scale=d_p * d_a,
+        ),
     ]
     if entries[-2].passed:
         entries.append(law("torus-identity", torus_identity(), ("g", "h")))
@@ -714,63 +826,79 @@ def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
 
 
 def check_frobenius_diagram(a: GFrobeniusAlgebra, d: DerivedStructure) -> CheckReport:
-    """Product and coproduct exchange: (m x 1)(1 x D) = D m on all grade triples."""
+    """Product and coproduct exchange: (m x 1)(1 x D) = D m on all grade triples.
+
+    Both sides are evaluated on the int images of the product and of the
+    coproducts of `d`, over d_p * d_c."""
     group = a.group
     n = group.order
     dims = a.dims
+    P, d_p = int_image(a.product)
+    C, d_c = int_image(d.coproducts)
 
     def cases():
         for g in range(n):
             for h in range(n):
                 gh = group.mul(g, h)
-                prod_gh = a.product[(g, h)].data
                 for k in range(n):
                     hk = group.mul(h, k)
-                    cop_hk = d.coproducts[(h, k)].data
-                    prod_ghk = a.product[(g, hk)].data
-                    cop_ghk = d.coproducts[(gh, k)].data
-                    over_x, over_q = range(dims[h]), range(dims[group.mul(g, hk)])
+                    # (m x 1)(1 x D) and D m of the whole grade triple, keyed by case
+                    lhs: dict[tuple, int] = {}
+                    for i, x, p, v in P[(g, h)]:
+                        for c, x2, b, w in C[(h, k)]:
+                            if x == x2:
+                                key = (g, h, k, i, c, p, b)
+                                lhs[key] = lhs.get(key, 0) + v * w
+                    rhs: dict[tuple, int] = {}
+                    for i, c, q, v in P[(g, hk)]:
+                        for q2, p, b, w in C[(gh, k)]:
+                            if q == q2:
+                                key = (g, h, k, i, c, p, b)
+                                rhs[key] = rhs.get(key, 0) + v * w
                     for i in range(dims[g]):
                         for c in range(dims[hk]):
                             for p in range(dims[gh]):
                                 for b in range(dims[k]):
-                                    lhs = sum(
-                                        (prod_gh[i][x][p] * cop_hk[c][x][b] for x in over_x), ZERO
-                                    )
-                                    rhs = sum(
-                                        (prod_ghk[i][c][q] * cop_ghk[q][p][b] for q in over_q), ZERO
-                                    )
-                                    yield (g, h, k, i, c, p, b), lhs, rhs
+                                    key = (g, h, k, i, c, p, b)
+                                    yield key, lhs.get(key, 0), rhs.get(key, 0)
 
     render = _group_renderer(group, ("g", "h", "k", "i", "c", "p", "b"), format_scalar)
-    return CheckReport((first_failure("frobenius-relation", cases(), render),))
+    entry = first_failure("frobenius-relation", cases(), descaled(render, d_p * d_c))
+    return CheckReport((entry,))
 
 
 def check_cocommutativity(a: GFrobeniusAlgebra, d: DerivedStructure) -> CheckReport:
-    """Twisted cocommutativity: conjugate-then-swap rewrites the coproduct."""
+    """Twisted cocommutativity: conjugate-then-swap rewrites the coproduct.
+
+    Both sides are evaluated on the int images of the action and of the
+    coproducts of `d`, over d_a * d_c."""
     group = a.group
     n = group.order
     dims = a.dims
+    A, d_a = int_image(a.action)
+    C, d_c = int_image(d.coproducts)
 
     def cases():
         for g in range(n):
             for h in range(n):
                 tw = group.conj(g, h)
-                lhs_t = d.coproducts[(tw, g)].data  # same source grade: tw * g = g * h
-                rhs_t = d.coproducts[(g, h)].data
-                act = a.action[(g, h)].data
-                over_b = range(dims[h])
+                # same source grade: tw * g = g * h
+                lhs = {(g, h, c, i, j): d_a * w for c, i, j, w in C[(tw, g)]}
+                rhs: dict[tuple, int] = {}
+                for i, b, v in A[(g, h)]:
+                    for c, j, b2, w in C[(g, h)]:
+                        if b == b2:
+                            key = (g, h, c, i, j)
+                            rhs[key] = rhs.get(key, 0) + v * w
                 for c in range(dims[group.mul(g, h)]):
                     for i in range(dims[tw]):
                         for j in range(dims[g]):
-                            yield (
-                                (g, h, c, i, j),
-                                lhs_t[c][i][j],
-                                sum((act[i][b] * rhs_t[c][j][b] for b in over_b), ZERO),
-                            )
+                            key = (g, h, c, i, j)
+                            yield key, lhs.get(key, 0), rhs.get(key, 0)
 
     render = _group_renderer(group, ("g", "h", "c", "i", "j"), format_scalar)
-    return CheckReport((first_failure("twisted-cocommutativity", cases(), render),))
+    entry = first_failure("twisted-cocommutativity", cases(), descaled(render, d_a * d_c))
+    return CheckReport((entry,))
 
 
 def action_on_dual_basis_check(a: GFrobeniusAlgebra, d: DerivedStructure) -> CheckReport:

@@ -1,16 +1,27 @@
 """Exact rational dense linear algebra: matrices, rank-3 tensors, products.
 
-Scalars are `fractions.Fraction`; every operation here is exact and no
-tolerance parameter exists anywhere in the package.  Dimensions in this
-problem domain are tiny (graded components of dimension 0..6), so storage
-is dense and the algorithms are the straightforward cubic ones.
+Scalars at every interface are `fractions.Fraction`; every operation here
+is exact and no tolerance parameter exists anywhere in the package.
+Dimensions in this problem domain are tiny (graded components of dimension
+0..6), so storage is dense and the algorithms are the straightforward cubic
+ones.
+
+Hot loops that only multiply, add and compare table entries run on an
+*int image* instead (`int_image`): every block of a table is scaled by the
+table's common denominator D, the lcm of its entries' denominators, and
+kept as the list of its nonzero entries with int numerators.  A product of
+k entries from tables over D_1..D_k is then the exact value times
+D_1*...*D_k, so two such expressions are compared exactly once both are
+brought to the same total scale, and a value is recovered as
+``Fraction(x, scale)``.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, SingularMatrix
 
@@ -301,6 +312,36 @@ class Tensor3:
 
     def __repr__(self) -> str:
         return f"Tensor3({self.dim0}x{self.dim1}x{self.dim2})"
+
+
+def _nonzero_entries(block) -> list[tuple]:
+    """The nonzero entries of a Tensor3, Matrix or vector in row-major
+    order, as (*index, value)."""
+    if isinstance(block, Tensor3):
+        return [
+            (i, j, k, v)
+            for i, plane in enumerate(block.data)
+            for j, row in enumerate(plane)
+            for k, v in enumerate(row)
+            if v
+        ]
+    if isinstance(block, Matrix):
+        return [(i, j, v) for i, row in enumerate(block.data) for j, v in enumerate(row) if v]
+    return [(i, v) for i, v in enumerate(block) if v]
+
+
+def int_image(blocks: Mapping) -> tuple[dict, int]:
+    """The int image of a table: its blocks (Tensor3s, Matrices or
+    vectors) over their common denominator D, the lcm of every entry's
+    denominator.  Each block becomes the list of its nonzero entries in
+    row-major order as (*index, numerator), where the entry's value is
+    numerator / D; returns (image, D)."""
+    entries = {key: _nonzero_entries(block) for key, block in blocks.items()}
+    scale = math.lcm(*(e[-1].denominator for block in entries.values() for e in block))
+    return {
+        key: [(*e[:-1], e[-1].numerator * (scale // e[-1].denominator)) for e in block]
+        for key, block in entries.items()
+    }, scale
 
 
 def format_matrix(m: Matrix) -> list[str]:

@@ -21,11 +21,12 @@ from .exactlin import (
     Matrix,
     Tensor3,
     Vector,
+    int_image,
     rref,
     vector_literal,
 )
 from .groups import conjugacy
-from .report import CheckReport, Witness, failing, first_failure, passing, renderer
+from .report import CheckReport, Witness, descaled, failing, first_failure, passing, renderer
 
 
 def _offsets(a: GFrobeniusAlgebra) -> tuple[tuple[int, ...], int]:
@@ -40,20 +41,6 @@ def _offsets(a: GFrobeniusAlgebra) -> tuple[tuple[int, ...], int]:
 def _component(a: GFrobeniusAlgebra, offsets, vec: Vector, g: int) -> Vector:
     start = offsets[g]
     return tuple(vec[start : start + a.dims[g]])
-
-
-def total_action_matrix(a: GFrobeniusAlgebra, k: int) -> Matrix:
-    """The conjugation automorphism of k on the whole graded space."""
-    offsets, total = _offsets(a)
-    grid = [[ZERO] * total for _ in range(total)]
-    for g in a.group.elements():
-        target = a.group.conj(k, g)
-        block = a.action[(k, g)]
-        for i in range(block.rows):
-            row = grid[offsets[target] + i]
-            for j in range(block.cols):
-                row[offsets[g] + j] = block.data[i][j]
-    return Matrix(total, total, grid)
 
 
 def multiply_total(a: GFrobeniusAlgebra, offsets, x: Vector, y: Vector) -> Vector:
@@ -110,13 +97,21 @@ def _coordinates(
 
 
 def invariant_projector(a: GFrobeniusAlgebra) -> Matrix:
-    """The averaging projector over the whole conjugation action."""
-    n = a.group.order
-    _, total = _offsets(a)
-    acc = Matrix.zeros(total, total)
-    for k in a.group.elements():
-        acc = acc + total_action_matrix(a, k)
-    return acc.scale(Fraction(1, n))
+    """The averaging projector over the whole conjugation action: the
+    action blocks of every k, summed on the int image of the action into
+    one total x total grid, then divided by n * d_a."""
+    group = a.group
+    offsets, total = _offsets(a)
+    action, d_a = int_image(a.action)
+    grid = [[0] * total for _ in range(total)]
+    for (k, g), entries in action.items():
+        row0, col0 = offsets[group.conj(k, g)], offsets[g]
+        for i, j, v in entries:
+            grid[row0 + i][col0 + j] += v
+    scale = group.order * d_a
+    return Matrix._wrap(
+        total, total, tuple(tuple(Fraction(x, scale) for x in row) for row in grid)
+    )
 
 
 def project_invariants(a: GFrobeniusAlgebra) -> tuple[Vector, ...]:
@@ -276,24 +271,27 @@ def orbifold_algebra(a: GFrobeniusAlgebra) -> OrbifoldAlgebra:
             products[(i, j)] = coords if spanned == w else (ZERO,) * d
             closure.append(((i, j), w, spanned))
 
+    # commutativity and associativity run on the int image of the
+    # structure constants, over d_o and d_o^2
+    constants, d_o = int_image(products)
+    dense = {key: [0] * d for key in constants}
+    for key, entries in constants.items():
+        for m, v in entries:
+            dense[key][m] = v
+
     def associativity():
         for i in range(d):
             for j in range(d):
-                ij = products[(i, j)]
+                ij = constants[(i, j)]
                 for k in range(d):
-                    jk = products[(j, k)]
-                    lhs = [ZERO] * d
-                    for m, c in enumerate(ij):
-                        if c:
-                            for p, v in enumerate(products[(m, k)]):
-                                if v:
-                                    lhs[p] += c * v
-                    rhs = [ZERO] * d
-                    for m, c in enumerate(jk):
-                        if c:
-                            for p, v in enumerate(products[(i, m)]):
-                                if v:
-                                    rhs[p] += c * v
+                    lhs = [0] * d
+                    for m, c in ij:
+                        for p, v in constants[(m, k)]:
+                            lhs[p] += c * v
+                    rhs = [0] * d
+                    for m, c in constants[(j, k)]:
+                        for p, v in constants[(i, m)]:
+                            rhs[p] += c * v
                     yield (i, j, k), lhs, rhs
 
     # the unit is invariant, so it must lie in the span and act as identity
@@ -317,11 +315,11 @@ def orbifold_algebra(a: GFrobeniusAlgebra) -> OrbifoldAlgebra:
         return Witness((("j", str(j)),), vector_literal(lhs), vector_literal(rhs))
 
     commuting = (
-        ((i, j), products[(i, j)], products[(j, i)]) for i in range(d) for j in range(i + 1, d)
+        ((i, j), dense[(i, j)], dense[(j, i)]) for i in range(d) for j in range(i + 1, d)
     )
     outside = renderer(("i", "j"), str, vector_literal, lambda _: inside)
-    pairs = renderer(("i", "j"), str, vector_literal)
-    triples = renderer(("i", "j", "k"), str, vector_literal)
+    pairs = descaled(renderer(("i", "j"), str, vector_literal), d_o)
+    triples = descaled(renderer(("i", "j", "k"), str, vector_literal), d_o * d_o)
     entries = [
         first_failure("orbifold-closure", closure, outside),
         first_failure("orbifold-commutativity", commuting, pairs),
@@ -342,11 +340,8 @@ def orbifold_algebra(a: GFrobeniusAlgebra) -> OrbifoldAlgebra:
     else:
         entries.append(failing(name, (("gram", "determinant"),), "0", "nonzero determinant"))
 
-    product_tensor = Tensor3(
-        d,
-        d,
-        d,
-        [[[products[(i, j)][k] for k in range(d)] for j in range(d)] for i in range(d)],
+    product_tensor = Tensor3._wrap(
+        d, d, d, tuple(tuple(products[(i, j)] for j in range(d)) for i in range(d))
     )
     name = "orbifold-sector-isomorphism"
     try:

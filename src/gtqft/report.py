@@ -9,12 +9,20 @@ rendered: names and exact literals are built by the law's renderer once,
 at the first mismatch, never per case.  A check that needs every case
 computed anyway (the orbifold builds its whole product table) may pass a
 list instead of a generator.
+
+A law evaluated on int images (see `exactlin.int_image`) yields int
+sides already brought to one common scale; `descaled` wraps its renderer
+so that the witness shows the exact values ``Fraction(x, scale)``, the
+same bytes as sides computed in `Fraction` arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Sequence
+
+from .exactlin import Matrix
 
 
 @dataclass(frozen=True)
@@ -99,3 +107,24 @@ def renderer(
         return Witness(tuple((k, name(v)) for k, v in zip(keys, context)), left(lhs), right(rhs))
 
     return render
+
+
+def _over(side, scale: int):
+    """The exact value an int law side over `scale` stands for: a scalar,
+    a vector (list) or a matrix (list of row lists)."""
+    if isinstance(side, int):
+        return Fraction(side, scale)
+    if side and isinstance(side[0], list):
+        return Matrix.from_rows([[Fraction(x, scale) for x in row] for row in side])
+    return tuple(Fraction(x, scale) for x in side)
+
+
+def descaled(render: Render, scale: int | Callable[[object], int]) -> Render:
+    """`render` of the exact values of int sides; `scale` is the sides'
+    common scale, or a function of the case's context giving it."""
+
+    def render_exact(context, lhs, rhs) -> Witness:
+        s = scale(context) if callable(scale) else scale
+        return render(context, _over(lhs, s), _over(rhs, s))
+
+    return render_exact

@@ -1,0 +1,172 @@
+"""The int image of the algebra tables, and the exhaustiveness of the law
+loops that run on it.
+
+`exactlin.int_image` scales every block of a table by the table's common
+denominator D; the laws compare int sides brought to one total scale.  The
+property tests check the image against the `Fraction` tables it stands for;
+the counting tests check that every law still draws every case.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gtqft.algebra
+import gtqft.orbifold
+from gtqft import (
+    check_axioms,
+    check_cocommutativity,
+    check_frobenius_diagram,
+    derive,
+    frobenius_untwisted,
+    orbifold_algebra,
+)
+from gtqft.algebra import _int_times, _int_vector
+from gtqft.exactlin import Matrix, Tensor3, int_image
+from gtqft.report import first_failure
+
+F = Fraction
+
+fractions = st.one_of(st.just(F(0)), st.builds(F, st.integers(-7, 7), st.integers(1, 12)))
+sizes = st.integers(0, 3)
+
+
+def tensors():
+    return st.tuples(sizes, sizes, sizes).flatmap(
+        lambda s: st.lists(fractions, min_size=s[0] * s[1] * s[2], max_size=s[0] * s[1] * s[2]).map(
+            lambda flat: Tensor3(
+                *s,
+                [
+                    [[flat[(i * s[1] + j) * s[2] + k] for k in range(s[2])] for j in range(s[1])]
+                    for i in range(s[0])
+                ],
+            )
+        )
+    )
+
+
+def matrices():
+    return st.tuples(sizes, sizes).flatmap(
+        lambda s: st.lists(fractions, min_size=s[0] * s[1], max_size=s[0] * s[1]).map(
+            lambda flat: Matrix(*s, [[flat[i * s[1] + j] for j in range(s[1])] for i in range(s[0])])
+        )
+    )
+
+
+def vectors():
+    return st.lists(fractions, max_size=4).map(tuple)
+
+
+def dense(block):
+    """Every entry of a block with its index, zeros included."""
+    if isinstance(block, Tensor3):
+        return {
+            (i, j, k): v
+            for i, plane in enumerate(block.data)
+            for j, row in enumerate(plane)
+            for k, v in enumerate(row)
+        }
+    if isinstance(block, Matrix):
+        return {(i, j): v for i, row in enumerate(block.data) for j, v in enumerate(row)}
+    return {(i,): v for i, v in enumerate(block)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(*(st.lists(kind, max_size=4) for kind in (tensors(), matrices(), vectors()))))
+def test_int_image_round_trips(blocks):
+    table = dict(enumerate(blocks))
+    image, scale = int_image(table)
+    denominators = [v.denominator for block in blocks for v in dense(block).values() if v]
+    assert scale == math.lcm(*denominators)
+    for key, block in table.items():
+        entries = image[key]
+        assert all(type(e[-1]) is int and e[-1] != 0 for e in entries)
+        indices = [e[:-1] for e in entries]
+        assert indices == sorted(indices)
+        recovered = {index: F(0) for index in dense(block)}
+        recovered.update({e[:-1]: F(e[-1], scale) for e in entries})
+        assert recovered == dense(block)
+
+
+@st.composite
+def products(draw):
+    dim = draw(sizes)
+    cube = draw(st.lists(fractions, min_size=dim**3, max_size=dim**3))
+    grid = [[[cube[(i * dim + j) * dim + k] for k in range(dim)] for j in range(dim)] for i in range(dim)]
+    x = tuple(draw(st.lists(fractions, min_size=dim, max_size=dim)))
+    y = tuple(draw(st.lists(fractions, min_size=dim, max_size=dim)))
+    return frobenius_untwisted(dim, grid, (0,) * dim, (0,) * dim), x, y
+
+
+@settings(max_examples=150, deadline=None)
+@given(products())
+def test_int_product_is_the_fraction_product_scaled(case):
+    a, x, y = case
+    image, d_p = int_image(a.product)
+    (xs, d_x), (ys, d_y) = _int_vector(x), _int_vector(y)
+    got = _int_times(image[(0, 0)], xs, ys, a.dims[0])
+    assert got == [d_p * d_x * d_y * v for v in a.apply_product(0, 0, x, y)]
+
+
+# --- every case of every law is drawn -----------------------------------
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """Law name -> number of cases the law fed to `first_failure`."""
+    counts: dict[str, int] = {}
+
+    def counting(name, cases, render):
+        def counted():
+            for case in cases:
+                counts[name] = counts.get(name, 0) + 1
+                yield case
+
+        return first_failure(name, counted(), render)
+
+    for module in (gtqft.algebra, gtqft.orbifold):
+        monkeypatch.setattr(module, "first_failure", counting)
+    return counts
+
+
+@pytest.mark.parametrize("fixture", ["s3_algebra", "rich_s3", "rescaled_rich_s3"])
+def test_every_law_draws_every_case(drawn, request, fixture):
+    a = request.getfixturevalue(fixture)
+    group, dims = a.group, a.dims
+    n, e, total = group.order, group.identity, sum(a.dims)
+    g_h = [(g, h) for g in group.elements() for h in group.elements()]
+    g_h_k = [(g, h, k) for g, h in g_h for k in group.elements()]
+    mul, conj = group.mul, group.conj
+
+    d = derive(a)
+    assert check_axioms(a).passed
+    assert check_frobenius_diagram(a, d).passed
+    assert check_cocommutativity(a, d).passed
+    orb = orbifold_algebra(a)
+    assert orb.certification.passed
+    m = orb.dimension
+    assert drawn == {
+        "product-associativity": sum(dims[g] * dims[h] * dims[k] for g, h, k in g_h_k),
+        "unit-laws": 2 * total,
+        "action-of-identity": n,
+        "action-homomorphism": n**3,
+        "action-automorphism": n + sum(n * dims[g] * dims[h] for g, h in g_h),
+        "action-trivial-on-own-grade": n,
+        "trace-invariance": n * dims[e],
+        "pairing-nondegenerate": 2 * n,
+        "twisted-commutativity": sum(dims[g] * dims[h] for g, h in g_h),
+        "torus-identity": n * n,
+        "frobenius-relation": sum(
+            dims[g] * dims[mul(h, k)] * dims[mul(g, h)] * dims[k] for g, h, k in g_h_k
+        ),
+        "twisted-cocommutativity": sum(
+            dims[mul(g, h)] * dims[conj(g, h)] * dims[g] for g, h in g_h
+        ),
+        "orbifold-closure": m * m,
+        "orbifold-commutativity": m * (m - 1) // 2,
+        "orbifold-associativity": m**3,
+        "orbifold-unit": 1 + m,
+    }
