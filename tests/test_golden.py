@@ -32,6 +32,7 @@ from conftest import dual_number_group_algebra, rescaled_algebra  # noqa: E402
 from gtqft import (  # noqa: E402
     action_on_dual_basis_check,
     builtin_from_string,
+    cerf_case_words,
     check_axioms,
     dehn_invariance_check,
     derive,
@@ -42,6 +43,7 @@ from gtqft import (  # noqa: E402
 )
 from gtqft.algebra import load_algebra  # noqa: E402
 from gtqft.cli import main  # noqa: E402
+from gtqft.cobordism import CERF_CASES  # noqa: E402
 from gtqft.errors import EngineError  # noqa: E402
 
 GOLDEN_PATH = Path(__file__).with_name("golden_outputs.json")
@@ -213,8 +215,18 @@ LIBRARY_CASES = {
     for check in LIBRARY_CHECKS
 }
 
+# move case -> its S3 labels
+WORD_CASES = {
+    f"words-{case}": {"sphere": (), "cylinder": ("p120",)}.get(case, ("p021", "p102", "p120", "p201"))
+    for case in CERF_CASES
+}
+
 
 def run_case(case: str, tmp: Path) -> dict:
+    if case in WORD_CASES:
+        s3 = builtin_from_string("symmetric:3")
+        labels = tuple(s3.index(name) for name in WORD_CASES[case])
+        return {"words": [w.to_text() for w in cerf_case_words(s3, case[len("words-"):], labels)]}
     if case in LIBRARY_CASES:
         alg, check = LIBRARY_CASES[case]
         a = load_algebra(algebra_doc(alg))
@@ -237,7 +249,9 @@ def run_case(case: str, tmp: Path) -> dict:
 
 
 ALL_CASES = sorted(
-    [f"{case}-{fmt}" for case in CLI_CASES for fmt in ("human", "records")] + list(LIBRARY_CASES)
+    [f"{case}-{fmt}" for case in CLI_CASES for fmt in ("human", "records")]
+    + list(LIBRARY_CASES)
+    + list(WORD_CASES)
 )
 
 
