@@ -435,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--format",
             dest="fmt",
             choices=["human", "records"],
-            default="human",
             help="human-readable table or line-delimited JSON records",
         )
 
@@ -455,27 +454,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fuzz = sub.add_parser("fuzz", help="random words with functoriality assertions")
     common(p_fuzz)
-    p_fuzz.add_argument("--seed", type=int, default=0)
-    p_fuzz.add_argument("--budget", type=int, default=8, help="maximum pieces per word")
-    p_fuzz.add_argument("--count", type=int, default=1000, help="number of words")
+    p_fuzz.add_argument("--seed", type=int)
+    p_fuzz.add_argument("--budget", type=int, help="maximum pieces per word")
+    p_fuzz.add_argument("--count", type=int, help="number of words")
 
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        group=getattr(args, "group", None),
-        algebra=getattr(args, "algebra", None),
-        cobordism=getattr(args, "cobordism", None),
-        case=getattr(args, "case", None),
-        labels=getattr(args, "labels", None),
-        all_labels=getattr(args, "all_labels", False),
-        seed=getattr(args, "seed", 0),
-        budget=getattr(args, "budget", 8),
-        count=getattr(args, "count", 1000),
-        fmt=getattr(args, "fmt", "human"),
-    )
+    """The run the parsed arguments ask for; an option not given keeps its
+    `RunConfig` default."""
+    return RunConfig(**{key: value for key, value in vars(args).items() if value is not None})
 
 
 def main(argv=None) -> int:

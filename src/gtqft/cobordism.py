@@ -25,13 +25,23 @@ Text grammar (whitespace insignificant, "#" starts a line comment):
 Element names come from the active group; the piece keywords are reserved
 at the start of a piece but remain usable as element names inside
 parentheses.
+
+The Cerf move cases (`cerf_case_words`) are one table of words in this
+grammar whose elements are label products: `ab` is the product of labels
+a and b, read left to right; a, b, c, d are the case's labels, A, B, C, D
+their inverses and e the identity.  "111", "202" and "301" take four
+labels, "sphere" none and "cylinder" one; "103" is the reverse (`dual`)
+of "301".  The CLI's `cerf --case` accepts 111, 202, 301 and 103;
+"sphere" and "cylinder" are library-only.
 """
 
 from __future__ import annotations
 
 import enum
 import random
+import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import ParseError, SignatureMismatch, UnknownElement
@@ -50,14 +60,15 @@ class PieceKind(enum.Enum):
     SWAP = "swap"
 
 
-_LABEL_COUNT = {
-    PieceKind.ID: 1,
-    PieceKind.CYL: 2,
-    PieceKind.MERGE: 2,
-    PieceKind.SPLIT: 2,
-    PieceKind.CAP: 0,
-    PieceKind.CUP: 0,
-    PieceKind.SWAP: 2,
+# kind -> (label count, separator between its labels in the text grammar)
+_GRAMMAR = {
+    PieceKind.ID: (1, ","),
+    PieceKind.CYL: (2, ";"),
+    PieceKind.MERGE: (2, ","),
+    PieceKind.SPLIT: (2, ","),
+    PieceKind.CAP: (0, ","),
+    PieceKind.CUP: (0, ","),
+    PieceKind.SWAP: (2, ","),
 }
 
 
@@ -67,53 +78,35 @@ class Piece:
     labels: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if len(self.labels) != _LABEL_COUNT[self.kind]:
+        count = _GRAMMAR[self.kind][0]
+        if len(self.labels) != count:
             raise SignatureMismatch(
-                f"{self.kind.value} takes {_LABEL_COUNT[self.kind]} labels, "
-                f"got {len(self.labels)}"
+                f"{self.kind.value} takes {count} labels, got {len(self.labels)}"
             )
 
     def dom(self, group: FiniteGroup) -> Signature:
-        g = self.labels
-        if self.kind is PieceKind.ID:
-            return (g[0],)
-        if self.kind is PieceKind.CYL:
-            return (g[0],)
-        if self.kind is PieceKind.MERGE:
-            return (g[0], g[1])
-        if self.kind is PieceKind.SPLIT:
+        kind, g = self.kind, self.labels
+        if kind is PieceKind.SPLIT:
             return (group.mul(g[0], g[1]),)
-        if self.kind is PieceKind.CAP:
-            return ()
-        if self.kind is PieceKind.CUP:
+        if kind is PieceKind.CUP:
             return (group.identity,)
-        return (g[0], g[1])
+        return g[:1] if kind is PieceKind.CYL else g  # id, merge, cap, swap
 
     def cod(self, group: FiniteGroup) -> Signature:
-        g = self.labels
-        if self.kind is PieceKind.ID:
-            return (g[0],)
-        if self.kind is PieceKind.CYL:
+        kind, g = self.kind, self.labels
+        if kind is PieceKind.CYL:
             return (group.conj(g[1], g[0]),)
-        if self.kind is PieceKind.MERGE:
+        if kind is PieceKind.MERGE:
             return (group.mul(g[0], g[1]),)
-        if self.kind is PieceKind.SPLIT:
-            return (g[0], g[1])
-        if self.kind is PieceKind.CAP:
+        if kind is PieceKind.CAP:
             return (group.identity,)
-        if self.kind is PieceKind.CUP:
-            return ()
-        return (g[1], g[0])
+        return (g[1], g[0]) if kind is PieceKind.SWAP else g  # id, split, cup
 
     def text(self, group: FiniteGroup) -> str:
-        name = group.name
-        if self.kind is PieceKind.ID:
-            return f"id({name(self.labels[0])})"
-        if self.kind is PieceKind.CYL:
-            return f"cyl({name(self.labels[0])};{name(self.labels[1])})"
-        if self.kind in (PieceKind.MERGE, PieceKind.SPLIT, PieceKind.SWAP):
-            return f"{self.kind.value}({name(self.labels[0])},{name(self.labels[1])})"
-        return self.kind.value
+        if not self.labels:
+            return self.kind.value
+        separator = _GRAMMAR[self.kind][1]
+        return f"{self.kind.value}({separator.join(map(group.name, self.labels))})"
 
 
 def id_piece(g: int) -> Piece:
@@ -275,59 +268,40 @@ def dual(c: Cobordism) -> Cobordism:
 # Parsing
 
 
-_PUNCT = ";*(),"
+# a skipped run (comment or whitespace), a punctuation mark, or a name
+_TOKEN = re.compile(r"(#[^\n]*|\s+)|([;*(),])|[^\s;*(),#]+")
 
 
 def _tokenize(text: str):
-    tokens = []
-    i = 0
-    line, col = 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append((ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        start = i
-        start_col = col
-        while i < n and not text[i].isspace() and text[i] not in _PUNCT and text[i] != "#":
-            i += 1
-            col += 1
-        tokens.append(("name", text[start:i], line, start_col))
+    """The (kind, text, line, column) of every token; kind is "name" or
+    the punctuation mark itself."""
+    tokens, line, line_start = [], 1, 0
+    for m in _TOKEN.finditer(text):
+        skipped, token, start = m.group(1), m.group(), m.start()
+        if skipped is None:
+            tokens.append((m.group(2) or "name", token, line, start - line_start + 1))
+        elif "\n" in skipped:
+            line += skipped.count("\n")
+            line_start = start + skipped.rfind("\n") + 1
     return tokens
 
 
+_PIECE_KEYWORDS = '"id", "cyl", "merge", "split", "cap", "cup" or "swap"'
+
+
 class _Parser:
-    def __init__(self, text: str, group: FiniteGroup):
+    """Reads the word grammar; `lookup` turns an element name into a label."""
+
+    def __init__(self, text: str, lookup):
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.group = group
+        self.lookup = lookup
         self.end_line = text.count("\n") + 1
         self.end_col = len(text) - (text.rfind("\n") + 1) + 1
 
-    def _here(self):
-        if self.pos < len(self.tokens):
-            tok = self.tokens[self.pos]
-            return tok[2], tok[3]
-        return self.end_line, self.end_col
-
-    def error(self, message: str, expected: str = "") -> ParseError:
-        line, col = self._here()
+    def error(self, message: str, expected: str) -> ParseError:
+        tok = self.peek()
+        line, col = (self.end_line, self.end_col) if tok is None else tok[2:]
         return ParseError(message, line, col, expected)
 
     def peek(self):
@@ -341,78 +315,55 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def element(self) -> int:
+    def element(self):
         tok = self.take("name", "an element name")
         try:
-            return self.group.index(tok[1])
+            return self.lookup(tok[1])
         except UnknownElement:
             raise ParseError(
                 f"unknown element {tok[1]!r}", tok[2], tok[3], "an element of the group"
             ) from None
 
     def piece(self) -> Piece:
-        tok = self.take("name", '"id", "cyl", "merge", "split", "cap", "cup" or "swap"')
-        keyword = tok[1]
-        if keyword == "cap":
-            return cap()
-        if keyword == "cup":
-            return cup()
-        if keyword == "id":
+        tok = self.take("name", _PIECE_KEYWORDS)
+        try:
+            kind = PieceKind(tok[1])
+        except ValueError:
+            raise ParseError(f"unknown piece {tok[1]!r}", tok[2], tok[3], _PIECE_KEYWORDS) from None
+        count, separator = _GRAMMAR[kind]
+        labels = []
+        if count:
             self.take("(", '"("')
-            g = self.element()
+            labels.append(self.element())
+            for _ in range(count - 1):
+                self.take(separator, f'"{separator}"')
+                labels.append(self.element())
             self.take(")", '")"')
-            return id_piece(g)
-        if keyword == "cyl":
-            self.take("(", '"("')
-            g = self.element()
-            self.take(";", '";"')
-            k = self.element()
-            self.take(")", '")"')
-            return cyl(g, k)
-        if keyword in ("merge", "split", "swap"):
-            self.take("(", '"("')
-            g = self.element()
-            self.take(",", '","')
-            h = self.element()
-            self.take(")", '")"')
-            return {"merge": merge, "split": split, "swap": swap}[keyword](g, h)
-        raise ParseError(
-            f"unknown piece {keyword!r}",
-            tok[2],
-            tok[3],
-            '"id", "cyl", "merge", "split", "cap", "cup" or "swap"',
-        )
+        return Piece(kind, tuple(labels))
 
-    def word(self) -> Cobordism:
+    def word(self) -> list[tuple[Piece, ...]]:
         layers = [self.layer()]
-        while True:
-            tok = self.peek()
-            if tok is None:
-                break
-            if tok[0] == ";":
-                self.pos += 1
-                layers.append(self.layer())
-            else:
+        while (tok := self.peek()) is not None:
+            if tok[0] != ";":
                 raise self.error(f"unexpected {tok[1]!r}", '";" or end of input')
-        return Cobordism(self.group, layers)
+            self.pos += 1
+            layers.append(self.layer())
+        return layers
 
     def layer(self) -> tuple[Piece, ...]:
         pieces = [self.piece()]
-        while True:
-            tok = self.peek()
-            if tok is not None and tok[0] == "*":
-                self.pos += 1
-                pieces.append(self.piece())
-            else:
-                return tuple(pieces)
+        while (tok := self.peek()) is not None and tok[0] == "*":
+            self.pos += 1
+            pieces.append(self.piece())
+        return tuple(pieces)
 
 
 def parse(text: str, group: FiniteGroup) -> Cobordism:
     """Parse and type-check a surface word against the given group."""
-    parser = _Parser(text, group)
+    parser = _Parser(text, group.index)
     if not parser.tokens:
         raise ParseError("empty word", 1, 1, "a layer")
-    return parser.word()
+    return Cobordism(group, parser.word())
 
 
 # ---------------------------------------------------------------------------
@@ -438,26 +389,97 @@ def normalize_cylinder(group: FiniteGroup, g: int, k: int) -> int:
     return best
 
 
+def twisted_conjugator(group: FiniteGroup, g: int, k: int, n: int, m: int) -> int:
+    """h^n k g^m with h = k g k^-1: the cylinder from g labelled k, twisted
+    n times at its outgoing and m times at its incoming circle."""
+    return group.mul(group.mul(group.power(group.conj(k, g), n), k), group.power(g, m))
+
+
 # ---------------------------------------------------------------------------
-# Move-pair builders
+# Cerf move cases
 
-
-_CASE_LABEL_COUNT = {
-    "111": 4,
-    "202": 4,
-    "301": 4,
-    "103": 4,
-    "sphere": 0,
-    "cylinder": 1,
+# case -> its alternative words; each label is a product of the case's
+# labels a, b, c, d, their inverses A, B, C, D and the identity e
+_CASE_WORDS = {
+    # one handle between a single input and a single output circle
+    "111": (
+        "split(ab,cd) ; cyl(ab;b) * cyl(cd;d) ; merge(ba,dc) ; cyl(badc;B)",
+        "cyl(abcd;d) ; split(da,bc) ; cyl(da;D) * cyl(bc;c) ; merge(ad,cb)",
+    ),
+    # four-holed sphere: the vertical cut in both critical orders and the
+    # two horizontal cuts
+    "202": (
+        "merge(ab,cd) ; cyl(abcd;A) ; split(bc,da) ; cyl(bc;c) * cyl(da;a)",
+        "cyl(ab;A) * cyl(cd;C) ; merge(ba,dc) ; cyl(badc;c) ; split(cb,ad)",
+        "id(ab) * split(cA,ad) ; cyl(ab;A) * cyl(cA;A) * id(ad) ; merge(ba,Ac) * id(ad)"
+        " ; cyl(bc;c) * id(ad)",
+        "cyl(ab;b) * id(cd) ; split(bc,Ca) * id(cd) ; cyl(bc;c) * cyl(Ca;c) * id(cd)"
+        " ; id(cb) * merge(aC,cd)",
+    ),
+    # three inputs merged into one output, in all four bracketings
+    "301": (
+        "merge(ab,cA) * id(dC) ; cyl(abcA;A) * cyl(dC;C) ; merge(bc,Cd)",
+        "id(ab) * merge(cA,dC) ; cyl(ab;A) * cyl(cAdC;C) ; merge(ba,Ad)",
+        "cyl(ab;A) * cyl(cA;A) * cyl(dC;C) ; id(ba) * merge(Ac,Cd) ; merge(ba,Ad)",
+        "cyl(ab;A) * cyl(cA;A) * cyl(dC;C) ; merge(ba,Ac) * id(Cd) ; merge(bc,Cd)",
+    ),
+    # birth and death of a circle
+    "sphere": ("cap ; cup", "cap ; id(e) ; cup"),
+    "cylinder": (
+        "id(a)", "cyl(a;e)", "cyl(a;a)", "id(a) * cap ; merge(a,e)", "cap * id(a) ; merge(e,a)",
+        "split(a,e) ; id(a) * cup", "split(e,a) ; cup * id(a)",
+    ),
 }
+# the one-input three-output case is the reverse of a table case
+_REVERSED = {"103": "301"}
 
 CERF_CASES = ("111", "202", "301", "103", "sphere", "cylinder")
 
+_LABEL_LETTERS = "abcd"
+
+
+def _picker(indices: list[int]):
+    """The function taking a tuple to the tuple of its items at `indices`."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return itemgetter(slice(indices[0], indices[0] + 1) if indices else slice(0))
+
+
+def _compile(words: tuple[str, ...]):
+    """One case's words, read once into slots that a labelling fills.
+
+    Value slots hold e, the labels, their inverses, then the label
+    products: step (i, j) fills the next slot with slot i times slot j.
+    A piece is its kind and a picker of value slots, a layer a picker of
+    pieces and a word a picker of layers; the last item is the label count.
+    """
+    parsed = [_Parser(w, str).word() for w in words]
+    layers = {x: i for i, x in enumerate(dict.fromkeys(x for word in parsed for x in word))}
+    pieces = {p: i for i, p in enumerate(dict.fromkeys(p for layer in layers for p in layer))}
+    products = {x for p in pieces for x in p.labels}
+    letters = "".join(sorted({c.lower() for x in products for c in x} - {"e"}))
+    assert _LABEL_LETTERS.startswith(letters)
+    slot = {x: i for i, x in enumerate("e" + letters + letters.upper())}
+    steps = []
+    for x in sorted({x[:n] for x in products for n in range(2, len(x) + 1)}, key=len):
+        steps.append((slot[x[:-1]], slot[x[-1]]))
+        slot[x] = len(slot)
+    return (
+        tuple(steps),
+        tuple((p.kind, _picker([slot[x] for x in p.labels])) for p in pieces),
+        tuple(_picker([pieces[p] for p in layer]) for layer in layers),
+        tuple(_picker([layers[layer] for layer in word]) for word in parsed),
+        len(letters),
+    )
+
+
+_COMPILED = {case: _compile(words) for case, words in _CASE_WORDS.items()}
+
 
 def case_label_count(case: str) -> int:
-    if case not in _CASE_LABEL_COUNT:
+    if case not in CERF_CASES:
         raise SignatureMismatch(f"unknown move case {case!r}; expected one of {CERF_CASES}")
-    return _CASE_LABEL_COUNT[case]
+    return _COMPILED[_REVERSED.get(case, case)][4]
 
 
 def cerf_case_words(group: FiniteGroup, case: str, labels: Sequence[int]) -> list[Cobordism]:
@@ -473,157 +495,18 @@ def cerf_case_words(group: FiniteGroup, case: str, labels: Sequence[int]) -> lis
     labels = tuple(labels)
     if len(labels) != want:
         raise SignatureMismatch(f"case {case} takes {want} labels, got {len(labels)}")
-    m, inv = group.mul, group.inv
-    e = group.identity
-
-    if case == "sphere":
-        return [
-            Cobordism(group, ((cap(),), (cup(),))),
-            Cobordism(group, ((cap(),), (id_piece(e),), (cup(),))),
-        ]
-
-    if case == "cylinder":
-        (g,) = labels
-        return [
-            Cobordism(group, ((id_piece(g),),)),
-            Cobordism(group, ((cyl(g, e),),)),
-            Cobordism(group, ((cyl(g, g),),)),
-            Cobordism(group, ((id_piece(g), cap()), (merge(g, e),))),
-            Cobordism(group, ((cap(), id_piece(g)), (merge(e, g),))),
-            Cobordism(group, ((split(g, e),), (id_piece(g), cup()))),
-            Cobordism(group, ((split(e, g),), (cup(), id_piece(g)))),
-        ]
-
-    a, b, c, d = labels
-    ab, cd = m(a, b), m(c, d)
-    ba, dc = m(b, a), m(d, c)
-
-    if case == "111":
-        # one handle between a single input and a single output circle
-        abcd = m(ab, cd)
-        badc = m(ba, dc)
-        da, bc = m(d, a), m(b, c)
-        ad, cb = m(a, d), m(c, b)
-        first = Cobordism(
-            group,
-            (
-                (split(ab, cd),),
-                (cyl(ab, b), cyl(cd, d)),
-                (merge(ba, dc),),
-                (cyl(badc, inv(b)),),
-            ),
-        )
-        second = Cobordism(
-            group,
-            (
-                (cyl(abcd, d),),
-                (split(da, bc),),
-                (cyl(da, inv(d)), cyl(bc, c)),
-                (merge(ad, cb),),
-            ),
-        )
-        return [first, second]
-
-    if case == "202":
-        # four-holed sphere: the vertical cut in both critical orders and
-        # the two horizontal cuts
-        abcd = m(ab, cd)
-        badc = m(ba, dc)
-        bc, da = m(b, c), m(d, a)
-        cb, ad = m(c, b), m(a, d)
-        ca_ = m(c, inv(a))
-        _ac = m(inv(a), c)
-        _ca = m(inv(c), a)
-        ac_ = m(a, inv(c))
-        vertical_first = Cobordism(
-            group,
-            (
-                (merge(ab, cd),),
-                (cyl(abcd, inv(a)),),
-                (split(bc, da),),
-                (cyl(bc, c), cyl(da, a)),
-            ),
-        )
-        vertical_second = Cobordism(
-            group,
-            (
-                (cyl(ab, inv(a)), cyl(cd, inv(c))),
-                (merge(ba, dc),),
-                (cyl(badc, c),),
-                (split(cb, ad),),
-            ),
-        )
-        horizontal_first = Cobordism(
-            group,
-            (
-                (id_piece(ab), split(ca_, ad)),
-                (cyl(ab, inv(a)), cyl(ca_, inv(a)), id_piece(ad)),
-                (merge(ba, _ac), id_piece(ad)),
-                (cyl(bc, c), id_piece(ad)),
-            ),
-        )
-        horizontal_second = Cobordism(
-            group,
-            (
-                (cyl(ab, b), id_piece(cd)),
-                (split(bc, _ca), id_piece(cd)),
-                (cyl(bc, c), cyl(_ca, c), id_piece(cd)),
-                (id_piece(cb), merge(ac_, cd)),
-            ),
-        )
-        return [vertical_first, vertical_second, horizontal_first, horizontal_second]
-
-    if case in ("301", "103"):
-        # three inputs merged into one output, in all four bracketings; the
-        # one-input three-output case is its formal reverse
-        ca_ = m(c, inv(a))
-        dc_ = m(d, inv(c))
-        bc, bd = m(b, c), m(b, d)
-        _ac = m(inv(a), c)
-        _cd = m(inv(c), d)
-        _ad = m(inv(a), d)
-        abca_ = m(ab, ca_)
-        cadc_ = m(ca_, dc_)
-        words = [
-            Cobordism(
-                group,
-                (
-                    (merge(ab, ca_), id_piece(dc_)),
-                    (cyl(abca_, inv(a)), cyl(dc_, inv(c))),
-                    (merge(bc, _cd),),
-                ),
-            ),
-            Cobordism(
-                group,
-                (
-                    (id_piece(ab), merge(ca_, dc_)),
-                    (cyl(ab, inv(a)), cyl(cadc_, inv(c))),
-                    (merge(ba, _ad),),
-                ),
-            ),
-            Cobordism(
-                group,
-                (
-                    (cyl(ab, inv(a)), cyl(ca_, inv(a)), cyl(dc_, inv(c))),
-                    (id_piece(ba), merge(_ac, _cd)),
-                    (merge(ba, _ad),),
-                ),
-            ),
-            Cobordism(
-                group,
-                (
-                    (cyl(ab, inv(a)), cyl(ca_, inv(a)), cyl(dc_, inv(c))),
-                    (merge(ba, _ac), id_piece(_cd)),
-                    (merge(bc, _cd),),
-                ),
-            ),
-        ]
-        if case == "103":
-            words = [dual(w) for w in words]
-        assert len({w.dom for w in words}) == 1 and len({w.cod for w in words}) == 1
-        return words
-
-    raise SignatureMismatch(f"unknown move case {case!r}")
+    steps, piece_rows, layer_rows, word_rows, _ = _COMPILED[_REVERSED.get(case, case)]
+    table = group.table
+    value = [group.identity, *labels, *map(group.inv, labels)]
+    for i, j in steps:
+        value.append(table[value[i]][value[j]])
+    value = tuple(value)
+    pieces = tuple([Piece(kind, labels_of(value)) for kind, labels_of in piece_rows])
+    layers = tuple([pieces_of(pieces) for pieces_of in layer_rows])
+    words = [Cobordism(group, layers_of(layers)) for layers_of in word_rows]
+    if case in _REVERSED:
+        words = [dual(w) for w in words]
+    return words
 
 
 # ---------------------------------------------------------------------------
@@ -688,11 +571,7 @@ def rewrite_equivalent(word: Cobordism, rng: random.Random) -> Cobordism | None:
 
     if kind is PieceKind.CYL:
         g, k = piece.labels
-        h = group.conj(k, g)
-        twisted = group.mul(
-            group.mul(group.power(h, rng.randrange(3)), k), group.power(g, rng.randrange(3))
-        )
-        return in_place(cyl(g, twisted))
+        return in_place(cyl(g, twisted_conjugator(group, g, k, rng.randrange(3), rng.randrange(3))))
 
     # merge: route through the opposite ordering and conjugate back
     g, h = piece.labels

@@ -111,14 +111,6 @@ class FiniteGroup:
             result = self.table[result][g]
         return result
 
-    def element_order(self, g: int) -> int:
-        order = 1
-        x = g
-        while x != self.identity:
-            x = self.table[x][g]
-            order += 1
-        return order
-
     def cyclic_subgroup(self, g: int) -> tuple[int, ...]:
         members = [self.identity]
         x = g

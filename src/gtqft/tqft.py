@@ -53,6 +53,7 @@ from .cobordism import (
     normalize_cylinder,
     split,
     swap,
+    twisted_conjugator,
 )
 from .errors import BudgetExceeded, EngineError, FlatnessViolation, SignatureMismatch
 from .exactlin import ONE, ZERO, Matrix, Tensor3, matrix_literal
@@ -304,12 +305,9 @@ def dehn_invariance_check(a: GFrobeniusAlgebra) -> CheckReport:
         for g in range(n):
             for k in range(n):
                 base = ev.piece_matrix(cyl(g, k))
-                h = group.conj(k, g)
                 for twist_out in range(3):
                     for twist_in in range(3):
-                        conjugator = group.mul(
-                            group.mul(group.power(h, twist_out), k), group.power(g, twist_in)
-                        )
+                        conjugator = twisted_conjugator(group, g, k, twist_out, twist_in)
                         yield (g, k, twist_out, twist_in), ev.piece_matrix(cyl(g, conjugator)), base
 
     def render_twist(context, value, base) -> Witness:

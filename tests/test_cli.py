@@ -4,7 +4,16 @@ import pytest
 
 from conftest import dual_number_group_algebra
 from gtqft import CheckReport, closed_surface_word, frobenius_untwisted, group_algebra, save_algebra
-from gtqft.cli import RunConfig, format_report, main, parse_records, minimize_word, run
+from gtqft.cli import (
+    RunConfig,
+    build_parser,
+    config_from_args,
+    format_report,
+    main,
+    parse_records,
+    minimize_word,
+    run,
+)
 from gtqft.cobordism import PieceKind, parse as parse_word
 from gtqft.exactlin import Tensor3
 from gtqft.report import failing, passing
@@ -392,6 +401,35 @@ class TestFuzzGolden:
         assert status == 2
         assert "error: category=parse" in captured.err
         assert captured.out == ""
+
+
+class TestArguments:
+    """Options not given on the command line keep the `RunConfig` defaults."""
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["fuzz", "--algebra", "a.json"], RunConfig(command="fuzz", algebra="a.json")),
+            (
+                ["fuzz", "--algebra", "a.json", "--seed", "3", "--budget", "5", "--count", "0"],
+                RunConfig(command="fuzz", algebra="a.json", seed=3, budget=5, count=0),
+            ),
+            (
+                ["check", "--group", "cyclic:2", "--algebra", "b", "--format", "records"],
+                RunConfig(command="check", group="cyclic:2", algebra="b", fmt="records"),
+            ),
+            (
+                ["cerf", "--algebra", "a.json", "--case", "202", "--all-labels"],
+                RunConfig(command="cerf", algebra="a.json", case="202", all_labels=True),
+            ),
+        ],
+    )
+    def test_config(self, argv, expected):
+        assert config_from_args(build_parser().parse_args(argv)) == expected
+
+    def test_defaults(self):
+        config = RunConfig(command="fuzz")
+        assert (config.seed, config.budget, config.count, config.fmt) == (0, 8, 1000, "human")
 
 
 class TestMinimize:

@@ -24,7 +24,10 @@ from gtqft import (
     swap,
     tensor,
 )
+from gtqft.cobordism import CERF_CASES, case_label_count, twisted_conjugator
 from gtqft.errors import ParseError, SignatureMismatch
+
+_KEYWORDS = '"id", "cyl", "merge", "split", "cap", "cup" or "swap"'
 
 
 class TestParse:
@@ -95,6 +98,39 @@ class TestParse:
         group = builtin("symmetric", 3)
         w = random_cobordism(group, seed, 6)
         assert parse(w.to_text(), group) == w
+
+
+class TestParseErrors:
+    """Messages and positions of every grammar error, pinned."""
+
+    @pytest.mark.parametrize(
+        "text,message,line,column,expected",
+        [
+            ("", "empty word", 1, 1, "a layer"),
+            ("cyl(e,e)", "found ','", 1, 6, '";"'),
+            ("merge(e;e)", "found ';'", 1, 8, '","'),
+            ("cyl(p021;p120)  ; merge(p102 p102)", "found 'p102'", 1, 30, '","'),
+            ("id(e", "found end of input", 1, 5, '")"'),
+            ("split", "found end of input", 1, 6, '"("'),
+            ("cap(e)", "unexpected '('", 1, 4, '";" or end of input'),
+            ("id(e) ;\n  twist(e)", "unknown piece 'twist'", 2, 3, _KEYWORDS),
+            ("id(e) *", "found end of input", 1, 8, _KEYWORDS),
+            ("swap(e,zz)", "unknown element 'zz'", 1, 8, "an element of the group"),
+            ("# c\n\tid(e) ;\r id(e) ) ", "unexpected ')'", 2, 17, '";" or end of input'),
+            ("id(e)#x\n;\n\n  cup(", "unexpected '('", 4, 6, '";" or end of input'),
+        ],
+    )
+    def test_error(self, s3, text, message, line, column, expected):
+        with pytest.raises(ParseError) as err:
+            parse(text, s3)
+        assert (err.value.line, err.value.column, err.value.expected) == (line, column, expected)
+        assert str(err.value) == f"{message} at line {line}, column {column} (expected {expected})"
+
+    def test_keyword_inside_parentheses_is_looked_up_as_an_element(self):
+        group = builtin("cyclic", 1)
+        assert parse("id(e)", group).to_text() == "id(e)"
+        with pytest.raises(ParseError, match="unknown element 'cap'"):
+            parse("id(cap)", group)
 
 
 class TestComposeTensor:
@@ -235,6 +271,42 @@ class TestCaseBuilders:
             cerf_case_words(z2, "111", (0, 1))
         with pytest.raises(SignatureMismatch):
             cerf_case_words(z2, "nope", (0,))
+
+    def test_label_counts_and_messages(self, z2):
+        counts = {case: case_label_count(case) for case in CERF_CASES}
+        assert counts == {"111": 4, "202": 4, "301": 4, "103": 4, "sphere": 0, "cylinder": 1}
+        with pytest.raises(SignatureMismatch) as err:
+            cerf_case_words(z2, "202", (0, 1, 1))
+        assert str(err.value) == "case 202 takes 4 labels, got 3"
+        with pytest.raises(SignatureMismatch) as err:
+            case_label_count("nope")
+        assert str(err.value) == (
+            "unknown move case 'nope'; expected one of "
+            "('111', '202', '301', '103', 'sphere', 'cylinder')"
+        )
+
+    @pytest.mark.parametrize("case", CERF_CASES)
+    def test_alternatives_share_signatures_over_d4(self, case):
+        d4 = builtin("dihedral", 4)
+        n = case_label_count(case)
+        for labels in itertools.islice(itertools.product(range(d4.order), repeat=n), 0, None, 17):
+            words = cerf_case_words(d4, case, labels)
+            assert len({(w.dom, w.cod) for w in words}) == 1
+            assert [parse(w.to_text(), d4) for w in words] == words
+
+
+class TestTwistedConjugator:
+    def test_formula_and_normal_form(self, s3):
+        for g in range(s3.order):
+            for k in range(s3.order):
+                h = s3.conj(k, g)
+                assert twisted_conjugator(s3, g, k, 0, 0) == k
+                for n in range(3):
+                    for m in range(3):
+                        twisted = twisted_conjugator(s3, g, k, n, m)
+                        assert twisted == s3.mul(s3.mul(s3.power(h, n), k), s3.power(g, m))
+                        assert s3.conj(twisted, g) == h
+                        assert normalize_cylinder(s3, g, twisted) == normalize_cylinder(s3, g, k)
 
 
 class TestRandomWords:
