@@ -268,21 +268,18 @@ def dual(c: Cobordism) -> Cobordism:
 # Parsing
 
 
-# a skipped run (comment or whitespace), a punctuation mark, or a name
-_TOKEN = re.compile(r"(#[^\n]*|\s+)|([;*(),])|[^\s;*(),#]+")
+_PUNCT = ";*(),"
+_TOKEN = re.compile(r"[;*(),]|[^\s;*(),#]+")
 
 
 def _tokenize(text: str):
-    """The (kind, text, line, column) of every token; kind is "name" or
-    the punctuation mark itself."""
-    tokens, line, line_start = [], 1, 0
-    for m in _TOKEN.finditer(text):
-        skipped, token, start = m.group(1), m.group(), m.start()
-        if skipped is None:
-            tokens.append((m.group(2) or "name", token, line, start - line_start + 1))
-        elif "\n" in skipped:
-            line += skipped.count("\n")
-            line_start = start + skipped.rfind("\n") + 1
+    """The (kind, text, line, column) of every token outside comments; kind
+    is "name" or the punctuation mark itself."""
+    tokens = []
+    for line, source in enumerate(text.split("\n"), 1):
+        for m in _TOKEN.finditer(source.partition("#")[0]):
+            token = m.group()
+            tokens.append((token if token in _PUNCT else "name", token, line, m.start() + 1))
     return tokens
 
 
