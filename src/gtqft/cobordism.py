@@ -284,6 +284,8 @@ def _tokenize(text: str):
 
 
 _PIECE_KEYWORDS = '"id", "cyl", "merge", "split", "cap", "cup" or "swap"'
+# keyword -> (kind, label count, separator)
+_KEYWORD_GRAMMAR = {kind.value: (kind, *grammar) for kind, grammar in _GRAMMAR.items()}
 
 
 class _Parser:
@@ -323,11 +325,9 @@ class _Parser:
 
     def piece(self) -> Piece:
         tok = self.take("name", _PIECE_KEYWORDS)
-        try:
-            kind = PieceKind(tok[1])
-        except ValueError:
-            raise ParseError(f"unknown piece {tok[1]!r}", tok[2], tok[3], _PIECE_KEYWORDS) from None
-        count, separator = _GRAMMAR[kind]
+        if tok[1] not in _KEYWORD_GRAMMAR:
+            raise ParseError(f"unknown piece {tok[1]!r}", tok[2], tok[3], _PIECE_KEYWORDS)
+        kind, count, separator = _KEYWORD_GRAMMAR[tok[1]]
         labels = []
         if count:
             self.take("(", '"("')
