@@ -127,10 +127,8 @@ class TestParseErrors:
         assert str(err.value) == f"{message} at line {line}, column {column} (expected {expected})"
 
     def test_keyword_inside_parentheses_is_looked_up_as_an_element(self):
-        group = builtin("cyclic", 1)
-        assert parse("id(e)", group).to_text() == "id(e)"
         with pytest.raises(ParseError, match="unknown element 'cap'"):
-            parse("id(cap)", group)
+            parse("id(cap)", builtin("cyclic", 1))
 
 
 class TestComposeTensor:
@@ -289,7 +287,8 @@ class TestCaseBuilders:
     def test_alternatives_share_signatures_over_d4(self, case):
         d4 = builtin("dihedral", 4)
         n = case_label_count(case)
-        for labels in itertools.islice(itertools.product(range(d4.order), repeat=n), 0, None, 17):
+        labellings = itertools.product(range(d4.order), repeat=n)
+        for labels in itertools.islice(labellings, 0, None, 17 if n == 4 else 1):
             words = cerf_case_words(d4, case, labels)
             assert len({(w.dom, w.cod) for w in words}) == 1
             assert [parse(w.to_text(), d4) for w in words] == words
@@ -300,7 +299,6 @@ class TestTwistedConjugator:
         for g in range(s3.order):
             for k in range(s3.order):
                 h = s3.conj(k, g)
-                assert twisted_conjugator(s3, g, k, 0, 0) == k
                 for n in range(3):
                     for m in range(3):
                         twisted = twisted_conjugator(s3, g, k, n, m)
