@@ -27,16 +27,39 @@ the left) and the two results are cross-asserted entrywise.
 
 Law checks
 ----------
-Each law is a small generator that yields its cases as
-``(context, lhs, rhs)`` in a fixed loop order; ``context`` is the tuple of
-raw element and basis indices of the case.  `report.first_failure` stops
-at the first case whose sides differ and only then renders the witness:
-every int in the context is named through the group (basis indices
-included, so index 0 reads as the identity's name) and both sides are
-formatted as exact literals.  A law over several kinds of case yields
-contexts that a single renderer tells apart, such as the unit check of
-each k in ``action-automorphism`` (context ``(k,)``) before that k's
-product cases (``(k, g, h, i, j)``).
+Every law walks its cases in one fixed loop order, and its witness is the
+first case in that order whose two sides differ (README, "Law checks").
+Each case has a context: the tuple of raw element and basis indices that
+locates it.  Only the failing case is rendered: every int in its context
+is named through the group (basis indices included, so index 0 reads as
+the identity's name) and both sides are formatted as exact literals.
+
+The laws over n^2 or n^3 grade tuples run a *row* at a time
+(`report.first_row_failure`).  A row fixes the outer indices of the law,
+for example (g, h) for associativity, and holds both sides of every case
+below them at once.  Each side maps a position, the padded basis indices
+of a case followed by the coordinates of its side, to an int column that
+runs over the next group element, the row's batch index (k for
+associativity).  Every grade is padded to the largest dimension D, and a
+row keeps only its nonzero columns, so padded positions (zero on both
+sides) never appear and never differ; a row's case count is that of its
+real positions.  A side is built by `exactlin.contract`, which sums the
+products of two `exactlin.factor`s: the nonzero entries of a table, read
+across one grade by `exactlin.batch_columns` and keyed by the index the
+law sums over.  Where a law moves a grade, a factor's columns are
+reindexed through rows of ``group.table`` or of the conjugation
+(`exactlin.moved`).  The work is in proportion to the nonzero products,
+and each product of two columns is one list-level operation over the
+whole group.  The two sides of a row are compared with one ``!=``.  Only
+on a mismatch does `report.row_locator` take the earliest differing case
+in the loop order (batch index first, then the basis indices) and cut
+out its context and sides, the same values a case-at-a-time loop would
+give, so every witness keeps its bytes.  The laws over single blocks
+(unit laws, the action laws on one block, trace invariance), the
+nondegeneracy of the pairings and the torus identity still yield one
+case at a time to `report.first_failure`; ``action-automorphism`` puts
+the unit check of each k, context ``(k,)``, before the rows (k, g) of
+that k.
 
 The laws read the tables through their int images (`exactlin.int_image`):
 the product over D_P, the action over D_A, the unit over D_U, the trace
@@ -77,15 +100,31 @@ from .exactlin import (
     as_vector,
     basis_vector,
     format_scalar,
+    batch_columns,
+    contract,
+    factor,
     int_image,
     matrix_literal,
+    column_row,
+    moved,
+    padded_blocks,
+    regroup,
     scalar_from_string,
     vector_add,
     vector_literal,
     zero_vector,
 )
 from .groups import FiniteGroup, builtin, builtin_from_string, load_group, save_group
-from .report import CheckReport, Witness, descaled, failing, first_failure, renderer
+from .report import (
+    CheckReport,
+    Witness,
+    descaled,
+    failing,
+    first_failure,
+    first_row_failure,
+    renderer,
+    row_locator,
+)
 
 
 class GFrobeniusAlgebra:
@@ -597,28 +636,9 @@ def _int_vector(v: Vector) -> tuple[list[int], int]:
     return out, scale
 
 
-def _int_times(entries, x, y, size: int) -> list[int]:
-    """Product of the dense int vectors x and y through the nonzero entries
-    (i, j, p, numerator) of one product block of an int image."""
-    out = [0] * size
-    for i, j, p, v in entries:
-        xi = x[i]
-        if xi:
-            yj = y[j]
-            if yj:
-                out[p] += xi * yj * v
-    return out
-
-
-def _int_apply(entries, x, size: int) -> list[int]:
-    """A matrix block of an int image, entries (i, j, numerator), applied
-    to the dense int vector x."""
-    out = [0] * size
-    for i, j, v in entries:
-        xj = x[j]
-        if xj:
-            out[i] += v * xj
-    return out
+def _matrix(block: list[int], pad: int, rows: int, cols: int) -> list[list[int]]:
+    """The real rows x cols corner of a padded matrix block."""
+    return [[block[i * pad + j] for j in range(cols)] for i in range(rows)]
 
 
 def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
@@ -632,99 +652,96 @@ def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
     n = group.order
     e = group.identity
     dims = a.dims
-    mul, conj, inv = group.mul, group.conj, group.inv
-    P, d_p = int_image(a.product)
-    A, d_a = int_image(a.action)
+    T, conj, inv = group.table, group.conj, group.inv
+    D = max(dims, default=0)
+    D2, D3, de, total = D * D, D**3, dims[e], sum(dims)
+    P_image, d_p = int_image(a.product)
+    A_image, d_a = int_image(a.action)
+    P, A = padded_blocks(P_image, D, 3), padded_blocks(A_image, D, 2)
+    # over_right[x]: the entries of P[(x, y)] as columns over y; over_left[y]:
+    # of P[(x, y)] over x; acts[k]: of A[(k, g)] over g
+    over_right = batch_columns(P_image, n)
+    over_left = batch_columns(P_image, n, first=True)
+    acts = batch_columns(A_image, n)
     unit, d_u = _int_vector(a.unit)
     trace, d_t = _int_vector(a.trace)
-    bases = [[[int(q == i) for q in range(d)] for i in range(d)] for d in dims]
+    conj_by = [[conj(k, g) for g in range(n)] for k in range(n)]
     pairings: dict[int, Matrix] = {}
+    # A[(k, g)][b, j] along g keyed by b, with j at stride D: the action on
+    # the last leg of the automorphism and the twisted commutativity
+    acts_by_b = [factor(cols, 0, (D,)) for cols in acts]
 
-    def grid(k, g, factor=1):
-        """The dense action block of (k, g), times `factor`."""
-        out = [[0] * dims[g] for _ in range(dims[conj(k, g)])]
-        for i, j, v in A[(k, g)]:
-            out[i][j] = v * factor
-        return out
+    def identity(d, scale):
+        return [[scale if i == j else 0 for j in range(d)] for i in range(d)]
 
-    def identity(d, factor):
-        return [[factor if i == j else 0 for j in range(d)] for i in range(d)]
-
-    def scaled(v, c):
-        return v if c == 1 else [c * x for x in v]
-
-    def associativity():  # over d_p^2
+    def associativity():  # over d_p^2; row (g, h) along k, positions (i, j, l, p)
+        firsts = {key: factor(entries, 2, (D3, D2)) for key, entries in P_image.items()}
+        lefts = [factor(cols, 0, (D, 1)) for cols in over_right]
+        inners = [factor(cols, 2, (D2, D)) for cols in over_right]
+        rights = [factor(cols, 1, (D3, 1)) for cols in over_right]
         for g in range(n):
             for h in range(n):
-                gh = mul(g, h)
-                first = P[(g, h)]
-                for k in range(n):
-                    hk = mul(h, k)
-                    left, inner, right = P[(gh, k)], P[(h, k)], P[(g, hk)]
-                    size = dims[mul(gh, k)]
-                    for i, bi in enumerate(bases[g]):
-                        for j, bj in enumerate(bases[h]):
-                            via_left = _int_times(first, bi, bj, dims[gh])
-                            for l, bl in enumerate(bases[k]):
-                                yield (
-                                    (g, h, k, i, j, l),
-                                    _int_times(left, via_left, bl, size),
-                                    _int_times(right, bi, _int_times(inner, bj, bl, dims[hk]), size),
-                                )
+                # (b_i b_j) b_l sums over m in grade gh, b_i (b_j b_l) over m in grade hk
+                lhs = contract(firsts[(g, h)], lefts[T[g][h]])
+                rhs = contract(inners[h], moved(rights[g], T[h]))
+                yield (g, h), dims[g] * dims[h] * total, lhs, rhs
 
     def unit_laws():  # over d_u * d_p
         for g in range(n):
-            for j, bj in enumerate(bases[g]):
-                sj = scaled(bj, d_u * d_p)
-                yield (g, j, "left"), _int_times(P[(e, g)], unit, bj, dims[g]), sj
-                yield (g, j, "right"), _int_times(P[(g, e)], bj, unit, dims[g]), sj
+            left, right, size = P[(e, g)], P[(g, e)], range(dims[g])
+            for j in size:
+                basis = [d_u * d_p * (q == j) for q in size]
+                yield (g, j, "left"), [
+                    sum(unit[i] * left[i * D2 + j * D + p] for i in range(de)) for p in size
+                ], basis
+                yield (g, j, "right"), [
+                    sum(right[j * D2 + i * D + p] * unit[i] for i in range(de)) for p in size
+                ], basis
 
     def action_of_identity():  # over d_a
         for g in range(n):
-            yield (g,), grid(e, g), identity(dims[g], d_a)
+            yield (g,), _matrix(A[(e, g)], D, dims[g], dims[g]), identity(dims[g], d_a)
 
-    def action_homomorphism():  # over d_a^2
-        targets = {key: grid(*key, d_a) for key in A}
+    def action_homomorphism():  # over d_a^2; row (k, l) along g, positions (i, j)
+        outers = [factor(cols, 1, (D,)) for cols in acts]
+        inners = [factor(cols, 0, (1,)) for cols in acts]
+        targets = [column_row(cols, D, d_a) for cols in acts]
         for k in range(n):
             for l in range(n):
-                kl = mul(k, l)
-                for g in range(n):
-                    composed = [[0] * dims[g] for _ in range(dims[conj(kl, g)])]
-                    for i, m, v in A[(k, conj(l, g))]:
-                        for m2, j, w in A[(l, g)]:
-                            if m == m2:
-                                composed[i][j] += v * w
-                    yield (k, l, g), composed, targets[(kl, g)]
+                # the block of k on grade lgl^-1 after the block of l on grade g
+                lhs = contract(moved(outers[k], conj_by[l]), inners[l])
+                yield (k, l), n, lhs, targets[T[k][l]]
 
     def action_automorphism():
-        # multiplicative (over d_p * d_a^2), and fixes the unit (over
-        # d_a * d_u, checked first for each k)
+        # multiplicative (over d_p * d_a^2; row (k, g) along h, positions
+        # (i, j, p)), and fixes the unit (over d_a * d_u, checked first for
+        # each k)
+        acted = [factor(cols, 1, (1,)) for cols in acts]
+        products = [factor(cols, 2, (D2, D)) for cols in over_right]
+        firsts = [factor(cols, 0, (D3, 1)) for cols in over_right]
+        blocks = {key: factor(entries, 0, (D2,)) for key, entries in A_image.items()}
         for k in range(n):
-            yield (k,), _int_apply(A[(k, e)], unit, dims[e]), scaled(unit, d_a)
+            moved_unit = [sum(A[(k, e)][i * D + j] * unit[j] for j in range(de)) for i in range(de)]
+            yield (k,), 1, moved_unit, [d_a * u for u in unit]
             for g in range(n):
-                kg = conj(k, g)
-                moved = [_int_apply(A[(k, g)], bi, dims[kg]) for bi in bases[g]]
-                for h in range(n):
-                    gh, kh = mul(g, h), conj(k, h)
-                    product, act_gh, act_h = P[(g, h)], A[(k, gh)], A[(k, h)]
-                    moved_product, size = P[(kg, kh)], dims[conj(k, gh)]
-                    for i, bi in enumerate(bases[g]):
-                        for j, bj in enumerate(bases[h]):
-                            lhs = _int_apply(act_gh, _int_times(product, bi, bj, dims[gh]), size)
-                            rhs = _int_times(
-                                moved_product, moved[i], _int_apply(act_h, bj, dims[kh]), size
-                            )
-                            yield (k, g, h, i, j), scaled(lhs, d_a), rhs
+                # k acting on b_i b_j, summed over q in grade gh
+                lhs = contract(moved(acted[k], T[g]), products[g], d_a)
+                # (k b_i)(k b_j): k b_i has coordinates x in grade kgk^-1 and
+                # k b_j coordinates b in grade khk^-1
+                half = contract(blocks[(k, g)], moved(firsts[conj_by[k][g]], conj_by[k]))
+                rhs = contract(regroup(half, D3), acts_by_b[k])
+                yield (k, g), dims[g] * total, lhs, rhs
 
     def trivial_on_own_grade():  # over d_a
         for g in range(n):
-            yield (g,), grid(g, g), identity(dims[g], d_a)
+            yield (g,), _matrix(A[(g, g)], D, dims[g], dims[g]), identity(dims[g], d_a)
 
     def trace_invariance():  # over d_t * d_a
         for h in range(n):
-            for t, bt in enumerate(bases[e]):
-                moved = _int_apply(A[(h, e)], bt, dims[e])
-                yield (h, t), sum(x * y for x, y in zip(trace, moved)), d_a * trace[t]
+            act = A[(h, e)]
+            for t in range(de):
+                moved = sum(trace[x] * act[x * D + t] for x in range(de))
+                yield (h, t), moved, d_a * trace[t]
 
     def nondegenerate():
         # each grade's pairing is built once, here, and reused by the torus
@@ -740,20 +757,12 @@ def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
             return Witness(where, f"dim {lhs}", f"dim {rhs} of the inverse grade")
         return Witness(where, "det 0", "nonzero determinant")
 
-    def twisted_commutativity():  # over d_p * d_a
+    def twisted_commutativity():  # over d_p * d_a; row g along h, positions (i, j, p)
+        twisted = [factor(cols, 0, (D2, 1)) for cols in over_left]
         for g in range(n):
-            for h in range(n):
-                tw = conj(g, h)
-                product, twisted, act_h = P[(g, h)], P[(tw, g)], A[(g, h)]
-                size = dims[mul(g, h)]
-                moved = [_int_apply(act_h, bj, dims[tw]) for bj in bases[h]]
-                for i, bi in enumerate(bases[g]):
-                    for j, bj in enumerate(bases[h]):
-                        yield (
-                            (g, h, i, j),
-                            scaled(_int_times(product, bi, bj, size), d_a),
-                            _int_times(twisted, moved[j], bi, size),
-                        )
+            # (g b_j) b_i sums over b in grade ghg^-1
+            rhs = contract(moved(twisted[g], conj_by[g]), acts_by_b[g])
+            yield (g,), dims[g] * total, column_row(over_right[g], D, d_a), rhs
 
     def torus_identity():
         duals = {g: theta.inverse() for g, theta in pairings.items()}
@@ -762,22 +771,44 @@ def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
                 hi = inv(h)
                 ghi = conj(g, hi)
                 _, lhs = handle_element(a, duals[g], g, h)
-                rhs = zero_vector(dims[mul(h, ghi)])
+                rhs = zero_vector(dims[T[h][ghi]])
                 for i in range(dims[h]):
                     moved = a.apply_action(g, hi, duals[h].column_vector(i))
                     bi = basis_vector(dims[h], i)
                     rhs = vector_add(rhs, a.apply_product(h, ghi, bi, moved))
                 yield (g, h), lhs, rhs
 
-    def law(name, cases, keys, left=vector_literal, right=None, scale=None):
+    def law(name, cases, keys, left=vector_literal, right=None, scale=None, locate=None):
+        """The entry of a law yielding cases, or rows when `locate` is given."""
         render = _group_renderer(group, keys, left, right)
-        return first_failure(name, cases, render if scale is None else descaled(render, scale))
+        if scale is not None:
+            render = descaled(render, scale)
+        if locate is None:
+            return first_failure(name, cases, render)
+        return first_row_failure(name, cases, locate, render)
+
+    def vector_of(target):
+        """Side shape of vector cases landing in grade target(context, k)."""
+        return lambda context, k: (dims[target(context, k)],)
 
     def automorphism_scale(context):
         return d_a * d_u if len(context) == 1 else d_p * d_a * d_a
 
+    automorphism_products = row_locator(D, 3, vector_of(lambda c, h: conj_by[c[0]][T[c[1]][h]]))
+
+    def automorphism_cases(context, lhs, rhs):
+        if len(context) == 1:  # the unit check of k
+            return context, lhs, rhs
+        return automorphism_products(context, lhs, rhs)
+
     entries = [
-        law("product-associativity", associativity(), ("g", "h", "k", "i", "j", "l"), scale=d_p * d_p),
+        law(
+            "product-associativity",
+            associativity(),
+            ("g", "h", "k", "i", "j", "l"),
+            scale=d_p * d_p,
+            locate=row_locator(D, 4, vector_of(lambda c, k: T[T[c[0]][c[1]]][k])),
+        ),
         law("unit-laws", unit_laws(), ("g", "j", "side"), scale=d_u * d_p),
         law(
             "action-of-identity",
@@ -793,12 +824,14 @@ def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
             ("k", "l", "g"),
             matrix_literal,
             scale=d_a * d_a,
+            locate=row_locator(D, 2, lambda c, g: (dims[conj_by[T[c[0]][c[1]]][g]], dims[g])),
         ),
         law(
             "action-automorphism",
             action_automorphism(),
             ("k", "g", "h", "i", "j"),
             scale=automorphism_scale,
+            locate=automorphism_cases,
         ),
         law(
             "action-trivial-on-own-grade",
@@ -815,6 +848,7 @@ def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
             twisted_commutativity(),
             ("g", "h", "i", "j"),
             scale=d_p * d_a,
+            locate=row_locator(D, 3, vector_of(lambda c, h: T[c[0]][h])),
         ),
     ]
     if entries[-2].passed:
@@ -829,41 +863,35 @@ def check_frobenius_diagram(a: GFrobeniusAlgebra, d: DerivedStructure) -> CheckR
     """Product and coproduct exchange: (m x 1)(1 x D) = D m on all grade triples.
 
     Both sides are evaluated on the int images of the product and of the
-    coproducts of `d`, over d_p * d_c."""
+    coproducts of `d`, over d_p * d_c, a row (g, h) at a time along k."""
     group = a.group
     n = group.order
-    dims = a.dims
-    P, d_p = int_image(a.product)
-    C, d_c = int_image(d.coproducts)
+    dims, T = a.dims, group.table
+    D = max(dims, default=0)
+    D2, D3 = D * D, D**3
+    P_image, d_p = int_image(a.product)
+    C_image, d_c = int_image(d.coproducts)
+    products, splits = batch_columns(P_image, n), batch_columns(C_image, n)
+    # positions (i, c, p, b); the left side sums over x in grade h, the
+    # right side over q in grade ghk
+    firsts = {key: factor(entries, 1, (D3, D)) for key, entries in P_image.items()}
+    split_by_x = [factor(cols, 1, (D2, 1)) for cols in splits]
+    products_by_q = [factor(cols, 2, (D3, D2)) for cols in products]
+    split_by_q = [factor(cols, 0, (D, 1)) for cols in splits]
+    # the real (c, b) pairs of a row (g, h) over all k
+    split_sizes = [sum(dims[T[h][k]] * dims[k] for k in range(n)) for h in range(n)]
 
-    def cases():
+    def rows():
         for g in range(n):
             for h in range(n):
-                gh = group.mul(g, h)
-                for k in range(n):
-                    hk = group.mul(h, k)
-                    # (m x 1)(1 x D) and D m of the whole grade triple, keyed by case
-                    lhs: dict[tuple, int] = {}
-                    for i, x, p, v in P[(g, h)]:
-                        for c, x2, b, w in C[(h, k)]:
-                            if x == x2:
-                                key = (g, h, k, i, c, p, b)
-                                lhs[key] = lhs.get(key, 0) + v * w
-                    rhs: dict[tuple, int] = {}
-                    for i, c, q, v in P[(g, hk)]:
-                        for q2, p, b, w in C[(gh, k)]:
-                            if q == q2:
-                                key = (g, h, k, i, c, p, b)
-                                rhs[key] = rhs.get(key, 0) + v * w
-                    for i in range(dims[g]):
-                        for c in range(dims[hk]):
-                            for p in range(dims[gh]):
-                                for b in range(dims[k]):
-                                    key = (g, h, k, i, c, p, b)
-                                    yield key, lhs.get(key, 0), rhs.get(key, 0)
+                gh = T[g][h]
+                lhs = contract(firsts[(g, h)], split_by_x[h])
+                rhs = contract(moved(products_by_q[g], T[h]), split_by_q[gh])
+                yield (g, h), dims[g] * dims[gh] * split_sizes[h], lhs, rhs
 
     render = _group_renderer(group, ("g", "h", "k", "i", "c", "p", "b"), format_scalar)
-    entry = first_failure("frobenius-relation", cases(), descaled(render, d_p * d_c))
+    locate = row_locator(D, 4, lambda context, k: ())
+    entry = first_row_failure("frobenius-relation", rows(), locate, descaled(render, d_p * d_c))
     return CheckReport((entry,))
 
 
@@ -871,33 +899,31 @@ def check_cocommutativity(a: GFrobeniusAlgebra, d: DerivedStructure) -> CheckRep
     """Twisted cocommutativity: conjugate-then-swap rewrites the coproduct.
 
     Both sides are evaluated on the int images of the action and of the
-    coproducts of `d`, over d_a * d_c."""
+    coproducts of `d`, over d_a * d_c, a row g at a time along h."""
     group = a.group
     n = group.order
-    dims = a.dims
-    A, d_a = int_image(a.action)
-    C, d_c = int_image(d.coproducts)
+    dims, T, conj = a.dims, group.table, group.conj
+    D = max(dims, default=0)
+    A_image, d_a = int_image(a.action)
+    C_image, d_c = int_image(d.coproducts)
+    acts, splits = batch_columns(A_image, n), batch_columns(C_image, n)
+    merged = batch_columns(C_image, n, first=True)
+    # positions (c, i, j); the right side sums over b in grade h
+    acts_by_b = [factor(cols, 1, (D,)) for cols in acts]
+    splits_by_b = [factor(cols, 2, (D * D, 1)) for cols in splits]
 
-    def cases():
+    def rows():
         for g in range(n):
-            for h in range(n):
-                tw = group.conj(g, h)
-                # same source grade: tw * g = g * h
-                lhs = {(g, h, c, i, j): d_a * w for c, i, j, w in C[(tw, g)]}
-                rhs: dict[tuple, int] = {}
-                for i, b, v in A[(g, h)]:
-                    for c, j, b2, w in C[(g, h)]:
-                        if b == b2:
-                            key = (g, h, c, i, j)
-                            rhs[key] = rhs.get(key, 0) + v * w
-                for c in range(dims[group.mul(g, h)]):
-                    for i in range(dims[tw]):
-                        for j in range(dims[g]):
-                            key = (g, h, c, i, j)
-                            yield key, lhs.get(key, 0), rhs.get(key, 0)
+            order = [conj(g, h) for h in range(n)]
+            # same source grade: (ghg^-1) * g = g * h
+            rhs = contract(acts_by_b[g], splits_by_b[g])
+            count = dims[g] * sum(dims[T[g][h]] * dims[order[h]] for h in range(n))
+            yield (g,), count, column_row(merged[g], D, d_a, order), rhs
 
     render = _group_renderer(group, ("g", "h", "c", "i", "j"), format_scalar)
-    entry = first_failure("twisted-cocommutativity", cases(), descaled(render, d_a * d_c))
+    locate = row_locator(D, 3, lambda context, h: ())
+    scaled = descaled(render, d_a * d_c)
+    entry = first_row_failure("twisted-cocommutativity", rows(), locate, scaled)
     return CheckReport((entry,))
 
 

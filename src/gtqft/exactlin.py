@@ -14,6 +14,15 @@ k entries from tables over D_1..D_k is then the exact value times
 D_1*...*D_k, so two such expressions are compared exactly once both are
 brought to the same total scale, and a value is recovered as
 ``Fraction(x, scale)``.
+
+The law loops read an image through `padded_blocks` and `batch_columns`,
+whose columns are lists of ints running over one grade.  A `factor` keys
+the nonzero entries of such a table by the index a law sums over, and
+`contract` sums the products of two factors into a *row*: a dict from a
+position (the padded index digits of a case and of its side) to an int
+column.  The work is in proportion to the nonzero products, however
+large the grades, and every product of two columns is one list-level
+operation over the whole grade.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, SingularMatrix
@@ -342,6 +352,112 @@ def int_image(blocks: Mapping) -> tuple[dict, int]:
         key: [(*e[:-1], e[-1].numerator * (scale // e[-1].denominator)) for e in block]
         for key, block in entries.items()
     }, scale
+
+
+def padded_index(index: Sequence[int], pad: int) -> int:
+    """The position that `index` spells in row-major order when every digit
+    is padded to `pad`."""
+    t = 0
+    for q in index:
+        t = t * pad + q
+    return t
+
+
+def padded_blocks(image: Mapping, pad: int, rank: int) -> dict:
+    """Each block of an int image as the flat row-major list of its
+    ``pad**rank`` entries, with every index padded to `pad` by zeros: entry
+    (i, j, p) of a rank-3 block sits at ``(i*pad + j)*pad + p``."""
+    out = {}
+    for key, entries in image.items():
+        flat = [0] * pad**rank
+        for *index, v in entries:
+            flat[padded_index(index, pad)] = v
+        out[key] = flat
+    return out
+
+
+def batch_columns(image: Mapping, n: int, first: bool = False) -> list[list]:
+    """The int image of a table keyed by pairs (x, y) in 0..n-1, read across
+    one key: ``out[x]`` lists ``(*index, column)`` for every index at which
+    some block (x, y) is nonzero, the column holding that entry of block
+    (x, y) for every y; with `first`, ``out[y]`` runs over x instead."""
+    cells: list[dict] = [{} for _ in range(n)]
+    for (x, y), entries in image.items():
+        fixed, at = (y, x) if first else (x, y)
+        for *index, v in entries:
+            column = cells[fixed].get(tuple(index))
+            if column is None:
+                column = cells[fixed][tuple(index)] = [0] * n
+            column[at] = v
+    return [[(*index, column) for index, column in sorted(c.items())] for c in cells]
+
+
+def factor(entries: Iterable, axis: int, strides: Sequence[int]) -> dict:
+    """Nonzero entries ``(*index, value)``, of an int image block (int
+    values) or of `batch_columns` (column values), keyed by their index
+    digit `axis`: ``{digit: [(offset, value)]}``, where the offset weighs
+    the other digits, in order, by `strides`."""
+    out: dict = {}
+    for *index, value in entries:
+        key = index.pop(axis)
+        out.setdefault(key, []).append((sum(map(mul, index, strides)), value))
+    return out
+
+
+def moved(f: Mapping, order: Sequence[int]) -> dict:
+    """A factor of columns with each column reordered by `order`."""
+    return {
+        key: [(o, list(map(c.__getitem__, order))) for o, c in entries]
+        for key, entries in f.items()
+    }
+
+
+def _scaled(scale: int, column: list) -> list:
+    return column if scale == 1 else [scale * x for x in column]
+
+
+def _product(a: list, b: list) -> list:
+    return list(map(mul, a, b))
+
+
+def contract(left: Mapping, right: Mapping, scale: int = 1) -> dict:
+    """The row of ``scale * a * b`` summed at position ``u + w`` over every
+    (u, a) in left[m] and (w, b) in right[m], for the keys m the two
+    factors share; a is an int or a column and b a column.  Zero columns
+    are left out, so two rows are equal exactly when their entries are."""
+    out: dict = {}
+    for key, lefts in left.items():
+        rights = right.get(key)
+        if rights:
+            for u, a in lefts:
+                times = _scaled if type(a) is int else _product
+                for w, b in rights:
+                    term, old = times(a, b), out.get(u + w)
+                    out[u + w] = term if old is None else list(map(add, old, term))
+    return {t: _scaled(scale, c) for t, c in out.items() if any(c)}
+
+
+def column_row(
+    entries: Iterable, pad: int, scale: int = 1, order: Sequence[int] | None = None
+) -> dict:
+    """The row of `batch_columns` entries, each column reordered by `order`
+    when given and times `scale`, at the position that their index spells
+    with every digit padded to `pad`."""
+    out = {}
+    for *index, c in entries:
+        moved_column = c if order is None else list(map(c.__getitem__, order))
+        out[padded_index(index, pad)] = _scaled(scale, moved_column)
+    return out
+
+
+def regroup(row: Mapping, size: int) -> dict:
+    """A row read as a factor keyed by ``position // size``, at offset
+    ``position % size``."""
+    out: dict = {}
+    for t, column in row.items():
+        key, offset = divmod(t, size)
+        out.setdefault(key, []).append((offset, column))
+    return out
 
 
 def format_matrix(m: Matrix) -> list[str]:

@@ -21,12 +21,26 @@ from .exactlin import (
     Matrix,
     Tensor3,
     Vector,
+    batch_columns,
+    contract,
+    factor,
     int_image,
+    padded_blocks,
     rref,
     vector_literal,
 )
 from .groups import conjugacy
-from .report import CheckReport, Witness, descaled, failing, first_failure, passing, renderer
+from .report import (
+    CheckReport,
+    Witness,
+    descaled,
+    failing,
+    first_failure,
+    first_row_failure,
+    passing,
+    renderer,
+    row_locator,
+)
 
 
 def _offsets(a: GFrobeniusAlgebra) -> tuple[tuple[int, ...], int]:
@@ -274,25 +288,27 @@ def orbifold_algebra(a: GFrobeniusAlgebra) -> OrbifoldAlgebra:
     # commutativity and associativity run on the int image of the
     # structure constants, over d_o and d_o^2
     constants, d_o = int_image(products)
-    dense = {key: [0] * d for key in constants}
-    for key, entries in constants.items():
-        for m, v in entries:
-            dense[key][m] = v
+    dense = padded_blocks(constants, d, 1)
+    # row i along j, positions (k, p): (v_i v_j) v_k sums over the
+    # coordinates m of v_i v_j, v_i (v_j v_k) over those of v_j v_k.
+    # Keyed by m: ij[i] holds entry m of v_i v_j for every j, jk entry m of
+    # v_j v_k for every j at offset k*d, mk entry p of v_m v_k at offset
+    # k*d + p, and im[i] entry p of v_i v_m at offset p.
+    ij = [factor(cols, 0, ()) for cols in batch_columns(constants, d)]
+    jk: dict = {}
+    for k, cols in enumerate(batch_columns(constants, d, first=True)):
+        for m, col in cols:
+            jk.setdefault(m, []).append((k * d, col))
+    mk: dict = {}
+    im: list[dict] = [{} for _ in range(d)]
+    for (i, k), entries in constants.items():
+        mk.setdefault(i, []).extend((k * d + p, c) for p, c in entries)
+        if entries:
+            im[i][k] = entries
 
     def associativity():
         for i in range(d):
-            for j in range(d):
-                ij = constants[(i, j)]
-                for k in range(d):
-                    lhs = [0] * d
-                    for m, c in ij:
-                        for p, v in constants[(m, k)]:
-                            lhs[p] += c * v
-                    rhs = [0] * d
-                    for m, c in constants[(j, k)]:
-                        for p, v in constants[(i, m)]:
-                            rhs[p] += c * v
-                    yield (i, j, k), lhs, rhs
+            yield (i,), d * d, contract(mk, ij[i]), contract(im[i], jk)
 
     # the unit is invariant, so it must lie in the span and act as identity
     e = group.identity
@@ -323,7 +339,9 @@ def orbifold_algebra(a: GFrobeniusAlgebra) -> OrbifoldAlgebra:
     entries = [
         first_failure("orbifold-closure", closure, outside),
         first_failure("orbifold-commutativity", commuting, pairs),
-        first_failure("orbifold-associativity", associativity(), triples),
+        first_row_failure(
+            "orbifold-associativity", associativity(), row_locator(d, 2, lambda c, j: (d,)), triples
+        ),
         first_failure("orbifold-unit", unit_law(), render_unit),
     ]
 

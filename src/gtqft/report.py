@@ -1,19 +1,34 @@
 """Structured pass/fail reports carrying first-counterexample witnesses.
 
-Every exhaustive law check is written the same way: a generator yields
-the law's cases as ``(context, lhs, rhs)`` in a fixed order, where
-``context`` is the raw data that locates the case (group element and
-basis indices, not yet names), and `first_failure` turns the first case
-with ``lhs != rhs`` into a failing `CheckEntry`.  Only that case is ever
-rendered: names and exact literals are built by the law's renderer once,
-at the first mismatch, never per case.  A check that needs every case
-computed anyway (the orbifold builds its whole product table) may pass a
-list instead of a generator.
+Every exhaustive law check is written one of two ways, and both stop at
+the first case whose two sides differ and only then render it: names and
+exact literals are built by the law's renderer once, at the first
+mismatch, never per case.
 
-A law evaluated on int images (see `exactlin.int_image`) yields int
-sides already brought to one common scale; `descaled` wraps its renderer
-so that the witness shows the exact values ``Fraction(x, scale)``, the
-same bytes as sides computed in `Fraction` arithmetic.
+* Case at a time: a generator yields the law's cases as
+  ``(context, lhs, rhs)`` in a fixed order, where ``context`` is the raw
+  data that locates the case (group element and basis indices, not yet
+  names), and `first_failure` turns the first case with ``lhs != rhs``
+  into a failing `CheckEntry`.  A check that needs every case computed
+  anyway (the orbifold builds its whole product table) may pass a list
+  instead of a generator.
+* A row at a time: a generator yields *rows* ``(context, count, lhs,
+  rhs)``.  A row fixes the outer indices of a law (its ``context``) and
+  holds the ``count`` real cases below it.  ``lhs`` and ``rhs`` map
+  positions to int columns: a position spells the remaining basis and
+  side indices, each padded to one size per law, and a column runs over
+  the row's batch index, the first index below the context.  Only nonzero
+  columns are kept, so padded positions, which are zero on both sides,
+  never appear.  `first_row_failure` compares whole rows with one
+  ``!=``; only on a mismatch does the law's ``locate`` (usually a
+  `row_locator`) map the differing entries back to the earliest case in
+  the law's loop order and cut out that case's context and sides, the
+  same values the case-at-a-time loop would have yielded.
+
+A law evaluated on int images (see `exactlin.int_image`) has int sides
+already brought to one common scale; `descaled` wraps its renderer so
+that the witness shows the exact values ``Fraction(x, scale)``, the same
+bytes as sides computed in `Fraction` arithmetic.
 """
 
 from __future__ import annotations
@@ -22,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .exactlin import Matrix
+from .exactlin import Matrix, padded_index
 
 
 @dataclass(frozen=True)
@@ -90,6 +105,67 @@ def first_failure(
         if lhs != rhs:
             return CheckEntry(name, False, render(context, lhs, rhs))
     return CheckEntry(name, True)
+
+
+Locate = Callable[[tuple, object, object], tuple[object, object, object]]
+
+
+def first_row_failure(
+    name: str, rows: Iterable[tuple[tuple, int, object, object]], locate: Locate, render: Render
+) -> CheckEntry:
+    """The entry of law `name` from its rows ``(context, count, lhs, rhs)``,
+    each holding `count` real cases: failing with
+    ``render(*locate(context, lhs, rhs))`` of the first row whose sides
+    differ, passing when every row agrees.  Rows after the first mismatch
+    are never drawn."""
+    for context, _count, lhs, rhs in rows:
+        if lhs != rhs:
+            return CheckEntry(name, False, render(*locate(context, lhs, rhs)))
+    return CheckEntry(name, True)
+
+
+def row_locator(pad: int, digits: int, shape: Callable[[tuple, int], tuple[int, ...]]) -> Locate:
+    """`locate` for rows that map positions to int columns, an absent
+    position standing for a zero column.  A position spells `digits` index
+    digits in row-major order, each padded to `pad`: a case's basis
+    indices followed by its side indices.  Entry e of a column belongs to
+    batch value e, so the case is ``(*context, e, *basis indices)``.
+    ``shape(context, e)`` gives the real side dimensions of the row's
+    cases at e: () for a scalar, (size,) for a vector, (rows, cols) for a
+    matrix.  Returns the earliest differing case in the order
+    (e, *basis indices), with its context and both sides."""
+
+    def spelled(t: int) -> list[int]:
+        out = []
+        for _ in range(digits):
+            t, q = divmod(t, pad)
+            out.append(q)
+        return out[::-1]
+
+    def locate(context, lhs, rhs):
+        zero = [0] * len(next(iter({**rhs, **lhs}.values())))
+        cases = []
+        for t in lhs.keys() | rhs.keys():
+            for e, (x, y) in enumerate(zip(lhs.get(t, zero), rhs.get(t, zero))):
+                if x != y:
+                    cases.append((e, *spelled(t)[: digits - len(shape(context, e))]))
+        e, *index = min(cases)
+        size = shape(context, e)
+
+        def at(row, side):
+            return row.get(padded_index((*index, *side), pad), zero)[e]
+
+        def side(row):
+            if not size:
+                return at(row, ())
+            if len(size) == 1:
+                return [at(row, (p,)) for p in range(size[0])]
+            rows, cols = size
+            return [[at(row, (i, j)) for j in range(cols)] for i in range(rows)]
+
+        return (*context, e, *index), side(lhs), side(rhs)
+
+    return locate
 
 
 def renderer(

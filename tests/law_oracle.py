@@ -1,0 +1,320 @@
+"""Case-at-a-time law checks: the reference the row checks are compared with.
+
+Each law here is a generator yielding its cases as ``(context, lhs, rhs)``
+one at a time, in the loop order that defines the law's witness, and
+`report.first_failure` reports the first case whose sides differ.  The
+package evaluates the same laws a row at a time (see the "Law checks"
+section of `gtqft.algebra`); `test_row_laws.py` asserts that the two give
+equal reports on every single-entry mutation of a few small algebras.
+The laws that the package still checks case by case (`unit-laws`, the
+action laws on single blocks, `trace-invariance`, `pairing-nondegenerate`
+and `torus-identity`) are kept here too, so that `check_axioms` below is
+the whole report of the case-at-a-time design.
+"""
+
+from __future__ import annotations
+
+from gtqft.algebra import _group_renderer, _int_vector, handle_element, pairing_matrix
+from gtqft.exactlin import (
+    ZERO,
+    basis_vector,
+    format_scalar,
+    int_image,
+    matrix_literal,
+    vector_add,
+    vector_literal,
+    zero_vector,
+)
+from gtqft.report import CheckEntry, CheckReport, Witness, descaled, failing, first_failure, renderer
+
+
+def _int_times(entries, x, y, size: int) -> list[int]:
+    """Product of the dense int vectors x and y through the nonzero entries
+    (i, j, p, numerator) of one product block of an int image."""
+    out = [0] * size
+    for i, j, p, v in entries:
+        xi = x[i]
+        if xi:
+            yj = y[j]
+            if yj:
+                out[p] += xi * yj * v
+    return out
+
+
+def _int_apply(entries, x, size: int) -> list[int]:
+    """A matrix block of an int image, entries (i, j, numerator), applied
+    to the dense int vector x."""
+    out = [0] * size
+    for i, j, v in entries:
+        xj = x[j]
+        if xj:
+            out[i] += v * xj
+    return out
+
+
+def check_axioms(a) -> CheckReport:
+    group = a.group
+    n = group.order
+    e = group.identity
+    dims = a.dims
+    mul, conj, inv = group.mul, group.conj, group.inv
+    P, d_p = int_image(a.product)
+    A, d_a = int_image(a.action)
+    unit, d_u = _int_vector(a.unit)
+    trace, d_t = _int_vector(a.trace)
+    bases = [[[int(q == i) for q in range(d)] for i in range(d)] for d in dims]
+    pairings = {}
+
+    def grid(k, g, factor=1):
+        out = [[0] * dims[g] for _ in range(dims[conj(k, g)])]
+        for i, j, v in A[(k, g)]:
+            out[i][j] = v * factor
+        return out
+
+    def identity(d, factor):
+        return [[factor if i == j else 0 for j in range(d)] for i in range(d)]
+
+    def scaled(v, c):
+        return v if c == 1 else [c * x for x in v]
+
+    def associativity():
+        for g in range(n):
+            for h in range(n):
+                gh = mul(g, h)
+                first = P[(g, h)]
+                for k in range(n):
+                    hk = mul(h, k)
+                    left, inner, right = P[(gh, k)], P[(h, k)], P[(g, hk)]
+                    size = dims[mul(gh, k)]
+                    for i, bi in enumerate(bases[g]):
+                        for j, bj in enumerate(bases[h]):
+                            via_left = _int_times(first, bi, bj, dims[gh])
+                            for l, bl in enumerate(bases[k]):
+                                yield (
+                                    (g, h, k, i, j, l),
+                                    _int_times(left, via_left, bl, size),
+                                    _int_times(right, bi, _int_times(inner, bj, bl, dims[hk]), size),
+                                )
+
+    def unit_laws():
+        for g in range(n):
+            for j, bj in enumerate(bases[g]):
+                sj = scaled(bj, d_u * d_p)
+                yield (g, j, "left"), _int_times(P[(e, g)], unit, bj, dims[g]), sj
+                yield (g, j, "right"), _int_times(P[(g, e)], bj, unit, dims[g]), sj
+
+    def action_of_identity():
+        for g in range(n):
+            yield (g,), grid(e, g), identity(dims[g], d_a)
+
+    def action_homomorphism():
+        targets = {key: grid(*key, d_a) for key in A}
+        for k in range(n):
+            for l in range(n):
+                kl = mul(k, l)
+                for g in range(n):
+                    composed = [[0] * dims[g] for _ in range(dims[conj(kl, g)])]
+                    for i, m, v in A[(k, conj(l, g))]:
+                        for m2, j, w in A[(l, g)]:
+                            if m == m2:
+                                composed[i][j] += v * w
+                    yield (k, l, g), composed, targets[(kl, g)]
+
+    def action_automorphism():
+        for k in range(n):
+            yield (k,), _int_apply(A[(k, e)], unit, dims[e]), scaled(unit, d_a)
+            for g in range(n):
+                kg = conj(k, g)
+                moved = [_int_apply(A[(k, g)], bi, dims[kg]) for bi in bases[g]]
+                for h in range(n):
+                    gh, kh = mul(g, h), conj(k, h)
+                    product, act_gh, act_h = P[(g, h)], A[(k, gh)], A[(k, h)]
+                    moved_product, size = P[(kg, kh)], dims[conj(k, gh)]
+                    for i, bi in enumerate(bases[g]):
+                        for j, bj in enumerate(bases[h]):
+                            lhs = _int_apply(act_gh, _int_times(product, bi, bj, dims[gh]), size)
+                            rhs = _int_times(
+                                moved_product, moved[i], _int_apply(act_h, bj, dims[kh]), size
+                            )
+                            yield (k, g, h, i, j), scaled(lhs, d_a), rhs
+
+    def trivial_on_own_grade():
+        for g in range(n):
+            yield (g,), grid(g, g), identity(dims[g], d_a)
+
+    def trace_invariance():
+        for h in range(n):
+            for t, bt in enumerate(bases[e]):
+                moved = _int_apply(A[(h, e)], bt, dims[e])
+                yield (h, t), sum(x * y for x, y in zip(trace, moved)), d_a * trace[t]
+
+    def nondegenerate():
+        for g in range(n):
+            yield (g, "dim"), dims[g], dims[inv(g)]
+            theta = pairings[g] = pairing_matrix(a, g)
+            yield (g, "det"), theta.det() != ZERO, True
+
+    def render_degenerate(context, lhs, rhs) -> Witness:
+        g, kind = context
+        where = (("g", group.name(g)),)
+        if kind == "dim":
+            return Witness(where, f"dim {lhs}", f"dim {rhs} of the inverse grade")
+        return Witness(where, "det 0", "nonzero determinant")
+
+    def twisted_commutativity():
+        for g in range(n):
+            for h in range(n):
+                tw = conj(g, h)
+                product, twisted, act_h = P[(g, h)], P[(tw, g)], A[(g, h)]
+                size = dims[mul(g, h)]
+                moved = [_int_apply(act_h, bj, dims[tw]) for bj in bases[h]]
+                for i, bi in enumerate(bases[g]):
+                    for j, bj in enumerate(bases[h]):
+                        yield (
+                            (g, h, i, j),
+                            scaled(_int_times(product, bi, bj, size), d_a),
+                            _int_times(twisted, moved[j], bi, size),
+                        )
+
+    def torus_identity():
+        duals = {g: theta.inverse() for g, theta in pairings.items()}
+        for g in range(n):
+            for h in range(n):
+                hi = inv(h)
+                ghi = conj(g, hi)
+                _, lhs = handle_element(a, duals[g], g, h)
+                rhs = zero_vector(dims[mul(h, ghi)])
+                for i in range(dims[h]):
+                    moved = a.apply_action(g, hi, duals[h].column_vector(i))
+                    bi = basis_vector(dims[h], i)
+                    rhs = vector_add(rhs, a.apply_product(h, ghi, bi, moved))
+                yield (g, h), lhs, rhs
+
+    def law(name, cases, keys, left=vector_literal, right=None, scale=None):
+        render = _group_renderer(group, keys, left, right)
+        return first_failure(name, cases, render if scale is None else descaled(render, scale))
+
+    def automorphism_scale(context):
+        return d_a * d_u if len(context) == 1 else d_p * d_a * d_a
+
+    entries = [
+        law("product-associativity", associativity(), ("g", "h", "k", "i", "j", "l"), scale=d_p * d_p),
+        law("unit-laws", unit_laws(), ("g", "j", "side"), scale=d_u * d_p),
+        law(
+            "action-of-identity",
+            action_of_identity(),
+            ("g",),
+            lambda _: "action block of the identity element",
+            lambda _: "identity matrix",
+            scale=d_a,
+        ),
+        law("action-homomorphism", action_homomorphism(), ("k", "l", "g"), matrix_literal, scale=d_a * d_a),
+        law("action-automorphism", action_automorphism(), ("k", "g", "h", "i", "j"), scale=automorphism_scale),
+        law(
+            "action-trivial-on-own-grade",
+            trivial_on_own_grade(),
+            ("g",),
+            matrix_literal,
+            lambda _: "identity matrix",
+            scale=d_a,
+        ),
+        law("trace-invariance", trace_invariance(), ("h", "t"), format_scalar, scale=d_t * d_a),
+        first_failure("pairing-nondegenerate", nondegenerate(), render_degenerate),
+        law("twisted-commutativity", twisted_commutativity(), ("g", "h", "i", "j"), scale=d_p * d_a),
+    ]
+    if entries[-2].passed:
+        entries.append(law("torus-identity", torus_identity(), ("g", "h")))
+    else:
+        blocked = (("blocked", "degenerate pairing; identity not evaluated"),)
+        entries.append(failing("torus-identity", blocked, "", ""))
+    return CheckReport(tuple(entries))
+
+
+def check_frobenius_diagram(a, d) -> CheckReport:
+    group = a.group
+    n = group.order
+    dims = a.dims
+    P, d_p = int_image(a.product)
+    C, d_c = int_image(d.coproducts)
+
+    def cases():
+        for g in range(n):
+            for h in range(n):
+                gh = group.mul(g, h)
+                for k in range(n):
+                    hk = group.mul(h, k)
+                    lhs = {}
+                    for i, x, p, v in P[(g, h)]:
+                        for c, x2, b, w in C[(h, k)]:
+                            if x == x2:
+                                key = (g, h, k, i, c, p, b)
+                                lhs[key] = lhs.get(key, 0) + v * w
+                    rhs = {}
+                    for i, c, q, v in P[(g, hk)]:
+                        for q2, p, b, w in C[(gh, k)]:
+                            if q == q2:
+                                key = (g, h, k, i, c, p, b)
+                                rhs[key] = rhs.get(key, 0) + v * w
+                    for i in range(dims[g]):
+                        for c in range(dims[hk]):
+                            for p in range(dims[gh]):
+                                for b in range(dims[k]):
+                                    key = (g, h, k, i, c, p, b)
+                                    yield key, lhs.get(key, 0), rhs.get(key, 0)
+
+    render = _group_renderer(group, ("g", "h", "k", "i", "c", "p", "b"), format_scalar)
+    return CheckReport((first_failure("frobenius-relation", cases(), descaled(render, d_p * d_c)),))
+
+
+def check_cocommutativity(a, d) -> CheckReport:
+    group = a.group
+    n = group.order
+    dims = a.dims
+    A, d_a = int_image(a.action)
+    C, d_c = int_image(d.coproducts)
+
+    def cases():
+        for g in range(n):
+            for h in range(n):
+                tw = group.conj(g, h)
+                lhs = {(g, h, c, i, j): d_a * w for c, i, j, w in C[(tw, g)]}
+                rhs = {}
+                for i, b, v in A[(g, h)]:
+                    for c, j, b2, w in C[(g, h)]:
+                        if b == b2:
+                            key = (g, h, c, i, j)
+                            rhs[key] = rhs.get(key, 0) + v * w
+                for c in range(dims[group.mul(g, h)]):
+                    for i in range(dims[tw]):
+                        for j in range(dims[g]):
+                            key = (g, h, c, i, j)
+                            yield key, lhs.get(key, 0), rhs.get(key, 0)
+
+    render = _group_renderer(group, ("g", "h", "c", "i", "j"), format_scalar)
+    return CheckReport((first_failure("twisted-cocommutativity", cases(), descaled(render, d_a * d_c)),))
+
+
+def orbifold_associativity(orb) -> CheckEntry:
+    """The `orbifold-associativity` entry of an orbifold algebra, from its
+    (zero-filled) structure constants."""
+    d = orb.dimension
+    products = {(i, j): orb.product.data[i][j] for i in range(d) for j in range(d)}
+    constants, d_o = int_image(products)
+
+    def associativity():
+        for i in range(d):
+            for j in range(d):
+                ij = constants[(i, j)]
+                for k in range(d):
+                    lhs = [0] * d
+                    for m, c in ij:
+                        for p, v in constants[(m, k)]:
+                            lhs[p] += c * v
+                    rhs = [0] * d
+                    for m, c in constants[(j, k)]:
+                        for p, v in constants[(i, m)]:
+                            rhs[p] += c * v
+                    yield (i, j, k), lhs, rhs
+
+    triples = descaled(renderer(("i", "j", "k"), str, vector_literal), d_o * d_o)
+    return first_failure("orbifold-associativity", associativity(), triples)

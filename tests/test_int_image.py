@@ -4,7 +4,8 @@ loops that run on it.
 `exactlin.int_image` scales every block of a table by the table's common
 denominator D; the laws compare int sides brought to one total scale.  The
 property tests check the image against the `Fraction` tables it stands for;
-the counting tests check that every law still draws every case.
+the counting tests check that every law still draws every case, counted
+through the real (unpadded) case counts of the rows it hands its driver.
 """
 
 import math
@@ -24,9 +25,10 @@ from gtqft import (
     frobenius_untwisted,
     orbifold_algebra,
 )
-from gtqft.algebra import _int_times, _int_vector
+from gtqft.algebra import _int_vector
 from gtqft.exactlin import Matrix, Tensor3, int_image
-from gtqft.report import first_failure
+from gtqft.report import first_failure, first_row_failure
+from law_oracle import _int_times
 
 F = Fraction
 
@@ -116,25 +118,42 @@ def test_int_product_is_the_fraction_product_scaled(case):
 
 @pytest.fixture
 def drawn(monkeypatch):
-    """Law name -> number of cases the law fed to `first_failure`."""
+    """Law name -> number of real cases the law fed to its driver: one per
+    case for `first_failure`, the count each row declares for
+    `first_row_failure`."""
     counts: dict[str, int] = {}
 
-    def counting(name, cases, render):
-        def counted():
-            for case in cases:
-                counts[name] = counts.get(name, 0) + 1
-                yield case
+    def counted(name, items, size):
+        for item in items:
+            counts[name] = counts.get(name, 0) + size(item)
+            yield item
 
-        return first_failure(name, counted(), render)
+    def counting(name, cases, render):
+        return first_failure(name, counted(name, cases, lambda case: 1), render)
+
+    def counting_rows(name, rows, locate, render):
+        return first_row_failure(name, counted(name, rows, lambda row: row[1]), locate, render)
 
     for module in (gtqft.algebra, gtqft.orbifold):
         monkeypatch.setattr(module, "first_failure", counting)
+        monkeypatch.setattr(module, "first_row_failure", counting_rows)
     return counts
 
 
-@pytest.mark.parametrize("fixture", ["s3_algebra", "rich_s3", "rescaled_rich_s3"])
+# zero_grade_z3 pads its two empty grades to dimension 2 and rescaled_s3
+# has scales other than 1 on one-dimensional grades; neither may change a
+# count.  The empty twisted sectors of zero_grade_z3 cannot balance the
+# handle element of its identity grade, so its torus identity fails (on a
+# law that runs case by case) and only that law's count is not asserted.
+FAILING = {"zero_grade_z3": ("torus-identity",)}
+
+
+@pytest.mark.parametrize(
+    "fixture", ["s3_algebra", "rich_s3", "rescaled_rich_s3", "zero_grade_z3", "rescaled_s3"]
+)
 def test_every_law_draws_every_case(drawn, request, fixture):
     a = request.getfixturevalue(fixture)
+    failing = FAILING.get(fixture, ())
     group, dims = a.group, a.dims
     n, e, total = group.order, group.identity, sum(a.dims)
     g_h = [(g, h) for g in group.elements() for h in group.elements()]
@@ -142,13 +161,18 @@ def test_every_law_draws_every_case(drawn, request, fixture):
     mul, conj = group.mul, group.conj
 
     d = derive(a)
-    assert check_axioms(a).passed
-    assert check_frobenius_diagram(a, d).passed
-    assert check_cocommutativity(a, d).passed
     orb = orbifold_algebra(a)
-    assert orb.certification.passed
+    reports = (
+        check_axioms(a),
+        check_frobenius_diagram(a, d),
+        check_cocommutativity(a, d),
+        orb.certification,
+    )
+    assert tuple(entry.name for report in reports for entry in report.failures()) == failing
+    for name in failing:
+        del drawn[name]
     m = orb.dimension
-    assert drawn == {
+    expected = {
         "product-associativity": sum(dims[g] * dims[h] * dims[k] for g, h, k in g_h_k),
         "unit-laws": 2 * total,
         "action-of-identity": n,
@@ -170,3 +194,4 @@ def test_every_law_draws_every_case(drawn, request, fixture):
         "orbifold-associativity": m**3,
         "orbifold-unit": 1 + m,
     }
+    assert drawn == {name: count for name, count in expected.items() if name not in failing}

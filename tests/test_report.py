@@ -1,4 +1,4 @@
-from gtqft.report import CheckEntry, Witness, first_failure, renderer
+from gtqft.report import CheckEntry, Witness, first_failure, first_row_failure, renderer, row_locator
 
 
 class TestFirstFailure:
@@ -42,3 +42,49 @@ class TestRenderer:
     def test_short_context_names_a_prefix_of_the_keys(self):
         witness = renderer(("k", "g", "h"))((7,), 1, 2)
         assert witness.context == (("k", "7"),)
+
+
+class TestFirstRowFailure:
+    @staticmethod
+    def locate(context, lhs, rhs):
+        return context, lhs, rhs
+
+    def test_passes_when_every_row_agrees(self):
+        rows = [((0,), 2, [[1, 2]], [[1, 2]]), ((1,), 0, [], [])]
+        assert first_row_failure("law", rows, self.locate, renderer(("g",))) == CheckEntry("law", True)
+
+    def test_locates_only_the_first_differing_row_and_draws_no_further_row(self):
+        drawn, located = [], []
+
+        def rows():
+            for g in range(5):
+                drawn.append(g)
+                yield (g,), 1, [[g]], [[g if g < 2 else -g]]
+
+        def locate(context, lhs, rhs):
+            located.append(context)
+            return context, lhs[0][0], rhs[0][0]
+
+        entry = first_row_failure("law", rows(), locate, renderer(("g",)))
+        assert entry == CheckEntry("law", False, Witness((("g", "2"),), "2", "-2"))
+        assert drawn == [0, 1, 2] and located == [(2,)]
+
+
+class TestRowLocator:
+    def test_earliest_case_is_by_batch_then_basis_indices(self):
+        # pad 2; position t spells (i, p), a basis index and a vector side
+        # index; entry e of a column is batch value e; sides of real size 1
+        lhs = {0: [0, 0, 5], 2: [0, 7, 0]}
+        rhs = {0: [0, 0, 6], 2: [0, 8, 0]}
+        locate = row_locator(2, 2, lambda context, e: (1,))
+        assert locate(("g",), lhs, rhs) == (("g", 1, 1), [7], [8])
+
+    def test_absent_positions_are_zero(self):
+        locate = row_locator(2, 2, lambda c, e: ())
+        assert locate((), {1: [0, 3]}, {}) == ((1, 0, 1), 3, 0)
+
+    def test_matrix_sides(self):
+        # pad 2; position t spells (i, j) of a 2x1 matrix side
+        lhs, rhs = {0: [1], 2: [4]}, {0: [1], 2: [9]}
+        locate = row_locator(2, 2, lambda c, e: (2, 1))
+        assert locate((5,), lhs, rhs) == ((5, 0), [[1], [4]], [[1], [9]])

@@ -1,0 +1,137 @@
+"""The row-at-a-time law checks against the case-at-a-time reference.
+
+Every product, action and unit entry of three small algebras is set, one at
+a time, to 0, 2 and -1.  On each mutation the package's reports must equal
+those of `law_oracle`, witnesses included: `check_axioms`, and where
+`derive` succeeds `check_frobenius_diagram` and `check_cocommutativity`,
+and the orbifold certification.  The three algebras cover one-dimensional
+grades (S3), uniform two-dimensional grades (rich cyclic:2) and grades of
+different dimensions, padded to the largest (cyclic:2 with dims e: 1,
+g1: 2).
+"""
+
+from fractions import Fraction
+
+import pytest
+
+import law_oracle
+from conftest import dual_number_group_algebra
+from gtqft import (
+    GFrobeniusAlgebra,
+    builtin,
+    check_axioms,
+    check_cocommutativity,
+    check_frobenius_diagram,
+    derive,
+    group_algebra,
+    orbifold_algebra,
+)
+from gtqft.errors import EngineError
+from gtqft.exactlin import Matrix, Tensor3
+from gtqft.report import Witness, first_failure
+
+
+def mixed_dims_algebra() -> GFrobeniusAlgebra:
+    """cyclic:2 with dims e: 1 and g1: 2: the identity grade acts as the
+    unit, g1 * g1 pairs the two basis vectors crosswise into the identity
+    grade, and the action is trivial.  No algebra with these dimensions
+    satisfies every law (associativity on g1 * g1 * g1 fails), so its
+    reports exercise failing witnesses beside padded grades."""
+    group = builtin("cyclic", 2)
+    e, g1 = 0, 1
+    dims = (1, 2)
+    product = {
+        (e, e): Tensor3.from_entries(1, 1, 1, {(0, 0, 0): 1}),
+        (e, g1): Tensor3.from_entries(1, 2, 2, {(0, 0, 0): 1, (0, 1, 1): 1}),
+        (g1, e): Tensor3.from_entries(2, 1, 2, {(0, 0, 0): 1, (1, 0, 1): 1}),
+        (g1, g1): Tensor3.from_entries(2, 2, 1, {(0, 1, 0): 1, (1, 0, 0): 1}),
+    }
+    action = {(k, g): Matrix.identity(dims[g]) for k in (e, g1) for g in (e, g1)}
+    return GFrobeniusAlgebra(group, dims, product, action, (1,), (1,))
+
+
+ALGEBRAS = {
+    "s3": lambda: group_algebra(builtin("symmetric", 3)),
+    "rich-z2": lambda: dual_number_group_algebra(builtin("cyclic", 2)),
+    "mixed-z2": mixed_dims_algebra,
+}
+
+
+def sites(a):
+    """Every product, action and unit entry of `a`, zeros included."""
+    for key, t in a.product.items():
+        for i in range(t.dim0):
+            for j in range(t.dim1):
+                for p in range(t.dim2):
+                    yield "product", key, (i, j, p)
+    for key, m in a.action.items():
+        for i in range(m.rows):
+            for j in range(m.cols):
+                yield "action", key, (i, j)
+    for i in range(len(a.unit)):
+        yield "unit", None, (i,)
+
+
+def mutated(a, site, value) -> GFrobeniusAlgebra:
+    kind, key, index = site
+    product, action, unit = dict(a.product), dict(a.action), list(a.unit)
+    if kind == "product":
+        t = a.product[key]
+        grid = [[list(row) for row in plane] for plane in t.data]
+        i, j, p = index
+        grid[i][j][p] = Fraction(value)
+        product[key] = Tensor3(t.dim0, t.dim1, t.dim2, grid)
+    elif kind == "action":
+        m = a.action[key]
+        grid = [list(row) for row in m.data]
+        i, j = index
+        grid[i][j] = Fraction(value)
+        action[key] = Matrix(m.rows, m.cols, grid)
+    else:
+        unit[index[0]] = Fraction(value)
+    return GFrobeniusAlgebra(a.group, a.dims, product, action, unit, a.trace)
+
+
+@pytest.mark.parametrize("value", [0, 2, -1])
+@pytest.mark.parametrize("name", list(ALGEBRAS))
+def test_rows_match_the_case_loops_on_every_mutation(name, value):
+    base = ALGEBRAS[name]()
+    for site in sites(base):
+        a = mutated(base, site, value)
+        assert check_axioms(a) == law_oracle.check_axioms(a), site
+        try:
+            d = derive(a)
+        except EngineError:
+            d = None
+        if d is not None:
+            assert check_frobenius_diagram(a, d) == law_oracle.check_frobenius_diagram(a, d), site
+            assert check_cocommutativity(a, d) == law_oracle.check_cocommutativity(a, d), site
+        orb = orbifold_algebra(a)
+        oracle = law_oracle.orbifold_associativity(orb)
+        assert orb.certification.entry("orbifold-associativity") == oracle, site
+
+
+def test_mismatch_in_the_last_real_position_of_a_row(monkeypatch):
+    """e * b_1 = 2 b_1 in the mixed algebra breaks associativity first in
+    row (g, h) = (e, e), and there only in its last real case
+    (k, i, j, l) = (g1, 0, 0, 1); the row's other positions are padding
+    (i and j range over the one-dimensional identity grade) or agree."""
+    a = mutated(mixed_dims_algebra(), ("product", (0, 1), (0, 1, 1)), 2)
+
+    cases = {}
+
+    def every_case(name, drawn, render):
+        cases[name] = list(drawn)
+        return first_failure(name, cases[name], render)
+
+    monkeypatch.setattr(law_oracle, "first_failure", every_case)
+    oracle = law_oracle.check_axioms(a).entry("product-associativity")
+    row = [(context, lhs != rhs) for context, lhs, rhs in cases["product-associativity"]]
+    row = [(context, bad) for context, bad in row if context[:2] == (0, 0)]
+    assert [context for context, bad in row if bad] == [row[-1][0]] == [(0, 0, 1, 0, 0, 1)]
+
+    entry = check_axioms(a).entry("product-associativity")
+    assert entry == oracle
+    keys = ("g", "h", "k", "i", "j", "l")
+    names = ("e", "e", "g1", "e", "e", "g1")
+    assert entry.witness == Witness(tuple(zip(keys, names)), "(0, 2)", "(0, 4)")
