@@ -98,7 +98,6 @@ from .exactlin import (
     Tensor3,
     Vector,
     as_vector,
-    basis_vector,
     format_scalar,
     batch_columns,
     contract,
@@ -107,12 +106,11 @@ from .exactlin import (
     matrix_literal,
     column_row,
     moved,
+    nonzero_entries,
     padded_blocks,
     regroup,
     scalar_from_string,
-    vector_add,
     vector_literal,
-    zero_vector,
 )
 from .groups import FiniteGroup, builtin, builtin_from_string, load_group, save_group
 from .report import (
@@ -196,9 +194,6 @@ class GFrobeniusAlgebra:
         self.unit = unit
         self.trace = trace
         self._derived = None
-
-    def dim(self, g: int) -> int:
-        return self.dims[g]
 
     def apply_product(self, g: int, h: int, x: Vector, y: Vector) -> Vector:
         """Multiply a grade-g vector by a grade-h vector; lands in grade g*h."""
@@ -430,42 +425,17 @@ def save_algebra(a: GFrobeniusAlgebra) -> dict:
     """Serialize an algebra to the JSON document format (inline group)."""
     group = a.group
     n = group.order
-    product = []
-    for g in range(n):
-        for h in range(n):
-            t = a.product[(g, h)]
-            for i in range(t.dim0):
-                for j in range(t.dim1):
-                    for k in range(t.dim2):
-                        value = t.data[i][j][k]
-                        if value:
-                            product.append(
-                                {
-                                    "g": group.name(g),
-                                    "h": group.name(h),
-                                    "i": i,
-                                    "j": j,
-                                    "k": k,
-                                    "value": format_scalar(value),
-                                }
-                            )
-    action = []
-    for k in range(n):
-        for g in range(n):
-            m = a.action[(k, g)]
-            for i in range(m.rows):
-                for j in range(m.cols):
-                    value = m.data[i][j]
-                    if value:
-                        action.append(
-                            {
-                                "k": group.name(k),
-                                "g": group.name(g),
-                                "i": i,
-                                "j": j,
-                                "value": format_scalar(value),
-                            }
-                        )
+    # blocks in table order (g-major, as __init__ fills them), entries row-major
+    product = [
+        {"g": group.name(g), "h": group.name(h), "i": i, "j": j, "k": k, "value": format_scalar(v)}
+        for (g, h), t in a.product.items()
+        for i, j, k, v in nonzero_entries(t)
+    ]
+    action = [
+        {"k": group.name(k), "g": group.name(g), "i": i, "j": j, "value": format_scalar(v)}
+        for (k, g), m in a.action.items()
+        for i, j, v in nonzero_entries(m)
+    ]
     return {
         "group": save_group(group),
         "dims": {group.name(g): a.dims[g] for g in range(n)},
@@ -508,17 +478,28 @@ class DerivedStructure:
 
 
 def pairing_matrix(a: GFrobeniusAlgebra, g: int) -> Matrix:
-    """Gram matrix of the trace pairing between grades g and g^-1."""
-    gi = a.group.inv(g)
-    rows = []
-    for i in range(a.dims[g]):
-        bi = basis_vector(a.dims[g], i)
-        row = []
-        for j in range(a.dims[gi]):
-            bj = basis_vector(a.dims[gi], j)
-            row.append(a.trace_of(a.apply_product(g, gi, bi, bj)))
-        rows.append(tuple(row))
-    return Matrix._wrap(a.dims[g], a.dims[gi], tuple(rows))
+    """Gram matrix of the trace pairing between grades g and g^-1: entry
+    (i, j) is the trace of row (i, j) of ``product[(g, g^-1)]``, which is
+    the product basis_i * basis_j."""
+    t = a.product[(g, a.group.inv(g))]
+    return Matrix._wrap(
+        t.dim0, t.dim1, tuple(tuple(a.trace_of(v) for v in plane) for plane in t.data)
+    )
+
+
+def product_sum(a: GFrobeniusAlgebra, g: int, h: int, pairs: Matrix) -> Vector:
+    """The sum of pairs[i][j] * basis_i * basis_j over basis_i of grade g
+    and basis_j of grade h: the product block (g, h) contracted with the
+    dims[g] x dims[h] matrix `pairs`.  Lands in grade g*h."""
+    t = a.product[(g, h)]
+    out = [ZERO] * t.dim2
+    for plane, weights in zip(t.data, pairs.data):
+        for row, w in zip(plane, weights):
+            if w:
+                for p, v in enumerate(row):
+                    if v:
+                        out[p] += w * v
+    return tuple(out)
 
 
 def derive(a: GFrobeniusAlgebra) -> DerivedStructure:
@@ -604,17 +585,13 @@ def derive(a: GFrobeniusAlgebra) -> DerivedStructure:
 def handle_element(a: GFrobeniusAlgebra, dual: Matrix, x: int, y: int) -> tuple[int, Vector]:
     """The handle contribution for the pair (x, y): act with y on each basis
     vector of grade x and multiply by its dual partner, the columns of
-    `dual`, the dual-basis matrix of grade x.  Returns the grade (the
-    commutator y x y^-1 x^-1) and the element."""
+    `dual`, the dual-basis matrix of grade x.  That is the `product_sum`
+    of ``action[(y, x)] @ dual^T`` over grades (y x y^-1, x^-1).  Returns
+    the grade (the commutator y x y^-1 x^-1) and the element."""
     group = a.group
     moved_grade, xi = group.conj(y, x), group.inv(x)
-    grade = group.mul(moved_grade, xi)
-    act = a.action[(y, x)]
-    out = zero_vector(a.dims[grade])
-    for i in range(a.dims[x]):
-        product = a.apply_product(moved_grade, xi, act.column_vector(i), dual.column_vector(i))
-        out = vector_add(out, product)
-    return grade, out
+    pairs = a.action[(y, x)] @ dual.transpose()
+    return group.mul(moved_grade, xi), product_sum(a, moved_grade, xi, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -771,12 +748,9 @@ def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
                 hi = inv(h)
                 ghi = conj(g, hi)
                 _, lhs = handle_element(a, duals[g], g, h)
-                rhs = zero_vector(dims[T[h][ghi]])
-                for i in range(dims[h]):
-                    moved = a.apply_action(g, hi, duals[h].column_vector(i))
-                    bi = basis_vector(dims[h], i)
-                    rhs = vector_add(rhs, a.apply_product(h, ghi, bi, moved))
-                yield (g, h), lhs, rhs
+                # basis_i of grade h times g acting on dual_i of grade h
+                pairs = (a.action[(g, hi)] @ duals[h]).transpose()
+                yield (g, h), lhs, product_sum(a, h, ghi, pairs)
 
     def law(name, cases, keys, left=vector_literal, right=None, scale=None, locate=None):
         """The entry of a law yielding cases, or rows when `locate` is given."""

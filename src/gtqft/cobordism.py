@@ -583,10 +583,10 @@ def rewrite_equivalent(word: Cobordism, rng: random.Random) -> Cobordism | None:
 # ---------------------------------------------------------------------------
 # Random generation
 
+_MAX_WIDTH = 5  # no random word's layer boundary has more legs
 
-def random_cobordism(
-    group: FiniteGroup, seed: int, size_budget: int, max_width: int = 5
-) -> Cobordism:
+
+def random_cobordism(group: FiniteGroup, seed: int, size_budget: int) -> Cobordism:
     """Deterministic pseudo-random well-typed word with at most
     `size_budget` pieces.  Used as a fuzzing source; the same seed always
     yields the same word.
@@ -617,7 +617,7 @@ def random_cobordism(
             slack = budget - cost - rest
             if (
                 slack >= 1
-                and len(out) + rest < max_width
+                and len(out) + rest < _MAX_WIDTH
                 and rng.random() < 0.08
             ):
                 pieces.append(cap())
@@ -629,7 +629,7 @@ def random_cobordism(
                 options.append("cup")
             if i + 1 < len(sig):
                 options.extend(["merge", "swap"])
-            if len(out) + rest + 1 <= max_width:
+            if len(out) + rest + 1 <= _MAX_WIDTH:
                 options.append("split")
             choice = rng.choice(options)
             if choice == "id":

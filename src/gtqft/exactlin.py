@@ -4,7 +4,10 @@ Scalars at every interface are `fractions.Fraction`; every operation here
 is exact and no tolerance parameter exists anywhere in the package.
 Dimensions in this problem domain are tiny (graded components of dimension
 0..6), so storage is dense and the algorithms are the straightforward cubic
-ones.
+ones.  `Matrix.inverse` is the right half of `rref` of ``[M | I]`` (M is
+singular when a pivot falls in the right half), and `nonzero_entries` is
+the one walk over a block's nonzero entries, for int images and saved
+algebra documents alike.
 
 Hot loops that only multiply, add and compare table entries run on an
 *int image* instead (`int_image`): every block of a table is scaled by the
@@ -59,18 +62,8 @@ def as_vector(values: Iterable) -> Vector:
     return tuple(Fraction(v) for v in values)
 
 
-def zero_vector(n: int) -> Vector:
-    return (ZERO,) * n
-
-
 def basis_vector(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
-
-
-def vector_add(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise DimensionMismatch(f"vector lengths differ: {len(u)} vs {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
 
 
 class Matrix:
@@ -222,22 +215,11 @@ class Matrix:
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.rows
-        work = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(self.data)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if work[r][col]), None)
-            if pivot is None:
-                raise SingularMatrix(f"matrix of size {n} has zero determinant")
-            if pivot != col:
-                work[col], work[pivot] = work[pivot], work[col]
-            p = work[col][col]
-            if p != ONE:
-                work[col] = [x / p for x in work[col]]
-            prow = work[col]
-            for r in range(n):
-                if r != col and work[r][col]:
-                    f = work[r][col]
-                    work[r] = [x - f * y for x, y in zip(work[r], prow)]
-        return Matrix._wrap(n, n, tuple(tuple(row[n:]) for row in work))
+        joined = tuple(row + unit for row, unit in zip(self.data, Matrix.identity(n).data))
+        reduced, pivots = rref(Matrix._wrap(n, 2 * n, joined))
+        if any(col >= n for col in pivots):
+            raise SingularMatrix(f"matrix of size {n} has zero determinant")
+        return Matrix._wrap(n, n, tuple(row[n:] for row in reduced.data))
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -324,7 +306,7 @@ class Tensor3:
         return f"Tensor3({self.dim0}x{self.dim1}x{self.dim2})"
 
 
-def _nonzero_entries(block) -> list[tuple]:
+def nonzero_entries(block) -> list[tuple]:
     """The nonzero entries of a Tensor3, Matrix or vector in row-major
     order, as (*index, value)."""
     if isinstance(block, Tensor3):
@@ -346,7 +328,7 @@ def int_image(blocks: Mapping) -> tuple[dict, int]:
     denominator.  Each block becomes the list of its nonzero entries in
     row-major order as (*index, numerator), where the entry's value is
     numerator / D; returns (image, D)."""
-    entries = {key: _nonzero_entries(block) for key, block in blocks.items()}
+    entries = {key: nonzero_entries(block) for key, block in blocks.items()}
     scale = math.lcm(*(e[-1].denominator for block in entries.values() for e in block))
     return {
         key: [(*e[:-1], e[-1].numerator * (scale // e[-1].denominator)) for e in block]

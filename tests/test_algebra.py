@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,8 +21,13 @@ from gtqft import (
 from gtqft.algebra import pairing_matrix
 from gtqft.errors import CoproductMismatch, DegeneratePairing, SchemaError, ShapeError
 from gtqft.exactlin import Matrix, Tensor3, basis_vector
+from test_row_laws import mixed_dims_algebra
 
 F = Fraction
+
+# Documents saved before `save_algebra` read its entries through
+# `exactlin.nonzero_entries`: blocks in table order, entries row-major.
+SAVED_ALGEBRAS = json.loads((Path(__file__).parent / "saved_algebras.json").read_text())
 
 CRITERION_GROUPS = [
     ("cyclic", 1),
@@ -104,6 +111,14 @@ class TestLoad:
 
     def test_round_trip_rich(self, rich_s3):
         assert load_algebra(save_algebra(rich_s3)) == rich_s3
+
+    def test_saved_entry_order_is_pinned(self, rescaled_rich_s3):
+        """Blocks of different shapes (mixed-z2) and non-integer entries
+        (rescaled-rich-s3) keep their saved order and bytes."""
+        saved = {"mixed-z2": mixed_dims_algebra(), "rescaled-rich-s3": rescaled_rich_s3}
+        for name, a in saved.items():
+            assert json.dumps(save_algebra(a)) == json.dumps(SAVED_ALGEBRAS[name]), name
+            assert load_algebra(save_algebra(a)) == a
 
 
 class TestGroupAlgebra:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtqft.errors import DimensionMismatch, SingularMatrix
-from gtqft.exactlin import Matrix, rref, scalar_from_string
+from gtqft.exactlin import ONE, ZERO, Matrix, rref, scalar_from_string
 
 F = Fraction
 
@@ -35,6 +35,46 @@ def square_matrices(n):
     return st.lists(
         st.lists(small_fractions, min_size=n, max_size=n), min_size=n, max_size=n
     ).map(Matrix.from_rows)
+
+
+def gauss_jordan_inverse(m: Matrix) -> Matrix:
+    """Reference inverse: the Gauss-Jordan loop `Matrix.inverse` ran on
+    [M | I] before it became `rref` of [M | I]."""
+    n = m.rows
+    work = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(m.data)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col]), None)
+        if pivot is None:
+            raise SingularMatrix(f"matrix of size {n} has zero determinant")
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+        p = work[col][col]
+        if p != ONE:
+            work[col] = [x / p for x in work[col]]
+        prow = work[col]
+        for r in range(n):
+            if r != col and work[r][col]:
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], prow)]
+    return Matrix(n, n, [row[n:] for row in work])
+
+
+@st.composite
+def inverse_inputs(draw):
+    """A square matrix of size 0..5 and whether it was made singular on
+    purpose, by repeating a row or by zeroing a column."""
+    n = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(small_fractions, min_size=n, max_size=n), min_size=n, max_size=n))
+    kinds = ["random"] + (["zero-column"] if n else []) + (["repeated-row"] if n > 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "zero-column":
+        col = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[col] = F(0)
+    elif kind == "repeated-row":
+        src, dst = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        rows[dst] = list(rows[src])
+    return Matrix(n, n, rows), kind != "random"
 
 
 class TestTranspose:
@@ -82,8 +122,26 @@ class TestInverse:
         assert Matrix.identity(0).inverse() == Matrix.identity(0)
 
     def test_non_square_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            Matrix.zeros(2, 3).inverse()
+        for rows, cols in [(2, 3), (3, 2), (0, 1), (1, 0)]:
+            with pytest.raises(DimensionMismatch):
+                Matrix.zeros(rows, cols).inverse()
+
+    def test_singular_message(self):
+        with pytest.raises(SingularMatrix, match="^matrix of size 3 has zero determinant$"):
+            Matrix.from_rows([[1, 2, 3], [0, 0, 0], [4, 5, 6]]).inverse()
+
+    @settings(max_examples=200, deadline=None)
+    @given(inverse_inputs())
+    def test_agrees_with_gauss_jordan_reference(self, case):
+        m, singular = case
+        try:
+            expected = gauss_jordan_inverse(m)
+        except SingularMatrix:
+            with pytest.raises(SingularMatrix):
+                m.inverse()
+        else:
+            assert not singular
+            assert m.inverse() == expected
 
     @settings(max_examples=60)
     @given(square_matrices(3))
