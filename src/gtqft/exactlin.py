@@ -18,14 +18,14 @@ D_1*...*D_k, so two such expressions are compared exactly once both are
 brought to the same total scale, and a value is recovered as
 ``Fraction(x, scale)``.
 
-The law loops read an image through `padded_blocks` and `batch_columns`,
-whose columns are lists of ints running over one grade.  A `factor` keys
-the nonzero entries of such a table by the index a law sums over, and
-`contract` sums the products of two factors into a *row*: a dict from a
-position (the padded index digits of a case and of its side) to an int
-column.  The work is in proportion to the nonzero products, however
-large the grades, and every product of two columns is one list-level
-operation over the whole grade.
+The row laws read an image through `batch_columns`, whose columns are
+lists of ints running over one grade.  A `factor` keys the nonzero
+entries of such a table by the index a law sums over, and `contract` sums
+the products of two factors into a *row*: a dict from a position (the
+padded index digits of a case and of its side) to an int column.  The
+work is in proportion to the nonzero products, however large the grades,
+and every product of two columns is one list-level operation over the
+whole grade.
 """
 
 from __future__ import annotations
@@ -141,17 +141,6 @@ class Matrix:
                             row[j] += aik * bkj
             out.append(tuple(row))
         return Matrix._wrap(self.rows, other.cols, tuple(out))
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch("matrix shapes differ")
-        return Matrix._wrap(
-            self.rows,
-            self.cols,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.data, other.data)
-            ),
-        )
 
     def scale(self, c) -> "Matrix":
         c = Fraction(c)
@@ -343,19 +332,6 @@ def padded_index(index: Sequence[int], pad: int) -> int:
     for q in index:
         t = t * pad + q
     return t
-
-
-def padded_blocks(image: Mapping, pad: int, rank: int) -> dict:
-    """Each block of an int image as the flat row-major list of its
-    ``pad**rank`` entries, with every index padded to `pad` by zeros: entry
-    (i, j, p) of a rank-3 block sits at ``(i*pad + j)*pad + p``."""
-    out = {}
-    for key, entries in image.items():
-        flat = [0] * pad**rank
-        for *index, v in entries:
-            flat[padded_index(index, pad)] = v
-        out[key] = flat
-    return out
 
 
 def batch_columns(image: Mapping, n: int, first: bool = False) -> list[list]:

@@ -25,7 +25,6 @@ from .exactlin import (
     contract,
     factor,
     int_image,
-    padded_blocks,
     rref,
     vector_literal,
 )
@@ -181,22 +180,22 @@ class OrbifoldAlgebra:
 
 
 def _sector_decomposition(
-    a: GFrobeniusAlgebra, inv_basis: Sequence[Vector], inv_pivots: Sequence[int]
+    a: GFrobeniusAlgebra, projector: Matrix, inv_basis: Sequence[Vector], inv_pivots: Sequence[int]
 ) -> SectorDecomposition:
     group = a.group
     offsets, total = _offsets(a)
     classes = conjugacy(group)
 
+    # The (r, r) diagonal block of the invariant projector is
+    # (1/n) * sum of action[(k, r)] over the k with k r k^-1 = r, that is
+    # over the centralizer C(r): |C(r)|/n times the centralizer's own
+    # averaging projector, so its image has the same reduced basis.
     sector_bases: list[tuple[Vector, ...]] = []
     sector_pivots: list[tuple[int, ...]] = []
     for rep in classes.representatives:
-        cent = classes.centralizers[rep]
-        d = a.dims[rep]
-        acc = Matrix.zeros(d, d)
-        for k in cent:
-            acc = acc + a.action[(k, rep)]
-        projector = acc.scale(Fraction(1, len(cent)))
-        basis, pivots = _image_basis(projector)
+        start, stop = offsets[rep], offsets[rep] + a.dims[rep]
+        block = tuple(row[start:stop] for row in projector.data[start:stop])
+        basis, pivots = _image_basis(Matrix._wrap(stop - start, stop - start, block))
         sector_bases.append(basis)
         sector_pivots.append(pivots)
 
@@ -255,8 +254,9 @@ def sector_isomorphism(a: GFrobeniusAlgebra) -> tuple[Matrix, Matrix]:
 
     Returns (expand, restrict); both composites are identity matrices.
     """
-    reduced, pivots = _image_basis(invariant_projector(a))
-    deco = _sector_decomposition(a, reduced, pivots)
+    projector = invariant_projector(a)
+    reduced, pivots = _image_basis(projector)
+    deco = _sector_decomposition(a, projector, reduced, pivots)
     return deco.expand, deco.restrict
 
 
@@ -272,7 +272,8 @@ def orbifold_algebra(a: GFrobeniusAlgebra) -> OrbifoldAlgebra:
     """
     group = a.group
     offsets, total = _offsets(a)
-    basis, pivots = _image_basis(invariant_projector(a))
+    projector = invariant_projector(a)
+    basis, pivots = _image_basis(projector)
     d = len(basis)
     inside = "a vector inside the invariant span"
 
@@ -285,10 +286,9 @@ def orbifold_algebra(a: GFrobeniusAlgebra) -> OrbifoldAlgebra:
             products[(i, j)] = coords if spanned == w else (ZERO,) * d
             closure.append(((i, j), w, spanned))
 
-    # commutativity and associativity run on the int image of the
-    # structure constants, over d_o and d_o^2
+    # commutativity compares the coordinate tuples; associativity runs on
+    # the int image of the structure constants, over d_o^2
     constants, d_o = int_image(products)
-    dense = padded_blocks(constants, d, 1)
     # row i along j, positions (k, p): (v_i v_j) v_k sums over the
     # coordinates m of v_i v_j, v_i (v_j v_k) over those of v_j v_k.
     # Keyed by m: ij[i] holds entry m of v_i v_j for every j, jk entry m of
@@ -331,10 +331,10 @@ def orbifold_algebra(a: GFrobeniusAlgebra) -> OrbifoldAlgebra:
         return Witness((("j", str(j)),), vector_literal(lhs), vector_literal(rhs))
 
     commuting = (
-        ((i, j), dense[(i, j)], dense[(j, i)]) for i in range(d) for j in range(i + 1, d)
+        ((i, j), products[(i, j)], products[(j, i)]) for i in range(d) for j in range(i + 1, d)
     )
     outside = renderer(("i", "j"), str, vector_literal, lambda _: inside)
-    pairs = descaled(renderer(("i", "j"), str, vector_literal), d_o)
+    pairs = renderer(("i", "j"), str, vector_literal)
     triples = descaled(renderer(("i", "j", "k"), str, vector_literal), d_o * d_o)
     entries = [
         first_failure("orbifold-closure", closure, outside),
@@ -363,7 +363,7 @@ def orbifold_algebra(a: GFrobeniusAlgebra) -> OrbifoldAlgebra:
     )
     name = "orbifold-sector-isomorphism"
     try:
-        class_data = _sector_decomposition(a, basis, pivots)
+        class_data = _sector_decomposition(a, projector, basis, pivots)
     except NotClosed as exc:
         class_data = None
         entries.append(failing(name, (("error", str(exc)),), "", ""))

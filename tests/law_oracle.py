@@ -6,10 +6,11 @@ one at a time, in the loop order that defines the law's witness, and
 package evaluates the same laws a row at a time (see the "Law checks"
 section of `gtqft.algebra`); `test_row_laws.py` asserts that the two give
 equal reports on every single-entry mutation of a few small algebras.
-The laws that the package still checks case by case (`unit-laws`, the
-action laws on single blocks, `trace-invariance`, `pairing-nondegenerate`
-and `torus-identity`) are kept here too, so that `check_axioms` below is
-the whole report of the case-at-a-time design.  The pairings, handle
+The laws that the package checks case by case on its `Fraction` tables
+(`unit-laws`, the action laws on single blocks, `trace-invariance`,
+`pairing-nondegenerate` and `torus-identity`) are kept here too, the
+single-block ones on int images with their own `_int_vector`, so that
+`check_axioms` below is the whole report of the case-at-a-time design.  The pairings, handle
 elements and the right side of the torus identity are built here from
 basis vectors and one `apply_product` per basis pair, independently of
 the package's `pairing_matrix`, `product_sum` and `handle_element`.
@@ -17,7 +18,7 @@ the package's `pairing_matrix`, `product_sum` and `handle_element`.
 
 from __future__ import annotations
 
-from gtqft.algebra import _group_renderer, _int_vector
+from gtqft.algebra import _group_renderer
 from gtqft.errors import DimensionMismatch
 from gtqft.exactlin import (
     ZERO,
@@ -29,6 +30,15 @@ from gtqft.exactlin import (
     vector_literal,
 )
 from gtqft.report import CheckEntry, CheckReport, Witness, descaled, failing, first_failure, renderer
+
+
+def _int_vector(v) -> tuple[list[int], int]:
+    """A vector as dense int numerators over its common denominator."""
+    image, scale = int_image({0: v})
+    out = [0] * len(v)
+    for i, x in image[0]:
+        out[i] = x
+    return out, scale
 
 
 def _int_times(entries, x, y, size: int) -> list[int]:

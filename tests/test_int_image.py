@@ -25,10 +25,9 @@ from gtqft import (
     frobenius_untwisted,
     orbifold_algebra,
 )
-from gtqft.algebra import _int_vector
 from gtqft.exactlin import Matrix, Tensor3, int_image
 from gtqft.report import first_failure, first_row_failure
-from law_oracle import _int_times
+from law_oracle import _int_times, _int_vector
 
 F = Fraction
 

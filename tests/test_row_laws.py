@@ -1,13 +1,15 @@
 """The row-at-a-time law checks against the case-at-a-time reference.
 
-Every product, action and unit entry of three small algebras is set, one at
-a time, to 0, 2 and -1.  On each mutation the package's reports must equal
-those of `law_oracle`, witnesses included: `check_axioms`, and where
-`derive` succeeds `check_frobenius_diagram` and `check_cocommutativity`,
-and the orbifold certification.  The three algebras cover one-dimensional
-grades (S3), uniform two-dimensional grades (rich cyclic:2) and grades of
-different dimensions, padded to the largest (cyclic:2 with dims e: 1,
-g1: 2).
+Every product, action, unit and trace entry of four small algebras is set,
+one at a time, to 0, 2 and -1.  On each mutation the package's reports
+must equal those of `law_oracle`, witnesses included: `check_axioms`, and
+where `derive` succeeds `check_frobenius_diagram` and
+`check_cocommutativity`, and the orbifold certification.  The algebras
+cover one-dimensional grades (S3), uniform two-dimensional grades (rich
+cyclic:2), grades of different dimensions, padded to the largest (cyclic:2
+with dims e: 1, g1: 2), and tables whose common denominators are not 1
+(rich cyclic:2 on a rescaled basis), so that witnesses of unit, trace and
+single-block laws over denominators other than 1 are compared too.
 """
 
 from fractions import Fraction
@@ -15,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 import law_oracle
-from conftest import dual_number_group_algebra
+from conftest import dual_number_group_algebra, rescaled_algebra
 from gtqft import (
     GFrobeniusAlgebra,
     builtin,
@@ -54,11 +56,12 @@ ALGEBRAS = {
     "s3": lambda: group_algebra(builtin("symmetric", 3)),
     "rich-z2": lambda: dual_number_group_algebra(builtin("cyclic", 2)),
     "mixed-z2": mixed_dims_algebra,
+    "rescaled-rich-z2": lambda: rescaled_algebra(dual_number_group_algebra(builtin("cyclic", 2)), 7),
 }
 
 
 def sites(a):
-    """Every product, action and unit entry of `a`, zeros included."""
+    """Every product, action, unit and trace entry of `a`, zeros included."""
     for key, t in a.product.items():
         for i in range(t.dim0):
             for j in range(t.dim1):
@@ -68,13 +71,15 @@ def sites(a):
         for i in range(m.rows):
             for j in range(m.cols):
                 yield "action", key, (i, j)
-    for i in range(len(a.unit)):
-        yield "unit", None, (i,)
+    for kind in ("unit", "trace"):
+        for i in range(len(a.unit)):
+            yield kind, None, (i,)
 
 
 def mutated(a, site, value) -> GFrobeniusAlgebra:
     kind, key, index = site
-    product, action, unit = dict(a.product), dict(a.action), list(a.unit)
+    product, action = dict(a.product), dict(a.action)
+    vectors = {"unit": list(a.unit), "trace": list(a.trace)}
     if kind == "product":
         t = a.product[key]
         grid = [[list(row) for row in plane] for plane in t.data]
@@ -88,8 +93,8 @@ def mutated(a, site, value) -> GFrobeniusAlgebra:
         grid[i][j] = Fraction(value)
         action[key] = Matrix(m.rows, m.cols, grid)
     else:
-        unit[index[0]] = Fraction(value)
-    return GFrobeniusAlgebra(a.group, a.dims, product, action, unit, a.trace)
+        vectors[kind][index[0]] = Fraction(value)
+    return GFrobeniusAlgebra(a.group, a.dims, product, action, vectors["unit"], vectors["trace"])
 
 
 @pytest.mark.parametrize("value", [0, 2, -1])
