@@ -511,17 +511,18 @@ def cerf_case_words(group: FiniteGroup, case: str, labels: Sequence[int]) -> lis
 
 
 def _splice(word: Cobordism, layer_index: int, piece_index: int, gadget) -> Cobordism:
-    """Replace one piece by a multi-layer gadget with the same boundary,
-    padding the sibling pieces with identity layers."""
+    """Replace one piece by a gadget of one or more layers with the same
+    boundary; the sibling pieces run through the later gadget layers as
+    identities."""
     group = word.group
     layer = word.layers[layer_index]
     left = layer[:piece_index]
     right = layer[piece_index + 1 :]
-    left_ids = tuple(id_piece(g) for p in left for g in p.cod(group))
-    right_ids = tuple(id_piece(g) for p in right for g in p.cod(group))
     new_layers = [left + gadget[0] + right]
-    for gadget_layer in gadget[1:]:
-        new_layers.append(left_ids + gadget_layer + right_ids)
+    if len(gadget) > 1:
+        left_ids = tuple(id_piece(g) for p in left for g in p.cod(group))
+        right_ids = tuple(id_piece(g) for p in right for g in p.cod(group))
+        new_layers += [left_ids + gadget_layer + right_ids for gadget_layer in gadget[1:]]
     layers = word.layers[:layer_index] + tuple(new_layers) + word.layers[layer_index + 1 :]
     return Cobordism(group, layers, domain=word.dom)
 
@@ -547,13 +548,10 @@ def rewrite_equivalent(word: Cobordism, rng: random.Random) -> Cobordism | None:
     if not sites:
         return None
     layer_index, piece_index, kind = sites[rng.randrange(len(sites))]
-    layer = word.layers[layer_index]
-    piece = layer[piece_index]
+    piece = word.layers[layer_index][piece_index]
 
     def in_place(replacement: Piece) -> Cobordism:
-        new_layer = layer[:piece_index] + (replacement,) + layer[piece_index + 1 :]
-        layers = word.layers[:layer_index] + (new_layer,) + word.layers[layer_index + 1 :]
-        return Cobordism(group, layers, domain=word.dom)
+        return _splice(word, layer_index, piece_index, ((replacement,),))
 
     if kind is PieceKind.ID:
         (g,) = piece.labels
@@ -609,63 +607,46 @@ def random_cobordism(group: FiniteGroup, seed: int, size_budget: int) -> Cobordi
     while budget >= len(sig) and sig:
         pieces: list[Piece] = []
         out: list[int] = []
-        cost = 0
         i = 0
         while i < len(sig):
             g = sig[i]
             rest = len(sig) - i
-            slack = budget - cost - rest
+            slack = budget - len(pieces) - rest
             if (
                 slack >= 1
                 and len(out) + rest < _MAX_WIDTH
                 and rng.random() < 0.08
             ):
-                pieces.append(cap())
-                out.append(e)
-                cost += 1
-                continue
-            options = ["id", "cyl"]
-            if g == e:
-                options.append("cup")
-            if i + 1 < len(sig):
-                options.extend(["merge", "swap"])
-            if len(out) + rest + 1 <= _MAX_WIDTH:
-                options.append("split")
-            choice = rng.choice(options)
-            if choice == "id":
-                pieces.append(id_piece(g))
-                out.append(g)
-            elif choice == "cyl":
-                k = rng.randrange(n)
-                pieces.append(cyl(g, k))
-                out.append(group.conj(k, g))
-            elif choice == "cup":
-                pieces.append(cup())
-            elif choice == "split":
-                g1 = rng.randrange(n)
-                g2 = group.mul(group.inv(g1), g)
-                pieces.append(split(g1, g2))
-                out.extend((g1, g2))
-            elif choice == "merge":
-                h = sig[i + 1]
-                pieces.append(merge(g, h))
-                out.append(group.mul(g, h))
+                piece = cap()
+            else:
+                options = ["id", "cyl"]
+                if g == e:
+                    options.append("cup")
+                if i + 1 < len(sig):
+                    options.extend(["merge", "swap"])
+                if len(out) + rest + 1 <= _MAX_WIDTH:
+                    options.append("split")
+                choice = rng.choice(options)
+                if choice == "id":
+                    piece = id_piece(g)
+                elif choice == "cyl":
+                    piece = cyl(g, rng.randrange(n))
+                elif choice == "cup":
+                    piece = cup()
+                elif choice == "split":
+                    g1 = rng.randrange(n)
+                    piece = split(g1, group.mul(group.inv(g1), g))
+                else:  # merge or swap: takes the next leg too
+                    h = sig[i + 1]
+                    piece = merge(g, h) if choice == "merge" else swap(g, h)
+                    i += 1
                 i += 1
-            else:  # swap
-                h = sig[i + 1]
-                pieces.append(swap(g, h))
-                out.extend((h, g))
-                i += 1
-            cost += 1
-            i += 1
+            pieces.append(piece)
+            out.extend(piece.cod(group))
         layers.append(tuple(pieces))
-        budget -= cost
+        budget -= len(pieces)
         sig = tuple(out)
-        if not layers[-1]:
-            break
         if rng.random() < 0.25:
             break
 
-    if not layers:
-        layers.append((id_piece(sig[0]),))
     return Cobordism(group, layers)

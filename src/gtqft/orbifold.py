@@ -6,7 +6,10 @@ reduced row echelon form of the projector image with least-index pivots,
 so serialization and tests see a deterministic basis.
 
 Vectors of the total space are flat tuples over all graded components,
-concatenated in element-index order.
+concatenated in element-index order.  `_offsets`, `_grade_parts` and
+`_total_vector` are the one total-space layout: the first places each
+grade, the second lists a vector's nonzero grade components, and the third
+is the only code that writes components into a total-space vector.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import GFrobeniusAlgebra, frobenius_untwisted
+from .algebra import GFrobeniusAlgebra, frobenius_untwisted, pairing_matrix
 from .errors import NotClosed
 from .exactlin import (
     ZERO,
@@ -56,25 +59,30 @@ def _component(a: GFrobeniusAlgebra, offsets, vec: Vector, g: int) -> Vector:
     return tuple(vec[start : start + a.dims[g]])
 
 
-def multiply_total(a: GFrobeniusAlgebra, offsets, x: Vector, y: Vector) -> Vector:
-    """Product of two total-space vectors using the graded structure."""
-    total = len(x)
+def _grade_parts(a: GFrobeniusAlgebra, offsets, vec: Vector) -> list[tuple[int, Vector]]:
+    """The nonzero grade components of a total-space vector, as
+    (grade, component) pairs in element order."""
+    parts = ((g, _component(a, offsets, vec, g)) for g in a.group.elements())
+    return [(g, part) for g, part in parts if any(part)]
+
+
+def _total_vector(offsets, total: int, parts) -> Vector:
+    """The total-space vector of (grade, component) pairs; components of
+    one grade add up."""
     out = [ZERO] * total
-    for g in a.group.elements():
-        xg = _component(a, offsets, x, g)
-        if not any(xg):
-            continue
-        for h in a.group.elements():
-            yh = _component(a, offsets, y, h)
-            if not any(yh):
-                continue
-            gh = a.group.mul(g, h)
-            piece = a.apply_product(g, h, xg, yh)
-            base = offsets[gh]
-            for p, v in enumerate(piece):
-                if v:
-                    out[base + p] += v
+    for g, part in parts:
+        base = offsets[g]
+        for i, v in enumerate(part):
+            if v:
+                out[base + i] += v
     return tuple(out)
+
+
+def _product_parts(a: GFrobeniusAlgebra, xs, ys) -> list[tuple[int, Vector]]:
+    """Grade parts of the product of two vectors given by their grade parts:
+    one `apply_product` per pair of nonzero grades."""
+    mul = a.group.mul
+    return [(mul(g, h), a.apply_product(g, h, x, y)) for g, x in xs for h, y in ys]
 
 
 def _image_basis(m: Matrix) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
@@ -208,22 +216,13 @@ def _sector_decomposition(
             k = next(k for k in group.elements() if group.conj(k, rep) == h)
             movers.append((h, k))
         for w in sector_bases[ci]:
-            full = [ZERO] * total
-            for h, k in movers:
-                moved = a.apply_action(k, rep, w)
-                base = offsets[h]
-                for i, v in enumerate(moved):
-                    if v:
-                        full[base + i] += v
-            expand_cols.append(
-                _coordinates(inv_basis, inv_pivots, tuple(full), "class expansion")
-            )
+            moved = [(h, a.apply_action(k, rep, w)) for h, k in movers]
+            full = _total_vector(offsets, total, moved)
+            expand_cols.append(_coordinates(inv_basis, inv_pivots, full, "class expansion"))
 
     dim_inv = len(inv_basis)
     dim_sec = len(expand_cols)
-    expand = Matrix(
-        dim_inv, dim_sec, [[expand_cols[c][r] for c in range(dim_sec)] for r in range(dim_inv)]
-    )
+    expand = Matrix(dim_sec, dim_inv, expand_cols).transpose()
 
     # restriction: an invariant vector is determined by its representative parts
     restrict_cols: list[Vector] = []
@@ -235,9 +234,7 @@ def _sector_decomposition(
                 _coordinates(sector_bases[ci], sector_pivots[ci], part, "restriction")
             )
         restrict_cols.append(tuple(coords))
-    restrict = Matrix(
-        dim_sec, dim_inv, [[restrict_cols[c][r] for c in range(dim_inv)] for r in range(dim_sec)]
-    )
+    restrict = Matrix(dim_inv, dim_sec, restrict_cols).transpose()
 
     if restrict @ expand != Matrix.identity(dim_sec) or expand @ restrict != Matrix.identity(
         dim_inv
@@ -275,13 +272,14 @@ def orbifold_algebra(a: GFrobeniusAlgebra) -> OrbifoldAlgebra:
     projector = invariant_projector(a)
     basis, pivots = _image_basis(projector)
     d = len(basis)
+    parts = [_grade_parts(a, offsets, v) for v in basis]
     inside = "a vector inside the invariant span"
 
     products: dict[tuple[int, int], Vector] = {}
     closure = []  # every product is needed below, so all cases are built
-    for i, vi in enumerate(basis):
-        for j, vj in enumerate(basis):
-            w = multiply_total(a, offsets, vi, vj)
+    for i in range(d):
+        for j in range(d):
+            w = _total_vector(offsets, total, _product_parts(a, parts[i], parts[j]))
             coords, spanned = _span_coordinates(basis, pivots, w)
             products[(i, j)] = coords if spanned == w else (ZERO,) * d
             closure.append(((i, j), w, spanned))
@@ -312,10 +310,8 @@ def orbifold_algebra(a: GFrobeniusAlgebra) -> OrbifoldAlgebra:
 
     # the unit is invariant, so it must lie in the span and act as identity
     e = group.identity
-    unit_total = [ZERO] * total
-    for i, v in enumerate(a.unit):
-        unit_total[offsets[e] + i] = v
-    unit_total = tuple(unit_total)
+    unit_total = _total_vector(offsets, total, [(e, a.unit)])
+    unit_parts = _grade_parts(a, offsets, unit_total)
     unit_coords, unit_spanned = _span_coordinates(basis, pivots, unit_total)
     if unit_spanned != unit_total:
         unit_coords = (ZERO,) * d
@@ -323,7 +319,7 @@ def orbifold_algebra(a: GFrobeniusAlgebra) -> OrbifoldAlgebra:
     def unit_law():
         yield None, unit_total, unit_spanned
         for j, vj in enumerate(basis):
-            yield j, multiply_total(a, offsets, unit_total, vj), vj
+            yield j, _total_vector(offsets, total, _product_parts(a, unit_parts, parts[j])), vj
 
     def render_unit(j, lhs, rhs) -> Witness:
         if j is None:
@@ -347,20 +343,16 @@ def orbifold_algebra(a: GFrobeniusAlgebra) -> OrbifoldAlgebra:
 
     # restricted trace: evaluate on the identity component only
     trace_coords = tuple(a.trace_of(_component(a, offsets, v, e)) for v in basis)
-
-    def traced(i: int, j: int) -> Fraction:
-        return sum((c * trace_coords[m] for m, c in enumerate(products[(i, j)]) if c), ZERO)
-
-    gram = Matrix(d, d, [[traced(i, j) for j in range(d)] for i in range(d)])
+    product_tensor = Tensor3._wrap(
+        d, d, d, tuple(tuple(products[(i, j)] for j in range(d)) for i in range(d))
+    )
+    gram = pairing_matrix(frobenius_untwisted(d, product_tensor, unit_coords, trace_coords), 0)
     name = "orbifold-trace-nondegenerate"
     if gram.det() != ZERO:
         entries.append(passing(name))
     else:
         entries.append(failing(name, (("gram", "determinant"),), "0", "nonzero determinant"))
 
-    product_tensor = Tensor3._wrap(
-        d, d, d, tuple(tuple(products[(i, j)] for j in range(d)) for i in range(d))
-    )
     name = "orbifold-sector-isomorphism"
     try:
         class_data = _sector_decomposition(a, projector, basis, pivots)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import gtqft.cli
 from conftest import dual_number_group_algebra
 from gtqft import CheckReport, closed_surface_word, frobenius_untwisted, group_algebra, save_algebra
 from gtqft.cli import (
@@ -15,8 +16,8 @@ from gtqft.cli import (
     run,
 )
 from gtqft.cobordism import PieceKind, parse as parse_word
-from gtqft.exactlin import Tensor3
-from gtqft.report import failing, passing
+from gtqft.exactlin import Matrix, Tensor3
+from gtqft.report import Witness, failing, passing
 
 
 class TestFormatReport:
@@ -391,6 +392,43 @@ class TestFuzzGolden:
         status, out = self._fuzz(capsys, "--algebra", path, "--seed", str(seed), "--budget", "6")
         assert status == 1
         assert out == self.RICH_S3_FAILURES[seed]
+
+    FORCED = ("--group", "symmetric:3", "--algebra", "builtin:group-algebra", "--seed", "3")
+
+    def test_functoriality_failure_report(self, monkeypatch, capsys):
+        # every word of more than one layer fails, so the first word is
+        # reported and shrinks to two layers
+        def fails(ev, word, prefixes=None):
+            if len(word.layers) > 1:
+                return Witness((("split-after-layer", "1"),), "(1)", "(0)")
+            return None
+
+        monkeypatch.setattr(gtqft.cli, "word_functoriality_witness", fails)
+        status, out = self._fuzz(capsys, *self.FORCED, "--budget", "6", "--count", "20")
+        assert status == 1
+        assert out == (
+            "fuzz: functoriality failed at word 0\n"
+            "word: split(p021,p120) ; swap(p021,p120) ; cyl(p120;p102) * cyl(p021;p201) ; "
+            "cyl(p201;p201) * id(p102)\n"
+            "minimized: cyl(p120;p102) * cyl(p021;p201) ; cyl(p201;e) * id(p102)\n"
+            "witness: {'split-after-layer': '1'}\n"
+        )
+
+    def test_tensor_failure_report(self, monkeypatch, capsys):
+        # the separate value of two words is zero, so the first tensor check
+        # (word 10 beside word 9) fails
+        def zero_kron(left, right):
+            return Matrix.zeros(left.rows * right.rows, left.cols * right.cols)
+
+        monkeypatch.setattr(Matrix, "kron", zero_kron)
+        status, out = self._fuzz(capsys, *self.FORCED, "--budget", "6", "--count", "20")
+        assert status == 1
+        assert out == (
+            "fuzz: tensor functoriality failed at word 10\n"
+            "left: id(p201) ; cyl(p201;e) ; cyl(p201;p201) ; cyl(p201;p102) ; cyl(p120;p201) ; "
+            "split(p102,p021)\n"
+            "right: cap ; cap * cyl(e;e) ; merge(e,e) ; cyl(e;p120) ; id(e)\n"
+        )
 
     @pytest.mark.parametrize("flag,value", [("--budget", "0"), ("--count", "-5")])
     def test_invalid_arguments_are_parse_errors(self, capsys, flag, value):

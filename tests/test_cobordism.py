@@ -24,7 +24,7 @@ from gtqft import (
     swap,
     tensor,
 )
-from gtqft.cobordism import CERF_CASES, case_label_count, twisted_conjugator
+from gtqft.cobordism import CERF_CASES, PieceKind, case_label_count, twisted_conjugator
 from gtqft.errors import ParseError, SignatureMismatch
 
 _KEYWORDS = '"id", "cyl", "merge", "split", "cap", "cup" or "swap"'
@@ -175,12 +175,24 @@ class TestDual:
             s3,
             (
                 (cap(), id_piece(2)),
-                (merge(0, 2),),
+                (swap(0, 2),),
+                (merge(2, 0),),
                 (split(2, 0),),
-                (cyl(2, 4), cup()),
+                (swap(2, 0),),
+                (cup(), cyl(2, 4)),
             ),
         )
         assert dual(dual(w)) == w
+
+    @pytest.mark.parametrize("group", [("symmetric", 3), ("dihedral", 4)])
+    def test_involution_on_random_words(self, group):
+        g = builtin(*group)
+        kinds = set()
+        for seed in range(300):
+            w = random_cobordism(g, seed, 8)
+            kinds.update(p.kind for layer in w.layers for p in layer)
+            assert dual(dual(w)) == w
+        assert kinds == set(PieceKind)
 
     def test_swaps_boundaries(self, z4):
         w = parse("split(g1,g2) ; cyl(g1;g3) * id(g2)", z4)

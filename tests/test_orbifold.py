@@ -14,9 +14,32 @@ from gtqft import (
     project_invariants,
     sector_isomorphism,
 )
-from gtqft.orbifold import invariant_projector, multiply_total, _offsets
+from gtqft.exactlin import ZERO, Vector
+from gtqft.orbifold import invariant_projector, _component, _offsets
 
 F = Fraction
+
+
+def multiply_total(a: GFrobeniusAlgebra, offsets, x: Vector, y: Vector) -> Vector:
+    """Product of two total-space vectors using the graded structure."""
+    total = len(x)
+    out = [ZERO] * total
+    for g in a.group.elements():
+        xg = _component(a, offsets, x, g)
+        if not any(xg):
+            continue
+        for h in a.group.elements():
+            yh = _component(a, offsets, y, h)
+            if not any(yh):
+                continue
+            gh = a.group.mul(g, h)
+            piece = a.apply_product(g, h, xg, yh)
+            base = offsets[gh]
+            for p, v in enumerate(piece):
+                if v:
+                    out[base + p] += v
+    return tuple(out)
+
 
 CRITERION_GROUPS = [
     ("cyclic", 2),
@@ -78,11 +101,20 @@ class TestOrbifoldAlgebra:
         orb = orbifold_algebra(s3_algebra)
         assert orb.dimension == 3
         assert orb.certification.passed
-        # oracle: multiply class-sum vectors directly in the parent algebra
-        offsets, _ = _offsets(s3_algebra)
+
+    @pytest.mark.parametrize(
+        "fixture", ["s3_algebra", "rich_s3", "rescaled_s3", "rescaled_rich_s3", "zero_grade_z3"]
+    )
+    def test_product_matches_total_space_product(self, request, fixture):
+        # oracle: multiply invariant basis vectors directly in the parent
+        # algebra, grade by grade over the whole total space
+        a = request.getfixturevalue(fixture)
+        orb = orbifold_algebra(a)
+        assert orb.certification.passed
+        offsets, _ = _offsets(a)
         for i, vi in enumerate(orb.basis):
             for j, vj in enumerate(orb.basis):
-                direct = multiply_total(s3_algebra, offsets, vi, vj)
+                direct = multiply_total(a, offsets, vi, vj)
                 recombined = [F(0)] * len(direct)
                 for k in range(orb.dimension):
                     c = orb.product[(i, j, k)]
