@@ -29,7 +29,7 @@ from .algebra import (
     load_algebra,
     save_algebra,
 )
-from .cobordism import Cobordism, Piece, parse, random_cobordism, rewrite_equivalent
+from .cobordism import CERF_CASES, Cobordism, Piece, parse, random_cobordism, rewrite_equivalent
 from .cobordism import tensor as tensor_words
 from .errors import EngineError, SchemaError
 from .exactlin import Matrix, format_matrix, format_scalar
@@ -448,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cerf = sub.add_parser("cerf", help="compare alternative decompositions")
     common(p_cerf)
-    p_cerf.add_argument("--case", required=True, choices=["111", "202", "301", "103"])
+    p_cerf.add_argument("--case", required=True, choices=CERF_CASES)
     p_cerf.add_argument("--labels", help="comma-separated element names")
     p_cerf.add_argument("--all-labels", action="store_true", dest="all_labels")
 

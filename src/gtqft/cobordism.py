@@ -26,13 +26,16 @@ Element names come from the active group; the piece keywords are reserved
 at the start of a piece but remain usable as element names inside
 parentheses.
 
-The Cerf move cases (`cerf_case_words`) are one table of words in this
-grammar whose elements are label products: `ab` is the product of labels
-a and b, read left to right; a, b, c, d are the case's labels, A, B, C, D
-their inverses and e the identity.  "111", "202" and "301" take four
-labels, "sphere" none and "cylinder" one; "103" is the reverse (`dual`)
-of "301".  The CLI's `cerf --case` accepts 111, 202, 301 and 103;
-"sphere" and "cylinder" are library-only.
+The surface identities are one table of words in this grammar whose
+elements are label products: `ab` is the product of labels a and b, read
+left to right; a, b, c, d are the case's labels, A, B, C, D their inverses
+and e the identity.  Each row lists alternative words of one surface,
+which every field theory sends to the same map.  "111", "202" and "301"
+take four labels, "sphere" none, "cylinder" one, and "twist" and "pants"
+two; "103" is the reverse (`dual`) of "301".  `cerf_case_words` builds a
+row's words, the CLI's `cerf --case` accepts every row, the Dehn and pants
+checks compare the cylinder, twist and pants rows, and `rewrite_equivalent`
+replaces a piece by a word of one of those rows.
 """
 
 from __future__ import annotations
@@ -386,12 +389,6 @@ def normalize_cylinder(group: FiniteGroup, g: int, k: int) -> int:
     return best
 
 
-def twisted_conjugator(group: FiniteGroup, g: int, k: int, n: int, m: int) -> int:
-    """h^n k g^m with h = k g k^-1: the cylinder from g labelled k, twisted
-    n times at its outgoing and m times at its incoming circle."""
-    return group.mul(group.mul(group.power(group.conj(k, g), n), k), group.power(g, m))
-
-
 # ---------------------------------------------------------------------------
 # Cerf move cases
 
@@ -426,11 +423,18 @@ _CASE_WORDS = {
         "id(a)", "cyl(a;e)", "cyl(a;a)", "id(a) * cap ; merge(a,e)", "cap * id(a) ; merge(e,a)",
         "split(a,e) ; id(a) * cup", "split(e,a) ; cup * id(a)",
     ),
+    # the cylinder from a labelled b, twisted n times at its outgoing and m
+    # times at its incoming circle, is labelled h^n b a^m = b a^(n+m) with
+    # h = b a b^-1: word j is twisted j times in all
+    "twist": ("cyl(a;b)", "cyl(a;ba)", "cyl(a;baa)", "cyl(a;baaa)", "cyl(a;baaaa)"),
+    # the two boundary orderings of a pair of pants: merging then twisting
+    # by the second input's label, and merging after a crossing
+    "pants": ("merge(a,b) ; cyl(ab;b)", "swap(a,b) ; merge(b,a)"),
 }
 # the one-input three-output case is the reverse of a table case
 _REVERSED = {"103": "301"}
 
-CERF_CASES = ("111", "202", "301", "103", "sphere", "cylinder")
+CERF_CASES = ("111", "202", "301", "103", "sphere", "cylinder", "twist", "pants")
 
 _LABEL_LETTERS = "abcd"
 
@@ -479,6 +483,27 @@ def case_label_count(case: str) -> int:
     return _COMPILED[_REVERSED.get(case, case)][4]
 
 
+def _slot_values(group: FiniteGroup, steps, labels: tuple[int, ...]) -> tuple[int, ...]:
+    """The value slots of a compiled case at `labels`: e, the labels, their
+    inverses, then one product per step."""
+    table = group.table
+    value = [group.identity, *labels, *map(group.inv, labels)]
+    for i, j in steps:
+        value.append(table[value[i]][value[j]])
+    return tuple(value)
+
+
+def _case_word(group: FiniteGroup, case: str, labels: tuple[int, ...], index: int):
+    """The layers of word `index` of table row `case` at `labels`, unchecked;
+    only that word's pieces are built."""
+    steps, piece_rows, layer_rows, word_rows, _ = _COMPILED[case]
+    value = _slot_values(group, steps, labels)
+    return tuple([
+        tuple([Piece(kind, labels_of(value)) for kind, labels_of in pieces_of(piece_rows)])
+        for pieces_of in word_rows[index](layer_rows)
+    ])
+
+
 def cerf_case_words(group: FiniteGroup, case: str, labels: Sequence[int]) -> list[Cobordism]:
     """Alternative decompositions of one surface, as words to compare.
 
@@ -486,18 +511,15 @@ def cerf_case_words(group: FiniteGroup, case: str, labels: Sequence[int]) -> lis
     signature; a field theory must send them all to the same linear map.
     Cases "111", "202", "301" and "103" are the two-critical-point surfaces
     with labelled holonomy arcs; "sphere" and "cylinder" cover the
-    birth/death insertions of caps and cups.
+    birth/death insertions of caps and cups; "twist" twists a cylinder's
+    boundary circles and "pants" reorders a merge's inputs.
     """
     want = case_label_count(case)
     labels = tuple(labels)
     if len(labels) != want:
         raise SignatureMismatch(f"case {case} takes {want} labels, got {len(labels)}")
     steps, piece_rows, layer_rows, word_rows, _ = _COMPILED[_REVERSED.get(case, case)]
-    table = group.table
-    value = [group.identity, *labels, *map(group.inv, labels)]
-    for i, j in steps:
-        value.append(table[value[i]][value[j]])
-    value = tuple(value)
+    value = _slot_values(group, steps, labels)
     pieces = tuple([Piece(kind, labels_of(value)) for kind, labels_of in piece_rows])
     layers = tuple([pieces_of(pieces) for pieces_of in layer_rows])
     words = [Cobordism(group, layers_of(layers)) for layers_of in word_rows]
@@ -530,15 +552,16 @@ def _splice(word: Cobordism, layer_index: int, piece_index: int, gadget) -> Cobo
 def rewrite_equivalent(word: Cobordism, rng: random.Random) -> Cobordism | None:
     """Apply one random local rewrite that cannot change the word's value.
 
-    The catalogue: an id becomes a trivial or self-conjugating cylinder, or
-    sprouts a cap/merge (unit) or split/cup (counit) pair; a cylinder picks
-    up boundary twists; a merge is re-ordered through a crossing and a
-    compensating cylinder.  Each rewrite is an identity of the evaluation
-    for every algebra satisfying the laws, so fuzzing may assert equality.
-    Returns None when the word offers no rewrite site.
+    The rewrite replaces one piece by a table word with the same boundary:
+    an id by `cylinder` word 1, 2, 3 or 5 (the trivial or self-conjugating
+    cylinder, or a cap/merge unit or split/cup counit pair), a cylinder by
+    a `twist` word (up to two twists at each boundary circle), and a merge
+    by the crossed `pants` word followed by the cylinder that undoes its
+    twist.  Each rewrite is an identity of the evaluation for every algebra
+    satisfying the laws, so fuzzing may assert equality.  Returns None when
+    the word offers no rewrite site.
     """
     group = word.group
-    e = group.identity
     sites = [
         (li, pi, piece.kind)
         for li, layer in enumerate(word.layers)
@@ -548,33 +571,14 @@ def rewrite_equivalent(word: Cobordism, rng: random.Random) -> Cobordism | None:
     if not sites:
         return None
     layer_index, piece_index, kind = sites[rng.randrange(len(sites))]
-    piece = word.layers[layer_index][piece_index]
-
-    def in_place(replacement: Piece) -> Cobordism:
-        return _splice(word, layer_index, piece_index, ((replacement,),))
-
+    labels = word.layers[layer_index][piece_index].labels
     if kind is PieceKind.ID:
-        (g,) = piece.labels
-        choice = rng.choice(["trivial-cylinder", "self-cylinder", "unit", "counit"])
-        if choice == "trivial-cylinder":
-            return in_place(cyl(g, e))
-        if choice == "self-cylinder":
-            return in_place(cyl(g, g))
-        if choice == "unit":
-            return _splice(word, layer_index, piece_index, ((id_piece(g), cap()), (merge(g, e),)))
-        return _splice(word, layer_index, piece_index, ((split(g, e),), (id_piece(g), cup())))
-
-    if kind is PieceKind.CYL:
-        g, k = piece.labels
-        return in_place(cyl(g, twisted_conjugator(group, g, k, rng.randrange(3), rng.randrange(3))))
-
-    # merge: route through the opposite ordering and conjugate back
-    g, h = piece.labels
-    gadget = (
-        (swap(g, h),),
-        (merge(h, g),),
-        (cyl(group.mul(h, g), group.inv(h)),),
-    )
+        gadget = _case_word(group, "cylinder", labels, rng.choice((1, 2, 3, 5)))
+    elif kind is PieceKind.CYL:
+        gadget = _case_word(group, "twist", labels, rng.randrange(3) + rng.randrange(3))
+    else:
+        g, h = labels
+        gadget = _case_word(group, "pants", labels, 1) + ((cyl(group.mul(h, g), group.inv(h)),),)
     return _splice(word, layer_index, piece_index, gadget)
 
 

@@ -157,34 +157,28 @@ class SectorDecomposition:
 
 
 class OrbifoldAlgebra:
-    """The invariant subalgebra, certified as an ordinary Frobenius algebra."""
+    """The invariant subalgebra, certified as an ordinary Frobenius algebra;
+    `trivial` holds it over the trivial group, as the file format saves it."""
 
-    __slots__ = (
-        "parent",
-        "basis",
-        "product",
-        "unit",
-        "trace",
-        "class_data",
-        "certification",
-    )
+    __slots__ = ("parent", "basis", "trivial", "class_data", "certification")
 
-    def __init__(self, parent, basis, product, unit, trace, class_data, certification):
+    def __init__(self, parent, basis, trivial, class_data, certification):
         self.parent = parent
         self.basis = basis
-        self.product = product
-        self.unit = unit
-        self.trace = trace
+        self.trivial = trivial
         self.class_data = class_data
         self.certification = certification
+
+    product = property(lambda self: self.trivial.product[(0, 0)])
+    unit = property(lambda self: self.trivial.unit)
+    trace = property(lambda self: self.trivial.trace)
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
     def as_trivial_algebra(self) -> GFrobeniusAlgebra:
-        """Repackage over the trivial group for the standard file format."""
-        return frobenius_untwisted(self.dimension, self.product, self.unit, self.trace)
+        return self.trivial
 
 
 def _sector_decomposition(
@@ -346,7 +340,8 @@ def orbifold_algebra(a: GFrobeniusAlgebra) -> OrbifoldAlgebra:
     product_tensor = Tensor3._wrap(
         d, d, d, tuple(tuple(products[(i, j)] for j in range(d)) for i in range(d))
     )
-    gram = pairing_matrix(frobenius_untwisted(d, product_tensor, unit_coords, trace_coords), 0)
+    trivial = frobenius_untwisted(d, product_tensor, unit_coords, trace_coords)
+    gram = pairing_matrix(trivial, 0)
     name = "orbifold-trace-nondegenerate"
     if gram.det() != ZERO:
         entries.append(passing(name))
@@ -364,9 +359,7 @@ def orbifold_algebra(a: GFrobeniusAlgebra) -> OrbifoldAlgebra:
     return OrbifoldAlgebra(
         parent=a,
         basis=basis,
-        product=product_tensor,
-        unit=unit_coords,
-        trace=trace_coords,
+        trivial=trivial,
         class_data=class_data,
         certification=CheckReport(tuple(entries)),
     )

@@ -15,7 +15,7 @@ from gtqft.cli import (
     minimize_word,
     run,
 )
-from gtqft.cobordism import PieceKind, parse as parse_word
+from gtqft.cobordism import CERF_CASES, PieceKind, parse as parse_word
 from gtqft.exactlin import Matrix, Tensor3
 from gtqft.report import Witness, failing, passing
 
@@ -263,6 +263,22 @@ class TestCerfCommand:
         assert status == 1
         assert "FAIL" in out and "labels=" in out
 
+    @pytest.mark.parametrize("case", CERF_CASES)
+    def test_every_table_case_runs(self, capsys, case):
+        argv = ["cerf", "--group", "cyclic:3", "--algebra", "builtin:group-algebra"]
+        status = main([*argv, "--case", case, "--all-labels"])
+        out = capsys.readouterr().out
+        assert status == 0
+        assert out.startswith("checks: ") and "FAIL" not in out
+
+    def test_wrong_label_count_is_a_type_error(self, capsys):
+        argv = ["cerf", "--group", "symmetric:3", "--algebra", "builtin:group-algebra"]
+        status = main([*argv, "--case", "twist", "--labels", "p021"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err == "error: category=type case twist takes 2 labels, got 1\n"
+
 
 class TestOrbifoldCommand:
     def test_emits_trivial_group_document(self, capsys):
@@ -460,10 +476,27 @@ class TestArguments:
                 ["cerf", "--algebra", "a.json", "--case", "202", "--all-labels"],
                 RunConfig(command="cerf", algebra="a.json", case="202", all_labels=True),
             ),
+            (
+                ["cerf", "--algebra", "a.json", "--case", "twist", "--labels", "e,g1"],
+                RunConfig(command="cerf", algebra="a.json", case="twist", labels="e,g1"),
+            ),
+            (
+                ["cerf", "--algebra", "a.json", "--case", "pants", "--all-labels"],
+                RunConfig(command="cerf", algebra="a.json", case="pants", all_labels=True),
+            ),
         ],
     )
     def test_config(self, argv, expected):
         assert config_from_args(build_parser().parse_args(argv)) == expected
+
+    def test_cerf_cases_are_the_table(self, capsys):
+        for case in CERF_CASES:
+            args = build_parser().parse_args(["cerf", "--algebra", "a.json", "--case", case])
+            assert args.case == case
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["cerf", "--algebra", "a.json", "--case", "nope"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
 
     def test_defaults(self):
         config = RunConfig(command="fuzz")

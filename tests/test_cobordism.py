@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from gtqft import (
     swap,
     tensor,
 )
-from gtqft.cobordism import CERF_CASES, PieceKind, case_label_count, twisted_conjugator
+from gtqft.cobordism import CERF_CASES, PieceKind, _splice, case_label_count
 from gtqft.errors import ParseError, SignatureMismatch
 
 _KEYWORDS = '"id", "cyl", "merge", "split", "cap", "cup" or "swap"'
@@ -284,7 +285,10 @@ class TestCaseBuilders:
 
     def test_label_counts_and_messages(self, z2):
         counts = {case: case_label_count(case) for case in CERF_CASES}
-        assert counts == {"111": 4, "202": 4, "301": 4, "103": 4, "sphere": 0, "cylinder": 1}
+        assert counts == {
+            "111": 4, "202": 4, "301": 4, "103": 4,
+            "sphere": 0, "cylinder": 1, "twist": 2, "pants": 2,
+        }
         with pytest.raises(SignatureMismatch) as err:
             cerf_case_words(z2, "202", (0, 1, 1))
         assert str(err.value) == "case 202 takes 4 labels, got 3"
@@ -292,7 +296,7 @@ class TestCaseBuilders:
             case_label_count("nope")
         assert str(err.value) == (
             "unknown move case 'nope'; expected one of "
-            "('111', '202', '301', '103', 'sphere', 'cylinder')"
+            "('111', '202', '301', '103', 'sphere', 'cylinder', 'twist', 'pants')"
         )
 
     @pytest.mark.parametrize("case", CERF_CASES)
@@ -308,15 +312,26 @@ class TestCaseBuilders:
 
 class TestTwistedConjugator:
     def test_formula_and_normal_form(self, s3):
+        # twist word n + m is the cylinder from g labelled k, twisted n
+        # times at its outgoing and m times at its incoming circle
         for g in range(s3.order):
             for k in range(s3.order):
                 h = s3.conj(k, g)
+                words = cerf_case_words(s3, "twist", (g, k))
                 for n in range(3):
                     for m in range(3):
-                        twisted = twisted_conjugator(s3, g, k, n, m)
-                        assert twisted == s3.mul(s3.mul(s3.power(h, n), k), s3.power(g, m))
+                        ((piece,),) = words[n + m].layers
+                        twisted = s3.mul(s3.mul(s3.power(h, n), k), s3.power(g, m))
+                        assert piece == cyl(g, twisted)
                         assert s3.conj(twisted, g) == h
                         assert normalize_cylinder(s3, g, twisted) == normalize_cylinder(s3, g, k)
+
+    def test_pants_words(self, s3):
+        for g in range(s3.order):
+            for h in range(s3.order):
+                twisted, crossed = cerf_case_words(s3, "pants", (g, h))
+                assert twisted.layers == ((merge(g, h),), (cyl(s3.mul(g, h), h),))
+                assert crossed.layers == ((swap(g, h),), (merge(h, g),))
 
 
 class TestRandomWords:
@@ -345,10 +360,62 @@ class TestRandomWords:
             assert 1 <= sum(len(layer) for layer in w.layers) <= 5
 
 
-class TestRewriteEquivalent:
-    def test_preserves_boundaries(self, s3):
-        import random
+def _rewrite_oracle(word, rng):
+    """`rewrite_equivalent` with its gadgets written out piece by piece, as
+    it was before it read them from the table of surface identities."""
+    group = word.group
+    e = group.identity
+    sites = [
+        (li, pi, piece.kind)
+        for li, layer in enumerate(word.layers)
+        for pi, piece in enumerate(layer)
+        if piece.kind in (PieceKind.ID, PieceKind.CYL, PieceKind.MERGE)
+    ]
+    if not sites:
+        return None
+    layer_index, piece_index, kind = sites[rng.randrange(len(sites))]
+    piece = word.layers[layer_index][piece_index]
 
+    def spliced(*gadget):
+        return _splice(word, layer_index, piece_index, gadget)
+
+    if kind is PieceKind.ID:
+        (g,) = piece.labels
+        choice = rng.choice(["trivial-cylinder", "self-cylinder", "unit", "counit"])
+        if choice == "trivial-cylinder":
+            return spliced((cyl(g, e),))
+        if choice == "self-cylinder":
+            return spliced((cyl(g, g),))
+        if choice == "unit":
+            return spliced((id_piece(g), cap()), (merge(g, e),))
+        return spliced((split(g, e),), (id_piece(g), cup()))
+    if kind is PieceKind.CYL:
+        g, k = piece.labels
+        n, m = rng.randrange(3), rng.randrange(3)
+        h = group.conj(k, g)
+        return spliced((cyl(g, group.mul(group.mul(group.power(h, n), k), group.power(g, m))),))
+    # merge: route through the opposite ordering and conjugate back
+    g, h = piece.labels
+    return spliced((swap(g, h),), (merge(h, g),), (cyl(group.mul(h, g), group.inv(h)),))
+
+
+class TestRewriteEquivalent:
+    def test_matches_hand_written_gadgets(self, s3, d4, q8):
+        replaced = set()
+        for group in (s3, d4, q8):
+            rng, oracle_rng = random.Random(11), random.Random(11)
+            for seed in range(1000):
+                w = random_cobordism(group, seed, 1 + seed % 12)
+                rewritten = rewrite_equivalent(w, rng)
+                assert rewritten == _rewrite_oracle(w, oracle_rng)
+                assert rng.getstate() == oracle_rng.getstate()
+                if rewritten is not None:
+                    replaced.add(len(rewritten.layers) - len(w.layers))
+        # one-layer (cylinder), two-layer (unit, counit) and three-layer
+        # (merge) gadgets all occur
+        assert replaced == {0, 1, 2}
+
+    def test_preserves_boundaries(self, s3):
         rng = random.Random(3)
         for seed in range(200):
             w = random_cobordism(s3, seed, 7)
@@ -358,8 +425,6 @@ class TestRewriteEquivalent:
             assert rewritten.dom == w.dom and rewritten.cod == w.cod
 
     def test_merge_reordering_site(self, s3):
-        import random
-
         w = Cobordism(s3, ((merge(1, 3),),))
         rng = random.Random(0)
         rewritten = rewrite_equivalent(w, rng)
@@ -368,8 +433,6 @@ class TestRewriteEquivalent:
         assert rewritten.cod == w.cod
 
     def test_no_site_returns_none(self, z2):
-        import random
-
         w = Cobordism(z2, ((cap(),), (cup(),)))
         assert rewrite_equivalent(w, random.Random(0)) is None
 

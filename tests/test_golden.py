@@ -198,6 +198,11 @@ CLI_CASES["cerf-rich-half-202"] = (
 )
 CLI_CASES["cerf-frobenius-111-all"] = ("frobenius", ("cerf", "--case", "111", "--all-labels"))
 CLI_CASES["cerf-sign-103"] = ("sign", ("cerf", "--case", "103", "--labels", "p021,p102,p120,p201"))
+for _alg, _case in (
+    ("s3", "twist"), ("s3", "pants"), ("rich-offdiag", "twist"), ("rich-offdiag", "pants"),
+    ("rich-half", "cylinder"),
+):
+    CLI_CASES[f"cerf-{_alg}-{_case}-all"] = (_alg, ("cerf", "--case", _case, "--all-labels"))
 
 LIBRARY_CHECKS = {
     "dehn": dehn_invariance_check,
@@ -217,7 +222,9 @@ LIBRARY_CASES = {
 
 # move case -> its S3 labels
 WORD_CASES = {
-    f"words-{case}": {"sphere": (), "cylinder": ("p120",)}.get(case, ("p021", "p102", "p120", "p201"))
+    f"words-{case}": {
+        "sphere": (), "cylinder": ("p120",), "twist": ("p120", "p021"), "pants": ("p021", "p120"),
+    }.get(case, ("p021", "p102", "p120", "p201"))
     for case in CERF_CASES
 }
 

@@ -1,8 +1,10 @@
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
+import gtqft.orbifold
 from gtqft import (
     GFrobeniusAlgebra,
     Matrix,
@@ -14,6 +16,7 @@ from gtqft import (
     project_invariants,
     sector_isomorphism,
 )
+from gtqft.cli import main
 from gtqft.exactlin import ZERO, Vector
 from gtqft.orbifold import invariant_projector, _component, _offsets
 
@@ -167,6 +170,17 @@ class TestOrbifoldAlgebra:
     def test_resulting_algebra_passes_checker(self, s3_algebra):
         triv = orbifold_algebra(s3_algebra).as_trivial_algebra()
         assert check_axioms(triv).passed
+
+    def test_trivial_algebra_is_built_once(self, monkeypatch, capsys):
+        built = []
+        real = gtqft.orbifold.frobenius_untwisted
+        monkeypatch.setattr(
+            gtqft.orbifold, "frobenius_untwisted", lambda *args: built.append(args) or real(*args)
+        )
+        argv = ["orbifold", "--group", "symmetric:3", "--algebra", "builtin:group-algebra"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["dims"] == {"e": 3}
+        assert len(built) == 1
 
     def test_rich_algebra_orbifold(self, rich_s3):
         orb = orbifold_algebra(rich_s3)
