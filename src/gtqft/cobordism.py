@@ -26,13 +26,18 @@ Element names come from the active group; the piece keywords are reserved
 at the start of a piece but remain usable as element names inside
 parentheses.
 
+Pieces are interned, and each group's signature table holds the (dom, cod)
+of every piece seen over it: a word's type check reads one entry per piece.
+
 The surface identities are one table of words in this grammar whose
 elements are label products: `ab` is the product of labels a and b, read
 left to right; a, b, c, d are the case's labels, A, B, C, D their inverses
 and e the identity.  Each row lists alternative words of one surface,
 which every field theory sends to the same map.  "111", "202" and "301"
 take four labels, "sphere" none, "cylinder" one, and "twist" and "pants"
-two; "103" is the reverse (`dual`) of "301".  `cerf_case_words` builds a
+two; "103" is compiled at import as the reverse of "301", by the piece flip
+`dual` uses over label products (the inverse of a product is the reversed
+string with its case swapped).  `cerf_case_words` builds a
 row's words, the CLI's `cerf --case` accepts every row, the Dehn and pants
 checks compare the cylinder, twist and pants rows, and `rewrite_equivalent`
 replaces a piece by a word of one of those rows.
@@ -43,7 +48,6 @@ from __future__ import annotations
 import enum
 import random
 import re
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Sequence
 
@@ -54,6 +58,8 @@ Signature = tuple[int, ...]
 
 
 class PieceKind(enum.Enum):
+    __hash__ = object.__hash__  # members are singletons
+
     ID = "id"
     CYL = "cyl"
     MERGE = "merge"
@@ -74,42 +80,68 @@ _GRAMMAR = {
     PieceKind.SWAP: (2, ","),
 }
 
+# kind -> labels -> the one Piece with them
+_PIECES: dict[PieceKind, dict[tuple[int, ...], Piece]] = {kind: {} for kind in PieceKind}
 
-@dataclass(frozen=True)
+
 class Piece:
-    kind: PieceKind
-    labels: tuple[int, ...] = ()
+    """An elementary piece, interned: `Piece(kind, labels)` returns the one
+    immutable object with those fields, so pieces compare and hash by
+    identity.  The table words label pieces by product strings instead."""
 
-    def __post_init__(self):
-        count = _GRAMMAR[self.kind][0]
-        if len(self.labels) != count:
-            raise SignatureMismatch(
-                f"{self.kind.value} takes {count} labels, got {len(self.labels)}"
-            )
+    __slots__ = ("kind", "labels")
 
-    def dom(self, group: FiniteGroup) -> Signature:
-        kind, g = self.kind, self.labels
-        if kind is PieceKind.SPLIT:
-            return (group.mul(g[0], g[1]),)
-        if kind is PieceKind.CUP:
-            return (group.identity,)
-        return g[:1] if kind is PieceKind.CYL else g  # id, merge, cap, swap
+    def __new__(cls, kind: PieceKind, labels: tuple[int, ...] = ()):
+        piece = _PIECES[kind].get(labels)
+        if piece is None:
+            count = _GRAMMAR[kind][0]
+            if len(labels) != count:
+                raise SignatureMismatch(f"{kind.value} takes {count} labels, got {len(labels)}")
+            piece = _PIECES[kind][labels] = object.__new__(cls)
+            object.__setattr__(piece, "kind", kind)
+            object.__setattr__(piece, "labels", labels)
+        return piece
 
-    def cod(self, group: FiniteGroup) -> Signature:
-        kind, g = self.kind, self.labels
-        if kind is PieceKind.CYL:
-            return (group.conj(g[1], g[0]),)
-        if kind is PieceKind.MERGE:
-            return (group.mul(g[0], g[1]),)
-        if kind is PieceKind.CAP:
-            return (group.identity,)
-        return (g[1], g[0]) if kind is PieceKind.SWAP else g  # id, split, cup
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Piece, (self.kind, self.labels)
+
+    def __repr__(self) -> str:
+        return f"Piece(kind={self.kind!r}, labels={self.labels!r})"
 
     def text(self, group: FiniteGroup) -> str:
         if not self.labels:
             return self.kind.value
         separator = _GRAMMAR[self.kind][1]
         return f"{self.kind.value}({separator.join(map(group.name, self.labels))})"
+
+
+# kind -> the (dom, cod) of its piece with labels g, as in the table above
+_BOUNDARY = {
+    PieceKind.ID: lambda group, g: (g, g),
+    PieceKind.CYL: lambda group, g: (g[:1], (group.conj(g[1], g[0]),)),
+    PieceKind.MERGE: lambda group, g: (g, (group.mul(g[0], g[1]),)),
+    PieceKind.SPLIT: lambda group, g: ((group.mul(g[0], g[1]),), g),
+    PieceKind.CAP: lambda group, g: ((), (group.identity,)),
+    PieceKind.CUP: lambda group, g: ((group.identity,), ()),
+    PieceKind.SWAP: lambda group, g: (g, (g[1], g[0])),
+}
+
+
+def _signature(group: FiniteGroup, piece: Piece) -> tuple[Signature, Signature]:
+    """The (dom, cod) of a piece over the group, from the group's signature
+    table, filled after a label range check when the group first sees it."""
+    entry = group.signatures.get(piece)
+    if entry is None:
+        if any(not 0 <= lab < group.order for lab in piece.labels):
+            raise SignatureMismatch("piece label outside the group's element range")
+        entry = group.signatures[piece] = _BOUNDARY[piece.kind](group, piece.labels)
+    return entry
 
 
 def id_piece(g: int) -> Piece:
@@ -155,28 +187,30 @@ class Cobordism:
         layers: Sequence[Sequence[Piece]],
         domain: Signature | None = None,
     ):
-        layers = tuple(tuple(layer) for layer in layers)
-        n = group.order
+        layers = tuple(map(tuple, layers))
+        table = group.signatures
+        bounds = []  # (dom, cod) of each layer, one table entry per piece
         for layer in layers:
+            layer_dom = layer_cod = ()
             for piece in layer:
-                if any(not 0 <= lab < n for lab in piece.labels):
-                    raise SignatureMismatch("piece label outside the group's element range")
+                entry = table.get(piece) or _signature(group, piece)
+                layer_dom += entry[0]
+                layer_cod += entry[1]
+            bounds.append((layer_dom, layer_cod))
         if layers:
-            current = tuple(g for piece in layers[0] for g in piece.dom(group))
+            dom = current = bounds[0][0]
             if domain is not None and tuple(domain) != current:
                 raise SignatureMismatch(
                     f"declared domain {_format_signature(group, tuple(domain))} does not "
                     f"match first layer {_format_signature(group, current)}"
                 )
-            dom = current
-            for index, layer in enumerate(layers):
-                layer_dom = tuple(g for piece in layer for g in piece.dom(group))
+            for index, (layer_dom, layer_cod) in enumerate(bounds):
                 if layer_dom != current:
                     raise SignatureMismatch(
                         f"layer {index + 1} expects {_format_signature(group, layer_dom)} "
                         f"but receives {_format_signature(group, current)}"
                     )
-                current = tuple(g for piece in layer for g in piece.cod(group))
+                current = layer_cod
             cod = current
         else:
             dom = cod = tuple(domain) if domain is not None else ()
@@ -238,33 +272,33 @@ def tensor(c1: Cobordism, c2: Cobordism) -> Cobordism:
     return Cobordism(group, layers, domain=c1.dom + c2.dom)
 
 
-def dual(c: Cobordism) -> Cobordism:
-    """Reverse the word: layers run backwards and every piece is flipped.
+_FLIPPED_KIND = {
+    PieceKind.MERGE: PieceKind.SPLIT, PieceKind.SPLIT: PieceKind.MERGE,
+    PieceKind.CAP: PieceKind.CUP, PieceKind.CUP: PieceKind.CAP,
+}
 
-    merge <-> split, cap <-> cup, a conjugating cylinder reverses to the
-    cylinder conjugating back, and swaps exchange their labels.
-    """
-    group = c.group
+
+def _flip(layers, conj, inv) -> tuple[tuple[Piece, ...], ...]:
+    """The layers read backwards: in reverse order, merge <-> split, cap <->
+    cup, cylinders conjugating back and swaps exchanging their labels, where
+    `conj(k, g)` is k g k^-1 and `inv` the inverse of whatever labels are."""
 
     def flip(piece: Piece) -> Piece:
         kind, labels = piece.kind, piece.labels
-        if kind is PieceKind.MERGE:
-            return split(labels[0], labels[1])
-        if kind is PieceKind.SPLIT:
-            return merge(labels[0], labels[1])
-        if kind is PieceKind.CAP:
-            return cup()
-        if kind is PieceKind.CUP:
-            return cap()
         if kind is PieceKind.CYL:
             g, k = labels
-            return cyl(group.conj(k, g), group.inv(k))
+            return cyl(conj(k, g), inv(k))
         if kind is PieceKind.SWAP:
             return swap(labels[1], labels[0])
-        return piece
+        return Piece(_FLIPPED_KIND.get(kind, kind), labels)
 
-    layers = tuple(tuple(flip(p) for p in layer) for layer in reversed(c.layers))
-    return Cobordism(group, layers, domain=c.cod)
+    return tuple(tuple(map(flip, layer)) for layer in reversed(layers))
+
+
+def dual(c: Cobordism) -> Cobordism:
+    """Reverse the word: layers run backwards and every piece is flipped."""
+    group = c.group
+    return Cobordism(group, _flip(c.layers, group.conj, group.inv), domain=c.cod)
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +465,6 @@ _CASE_WORDS = {
     # by the second input's label, and merging after a crossing
     "pants": ("merge(a,b) ; cyl(ab;b)", "swap(a,b) ; merge(b,a)"),
 }
-# the one-input three-output case is the reverse of a table case
-_REVERSED = {"103": "301"}
 
 CERF_CASES = ("111", "202", "301", "103", "sphere", "cylinder", "twist", "pants")
 
@@ -446,15 +478,14 @@ def _picker(indices: list[int]):
     return itemgetter(slice(indices[0], indices[0] + 1) if indices else slice(0))
 
 
-def _compile(words: tuple[str, ...]):
-    """One case's words, read once into slots that a labelling fills.
+def _compile(parsed: list[list[tuple[Piece, ...]]]):
+    """One case's parsed words, read once into slots that a labelling fills.
 
     Value slots hold e, the labels, their inverses, then the label
     products: step (i, j) fills the next slot with slot i times slot j.
     A piece is its kind and a picker of value slots, a layer a picker of
     pieces and a word a picker of layers; the last item is the label count.
     """
-    parsed = [_Parser(w, str).word() for w in words]
     layers = {x: i for i, x in enumerate(dict.fromkeys(x for word in parsed for x in word))}
     pieces = {p: i for i, p in enumerate(dict.fromkeys(p for layer in layers for p in layer))}
     products = {x for p in pieces for x in p.labels}
@@ -474,13 +505,19 @@ def _compile(words: tuple[str, ...]):
     )
 
 
-_COMPILED = {case: _compile(words) for case, words in _CASE_WORDS.items()}
+_PARSED = {case: [_Parser(w, str).word() for w in words] for case, words in _CASE_WORDS.items()}
+# 103: each 301 word reversed; a product's inverse is its reversed string, case swapped
+_PARSED["103"] = [
+    _flip(w, lambda k, g: k + g + k[::-1].swapcase(), lambda k: k[::-1].swapcase())
+    for w in _PARSED["301"]
+]
+_COMPILED = {case: _compile(words) for case, words in _PARSED.items()}
 
 
 def case_label_count(case: str) -> int:
     if case not in CERF_CASES:
         raise SignatureMismatch(f"unknown move case {case!r}; expected one of {CERF_CASES}")
-    return _COMPILED[_REVERSED.get(case, case)][4]
+    return _COMPILED[case][4]
 
 
 def _slot_values(group: FiniteGroup, steps, labels: tuple[int, ...]) -> tuple[int, ...]:
@@ -518,14 +555,11 @@ def cerf_case_words(group: FiniteGroup, case: str, labels: Sequence[int]) -> lis
     labels = tuple(labels)
     if len(labels) != want:
         raise SignatureMismatch(f"case {case} takes {want} labels, got {len(labels)}")
-    steps, piece_rows, layer_rows, word_rows, _ = _COMPILED[_REVERSED.get(case, case)]
+    steps, piece_rows, layer_rows, word_rows, _ = _COMPILED[case]
     value = _slot_values(group, steps, labels)
     pieces = tuple([Piece(kind, labels_of(value)) for kind, labels_of in piece_rows])
     layers = tuple([pieces_of(pieces) for pieces_of in layer_rows])
-    words = [Cobordism(group, layers_of(layers)) for layers_of in word_rows]
-    if case in _REVERSED:
-        words = [dual(w) for w in words]
-    return words
+    return [Cobordism(group, layers_of(layers)) for layers_of in word_rows]
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +576,8 @@ def _splice(word: Cobordism, layer_index: int, piece_index: int, gadget) -> Cobo
     right = layer[piece_index + 1 :]
     new_layers = [left + gadget[0] + right]
     if len(gadget) > 1:
-        left_ids = tuple(id_piece(g) for p in left for g in p.cod(group))
-        right_ids = tuple(id_piece(g) for p in right for g in p.cod(group))
+        left_ids = tuple(id_piece(g) for p in left for g in _signature(group, p)[1])
+        right_ids = tuple(id_piece(g) for p in right for g in _signature(group, p)[1])
         new_layers += [left_ids + gadget_layer + right_ids for gadget_layer in gadget[1:]]
     layers = word.layers[:layer_index] + tuple(new_layers) + word.layers[layer_index + 1 :]
     return Cobordism(group, layers, domain=word.dom)
@@ -646,7 +680,7 @@ def random_cobordism(group: FiniteGroup, seed: int, size_budget: int) -> Cobordi
                     i += 1
                 i += 1
             pieces.append(piece)
-            out.extend(piece.cod(group))
+            out.extend(_signature(group, piece)[1])
         layers.append(tuple(pieces))
         budget -= len(pieces)
         sig = tuple(out)

@@ -18,10 +18,11 @@ class FiniteGroup:
 
     Construction validates the group laws (Latin square, associativity,
     two-sided identity, inverses) and locates identity and inverses.
-    Instances are immutable and freely shareable.
+    Instances are immutable and freely shareable, except for `signatures`,
+    the table of piece boundaries that `gtqft.cobordism` fills lazily.
     """
 
-    __slots__ = ("names", "table", "identity", "inverse", "_index")
+    __slots__ = ("names", "table", "identity", "inverse", "_index", "signatures")
 
     def __init__(self, names, table):
         names = tuple(str(x) for x in names)
@@ -85,6 +86,7 @@ class FiniteGroup:
         self.identity = identity
         self.inverse = tuple(inverse)
         self._index = {name: i for i, name in enumerate(names)}
+        self.signatures: dict = {}
 
     @property
     def order(self) -> int:
@@ -129,6 +131,8 @@ class FiniteGroup:
         return self.names[i]
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, FiniteGroup):
             return NotImplemented
         return self.names == other.names and self.table == other.table

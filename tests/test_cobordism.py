@@ -1,5 +1,7 @@
 import itertools
+import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from gtqft import (
     Cobordism,
+    Piece,
     builtin,
     cap,
     rewrite_equivalent,
@@ -170,6 +173,84 @@ class TestComposeTensor:
         assert w.dom == w.cod == (2, 3)
 
 
+class TestInternedPieces:
+    def test_one_object_per_kind_and_labels(self):
+        assert Piece(PieceKind.CYL, (1, 2)) is Piece(PieceKind.CYL, (1, 2)) is cyl(1, 2)
+        assert Piece(PieceKind.CAP) is Piece(PieceKind.CAP, ()) is cap()
+        assert cyl(1, 2) is not cyl(2, 1) and merge(1, 2) is not split(1, 2)
+        assert pickle.loads(pickle.dumps(swap(3, 4))) is swap(3, 4)
+        assert hash(PieceKind.MERGE) == object.__hash__(PieceKind.MERGE)
+
+    def test_repr_and_immutability(self):
+        assert repr(cyl(1, 2)) == "Piece(kind=<PieceKind.CYL: 'cyl'>, labels=(1, 2))"
+        assert repr(cup()) == "Piece(kind=<PieceKind.CUP: 'cup'>, labels=())"
+        with pytest.raises(AttributeError):
+            cyl(1, 2).kind = PieceKind.ID
+        with pytest.raises(AttributeError):
+            del merge(0, 1).labels
+        assert cyl(1, 2).kind is PieceKind.CYL and cyl(1, 2).labels == (1, 2)
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda s3: Piece(PieceKind.CYL, (1,)), "cyl takes 2 labels, got 1"),
+            (lambda s3: Piece(PieceKind.CAP, (0,)), "cap takes 0 labels, got 1"),
+            (
+                lambda s3: Cobordism(s3, ((id_piece(6),),)),
+                "piece label outside the group's element range",
+            ),
+            (
+                # every label is range-checked before any layer boundary
+                lambda s3: Cobordism(s3, ((merge(1, 3),), (merge(1, 3),), (cyl(1, -1),))),
+                "piece label outside the group's element range",
+            ),
+            (
+                lambda s3: Cobordism(s3, ((merge(1, 3),), (merge(1, 3),))),
+                "layer 2 expects [p021, p120] but receives [p210]",
+            ),
+            (
+                lambda s3: Cobordism(s3, ((cap(),), (cup(),), (cup(),))),
+                "layer 3 expects [e] but receives []",
+            ),
+            (
+                lambda s3: Cobordism(s3, ((id_piece(1),), (id_piece(2),)), domain=(1, 2)),
+                "declared domain [p021, p102] does not match first layer [p021]",
+            ),
+        ],
+    )
+    def test_messages(self, s3, build, message):
+        with pytest.raises(SignatureMismatch) as err:
+            build(s3)
+        assert str(err.value) == message
+
+    def test_signature_table_is_per_group(self):
+        z4, d2 = builtin("cyclic", 4), builtin("dihedral", 2)
+        # g1 * g1 is g2 in Z4 but r1 * r1 is the identity in D2
+        assert Cobordism(z4, ((split(1, 1),),)).dom == (2,)
+        assert Cobordism(d2, ((split(1, 1),),)).dom == (0,)
+        assert z4.signatures[split(1, 1)] == ((2,), (1, 1))
+        assert d2.signatures[split(1, 1)] == ((0,), (1, 1))
+
+    def test_out_of_range_on_a_small_group_types_on_a_larger_one(self):
+        z2, z4 = builtin("cyclic", 2), builtin("cyclic", 4)
+        with pytest.raises(SignatureMismatch, match="outside the group's element range"):
+            Cobordism(z2, ((cyl(3, 1),),))
+        assert cyl(3, 1) not in z2.signatures
+        word = Cobordism(z4, ((cyl(3, 1),),))
+        assert word.dom == word.cod == (3,)
+
+    def test_signature_table_is_freed_with_its_group(self):
+        group = builtin("dihedral", 3)
+        words = cerf_case_words(group, "202", (1, 2, 3, 4))
+        table = group.signatures
+        assert len(table) > 0
+        del words
+        # held by the group's slot, this frame and the call's argument only
+        assert sys.getrefcount(table) == 3
+        del group
+        assert sys.getrefcount(table) == 2
+
+
 class TestDual:
     def test_involution(self, s3):
         w = Cobordism(
@@ -265,11 +346,16 @@ class TestCaseBuilders:
         words = cerf_case_words(trivial_group, "111", (0, 0, 0, 0))
         assert all(w.dom == (0,) and w.cod == (0,) for w in words)
 
-    def test_103_words_are_duals_of_301(self, z4):
-        labels = (1, 2, 3, 0)
-        found = cerf_case_words(z4, "103", labels)
-        expected = [dual(w) for w in cerf_case_words(z4, "301", labels)]
-        assert found == expected
+    def test_103_words_are_duals_of_301(self, s3, d4, q8):
+        # the 103 row is compiled as the reverse of the 301 row; `dual` of
+        # each 301 word is the oracle, at every labelling
+        for group in (s3, d4, q8):
+            for labels in itertools.product(range(group.order), repeat=4):
+                found = cerf_case_words(group, "103", labels)
+                expected = [dual(w) for w in cerf_case_words(group, "301", labels)]
+                assert [w.to_text() for w in found] == [w.to_text() for w in expected]
+                assert [(w.dom, w.cod) for w in found] == [(w.dom, w.cod) for w in expected]
+                assert found == expected
 
     def test_sphere_and_cylinder_cases(self, z2):
         assert all(w.dom == () and w.cod == () for w in cerf_case_words(z2, "sphere", ()))
