@@ -62,10 +62,12 @@ and every other law reads the `Fraction` tables one case at a time through
 the action laws on one block, trace invariance), the nondegeneracy of the
 pairings and the torus identity; ``action-automorphism`` puts the unit
 check of each k, context ``(k,)`` and computed on the tables, before the
-rows (k, g) of that k.  Each pairing is inverted once, by the
-nondegeneracy check, and the torus identity reads those inverses.
+rows (k, g) of that k.  Each pairing is built and inverted once per
+algebra (`inverted_pairings`): the one nondegeneracy decision, which
+`derive`, the torus identity and the orbifold's trace check read too.
 
-The rows read the tables through their int images (`exactlin.int_image`):
+The rows read the tables through their int images (`exactlin.int_image`),
+each built once per table by `table_image` and kept on its owner:
 the product over D_P, the action over D_A and the coproducts over D_C,
 each the lcm of its table's denominators, so group and rich algebras have
 every D equal to 1.  A side that multiplies k table entries is the exact
@@ -129,11 +131,12 @@ from .report import (
 class GFrobeniusAlgebra:
     """Shape-validated graded algebra data; laws are checked separately.
 
-    Nothing mutates an algebra after it is built, so `derive` stores its
-    result on the instance and every later call reuses it.
+    Nothing mutates an algebra after it is built, so ``_built`` keeps each
+    table derived from it once built (`_once`): the `derive` structure, the
+    `inverted_pairings` and the `table_image` of ``product`` and ``action``.
     """
 
-    __slots__ = ("group", "dims", "product", "action", "unit", "trace", "_derived")
+    __slots__ = ("group", "dims", "product", "action", "unit", "trace", "_built")
 
     def __init__(
         self,
@@ -194,7 +197,7 @@ class GFrobeniusAlgebra:
         self.action = full_action
         self.unit = unit
         self.trace = trace
-        self._derived = None
+        self._built: dict = {}
 
     def apply_product(self, g: int, h: int, x: Vector, y: Vector) -> Vector:
         """Multiply a grade-g vector by a grade-h vector; lands in grade g*h."""
@@ -466,16 +469,33 @@ class DerivedStructure:
       with grade g^-1, stored as a dims[g] x dims[g^-1] matrix.
 
     `derive` hands one structure to every caller on an algebra, so the four
-    mappings are read-only views.
+    mappings are read-only views.  ``_built`` keeps the int image of
+    ``coproducts`` (`table_image`) on this structure, not on the algebra,
+    so a structure built by hand is checked on its own coproducts.
     """
 
-    __slots__ = ("pairings", "dual_bases", "coproducts", "euler")
+    __slots__ = ("pairings", "dual_bases", "coproducts", "euler", "_built")
 
     def __init__(self, pairings, dual_bases, coproducts, euler):
         self.pairings = MappingProxyType(pairings)
         self.dual_bases = MappingProxyType(dual_bases)
         self.coproducts = MappingProxyType(coproducts)
         self.euler = MappingProxyType(euler)
+        self._built: dict = {}
+
+
+def _once(owner, key, build):
+    """The table `key` derived from `owner`: ``build()`` on first use, kept
+    in ``owner._built`` and read from there afterwards.  A build that
+    raises stores nothing, so it raises again on every call."""
+    if key not in owner._built:
+        owner._built[key] = build()
+    return owner._built[key]
+
+
+def table_image(owner, name: str) -> tuple[dict, int]:
+    """The int image of the table attribute `name` of `owner`, built once."""
+    return _once(owner, name, lambda: int_image(getattr(owner, name)))
 
 
 def pairing_matrix(a: GFrobeniusAlgebra, g: int) -> Matrix:
@@ -486,6 +506,24 @@ def pairing_matrix(a: GFrobeniusAlgebra, g: int) -> Matrix:
     return Matrix._wrap(
         t.dim0, t.dim1, tuple(tuple(a.trace_of(v) for v in plane) for plane in t.data)
     )
+
+
+def inverted_pairings(a: GFrobeniusAlgebra) -> dict[int, tuple[Matrix, Matrix | None]]:
+    """Per grade g, the `pairing_matrix` and its inverse, built once per
+    algebra.  The inverse is None when the pairing is not square or is
+    singular: the one nondegeneracy decision."""
+
+    def build():
+        out = {}
+        for g in range(a.group.order):
+            theta = pairing_matrix(a, g)
+            try:
+                out[g] = theta, theta.inverse() if theta.rows == theta.cols else None
+            except SingularMatrix:
+                out[g] = theta, None
+        return out
+
+    return _once(a, "pairings", build)
 
 
 def product_sum(a: GFrobeniusAlgebra, g: int, h: int, pairs: Matrix) -> Vector:
@@ -506,67 +544,47 @@ def product_sum(a: GFrobeniusAlgebra, g: int, h: int, pairs: Matrix) -> Vector:
 def derive(a: GFrobeniusAlgebra) -> DerivedStructure:
     """Dual bases, coproducts and handle elements from the trace pairing.
 
-    Requires every pairing to be nondegenerate; raises DegeneratePairing
-    otherwise.  The coproduct for each grade pair is computed by both
-    one-sided formulas and cross-asserted, so downstream code may rely on
-    either reading.  The structure is computed once per algebra and then
-    returned from the algebra itself; a failed derive is not stored, so it
+    Requires every pairing to be nondegenerate (`inverted_pairings`);
+    raises DegeneratePairing otherwise.  The coproduct for each grade pair
+    is computed by both one-sided formulas and cross-asserted, so
+    downstream code may rely on either reading.  The structure is computed
+    once per algebra (`_once`); a failed derive is not stored, so it
     raises again on every call.
     """
-    if a._derived is not None:
-        return a._derived
+    return _once(a, "derive", lambda: _derive(a))
+
+
+def _derive(a: GFrobeniusAlgebra) -> DerivedStructure:
     group = a.group
     n = group.order
-    pairings: dict[int, Matrix] = {}
-    dual_bases: dict[int, Matrix] = {}
-    euler: dict[int, Matrix] = {}
-    for g in range(n):
-        gi = group.inv(g)
-        theta = pairing_matrix(a, g)
-        if theta.rows != theta.cols:
-            raise DegeneratePairing(
-                group.name(g),
-                f"component dimensions differ: {theta.rows} vs {theta.cols}",
-            )
-        try:
-            dual = theta.inverse()
-        except SingularMatrix:
-            raise DegeneratePairing(group.name(g), "pairing matrix is singular") from None
-        pairings[g] = theta
-        dual_bases[g] = dual
-        euler[g] = dual.transpose()
+    inverted = inverted_pairings(a)
+    for g, (theta, dual) in inverted.items():
+        if dual is None:
+            reason = "pairing matrix is singular"
+            if theta.rows != theta.cols:
+                reason = f"component dimensions differ: {theta.rows} vs {theta.cols}"
+            raise DegeneratePairing(group.name(g), reason)
+    pairings = {g: theta for g, (theta, _) in inverted.items()}
+    dual_bases = {g: dual for g, (_, dual) in inverted.items()}
+    euler = {g: dual.transpose() for g, dual in dual_bases.items()}
 
     coproducts: dict[tuple[int, int], Tensor3] = {}
     for g in range(n):
         for h in range(n):
             gh = group.mul(g, h)
             dgh, dg, dh = a.dims[gh], a.dims[g], a.dims[h]
-            right = a.product[(gh, group.inv(h))]  # lands in grade g
-            dual_h = dual_bases[h]
-            left = a.product[(group.inv(g), gh)]  # lands in grade h
-            dual_g = dual_bases[g]
+            # basis_c times the dual basis of h on the right lands in grade
+            # g, the dual basis of g times basis_c on the left in grade h
+            right, dual_h = a.product[(gh, group.inv(h))].data, dual_bases[h].data
+            left, dual_g = a.product[(group.inv(g), gh)].data, dual_bases[g].data
             grid = []
             for c in range(dgh):
                 plane = []
                 for i in range(dg):
                     row = []
                     for j in range(dh):
-                        # multiply basis_c by the dual basis of h on the right
-                        v1 = sum(
-                            (
-                                right.data[c][b][i] * dual_h.data[b][j]
-                                for b in range(dual_h.rows)
-                            ),
-                            ZERO,
-                        )
-                        # multiply basis_c by the dual basis of g on the left
-                        v2 = sum(
-                            (
-                                dual_g.data[b][i] * left.data[b][c][j]
-                                for b in range(dual_g.rows)
-                            ),
-                            ZERO,
-                        )
+                        v1 = sum((r[i] * d[j] for r, d in zip(right[c], dual_h)), ZERO)
+                        v2 = sum((d[i] * p[c][j] for d, p in zip(dual_g, left)), ZERO)
                         if v1 != v2:
                             raise CoproductMismatch(
                                 "coproduct formulas disagree for grades "
@@ -579,8 +597,7 @@ def derive(a: GFrobeniusAlgebra) -> DerivedStructure:
                 grid.append(tuple(plane))
             coproducts[(g, h)] = Tensor3._wrap(dgh, dg, dh, tuple(grid))
 
-    a._derived = DerivedStructure(pairings, dual_bases, coproducts, euler)
-    return a._derived
+    return DerivedStructure(pairings, dual_bases, coproducts, euler)
 
 
 def handle_element(a: GFrobeniusAlgebra, dual: Matrix, x: int, y: int) -> tuple[int, Vector]:
@@ -605,6 +622,17 @@ def _group_renderer(group: FiniteGroup, keys: Sequence[str], left=str, right=Non
     return renderer(keys, lambda v: group.name(v) if isinstance(v, int) else str(v), left, right)
 
 
+def law(group, name, cases, keys, left=vector_literal, right=None, scale=None, locate=None):
+    """The entry of law `name` from its cases, or its rows when `locate` is
+    given, naming context ints through `group` and descaling int sides."""
+    render = _group_renderer(group, keys, left, right)
+    if scale is not None:
+        render = descaled(render, scale)
+    if locate is None:
+        return first_failure(name, cases, render)
+    return first_row_failure(name, cases, locate, render)
+
+
 def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
     """Exhaustively verify the defining laws on all basis and group elements.
 
@@ -619,16 +647,14 @@ def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
     T, conj, inv = group.table, group.conj, group.inv
     D = max(dims, default=0)
     D2, D3, de, total = D * D, D**3, dims[e], sum(dims)
-    P_image, d_p = int_image(a.product)
-    A_image, d_a = int_image(a.action)
+    P_image, d_p = table_image(a, "product")
+    A_image, d_a = table_image(a, "action")
     # over_right[x]: the entries of P[(x, y)] as columns over y; over_left[y]:
     # of P[(x, y)] over x; acts[k]: of A[(k, g)] over g
     over_right = batch_columns(P_image, n)
     over_left = batch_columns(P_image, n, first=True)
     acts = batch_columns(A_image, n)
     conj_by = [[conj(k, g) for g in range(n)] for k in range(n)]
-    # the inverse of each grade's pairing, None when it is singular
-    duals: dict[int, Matrix | None] = {}
     # A[(k, g)][b, j] along g keyed by b, with j at stride D: the action on
     # the last leg of the automorphism and the twisted commutativity
     acts_by_b = [factor(cols, 0, (D,)) for cols in acts]
@@ -696,15 +722,10 @@ def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
                 yield (h, t), a.trace_of(a.apply_action(h, e, b_t)), a.trace[t]
 
     def nondegenerate():
-        # each grade's pairing is inverted once, here, and reused by the
-        # torus; a square matrix has det != 0 exactly when it is invertible
+        # a square matrix has det != 0 exactly when it is invertible
         for g in range(n):
             yield (g, "dim"), dims[g], dims[inv(g)]
-            try:
-                duals[g] = pairing_matrix(a, g).inverse()
-            except SingularMatrix:
-                duals[g] = None
-            yield (g, "det"), duals[g] is not None, True
+            yield (g, "det"), inverted_pairings(a)[g][1] is not None, True
 
     def render_degenerate(context, lhs, rhs) -> Witness:
         g, kind = context
@@ -721,6 +742,7 @@ def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
             yield (g,), dims[g] * total, column_row(over_right[g], D, d_a), rhs
 
     def torus_identity():
+        duals = {g: dual for g, (_, dual) in inverted_pairings(a).items()}
         for g in range(n):
             for h in range(n):
                 hi = inv(h)
@@ -729,15 +751,6 @@ def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
                 # basis_i of grade h times g acting on dual_i of grade h
                 pairs = (a.action[(g, hi)] @ duals[h]).transpose()
                 yield (g, h), lhs, product_sum(a, h, ghi, pairs)
-
-    def law(name, cases, keys, left=vector_literal, right=None, scale=None, locate=None):
-        """The entry of a law yielding cases, or rows when `locate` is given."""
-        render = _group_renderer(group, keys, left, right)
-        if scale is not None:
-            render = descaled(render, scale)
-        if locate is None:
-            return first_failure(name, cases, render)
-        return first_row_failure(name, cases, locate, render)
 
     def vector_of(target):
         """Side shape of vector cases landing in grade target(context, k)."""
@@ -755,14 +768,16 @@ def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
 
     entries = [
         law(
+            group,
             "product-associativity",
             associativity(),
             ("g", "h", "k", "i", "j", "l"),
             scale=d_p * d_p,
             locate=row_locator(D, 4, vector_of(lambda c, k: T[T[c[0]][c[1]]][k])),
         ),
-        law("unit-laws", unit_laws(), ("g", "j", "side")),
+        law(group, "unit-laws", unit_laws(), ("g", "j", "side")),
         law(
+            group,
             "action-of-identity",
             action_of_identity(),
             ("g",),
@@ -770,6 +785,7 @@ def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
             lambda _: "identity matrix",
         ),
         law(
+            group,
             "action-homomorphism",
             action_homomorphism(),
             ("k", "l", "g"),
@@ -778,6 +794,7 @@ def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
             locate=row_locator(D, 2, lambda c, g: (dims[conj_by[T[c[0]][c[1]]][g]], dims[g])),
         ),
         law(
+            group,
             "action-automorphism",
             action_automorphism(),
             ("k", "g", "h", "i", "j"),
@@ -785,15 +802,17 @@ def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
             locate=automorphism_cases,
         ),
         law(
+            group,
             "action-trivial-on-own-grade",
             trivial_on_own_grade(),
             ("g",),
             matrix_literal,
             lambda _: "identity matrix",
         ),
-        law("trace-invariance", trace_invariance(), ("h", "t"), format_scalar),
+        law(group, "trace-invariance", trace_invariance(), ("h", "t"), format_scalar),
         first_failure("pairing-nondegenerate", nondegenerate(), render_degenerate),
         law(
+            group,
             "twisted-commutativity",
             twisted_commutativity(),
             ("g", "h", "i", "j"),
@@ -802,7 +821,7 @@ def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
         ),
     ]
     if entries[-2].passed:
-        entries.append(law("torus-identity", torus_identity(), ("g", "h")))
+        entries.append(law(group, "torus-identity", torus_identity(), ("g", "h")))
     else:
         blocked = (("blocked", "degenerate pairing; identity not evaluated"),)
         entries.append(failing("torus-identity", blocked, "", ""))
@@ -819,8 +838,8 @@ def check_frobenius_diagram(a: GFrobeniusAlgebra, d: DerivedStructure) -> CheckR
     dims, T = a.dims, group.table
     D = max(dims, default=0)
     D2, D3 = D * D, D**3
-    P_image, d_p = int_image(a.product)
-    C_image, d_c = int_image(d.coproducts)
+    P_image, d_p = table_image(a, "product")
+    C_image, d_c = table_image(d, "coproducts")
     products, splits = batch_columns(P_image, n), batch_columns(C_image, n)
     # positions (i, c, p, b); the left side sums over x in grade h, the
     # right side over q in grade ghk
@@ -839,9 +858,11 @@ def check_frobenius_diagram(a: GFrobeniusAlgebra, d: DerivedStructure) -> CheckR
                 rhs = contract(moved(products_by_q[g], T[h]), split_by_q[gh])
                 yield (g, h), dims[g] * dims[gh] * split_sizes[h], lhs, rhs
 
-    render = _group_renderer(group, ("g", "h", "k", "i", "c", "p", "b"), format_scalar)
-    locate = row_locator(D, 4, lambda context, k: ())
-    entry = first_row_failure("frobenius-relation", rows(), locate, descaled(render, d_p * d_c))
+    keys = ("g", "h", "k", "i", "c", "p", "b")
+    scale, locate = d_p * d_c, row_locator(D, 4, lambda context, k: ())
+    entry = law(
+        group, "frobenius-relation", rows(), keys, format_scalar, scale=scale, locate=locate
+    )
     return CheckReport((entry,))
 
 
@@ -854,8 +875,8 @@ def check_cocommutativity(a: GFrobeniusAlgebra, d: DerivedStructure) -> CheckRep
     n = group.order
     dims, T, conj = a.dims, group.table, group.conj
     D = max(dims, default=0)
-    A_image, d_a = int_image(a.action)
-    C_image, d_c = int_image(d.coproducts)
+    A_image, d_a = table_image(a, "action")
+    C_image, d_c = table_image(d, "coproducts")
     acts, splits = batch_columns(A_image, n), batch_columns(C_image, n)
     merged = batch_columns(C_image, n, first=True)
     # positions (c, i, j); the right side sums over b in grade h
@@ -870,10 +891,11 @@ def check_cocommutativity(a: GFrobeniusAlgebra, d: DerivedStructure) -> CheckRep
             count = dims[g] * sum(dims[T[g][h]] * dims[order[h]] for h in range(n))
             yield (g,), count, column_row(merged[g], D, d_a, order), rhs
 
-    render = _group_renderer(group, ("g", "h", "c", "i", "j"), format_scalar)
-    locate = row_locator(D, 3, lambda context, h: ())
-    scaled = descaled(render, d_a * d_c)
-    entry = first_row_failure("twisted-cocommutativity", rows(), locate, scaled)
+    keys = ("g", "h", "c", "i", "j")
+    scale, locate = d_a * d_c, row_locator(D, 3, lambda context, h: ())
+    entry = law(
+        group, "twisted-cocommutativity", rows(), keys, format_scalar, scale=scale, locate=locate
+    )
     return CheckReport((entry,))
 
 
@@ -893,5 +915,5 @@ def action_on_dual_basis_check(a: GFrobeniusAlgebra, d: DerivedStructure) -> Che
                 moved = a.action[(h, g)] @ d.euler[g] @ a.action[(h, gi)].transpose()
                 yield (g, h), moved, d.euler[group.conj(h, g)]
 
-    render = _group_renderer(group, ("g", "h"), matrix_literal)
-    return CheckReport((first_failure("dual-basis-equivariance", cases(), render),))
+    entry = law(group, "dual-basis-equivariance", cases(), ("g", "h"), matrix_literal)
+    return CheckReport((entry,))

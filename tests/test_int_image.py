@@ -5,7 +5,8 @@ loops that run on it.
 denominator D; the laws compare int sides brought to one total scale.  The
 property tests check the image against the `Fraction` tables it stands for;
 the counting tests check that every law still draws every case, counted
-through the real (unpadded) case counts of the rows it hands its driver.
+through the real (unpadded) case counts of the rows it hands its driver,
+and that each table is imaged, and each pairing built and inverted, once.
 """
 
 import math
@@ -23,8 +24,10 @@ from gtqft import (
     check_frobenius_diagram,
     derive,
     frobenius_untwisted,
+    group_algebra,
     orbifold_algebra,
 )
+from gtqft.cli import main
 from gtqft.exactlin import Matrix, Tensor3, int_image
 from gtqft.report import first_failure, first_row_failure
 from law_oracle import _int_times, _int_vector
@@ -135,7 +138,8 @@ def drawn(monkeypatch):
 
     for module in (gtqft.algebra, gtqft.orbifold):
         monkeypatch.setattr(module, "first_failure", counting)
-        monkeypatch.setattr(module, "first_row_failure", counting_rows)
+        # the orbifold runs no rows, so it need not import the row driver
+        monkeypatch.setattr(module, "first_row_failure", counting_rows, raising=False)
     return counts
 
 
@@ -194,3 +198,64 @@ def test_every_law_draws_every_case(drawn, request, fixture):
         "orbifold-unit": 1 + m,
     }
     assert drawn == {name: count for name, count in expected.items() if name not in failing}
+
+
+# --- every derived table is built once -------------------------------------
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts of the table builders called through the package: the ids of
+    the tables passed to `int_image`, and the `pairing_matrix`,
+    `Matrix.inverse` and `Matrix.det` calls."""
+    calls = {"int_image": [], "pairing_matrix": 0, "inverse": 0, "det": 0}
+
+    def imaging(blocks):
+        calls["int_image"].append(id(blocks))
+        return int_image(blocks)
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return wrapper
+
+    for module in (gtqft.algebra, gtqft.orbifold):
+        monkeypatch.setattr(module, "int_image", imaging)
+    monkeypatch.setattr(
+        gtqft.algebra, "pairing_matrix", counted("pairing_matrix", gtqft.algebra.pairing_matrix)
+    )
+    monkeypatch.setattr(Matrix, "inverse", counted("inverse", Matrix.inverse))
+    monkeypatch.setattr(Matrix, "det", counted("det", Matrix.det))
+    return calls
+
+
+S3_GROUP_ALGEBRA = ["--group", "symmetric:3", "--algebra", "builtin:group-algebra"]
+
+
+def test_check_builds_each_table_once(builds, capsys):
+    assert main(["check", *S3_GROUP_ALGEBRA]) == 0
+    # the product, the action and the coproducts, one image each
+    assert len(builds["int_image"]) == len(set(builds["int_image"])) == 3
+    # each of the six grades' pairings is built and inverted once
+    assert (builds["pairing_matrix"], builds["inverse"], builds["det"]) == (6, 6, 0)
+
+
+def test_orbifold_reads_the_one_nondegeneracy_decision(builds, capsys):
+    assert main(["orbifold", *S3_GROUP_ALGEBRA]) == 0
+    # the action and the invariant structure constants
+    assert len(builds["int_image"]) == len(set(builds["int_image"])) == 2
+    # the invariant algebra's one pairing, and no determinant
+    assert (builds["pairing_matrix"], builds["inverse"], builds["det"]) == (1, 1, 0)
+
+
+def test_derive_after_check_reuses_the_pairings(builds, s3):
+    a = group_algebra(s3)
+    assert check_axioms(a).passed
+    built = dict(builds)
+    derive(a)
+    assert (builds["pairing_matrix"], builds["inverse"]) == (
+        built["pairing_matrix"],
+        built["inverse"],
+    )
