@@ -133,7 +133,8 @@ class GFrobeniusAlgebra:
 
     Nothing mutates an algebra after it is built, so ``_built`` keeps each
     table derived from it once built (`_once`): the `derive` structure, the
-    `inverted_pairings` and the `table_image` of ``product`` and ``action``.
+    `inverted_pairings`, the `table_image` of ``product`` and ``action``,
+    and the evaluator's piece cache, which fills piece by piece.
     """
 
     __slots__ = ("group", "dims", "product", "action", "unit", "trace", "_built")

@@ -36,14 +36,7 @@ from .exactlin import Matrix, format_matrix, format_scalar
 from .groups import FiniteGroup, builtin_from_string, load_group
 from .orbifold import orbifold_algebra
 from .report import CheckReport, failing
-from .tqft import (
-    BlockLinearMap,
-    Evaluator,
-    cerf_check,
-    evaluate,
-    split_matrix,
-    word_functoriality_witness,
-)
+from .tqft import Evaluator, cerf_check, evaluate, split_matrix, word_functoriality_witness
 
 
 @dataclass
@@ -154,28 +147,39 @@ def _load_algebra_source(config: RunConfig) -> GFrobeniusAlgebra:
 
 
 def _read_cobordism_text(source: str) -> str:
+    """The word text in a file, or the source itself when it names none;
+    a file that is not UTF-8 is a parse error."""
     path = _source_file(source)
-    if path is not None:
+    if path is None:
+        return source
+    try:
         return path.read_text(encoding="utf-8")
-    return source
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{source} is not UTF-8 text: {exc}") from None
 
 
-def _print_block_map(value: BlockLinearMap, group: FiniteGroup, mode: str) -> str:
+def _scalars(rows) -> list[list[str]]:
+    return [[format_scalar(x) for x in row] for row in rows]
+
+
+def _print_block_map(word: Cobordism, value: Matrix, mode: str) -> str:
+    """The value of `word`, with its domain and codomain signatures."""
+    name = word.group.name
     if mode == "records":
         return json.dumps(
             {
                 "record": "map",
-                "domain": [group.name(g) for g in value.domain],
-                "codomain": [group.name(g) for g in value.codomain],
-                "matrix": [[format_scalar(x) for x in row] for row in value.matrix.data],
+                "domain": [name(g) for g in word.dom],
+                "codomain": [name(g) for g in word.cod],
+                "matrix": _scalars(value.data),
             }
         )
     lines = [
-        "domain:   [" + ", ".join(group.name(g) for g in value.domain) + "]",
-        "codomain: [" + ", ".join(group.name(g) for g in value.codomain) + "]",
-        f"matrix ({value.matrix.rows} x {value.matrix.cols}):",
+        "domain:   [" + ", ".join(map(name, word.dom)) + "]",
+        "codomain: [" + ", ".join(map(name, word.cod)) + "]",
+        f"matrix ({value.rows} x {value.cols}):",
     ]
-    lines.extend(format_matrix(value.matrix))
+    lines.extend(format_matrix(value))
     return "\n".join(lines)
 
 
@@ -198,60 +202,33 @@ def _cmd_check(config: RunConfig) -> int:
 def _cmd_derive(config: RunConfig) -> int:
     a = _load_algebra_source(config)
     d = derive(a)
-    group = a.group
+    name, elements = a.group.name, a.group.elements()
+    euler = "(rows: grade, cols: inverse grade):"
+    split = "(matrix of the splitting map, rows flatten the two output legs):"
+    # (record, grades, block, human header) of each derived table
+    entries = [("pairing", (g,), d.pairings[g], f"pairing[{name(g)}]:") for g in elements]
+    entries += [
+        ("handle-diagonal", (g,), d.euler[g], f"euler-element[{name(g)}] {euler}")
+        for g in elements
+    ]
+    entries += [
+        ("coproduct", (g, h), d.coproducts[(g, h)], f"coproduct[{name(g)},{name(h)}] {split}")
+        for g in elements
+        for h in elements
+    ]
     out = []
-    if config.fmt == "records":
-        for g in group.elements():
-            out.append(
-                json.dumps(
-                    {
-                        "record": "pairing",
-                        "g": group.name(g),
-                        "matrix": [[format_scalar(x) for x in row] for row in d.pairings[g].data],
-                    }
-                )
-            )
-        for g in group.elements():
-            out.append(
-                json.dumps(
-                    {
-                        "record": "handle-diagonal",
-                        "g": group.name(g),
-                        "matrix": [[format_scalar(x) for x in row] for row in d.euler[g].data],
-                    }
-                )
-            )
-        for g in group.elements():
-            for h in group.elements():
-                t = d.coproducts[(g, h)]
-                out.append(
-                    json.dumps(
-                        {
-                            "record": "coproduct",
-                            "g": group.name(g),
-                            "h": group.name(h),
-                            "tensor": [
-                                [[format_scalar(x) for x in row] for row in plane]
-                                for plane in t.data
-                            ],
-                        }
-                    )
-                )
-    else:
-        for g in group.elements():
-            out.append(f"pairing[{group.name(g)}]:")
-            out.extend(format_matrix(d.pairings[g]))
-        for g in group.elements():
-            out.append(f"euler-element[{group.name(g)}] (rows: grade, cols: inverse grade):")
-            out.extend(format_matrix(d.euler[g]))
-        for g in group.elements():
-            for h in group.elements():
-                t = d.coproducts[(g, h)]
-                out.append(
-                    f"coproduct[{group.name(g)},{group.name(h)}] "
-                    f"(matrix of the splitting map, rows flatten the two output legs):"
-                )
-                out.extend(format_matrix(split_matrix(t)))
+    for record, grades, block, header in entries:
+        coproduct = record == "coproduct"
+        if config.fmt == "records":
+            rec = {"record": record, **dict(zip("gh", map(name, grades)))}
+            if coproduct:
+                rec["tensor"] = [_scalars(plane) for plane in block.data]
+            else:
+                rec["matrix"] = _scalars(block.data)
+            out.append(json.dumps(rec))
+        else:
+            out.append(header)
+            out.extend(format_matrix(split_matrix(block) if coproduct else block))
     print("\n".join(out))
     return 0
 
@@ -274,8 +251,7 @@ def _cmd_eval(config: RunConfig) -> int:
         raise SchemaError("--cobordism is required for eval")
     text = _read_cobordism_text(config.cobordism)
     word = parse(text, a.group)
-    value = evaluate(a, word)
-    print(_print_block_map(value, a.group, config.fmt))
+    print(_print_block_map(word, evaluate(a, word), config.fmt))
     return 0
 
 
@@ -367,16 +343,14 @@ def _cmd_fuzz(config: RunConfig) -> int:
             print(f"witness: {dict(witness.context)}")
             return 1
         rewritten = rewrite_equivalent(word, rng)
-        if rewritten is not None and ev(rewritten).matrix != value:
-            shrunk = minimize_word(rewritten, lambda w: ev(w).matrix != value)
+        if rewritten is not None and ev(rewritten) != value:
+            shrunk = minimize_word(rewritten, lambda w: ev(w) != value)
             print(f"fuzz: rewrite equality failed at word {index}")
             print(f"word: {word.to_text()}")
             print(f"rewritten: {shrunk.to_text()}")
             return 1
         if previous is not None and index % 10 == 0:
-            side_by_side = ev(tensor_words(previous, word))
-            separate = previous_value.kron(value)
-            if side_by_side.matrix != separate:
+            if ev(tensor_words(previous, word)) != previous_value.kron(value):
                 print(f"fuzz: tensor functoriality failed at word {index}")
                 print(f"left: {previous.to_text()}")
                 print(f"right: {word.to_text()}")

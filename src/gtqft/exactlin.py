@@ -44,11 +44,11 @@ Vector = tuple[Fraction, ...]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-_SCALAR_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_SCALAR_RE = re.compile(r"^[+-]?\d+(?:/0*[1-9]\d*)?$")
 
 
 def scalar_from_string(text: str) -> Fraction:
-    """Parse a scalar literal, either "p" or "p/q" in decimal digits."""
+    """Parse a scalar literal, either "p" or "p/q" in decimal digits, q > 0."""
     if not isinstance(text, str) or not _SCALAR_RE.match(text.strip()):
         raise ValueError(f"not a rational literal: {text!r}")
     return Fraction(text.strip())

@@ -291,7 +291,7 @@ def load_group(doc) -> FiniteGroup:
     if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
         raise SchemaError('group "table" must be a list of index rows')
     for row in table:
-        if not all(isinstance(x, int) for x in row):
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in row):
             raise SchemaError("group table entries must be integers")
     return FiniteGroup(names, table)
 

@@ -13,7 +13,8 @@ to the legs it touches, so a layer of width w over components of dimension
 d costs about d^(w+1) rather than the d^(2w) of its whole-layer matrix.
 Pieces whose matrix is exactly the identity are skipped, and piece entries
 with denominator 1 are kept as ints, which mix exactly with Fractions.  The
-result is converted to a Fraction `Matrix` at the edge.
+result is converted to a Fraction `Matrix` at the edge, and that `Matrix`
+is the value of the word; its signatures are the word's `dom` and `cod`.
 `Evaluator.layer_matrix` (the Kronecker product of a layer's pieces) is
 kept as the independent whole-layer reference path that the tests compare
 against; the fuzz tensor check likewise compares with `Matrix.kron`.
@@ -29,16 +30,17 @@ applied; weighting belongs to callers.
 
 Every function here takes the algebra alone: `derive` computes its
 pairings, dual bases and coproducts once per algebra, and every later
-evaluator, check and closed invariant on it reuses them.
+evaluator, check and closed invariant on it reuses them.  The piece
+matrices are stored on the algebra as well, in one cache that every
+`Evaluator` on it shares and that fills piece by piece as words need them.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import GFrobeniusAlgebra, derive, handle_element
+from .algebra import GFrobeniusAlgebra, _once, derive, handle_element
 from .cobordism import (
     Cobordism,
     Piece,
@@ -57,15 +59,6 @@ from .errors import BudgetExceeded, EngineError, FlatnessViolation, SignatureMis
 from .exactlin import ONE, ZERO, Matrix, Tensor3, matrix_literal
 from .groups import FiniteGroup
 from .report import CheckEntry, CheckReport, Witness, first_failure, renderer
-
-
-@dataclass(frozen=True)
-class BlockLinearMap:
-    """An exact linear map between labelled boundary signatures."""
-
-    domain: tuple[int, ...]
-    codomain: tuple[int, ...]
-    matrix: Matrix
 
 
 def _exact(x: Fraction):
@@ -169,12 +162,13 @@ class _PieceMatrix(Matrix):
 
 
 class Evaluator:
-    """Caches per-piece matrices for one algebra across many evaluations."""
+    """Evaluates words over one algebra, reading the per-piece matrices from
+    the cache that every evaluator on that algebra shares."""
 
     def __init__(self, algebra: GFrobeniusAlgebra):
         self.algebra = algebra
         self.derived = derive(algebra)
-        self._pieces: dict[Piece, _PieceMatrix] = {}
+        self._pieces: dict[Piece, _PieceMatrix] = _once(algebra, "pieces", dict)
 
     def signature_dimension(self, signature) -> int:
         dim = 1
@@ -244,11 +238,11 @@ class Evaluator:
         dim = self.signature_dimension(word.dom)
         return _identity_rows(dim), dim
 
-    def __call__(self, word: Cobordism) -> BlockLinearMap:
+    def __call__(self, word: Cobordism) -> Matrix:
         rows, dim = self._start(word)
         for layer in word.layers:
             rows = self._apply_layer(rows, layer)
-        return BlockLinearMap(word.dom, word.cod, _rows_to_matrix(rows, dim))
+        return _rows_to_matrix(rows, dim)
 
     def prefixes(self, word: Cobordism) -> list[Matrix]:
         """The values of the word's first 0, 1, .., n layers; the last is
@@ -270,29 +264,37 @@ class Evaluator:
         return Matrix.identity(1) if out is None else out
 
 
-def evaluate(a: GFrobeniusAlgebra, word: Cobordism) -> BlockLinearMap:
+def evaluate(a: GFrobeniusAlgebra, word: Cobordism) -> Matrix:
     """Value of a surface word: each piece applied to its own legs, layer
     after layer along the word."""
     return Evaluator(a)(word)
-
-
-def _labels_ctx(group: FiniteGroup, labels) -> tuple[tuple[str, str], ...]:
-    return (("labels", ", ".join(group.name(g) for g in labels)),)
 
 
 # ---------------------------------------------------------------------------
 # Well-definedness checks
 
 
+def _row_values(ev: Evaluator, case: str, labellings=None):
+    """Each labelling of table row `case` (all of them in lexicographic
+    order when `labellings` is None) with the values of every word of the
+    row, each word evaluated once."""
+    group = ev.algebra.group
+    if labellings is None:
+        labellings = itertools.product(group.elements(), repeat=case_label_count(case))
+    for labels in labellings:
+        words = cerf_case_words(group, case, labels)
+        if {(w.dom, w.cod) for w in words} != {(words[0].dom, words[0].cod)}:
+            raise EngineError(f"move case {case} produced mismatched signatures")
+        yield labels, [ev(w) for w in words]
+
+
 def _table_cases(ev: Evaluator, case: str, pairs):
     """The cases comparing word j with word i of table row `case`, for each
     (j, i) of `pairs`, at every labelling in lexicographic order: context
     (*labels, j), the value of word j and the value of word i."""
-    group = ev.algebra.group
-    for labels in itertools.product(group.elements(), repeat=case_label_count(case)):
-        words = cerf_case_words(group, case, labels)
+    for labels, values in _row_values(ev, case):
         for j, i in pairs:
-            yield (*labels, j), ev(words[j]).matrix, ev(words[i]).matrix
+            yield (*labels, j), values[j], values[i]
 
 
 def dehn_invariance_check(a: GFrobeniusAlgebra) -> CheckReport:
@@ -366,36 +368,17 @@ def cerf_check(
     carrying the first failing labelling as witness.
     """
     ev = Evaluator(a)
-    group = a.group
-    want = case_label_count(case)
-    if all_labels:
-        labelings = itertools.product(group.elements(), repeat=want)
-    else:
-        if labels is None:
-            labels = ()
-        labelings = iter([tuple(labels)])
-
-    witnesses: dict[int, Witness | None] = {}
+    name = a.group.name
+    witnesses: dict[int, Witness] = {}
     alternatives = 0
-    for labelling in labelings:
-        words = cerf_case_words(group, case, labelling)
-        alternatives = len(words) - 1
-        if {(w.dom, w.cod) for w in words} != {(words[0].dom, words[0].cod)}:
-            raise EngineError(f"move case {case} produced mismatched signatures")
-        base = ev(words[0])
-        for j, w in enumerate(words[1:], start=1):
-            if witnesses.get(j) is not None:
-                continue
-            value = ev(w)
-            if value.matrix != base.matrix:
-                witnesses[j] = Witness(
-                    _labels_ctx(group, labelling)
-                    + (("alternative", str(j)),),
-                    matrix_literal(value.matrix),
-                    matrix_literal(base.matrix),
-                )
+    for labelling, values in _row_values(ev, case, None if all_labels else [tuple(labels or ())]):
+        alternatives = len(values) - 1
+        for j, value in enumerate(values[1:], start=1):
+            if j not in witnesses and value != values[0]:
+                where = (("labels", ", ".join(map(name, labelling))), ("alternative", str(j)))
+                witnesses[j] = Witness(where, matrix_literal(value), matrix_literal(values[0]))
     entries = tuple(
-        CheckEntry(f"cerf-{case}-alt{j}", witnesses.get(j) is None, witnesses.get(j))
+        CheckEntry(f"cerf-{case}-alt{j}", j not in witnesses, witnesses.get(j))
         for j in range(1, alternatives + 1)
     )
     return CheckReport(entries)
@@ -466,7 +449,7 @@ def closed_invariant(a: GFrobeniusAlgebra, holonomies) -> Fraction:
     value = a.trace_of(vec)
     if len(pairs) <= 2:
         word = closed_surface_word(group, holonomies)
-        by_word = evaluate(a, word).matrix.data[0][0]
+        by_word = evaluate(a, word).data[0][0]
         if by_word != value:
             raise EngineError(
                 f"handle formula gives {value} but the explicit word gives {by_word}"

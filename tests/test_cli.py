@@ -4,7 +4,14 @@ import pytest
 
 import gtqft.cli
 from conftest import dual_number_group_algebra
-from gtqft import CheckReport, closed_surface_word, frobenius_untwisted, group_algebra, save_algebra
+from gtqft import (
+    CheckReport,
+    builtin,
+    closed_surface_word,
+    frobenius_untwisted,
+    group_algebra,
+    save_algebra,
+)
 from gtqft.cli import (
     RunConfig,
     build_parser,
@@ -220,6 +227,44 @@ class TestCommandSources:
         status, captured = self._eval(capsys, "id(e)", "nosuchgroup" * 30)
         assert status == 2
         assert "error: category=parse" in captured.err
+
+
+class TestBadInputIsAParseError:
+    """Faults of the input exit 2 with category=parse, which is not kept
+    for faults of the program."""
+
+    def _status_and_error(self, capsys, argv):
+        status = main(argv)
+        return status, capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["product", "trace"])
+    def test_zero_denominator_scalar(self, tmp_path, capsys, where):
+        doc = save_algebra(group_algebra(builtin("cyclic", 2)))
+        if where == "product":
+            doc["product"][0]["value"] = "1/0"
+        else:
+            doc["trace"] = ["1/0"]
+        path = tmp_path / "algebra.json"
+        path.write_text(json.dumps(doc))
+        status, err = self._status_and_error(capsys, ["check", "--algebra", str(path)])
+        assert status == 2
+        assert err.startswith("error: category=parse ") and "not a rational literal" in err
+
+    def test_word_file_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "word.txt"
+        path.write_bytes(b"\xff\xfeid(e)")
+        argv = ["eval", "--group", "cyclic:2", "--algebra", "builtin:group-algebra"]
+        status, err = self._status_and_error(capsys, [*argv, "--cobordism", str(path)])
+        assert status == 2
+        assert err.startswith(f"error: category=parse {path} is not UTF-8 text")
+
+    def test_booleans_in_a_group_table(self, tmp_path, capsys):
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps({"names": ["e", "a"], "table": [[0, True], [True, False]]}))
+        argv = ["check", "--algebra", "builtin:group-algebra", "--group", str(path)]
+        status, err = self._status_and_error(capsys, argv)
+        assert status == 2
+        assert err == "error: category=parse group table entries must be integers\n"
 
 
 class TestCerfCommand:

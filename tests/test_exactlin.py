@@ -93,7 +93,7 @@ class TestScalar:
         assert scalar_from_string("3") == F(3)
         assert scalar_from_string("-2/4") == F(-1, 2)
 
-    @pytest.mark.parametrize("bad", ["1.5", "a", "1/0x", "", "1/-2"])
+    @pytest.mark.parametrize("bad", ["1.5", "a", "1/0x", "", "1/-2", "1/0", "3/00"])
     def test_rejects_non_rational(self, bad):
         with pytest.raises(ValueError):
             scalar_from_string(bad)

@@ -5,6 +5,7 @@ import pytest
 
 from gtqft import (
     Cobordism,
+    builtin,
     Evaluator,
     Matrix,
     cerf_check,
@@ -27,6 +28,7 @@ from gtqft import (
     tensor,
 )
 import gtqft.algebra
+import gtqft.tqft
 from gtqft.algebra import GFrobeniusAlgebra
 from gtqft.errors import BudgetExceeded, FlatnessViolation
 from gtqft.tqft import word_functoriality_witness
@@ -37,26 +39,25 @@ F = Fraction
 class TestEvaluate:
     def test_identity_piece(self, rich_s3):
         w = Cobordism(rich_s3.group, ((id_piece(3),),))
-        assert evaluate(rich_s3, w).matrix == Matrix.identity(2)
+        assert evaluate(rich_s3, w) == Matrix.identity(2)
 
     def test_merge_on_group_algebra(self, s3_algebra):
         w = Cobordism(s3_algebra.group, ((merge(1, 2),),))
-        value = evaluate(s3_algebra, w)
-        assert value.matrix == Matrix.from_rows([[1]])
-        assert value.domain == (1, 2)
-        assert value.codomain == (s3_algebra.group.mul(1, 2),)
+        assert evaluate(s3_algebra, w) == Matrix.from_rows([[1]])
+        assert w.dom == (1, 2)
+        assert w.cod == (s3_algebra.group.mul(1, 2),)
 
     def test_handle_scalar_on_z2(self, z2_algebra):
         w = parse("cap ; split(g1,g1) ; merge(g1,g1) ; cup", z2_algebra.group)
         # oracle: compose the four one-dimensional maps by hand
         # unit 1 -> delta_e; coproduct delta_e -> delta_g1 x delta_g1;
         # product -> delta_e; trace -> 1
-        assert evaluate(z2_algebra, w).matrix == Matrix.from_rows([[1]])
+        assert evaluate(z2_algebra, w) == Matrix.from_rows([[1]])
 
     def test_swap_flips_tensor_factors(self, rich_s3):
         g, h = 1, 3
         w = Cobordism(rich_s3.group, ((swap(g, h),),))
-        m = evaluate(rich_s3, w).matrix
+        m = evaluate(rich_s3, w)
         for i in range(2):
             for j in range(2):
                 column = i * 2 + j
@@ -70,19 +71,19 @@ class TestEvaluate:
         g = 4
         group = rich_s3.group
         w = Cobordism(group, ((split(g, group.identity),), (id_piece(g), cup())))
-        assert evaluate(rich_s3, w).matrix == Matrix.identity(2)
+        assert evaluate(rich_s3, w) == Matrix.identity(2)
 
 
 class TestSphereRelation:
     def test_value_is_trace_of_unit(self, s3_algebra, dual_numbers):
         for a, expected in ((s3_algebra, F(1)), (dual_numbers, F(0))):
             w = parse("cap ; cup", a.group)
-            assert evaluate(a, w).matrix.data[0][0] == a.trace_of(a.unit) == expected
+            assert evaluate(a, w).data[0][0] == a.trace_of(a.unit) == expected
 
     def test_consistent_under_id_insertion(self, s3_algebra):
         short = parse("cap ; cup", s3_algebra.group)
         padded = parse("cap ; id(e) ; id(e) ; cup", s3_algebra.group)
-        assert evaluate(s3_algebra, short).matrix == evaluate(s3_algebra, padded).matrix
+        assert evaluate(s3_algebra, short) == evaluate(s3_algebra, padded)
 
 
 class TestFunctoriality:
@@ -95,9 +96,9 @@ class TestFunctoriality:
             cut = len(word.layers) // 2
             first = Cobordism(s3_algebra.group, word.layers[:cut])
             second = Cobordism(s3_algebra.group, word.layers[cut:])
-            left = ev(compose(first, second)).matrix
-            right = ev(second).matrix @ ev(first).matrix
-            assert left == right == ev(word).matrix
+            left = ev(compose(first, second))
+            right = ev(second) @ ev(first)
+            assert left == right == ev(word)
 
     def test_tensor_matches_kron(self, rich_s3):
         ev = Evaluator(rich_s3)
@@ -105,8 +106,8 @@ class TestFunctoriality:
         for seed in range(0, 60, 2):
             w1 = random_cobordism(group, seed, 4)
             w2 = random_cobordism(group, seed + 1, 4)
-            side_by_side = ev(tensor(w1, w2)).matrix
-            assert side_by_side == ev(w1).matrix.kron(ev(w2).matrix)
+            side_by_side = ev(tensor(w1, w2))
+            assert side_by_side == ev(w1).kron(ev(w2))
 
     def test_prefix_suffix_witness_clean(self, s3_algebra, rich_s3, rescaled_rich_s3):
         # every piece of a group algebra is an identity the kernel skips, so
@@ -145,7 +146,7 @@ class TestLegwiseKernel:
         words = [random_cobordism(a.group, seed, 9) for seed in range(150)]
         assert any(not w.dom or not w.cod for w in words)  # cap/cup ends occur
         for word in words:
-            value = ev(word).matrix
+            value = ev(word)
             assert value == kron_reference(ev, word), word.to_text()
             assert all(type(x) is F for row in value.data for x in row)
 
@@ -158,13 +159,13 @@ class TestLegwiseKernel:
                 word = closed_surface_word(a.group, labels)
             except FlatnessViolation:
                 continue
-            assert ev(word).matrix == kron_reference(ev, word)
+            assert ev(word) == kron_reference(ev, word)
 
     def test_empty_middle_legs(self, zero_grade_z3):
         ev = Evaluator(zero_grade_z3)
         text = "id(e) * split(g1,g2) ; id(e) * merge(g1,g2) ; merge(e,e)"
         word = parse(text, zero_grade_z3.group)
-        value = ev(word).matrix
+        value = ev(word)
         assert value == kron_reference(ev, word) == Matrix.zeros(2, 4)
 
     def test_prefixes_end_in_the_value(self, rescaled_rich_s3):
@@ -173,7 +174,7 @@ class TestLegwiseKernel:
             word = random_cobordism(rescaled_rich_s3.group, seed, 8)
             prefixes = ev.prefixes(word)
             assert len(prefixes) == len(word.layers) + 1
-            assert prefixes[-1] == ev(word).matrix
+            assert prefixes[-1] == ev(word)
             cut = len(word.layers) // 2
             head = Cobordism(word.group, word.layers[:cut], domain=word.dom)
             assert prefixes[cut] == kron_reference(ev, head)
@@ -202,7 +203,7 @@ class TestRewriteEquality:
             rewritten = rewrite_equivalent(word, rng)
             if rewritten is None:
                 continue
-            assert ev(rewritten).matrix == ev(word).matrix
+            assert ev(rewritten) == ev(word)
 
 
 class TestDehn:
@@ -215,7 +216,7 @@ class TestDehn:
     def test_self_cylinder_is_identity(self, rich_s3):
         for g in rich_s3.group.elements():
             w = Cobordism(rich_s3.group, ((cyl(g, g),),))
-            assert evaluate(rich_s3, w).matrix == Matrix.identity(rich_s3.dims[g])
+            assert evaluate(rich_s3, w) == Matrix.identity(rich_s3.dims[g])
 
     def test_trivial_group_vacuous(self, dual_numbers):
         assert dehn_invariance_check(dual_numbers).passed
@@ -306,7 +307,7 @@ class TestClosedInvariant:
         labels = (1, 1, 3, 3)
         value = closed_invariant(rich_s3, labels)
         word = closed_surface_word(group, labels)
-        assert evaluate(rich_s3, word).matrix.data[0][0] == value
+        assert evaluate(rich_s3, word).data[0][0] == value
 
     def test_closed_word_signature(self, z2):
         w = closed_surface_word(z2, (1, 1))
@@ -384,3 +385,51 @@ class TestSharedDerive:
             assert value == closed_invariant(_fresh_copy(a), labels)
             # the rescaling is an isomorphism, so closed values agree with rich
             assert value == closed_invariant(_fresh_copy(rich_s3), labels)
+
+
+class TestSharedPieces:
+    """The piece matrices are stored on the algebra, so every evaluator on
+    it shares them; each test builds its own algebra, since a shared
+    fixture would carry the pieces of earlier tests."""
+
+    def test_evaluators_on_one_algebra_share_the_pieces(self):
+        a = group_algebra(builtin("symmetric", 3))
+        first, second = Evaluator(a), Evaluator(a)
+        assert first._pieces is second._pieces
+        first(Cobordism(a.group, ((merge(1, 2),),)))
+        assert merge(1, 2) in second._pieces
+        assert Evaluator(_fresh_copy(a))._pieces == {}
+
+    def test_closed_invariants_build_each_merge_matrix_once(self, monkeypatch):
+        a = group_algebra(builtin("symmetric", 3))
+        built = []
+        real = gtqft.tqft.merge_matrix
+        monkeypatch.setattr(gtqft.tqft, "merge_matrix", lambda t: built.append(t) or real(t))
+        flat = 0
+        for labels in itertools.product(a.group.elements(), repeat=2):
+            try:
+                assert closed_invariant(a, labels) == 1
+            except FlatnessViolation:
+                continue
+            flat += 1
+        assert flat == 18
+        assert len(built) == 11
+
+    @pytest.mark.parametrize(
+        "check, calls",
+        # cylinder row: 7 words at 6 labellings; twist row: 5 words at 36
+        [(dehn_invariance_check, 7 * 6 + 5 * 36), (pants_ordering_check, 2 * 36)],
+        ids=["dehn", "pants"],
+    )
+    def test_table_checks_evaluate_each_word_once(self, monkeypatch, check, calls):
+        a = group_algebra(builtin("symmetric", 3))
+        count = [0]
+        real = Evaluator.__call__
+
+        def counted(ev, word):
+            count[0] += 1
+            return real(ev, word)
+
+        monkeypatch.setattr(Evaluator, "__call__", counted)
+        assert check(a).passed
+        assert count[0] == calls
