@@ -121,7 +121,7 @@ def _read_json(path: Path, source: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSON and UTF-8 errors are ValueErrors
         raise SchemaError(f"invalid JSON in {source}: {exc}") from None
 
 
@@ -328,11 +328,7 @@ def _cmd_fuzz(config: RunConfig) -> int:
     previous_value: Matrix | None = None
     for index in range(config.count):
         word = random_cobordism(a.group, rng.getrandbits(32), config.budget)
-        # The prefix maps end in the word's value, which every later check
-        # of this word and the next tensor check reuse.
-        prefixes = ev.prefixes(word)
-        value = prefixes[-1]
-        witness = word_functoriality_witness(ev, word, prefixes)
+        witness = word_functoriality_witness(ev, word)
         if witness is not None:
             shrunk = minimize_word(
                 word, lambda w: word_functoriality_witness(ev, w) is not None
@@ -342,6 +338,7 @@ def _cmd_fuzz(config: RunConfig) -> int:
             print(f"minimized: {shrunk.to_text()}")
             print(f"witness: {dict(witness.context)}")
             return 1
+        value = ev(word)
         rewritten = rewrite_equivalent(word, rng)
         if rewritten is not None and ev(rewritten) != value:
             shrunk = minimize_word(rewritten, lambda w: ev(w) != value)

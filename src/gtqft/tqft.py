@@ -15,9 +15,11 @@ Pieces whose matrix is exactly the identity are skipped, and piece entries
 with denominator 1 are kept as ints, which mix exactly with Fractions.  The
 result is converted to a Fraction `Matrix` at the edge, and that `Matrix`
 is the value of the word; its signatures are the word's `dom` and `cod`.
-`Evaluator.layer_matrix` (the Kronecker product of a layer's pieces) is
-kept as the independent whole-layer reference path that the tests compare
-against; the fuzz tensor check likewise compares with `Matrix.kron`.
+The functoriality probe multiplies running maps in this row form too, and
+builds a `Matrix` only for a witness.  `Evaluator.layer_matrix` (the
+Kronecker product of a layer's pieces) is kept as the independent
+whole-layer reference path that the tests compare against; the fuzz
+tensor check likewise compares with `Matrix.kron`.
 
 Closed surfaces: a genus-h labelling (a1, b1, .., ah, bh) is flat when the
 left-to-right product of the commutators b*a*b^-1*a^-1 is the identity;
@@ -244,16 +246,6 @@ class Evaluator:
             rows = self._apply_layer(rows, layer)
         return _rows_to_matrix(rows, dim)
 
-    def prefixes(self, word: Cobordism) -> list[Matrix]:
-        """The values of the word's first 0, 1, .., n layers; the last is
-        the value of the word."""
-        rows, dim = self._start(word)
-        out = [_rows_to_matrix(rows, dim)]
-        for layer in word.layers:
-            rows = self._apply_layer(rows, layer)
-            out.append(_rows_to_matrix(rows, dim))
-        return out
-
     def layer_matrix(self, layer) -> Matrix:
         """Whole-layer matrix, the Kronecker product of the layer's pieces:
         the reference the leg-wise kernel is tested against."""
@@ -477,31 +469,42 @@ def hom_count_oracle(group: FiniteGroup, genus: int, budget: int = 10_000_000) -
 # Functoriality probes
 
 
-def word_functoriality_witness(
-    ev: Evaluator, word: Cobordism, prefixes: list[Matrix] | None = None
-) -> Witness | None:
-    """Check that the word's value equals suffix times prefix across every
-    layer boundary; None when all agree.
+def _times(suffix_rows: list[dict], prefix_rows: list[dict], count: int) -> list[dict]:
+    """The `count` rows of S @ P from the rows of S transposed and of P."""
+    out: list[dict] = [{} for _ in range(count)]
+    for s_row, p_row in zip(suffix_rows, prefix_rows):
+        for c, x in s_row.items():
+            acc = out[c]
+            for j, y in p_row.items():
+                acc[j] = acc.get(j, 0) + x * y
+    return [{j: x for j, x in row.items() if x} for row in out]  # zeros dropped
+
+
+def word_functoriality_witness(ev: Evaluator, word: Cobordism) -> Witness | None:
+    """Check that the word's value equals suffix times prefix at every
+    split but the one after the last layer, which cannot fail; None when
+    all agree.
 
     Prefixes grow by applying layers from the left, suffixes by applying
-    transposed layers from the right; each split is compared with a full
-    matrix product.  `prefixes` takes `ev.prefixes(word)` when the caller
-    already has it.
+    transposed layers from the right, both as running maps in row form, and
+    each split multiplies the two in that form, so no `Matrix` is built
+    unless a witness is printed.
     """
-    if prefixes is None:
-        prefixes = ev.prefixes(word)
-    total = prefixes[-1]
-    dim_cod = ev.signature_dimension(word.cod)
+    rows, dim_dom = ev._start(word)
+    prefixes = []  # the rows of the first 0, 1, .., n - 1 layers
+    for layer in word.layers:
+        prefixes.append(rows)
+        rows = ev._apply_layer(rows, layer)
+    total = [{j: x for j, x in row.items() if x} for row in rows]
 
     def splits():
-        suffix_rows = _identity_rows(dim_cod)  # rows of the transposed suffix
-        for i in range(len(word.layers), -1, -1):
-            yield i, _rows_to_matrix(suffix_rows, dim_cod).transpose() @ prefixes[i], total
-            if i > 0:
-                suffix_rows = ev._apply_layer(suffix_rows, word.layers[i - 1], transposed=True)
+        suffix_rows = _identity_rows(len(total))  # rows of the transposed suffix
+        for i in range(len(word.layers) - 1, -1, -1):
+            suffix_rows = ev._apply_layer(suffix_rows, word.layers[i], transposed=True)
+            yield i, _times(suffix_rows, prefixes[i], len(total)), total
 
-    def render(i, product, total) -> Witness:
+    def render(i, *sides) -> Witness:
         where = (("split-after-layer", str(i)), ("word", word.to_text()))
-        return Witness(where, matrix_literal(product), matrix_literal(total))
+        return Witness(where, *(matrix_literal(_rows_to_matrix(r, dim_dom)) for r in sides))
 
     return first_failure("functoriality", splits(), render).witness

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -266,6 +267,21 @@ class TestBadInputIsAParseError:
         assert status == 2
         assert err == "error: category=parse group table entries must be integers\n"
 
+    def test_json_nested_too_deep(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        status, err = self._status_and_error(capsys, ["check", "--algebra", str(path)])
+        assert status == 2
+        assert err.startswith(f"error: category=parse invalid JSON in {path}: ")
+
+    def test_integer_literal_over_the_digit_limit(self, tmp_path, capsys):
+        path = tmp_path / "group.json"
+        path.write_text('{"names": ["e"], "table": [[' + "1" * 5000 + "]]}")
+        argv = ["check", "--algebra", "builtin:group-algebra", "--group", str(path)]
+        status, err = self._status_and_error(capsys, argv)
+        assert status == 2
+        assert err.startswith(f"error: category=parse invalid JSON in {path}: ")
+
 
 class TestCerfCommand:
     def test_all_labels_pass(self, capsys):
@@ -384,6 +400,20 @@ class TestFuzzCommand:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_rescaled_run_makes_no_dense_product(self, tmp_path, monkeypatch, capsys):
+        # the rescaled rich algebra has no identity pieces for the kernel to
+        # skip, so every split of every word multiplies a suffix by a prefix
+        saved = json.loads((Path(__file__).parent / "saved_algebras.json").read_text())
+        path = tmp_path / "rescaled-rich-s3.json"
+        path.write_text(json.dumps(saved["rescaled-rich-s3"]))
+        products = []
+        matmul = Matrix.__matmul__
+        monkeypatch.setattr(Matrix, "__matmul__", lambda x, y: products.append(1) or matmul(x, y))
+        argv = ["--algebra", str(path), "--seed", "1", "--budget", "8", "--count", "200"]
+        assert main(["fuzz", *argv]) == 0
+        assert "200 words over budget 8 passed" in capsys.readouterr().out
+        assert products == []
+
 
 class TestFuzzGolden:
     """Byte-exact stdout of fuzz runs, passing and failing."""
@@ -459,7 +489,7 @@ class TestFuzzGolden:
     def test_functoriality_failure_report(self, monkeypatch, capsys):
         # every word of more than one layer fails, so the first word is
         # reported and shrinks to two layers
-        def fails(ev, word, prefixes=None):
+        def fails(ev, word):
             if len(word.layers) > 1:
                 return Witness((("split-after-layer", "1"),), "(1)", "(0)")
             return None

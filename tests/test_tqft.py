@@ -16,6 +16,7 @@ from gtqft import (
     dehn_invariance_check,
     derive,
     evaluate,
+    frobenius_untwisted,
     group_algebra,
     hom_count_oracle,
     id_piece,
@@ -31,6 +32,7 @@ import gtqft.algebra
 import gtqft.tqft
 from gtqft.algebra import GFrobeniusAlgebra
 from gtqft.errors import BudgetExceeded, FlatnessViolation
+from gtqft.exactlin import matrix_literal
 from gtqft.tqft import word_functoriality_witness
 
 F = Fraction
@@ -118,14 +120,61 @@ class TestFunctoriality:
                 word = random_cobordism(a.group, seed, 8)
                 assert word_functoriality_witness(ev, word) is None
 
-    def test_witness_reports_a_wrong_prefix(self, rich_s3):
+    def test_cancelled_entries_are_no_mismatch(self):
+        # C[Z2] with trace (2, 1) has a dual basis of mixed signs, so the
+        # counit law and other words cancel to exact zeros in running rows
+        product = [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
+        a = frobenius_untwisted(2, product, unit=(1, 0), trace=(2, 1))
+        ev = Evaluator(a)
+        counit = parse("split(e,e) ; cup * id(e)", a.group)
+        assert ev(counit) == Matrix.identity(2)
+        for word in [counit] + [random_cobordism(a.group, seed, 6) for seed in range(60)]:
+            assert word_functoriality_witness(ev, word) is None, word.to_text()
+
+    def test_witness_reports_a_wrong_prefix(self, monkeypatch, rich_s3):
         ev = Evaluator(rich_s3)
         word = parse("split(p021,p021) ; merge(p021,p021)", rich_s3.group)
-        prefixes = ev.prefixes(word)
-        prefixes[1] = prefixes[1].scale(2)
-        witness = word_functoriality_witness(ev, word, prefixes)
+        double_layer_output(monkeypatch, word.layers[1])
+        witness = word_functoriality_witness(ev, word)
         assert witness is not None
         assert dict(witness.context)["split-after-layer"] == "1"
+
+    @pytest.mark.parametrize("name", ["rich_s3", "rescaled_rich_s3"])
+    def test_witness_names_the_faulty_layer(self, monkeypatch, request, name):
+        # a forward kernel that doubles layer L's output makes every prefix
+        # past L and the value wrong, so the first split that fails, walking
+        # down from the last layer, is the one just before layer L
+        a = request.getfixturevalue(name)
+        ev = Evaluator(a)
+        cases = []
+        for seed in range(40):
+            word = random_cobordism(a.group, seed, 8)
+            value = kron_reference(ev, word)
+            if value != Matrix.zeros(value.rows, value.cols):
+                cases.append((word, matrix_literal(value), matrix_literal(value.scale(2))))
+        assert len(cases) >= 20
+        for word, left, right in cases:
+            for index, layer in enumerate(word.layers):
+                with monkeypatch.context() as patch:
+                    double_layer_output(patch, layer)
+                    witness = word_functoriality_witness(ev, word)
+                context = (("split-after-layer", str(index)), ("word", word.to_text()))
+                assert witness.context == context
+                assert (witness.left, witness.right) == (left, right)
+
+
+def double_layer_output(monkeypatch, faulty_layer) -> None:
+    """Make the forward kernel double the output of `faulty_layer`; the
+    transposed kernel is left as it is."""
+    apply_layer = Evaluator._apply_layer
+
+    def doubled(self, rows, layer, transposed=False):
+        out = apply_layer(self, rows, layer, transposed)
+        if transposed or layer is not faulty_layer:
+            return out
+        return [{j: 2 * x for j, x in row.items()} for row in out]
+
+    monkeypatch.setattr(Evaluator, "_apply_layer", doubled)
 
 
 def kron_reference(ev: Evaluator, word: Cobordism) -> Matrix:
@@ -172,12 +221,9 @@ class TestLegwiseKernel:
         ev = Evaluator(rescaled_rich_s3)
         for seed in range(40):
             word = random_cobordism(rescaled_rich_s3.group, seed, 8)
-            prefixes = ev.prefixes(word)
-            assert len(prefixes) == len(word.layers) + 1
-            assert prefixes[-1] == ev(word)
             cut = len(word.layers) // 2
             head = Cobordism(word.group, word.layers[:cut], domain=word.dom)
-            assert prefixes[cut] == kron_reference(ev, head)
+            assert ev(head) == kron_reference(ev, head)
 
     def test_group_algebra_pieces_are_skipped(self, s3_algebra, rich_s3):
         # exact identity pieces cost no arithmetic
