@@ -277,12 +277,6 @@ def frobenius_untwisted(dim: int, product, unit, trace) -> GFrobeniusAlgebra:
     )
 
 
-def dual_numbers_algebra() -> GFrobeniusAlgebra:
-    """The two-dimensional algebra k[x]/(x^2) with basis (1, x) and trace x -> 1."""
-    product = Tensor3.from_entries(2, 2, 2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1})
-    return frobenius_untwisted(2, product, unit=(1, 0), trace=(0, 1))
-
-
 # ---------------------------------------------------------------------------
 # File format
 
@@ -897,24 +891,4 @@ def check_cocommutativity(a: GFrobeniusAlgebra, d: DerivedStructure) -> CheckRep
     entry = law(
         group, "twisted-cocommutativity", rows(), keys, format_scalar, scale=scale, locate=locate
     )
-    return CheckReport((entry,))
-
-
-def action_on_dual_basis_check(a: GFrobeniusAlgebra, d: DerivedStructure) -> CheckReport:
-    """Conjugation equivariance of the diagonal dual-basis sums.
-
-    Applying the action of h to both legs of the grade-g diagonal sum must
-    give the diagonal sum of grade h*g*h^-1: the basis-independent form of
-    aligning dual bases along conjugation.
-    """
-    group = a.group
-
-    def cases():
-        for g in group.elements():
-            gi = group.inv(g)
-            for h in group.elements():
-                moved = a.action[(h, g)] @ d.euler[g] @ a.action[(h, gi)].transpose()
-                yield (g, h), moved, d.euler[group.conj(h, g)]
-
-    entry = law(group, "dual-basis-equivariance", cases(), ("g", "h"), matrix_literal)
     return CheckReport((entry,))

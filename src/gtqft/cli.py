@@ -3,9 +3,10 @@
 Commands: check, derive, orbifold, eval, cerf, fuzz.  Exit status is 0
 when every executed check passed, 1 when a check failed, and 2 when an
 error stopped the run; errors print one machine-readable line
-``error: category=<parse|type|degenerate-pairing|check-failure|budget|internal> ...``
-to stderr.  ``internal`` is any exception that is not a package error, a
-fault of the program rather than of the input, printed as
+``error: category=<parse|type|degenerate-pairing|check-failure|budget|output|internal> ...``
+to stderr.  ``output`` is a stdout whose reader has gone away.
+``internal`` is any exception that is not a package error, a fault of the
+program rather than of the input, printed as
 ``error: category=internal <Type>: <message>``.  Output is deterministic
 for fixed inputs and seed.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -377,7 +379,15 @@ def run(config: RunConfig) -> int:
         print(f"error: category=parse unknown command {config.command!r}", file=sys.stderr)
         return 2
     try:
-        return handler(config)
+        status = handler(config)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError as exc:
+        # nobody reads stdout any more: send it, and the flush at exit, nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: category=output cannot write to stdout: {exc}", file=sys.stderr)
     except EngineError as exc:
         category = getattr(exc, "category", "check-failure")
         print(f"error: category={category} {exc}", file=sys.stderr)

@@ -37,10 +37,10 @@ which every field theory sends to the same map.  "111", "202" and "301"
 take four labels, "sphere" none, "cylinder" one, and "twist" and "pants"
 two; "103" is compiled at import as the reverse of "301", by the piece flip
 `dual` uses over label products (the inverse of a product is the reversed
-string with its case swapped).  `cerf_case_words` builds a
-row's words, the CLI's `cerf --case` accepts every row, the Dehn and pants
-checks compare the cylinder, twist and pants rows, and `rewrite_equivalent`
-replaces a piece by a word of one of those rows.
+string with its case swapped).  `cerf_case_words` builds a row's words,
+`cerf --case` (`tqft.cerf_check`) compares the words of every row, and
+`rewrite_equivalent` replaces a piece by a word of the cylinder, twist or
+pants row.
 """
 
 from __future__ import annotations
@@ -235,13 +235,6 @@ class Cobordism:
         )
 
 
-def identity_word(group: FiniteGroup, signature: Signature) -> Cobordism:
-    """One layer of id pieces on the given signature (empty word if empty)."""
-    if not signature:
-        return Cobordism(group, (), domain=())
-    return Cobordism(group, ((tuple(id_piece(g) for g in signature)),))
-
-
 def compose(c1: Cobordism, c2: Cobordism) -> Cobordism:
     """Glue c2 after c1; their boundary signatures must match."""
     if c1.group != c2.group:
@@ -398,29 +391,6 @@ def parse(text: str, group: FiniteGroup) -> Cobordism:
     if not parser.tokens:
         raise ParseError("empty word", 1, 1, "a layer")
     return Cobordism(group, parser.word())
-
-
-# ---------------------------------------------------------------------------
-# Cylinder normal forms
-
-
-def normalize_cylinder(group: FiniteGroup, g: int, k: int) -> int:
-    """Canonical conjugator among all twist-equivalent ones.
-
-    Cylinders from g to k g k^-1 labelled k and h^n k g^m (with
-    h = k g k^-1) differ by twists of the two boundary circles and evaluate
-    identically; the normal form is the least element index of that double
-    coset, so two cylinders are equivalent iff their normal forms agree.
-    """
-    h = group.conj(k, g)
-    best = k
-    for x in group.cyclic_subgroup(h):
-        xk = group.mul(x, k)
-        for y in group.cyclic_subgroup(g):
-            cand = group.mul(xk, y)
-            if cand < best:
-                best = cand
-    return best
 
 
 # ---------------------------------------------------------------------------

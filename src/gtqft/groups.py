@@ -113,14 +113,6 @@ class FiniteGroup:
             result = self.table[result][g]
         return result
 
-    def cyclic_subgroup(self, g: int) -> tuple[int, ...]:
-        members = [self.identity]
-        x = g
-        while x != self.identity:
-            members.append(x)
-            x = self.table[x][g]
-        return tuple(members)
-
     def index(self, name: str) -> int:
         try:
             return self._index[name]
@@ -139,11 +131,6 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order}, names={self.names!r})"
-
-
-def from_table(names, table) -> FiniteGroup:
-    """Validate a multiplication table and return the group it defines."""
-    return FiniteGroup(names, table)
 
 
 @dataclass(frozen=True)

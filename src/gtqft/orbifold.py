@@ -119,12 +119,6 @@ def invariant_projector(a: GFrobeniusAlgebra) -> Matrix:
     )
 
 
-def project_invariants(a: GFrobeniusAlgebra) -> tuple[Vector, ...]:
-    """Deterministic basis of the fixed subspace of the conjugation action."""
-    basis, _ = _image_basis(invariant_projector(a))
-    return basis
-
-
 class SectorDecomposition:
     """Per-class data: representatives, centralizer-invariant sector bases,
     and the mutually inverse change-of-basis matrices between the direct sum
@@ -221,18 +215,6 @@ def _sector_decomposition(
     return SectorDecomposition(
         classes.representatives, tuple(sector_bases), expand, restrict
     )
-
-
-def sector_isomorphism(a: GFrobeniusAlgebra) -> tuple[Matrix, Matrix]:
-    """Change-of-basis pair between centralizer-invariant sectors at class
-    representatives and the invariant basis of the whole algebra.
-
-    Returns (expand, restrict); both composites are identity matrices.
-    """
-    projector = invariant_projector(a)
-    reduced, pivots = _image_basis(projector)
-    deco = _sector_decomposition(a, projector, reduced, pivots)
-    return deco.expand, deco.restrict
 
 
 def orbifold_algebra(a: GFrobeniusAlgebra) -> OrbifoldAlgebra:

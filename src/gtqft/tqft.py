@@ -54,13 +54,12 @@ from .cobordism import (
     cyl,
     id_piece,
     merge,
-    normalize_cylinder,
     split,
 )
 from .errors import BudgetExceeded, EngineError, FlatnessViolation, SignatureMismatch
 from .exactlin import ONE, ZERO, Matrix, Tensor3, matrix_literal
 from .groups import FiniteGroup
-from .report import CheckEntry, CheckReport, Witness, first_failure, renderer
+from .report import CheckEntry, CheckReport, Witness, first_failure
 
 
 def _exact(x: Fraction):
@@ -266,108 +265,33 @@ def evaluate(a: GFrobeniusAlgebra, word: Cobordism) -> Matrix:
 # Well-definedness checks
 
 
-def _row_values(ev: Evaluator, case: str, labellings=None):
-    """Each labelling of table row `case` (all of them in lexicographic
-    order when `labellings` is None) with the values of every word of the
-    row, each word evaluated once."""
-    group = ev.algebra.group
-    if labellings is None:
-        labellings = itertools.product(group.elements(), repeat=case_label_count(case))
-    for labels in labellings:
-        words = cerf_case_words(group, case, labels)
-        if {(w.dom, w.cod) for w in words} != {(words[0].dom, words[0].cod)}:
-            raise EngineError(f"move case {case} produced mismatched signatures")
-        yield labels, [ev(w) for w in words]
-
-
-def _table_cases(ev: Evaluator, case: str, pairs):
-    """The cases comparing word j with word i of table row `case`, for each
-    (j, i) of `pairs`, at every labelling in lexicographic order: context
-    (*labels, j), the value of word j and the value of word i."""
-    for labels, values in _row_values(ev, case):
-        for j, i in pairs:
-            yield (*labels, j), values[j], values[i]
-
-
-def dehn_invariance_check(a: GFrobeniusAlgebra) -> CheckReport:
-    """Twist-equivalent cylinders evaluate identically.
-
-    `cylinder-self-twist-identity` compares the self-conjugating cylinder,
-    `cylinder` word 2, with the identity, word 0.  `dehn-twist-invariance`
-    compares each `twist` word j >= 1 with word 0 and names the witness by
-    the first twist exponents (n, m) with n, m <= 2 and n + m = j.
-    `dehn-normal-form-constant` compares every cylinder with the first one
-    of its normal form.
-    """
-    ev = Evaluator(a)
-    group = a.group
-    n = group.order
-
-    def render_twist(context, value, base) -> Witness:
-        g, k, j = context
-        names = (("g", group.name(g)), ("k", group.name(k)))
-        where = names + (("n", str(max(0, j - 2))), ("m", str(min(j, 2))))
-        return Witness(where, matrix_literal(value), matrix_literal(base))
-
-    def normal_forms():
-        # every conjugator is compared with the first of its normal form
-        for g in range(n):
-            first: dict[int, tuple[int, Matrix]] = {}
-            for k in range(n):
-                value = ev.piece_matrix(cyl(g, k))
-                k0, base = first.setdefault(normalize_cylinder(group, g, k), (k, value))
-                if k0 != k:
-                    yield (g, k, k0), value, base
-
-    return CheckReport(
-        (
-            first_failure(
-                "cylinder-self-twist-identity",
-                _table_cases(ev, "cylinder", ((2, 0),)),
-                renderer(("g",), group.name, matrix_literal, lambda _: "identity matrix"),
-            ),
-            first_failure(
-                "dehn-twist-invariance",
-                _table_cases(ev, "twist", ((1, 0), (2, 0), (3, 0), (4, 0))),
-                render_twist,
-            ),
-            first_failure(
-                "dehn-normal-form-constant",
-                normal_forms(),
-                renderer(("g", "k", "k'"), group.name, matrix_literal),
-            ),
-        )
-    )
-
-
-def pants_ordering_check(a: GFrobeniusAlgebra) -> CheckReport:
-    """The two boundary orderings of a pair of pants agree up to
-    conjugation: `pants` word 1, merging after a crossing, equals word 0,
-    merging then twisting by the second input's label."""
-    ev = Evaluator(a)
-    cases = _table_cases(ev, "pants", ((1, 0),))
-    render = renderer(("g", "h"), a.group.name, matrix_literal)
-    return CheckReport((first_failure("pants-ordering", cases, render),))
-
-
 def cerf_check(
     a: GFrobeniusAlgebra, case: str, labels=None, all_labels: bool = False
 ) -> CheckReport:
     """Evaluate every alternative decomposition of a move case and demand
-    exact matrix equality, for one labelling or exhaustively over all.
+    exact matrix equality, for one labelling or exhaustively over all in
+    lexicographic order; each word is evaluated once.
 
     One report entry per alternative word (compared against the first),
     carrying the first failing labelling as witness.
     """
     ev = Evaluator(a)
-    name = a.group.name
+    group = a.group
+    if all_labels:
+        labellings = itertools.product(group.elements(), repeat=case_label_count(case))
+    else:
+        labellings = [tuple(labels or ())]
     witnesses: dict[int, Witness] = {}
     alternatives = 0
-    for labelling, values in _row_values(ev, case, None if all_labels else [tuple(labels or ())]):
+    for labelling in labellings:
+        words = cerf_case_words(group, case, labelling)
+        if {(w.dom, w.cod) for w in words} != {(words[0].dom, words[0].cod)}:
+            raise EngineError(f"move case {case} produced mismatched signatures")
+        values = [ev(w) for w in words]
         alternatives = len(values) - 1
         for j, value in enumerate(values[1:], start=1):
             if j not in witnesses and value != values[0]:
-                where = (("labels", ", ".join(map(name, labelling))), ("alternative", str(j)))
+                where = (("labels", ", ".join(map(group.name, labelling))), ("alternative", str(j)))
                 witnesses[j] = Witness(where, matrix_literal(value), matrix_literal(values[0]))
     entries = tuple(
         CheckEntry(f"cerf-{case}-alt{j}", j not in witnesses, witnesses.get(j))

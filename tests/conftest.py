@@ -3,8 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from gtqft import GFrobeniusAlgebra, builtin, dual_numbers_algebra, group_algebra
+from gtqft import GFrobeniusAlgebra, builtin, frobenius_untwisted, group_algebra
 from gtqft.exactlin import Matrix, Tensor3
+
+
+def dual_numbers_algebra() -> GFrobeniusAlgebra:
+    """The two-dimensional algebra k[x]/(x^2) with basis (1, x) and trace x -> 1."""
+    product = Tensor3.from_entries(2, 2, 2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1})
+    return frobenius_untwisted(2, product, unit=(1, 0), trace=(0, 1))
 
 
 def dual_number_group_algebra(group) -> GFrobeniusAlgebra:

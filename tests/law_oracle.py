@@ -14,6 +14,8 @@ single-block ones on int images with their own `_int_vector`, so that
 elements and the right side of the torus identity are built here from
 basis vectors and one `apply_product` per basis pair, independently of
 the package's `pairing_matrix`, `product_sum` and `handle_element`.
+`action_on_dual_basis_check` is a law the package does not check at all;
+the tests and goldens use it as an oracle for the derived dual bases.
 """
 
 from __future__ import annotations
@@ -370,3 +372,23 @@ def orbifold_associativity(orb) -> CheckEntry:
 
     triples = descaled(renderer(("i", "j", "k"), str, vector_literal), d_o * d_o)
     return first_failure("orbifold-associativity", associativity(), triples)
+
+
+def action_on_dual_basis_check(a, d) -> CheckReport:
+    """Conjugation equivariance of the diagonal dual-basis sums.
+
+    Applying the action of h to both legs of the grade-g diagonal sum must
+    give the diagonal sum of grade h*g*h^-1: the basis-independent form of
+    aligning dual bases along conjugation.
+    """
+    group = a.group
+
+    def cases():
+        for g in group.elements():
+            gi = group.inv(g)
+            for h in group.elements():
+                moved = a.action[(h, g)] @ d.euler[g] @ a.action[(h, gi)].transpose()
+                yield (g, h), moved, d.euler[group.conj(h, g)]
+
+    render = _group_renderer(group, ("g", "h"), matrix_literal)
+    return CheckReport((first_failure("dual-basis-equivariance", cases(), render),))

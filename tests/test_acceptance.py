@@ -19,22 +19,19 @@ from gtqft import (
     closed_invariant,
     closed_surface_word,
     conjugacy,
-    dehn_invariance_check,
     derive,
-    dual_numbers_algebra,
     evaluate,
     group_algebra,
     hom_count_oracle,
     orbifold_algebra,
-    pants_ordering_check,
     random_cobordism,
-    sector_isomorphism,
 )
 from gtqft.cobordism import Cobordism, cyl
 from gtqft.errors import FlatnessViolation
 from gtqft.exactlin import Matrix, basis_vector
 from gtqft.tqft import word_functoriality_witness
 
+from conftest import dual_numbers_algebra
 from test_algebra import algebra_fails_somewhere, mutated_group_algebra
 
 F = Fraction
@@ -124,8 +121,8 @@ def test_criterion_3_mutation_sensitivity():
 def test_criterion_4_well_definedness():
     ok = True
     for a in criterion_algebras():
-        ok = ok and dehn_invariance_check(a).passed
-        ok = ok and pants_ordering_check(a).passed
+        for case in ("cylinder", "twist", "pants"):
+            ok = ok and cerf_check(a, case, all_labels=True).passed
         for g in a.group.elements():
             value = evaluate(a, Cobordism(a.group, ((cyl(g, g),),)))
             ok = ok and value == Matrix.identity(a.dims[g])
@@ -156,7 +153,7 @@ def test_criterion_6_orbifold():
         ok = ok and orb.dimension == len(conjugacy(group).classes)
         if (name, param) in expected_dims:
             ok = ok and orb.dimension == expected_dims[(name, param)]
-        expand, restrict = sector_isomorphism(a)
+        expand, restrict = orb.class_data.expand, orb.class_data.restrict
         ok = ok and expand @ restrict == Matrix.identity(orb.dimension)
         ok = ok and restrict @ expand == Matrix.identity(orb.dimension)
     announce(6, "invariant subalgebras are Frobenius with class-count dimension", ok)

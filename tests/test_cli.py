@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -643,3 +646,25 @@ class TestMainEntry:
         assert captured.out == ""
         assert captured.err.startswith("error: category=internal IndexError: ")
         assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_is_an_output_error(self, unbuffered):
+        # the read end is closed before the run starts, so no write can race it
+        read, write = os.pipe()
+        os.close(read)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        src = str(Path(gtqft.cli.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        argv = ["check", "--group", "cyclic:3", "--algebra", "builtin:group-algebra"]
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "gtqft.cli", *argv],
+                env=env, stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: category=output ")
+        assert len(done.stderr.splitlines()) == 1

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtqft import builtin, builtin_from_string, conjugacy, from_table
+from gtqft import FiniteGroup, builtin, builtin_from_string, conjugacy
 from gtqft.errors import NotAGroup, UnknownElement, UnknownGroup
 from gtqft.groups import load_group, save_group
 
@@ -28,18 +28,18 @@ def compose_perms(p, q):
 
 class TestFromTable:
     def test_z2(self):
-        g = from_table(["e", "a"], [[0, 1], [1, 0]])
+        g = FiniteGroup(["e", "a"], [[0, 1], [1, 0]])
         assert g.identity == 0
         assert g.inv(1) == 1
 
     def test_bad_row_rejected(self):
         with pytest.raises(NotAGroup):
-            from_table(["e", "a"], [[0, 1], [1, 1]])
+            FiniteGroup(["e", "a"], [[0, 1], [1, 1]])
 
     def test_no_identity_rejected(self):
         # Latin square whose only left identity is not a right identity
         with pytest.raises(NotAGroup, match="identity"):
-            from_table(["a", "b", "c"], [[0, 1, 2], [2, 0, 1], [1, 2, 0]])
+            FiniteGroup(["a", "b", "c"], [[0, 1, 2], [2, 0, 1], [1, 2, 0]])
 
     def test_non_associative_rejected(self):
         # rows/columns are permutations but (1*1)*2 != 1*(1*2)
@@ -51,7 +51,7 @@ class TestFromTable:
             [4, 3, 1, 2, 0],
         ]
         with pytest.raises(NotAGroup, match="associativity"):
-            from_table(list("eabcd"), table)
+            FiniteGroup(list("eabcd"), table)
 
     def test_s3_from_permutation_composition(self):
         # independent construction: compose permutations directly
@@ -59,9 +59,9 @@ class TestFromTable:
         table = [
             [perms.index(compose_perms(p, q)) for q in perms] for p in perms
         ]
-        g = from_table([str(p) for p in perms], table)
+        g = FiniteGroup([str(p) for p in perms], table)
         assert g.order == 6
-        assert g == from_table(g.names, g.table)
+        assert g == FiniteGroup(g.names, g.table)
         assert builtin("symmetric", 3).table == g.table
 
 
@@ -154,7 +154,7 @@ class TestConjugacy:
             [perm[g.table[inverse[i]][inverse[j]]] for j in range(g.order)]
             for i in range(g.order)
         ]
-        shuffled = from_table(names, table)
+        shuffled = FiniteGroup(names, table)
         original = sorted(len(c) for c in conjugacy(g).classes)
         relabeled = sorted(len(c) for c in conjugacy(shuffled).classes)
         assert original == relabeled

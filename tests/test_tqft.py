@@ -13,7 +13,6 @@ from gtqft import (
     closed_surface_word,
     compose,
     cyl,
-    dehn_invariance_check,
     derive,
     evaluate,
     frobenius_untwisted,
@@ -21,7 +20,6 @@ from gtqft import (
     hom_count_oracle,
     id_piece,
     merge,
-    pants_ordering_check,
     parse,
     random_cobordism,
     split,
@@ -252,12 +250,16 @@ class TestRewriteEquality:
             assert ev(rewritten) == ev(word)
 
 
+def _rows_pass(a, *cases) -> bool:
+    return all(cerf_check(a, case, all_labels=True).passed for case in cases)
+
+
 class TestDehn:
     def test_group_algebra_s3(self, s3_algebra):
-        assert dehn_invariance_check(s3_algebra).passed
+        assert _rows_pass(s3_algebra, "cylinder", "twist")
 
     def test_rich_algebra(self, rich_s3):
-        assert dehn_invariance_check(rich_s3).passed
+        assert _rows_pass(rich_s3, "cylinder", "twist")
 
     def test_self_cylinder_is_identity(self, rich_s3):
         for g in rich_s3.group.elements():
@@ -265,19 +267,18 @@ class TestDehn:
             assert evaluate(rich_s3, w) == Matrix.identity(rich_s3.dims[g])
 
     def test_trivial_group_vacuous(self, dual_numbers):
-        assert dehn_invariance_check(dual_numbers).passed
+        assert _rows_pass(dual_numbers, "cylinder", "twist")
 
 
 class TestPants:
     def test_s3(self, s3_algebra):
-        assert pants_ordering_check(s3_algebra).passed
+        assert _rows_pass(s3_algebra, "pants")
 
     def test_abelian_reduces_to_flip(self, z4):
-        a = group_algebra(z4)
-        assert pants_ordering_check(a).passed
+        assert _rows_pass(group_algebra(z4), "pants")
 
     def test_rich(self, rich_s3):
-        assert pants_ordering_check(rich_s3).passed
+        assert _rows_pass(rich_s3, "pants")
 
     def test_broken_commutativity_detected(self, s3):
         # scaling one action block breaks the twisted-commutation relation
@@ -286,7 +287,7 @@ class TestPants:
         action = dict(a.action)
         action[(1, 0)] = Matrix.from_rows([[2]])
         broken = GFrobeniusAlgebra(s3, a.dims, a.product, action, a.unit, a.trace)
-        report = pants_ordering_check(broken)
+        report = cerf_check(broken, "pants", all_labels=True)
         assert not report.passed
         assert report.failures()[0].witness is not None
 
@@ -420,8 +421,9 @@ class TestSharedDerive:
         a = request.getfixturevalue(name)
         derive(a)
         group = a.group
-        assert dehn_invariance_check(a) == dehn_invariance_check(_fresh_copy(a))
-        assert pants_ordering_check(a) == pants_ordering_check(_fresh_copy(a))
+        for case in ("cylinder", "twist", "pants"):
+            report = cerf_check(a, case, all_labels=True)
+            assert report == cerf_check(_fresh_copy(a), case, all_labels=True)
         for case, labels in (("111", (1, 2, 3, 0)), ("202", (1, 4, 2, 5))):
             report = cerf_check(a, case, labels=labels)
             assert report.passed
@@ -462,12 +464,12 @@ class TestSharedPieces:
         assert len(built) == 11
 
     @pytest.mark.parametrize(
-        "check, calls",
-        # cylinder row: 7 words at 6 labellings; twist row: 5 words at 36
-        [(dehn_invariance_check, 7 * 6 + 5 * 36), (pants_ordering_check, 2 * 36)],
-        ids=["dehn", "pants"],
+        "case, calls",
+        # the row's words at each of its S3 labellings
+        [("cylinder", 7 * 6), ("twist", 5 * 36), ("pants", 2 * 36)],
+        ids=["cylinder", "twist", "pants"],
     )
-    def test_table_checks_evaluate_each_word_once(self, monkeypatch, check, calls):
+    def test_table_checks_evaluate_each_word_once(self, monkeypatch, case, calls):
         a = group_algebra(builtin("symmetric", 3))
         count = [0]
         real = Evaluator.__call__
@@ -477,5 +479,5 @@ class TestSharedPieces:
             return real(ev, word)
 
         monkeypatch.setattr(Evaluator, "__call__", counted)
-        assert check(a).passed
+        assert cerf_check(a, case, all_labels=True).passed
         assert count[0] == calls
