@@ -23,7 +23,9 @@ Dual bases pair on the left: the dual basis of grade g lives in grade g^-1
 and satisfies trace(basis_i * dual_j) = delta_ij.  The derived coproduct
 into grades (g, h) is computed by both equivalent one-sided formulas
 (multiply by the dual basis of h on the right, or by the dual basis of g on
-the left) and the two results are cross-asserted entrywise.
+the left) and the two results are cross-asserted entrywise.  `derive` sums
+both formulas on the int images of the product and of the dual bases (see
+below), and builds `Fraction`s only for the coproduct tensors it stores.
 
 Law checks
 ----------
@@ -59,23 +61,27 @@ give, so every witness keeps its bytes.
 One rule splits the work: the rows run on the int images of the tables,
 and every other law reads the `Fraction` tables one case at a time through
 `report.first_failure`.  Those are the laws over single blocks (unit laws,
-the action laws on one block, trace invariance), the nondegeneracy of the
-pairings and the torus identity; ``action-automorphism`` puts the unit
-check of each k, context ``(k,)`` and computed on the tables, before the
-rows (k, g) of that k.  Each pairing is built and inverted once per
-algebra (`inverted_pairings`): the one nondegeneracy decision, which
-`derive`, the torus identity and the orbifold's trace check read too.
+the action laws on one block, trace invariance) and the nondegeneracy of
+the pairings; ``action-automorphism`` puts the unit check of each k,
+context ``(k,)`` and computed on the tables, before the rows (k, g) of that
+k.  Each pairing is built and inverted once per algebra
+(`inverted_pairings`): the one nondegeneracy decision, which `derive`, the
+torus identity and the orbifold's trace check read too.  The torus
+identity runs only when every pairing is nondegenerate, a row g at a time
+along h, like the seven other row laws.
 
-The rows read the tables through their int images (`exactlin.int_image`),
-each built once per table by `table_image` and kept on its owner:
-the product over D_P, the action over D_A and the coproducts over D_C,
-each the lcm of its table's denominators, so group and rich algebras have
-every D equal to 1.  A side that multiplies k table entries is the exact
-value times the product of their k denominators; the side with fewer
-factors is multiplied by the missing ones, so that both sides of a case
-are at one total scale S (associativity D_P^2 on both sides; twisted
-commutativity, the action automorphism and twisted cocommutativity
-multiply their left side by D_A; Frobenius is D_P*D_C on both sides).
+The rows and `derive` read the tables through their int images
+(`exactlin.int_image`), each built once per table and kept on its owner
+(`table_image`, `dual_image`): the product over D_P, the action over D_A,
+the dual bases of all grades over D_dual and the coproducts over D_C, each
+the lcm of its table's denominators, so group and rich algebras have every
+D equal to 1.  A side that multiplies k table entries is the exact value
+times the product of their k denominators; the side with fewer factors is
+multiplied by the missing ones, so that both sides of a case are at one
+total scale S (associativity D_P^2 on both sides; twisted commutativity,
+the action automorphism and twisted cocommutativity multiply their left
+side by D_A; Frobenius is D_P*D_C and the torus identity D_P*D_A*D_dual on
+both sides; both coproduct formulas are at D_P*D_dual).
 Since x = y exactly when S*x = S*y, the comparison is still exact, and
 `report.descaled` renders a witness as ``Fraction(x, S)``, the same bytes
 as a side computed in `Fraction` arithmetic.
@@ -134,7 +140,8 @@ class GFrobeniusAlgebra:
     Nothing mutates an algebra after it is built, so ``_built`` keeps each
     table derived from it once built (`_once`): the `derive` structure, the
     `inverted_pairings`, the `table_image` of ``product`` and ``action``,
-    and the evaluator's piece cache, which fills piece by piece.
+    the `dual_image`, and the evaluator's piece cache, which fills piece by
+    piece.
     """
 
     __slots__ = ("group", "dims", "product", "action", "unit", "trace", "_built")
@@ -521,37 +528,31 @@ def inverted_pairings(a: GFrobeniusAlgebra) -> dict[int, tuple[Matrix, Matrix | 
     return _once(a, "pairings", build)
 
 
-def product_sum(a: GFrobeniusAlgebra, g: int, h: int, pairs: Matrix) -> Vector:
-    """The sum of pairs[i][j] * basis_i * basis_j over basis_i of grade g
-    and basis_j of grade h: the product block (g, h) contracted with the
-    dims[g] x dims[h] matrix `pairs`.  Lands in grade g*h."""
-    t = a.product[(g, h)]
-    out = [ZERO] * t.dim2
-    for plane, weights in zip(t.data, pairs.data):
-        for row, w in zip(plane, weights):
-            if w:
-                for p, v in enumerate(row):
-                    if v:
-                        out[p] += w * v
-    return tuple(out)
-
-
 def derive(a: GFrobeniusAlgebra) -> DerivedStructure:
     """Dual bases, coproducts and handle elements from the trace pairing.
 
     Requires every pairing to be nondegenerate (`inverted_pairings`);
     raises DegeneratePairing otherwise.  The coproduct for each grade pair
-    is computed by both one-sided formulas and cross-asserted, so
-    downstream code may rely on either reading.  The structure is computed
-    once per algebra (`_once`); a failed derive is not stored, so it
-    raises again on every call.
+    is computed by both one-sided formulas, exactly on int images, and
+    cross-asserted entrywise, so downstream code may rely on either
+    reading.  The structure is computed once per algebra (`_once`); a
+    failed derive is not stored, so it raises again on every call.
     """
     return _once(a, "derive", lambda: _derive(a))
 
 
+def dual_image(a: GFrobeniusAlgebra) -> tuple[dict, int]:
+    """The int image of the dual bases of every grade, over one common
+    denominator, built once per algebra.  Requires every pairing to be
+    nondegenerate (`inverted_pairings`)."""
+    return _once(
+        a, "dual_bases", lambda: int_image({g: d for g, (_, d) in inverted_pairings(a).items()})
+    )
+
+
 def _derive(a: GFrobeniusAlgebra) -> DerivedStructure:
     group = a.group
-    n = group.order
+    n, T, inv = group.order, group.table, group.inverse
     inverted = inverted_pairings(a)
     for g, (theta, dual) in inverted.items():
         if dual is None:
@@ -563,34 +564,58 @@ def _derive(a: GFrobeniusAlgebra) -> DerivedStructure:
     dual_bases = {g: dual for g, (_, dual) in inverted.items()}
     euler = {g: dual.transpose() for g, dual in dual_bases.items()}
 
+    # both formulas over d_p * d_dual; the dual basis of a grade keyed by
+    # its row, the index each formula sums over
+    P_image, d_p = table_image(a, "product")
+    D_image, d_dual = dual_image(a)
+    scale = d_p * d_dual
+    duals = [factor(D_image[g], 0, (1,)) for g in range(n)]
+    values: dict[int, Fraction] = {}  # one Fraction per distinct numerator
+    tensors: dict[tuple, Tensor3] = {}  # one Tensor3 per distinct shape and entries
+
+    def value(x: int) -> Fraction:
+        if x not in values:
+            values[x] = Fraction(x, scale)
+        return values[x]
+
+    def nonzero(sums: dict) -> tuple:
+        return tuple(sorted(item for item in sums.items() if item[1]))
+
     coproducts: dict[tuple[int, int], Tensor3] = {}
     for g in range(n):
         for h in range(n):
-            gh = group.mul(g, h)
-            dgh, dg, dh = a.dims[gh], a.dims[g], a.dims[h]
+            gh = T[g][h]
             # basis_c times the dual basis of h on the right lands in grade
             # g, the dual basis of g times basis_c on the left in grade h
-            right, dual_h = a.product[(gh, group.inv(h))].data, dual_bases[h].data
-            left, dual_g = a.product[(group.inv(g), gh)].data, dual_bases[g].data
-            grid = []
-            for c in range(dgh):
-                plane = []
-                for i in range(dg):
-                    row = []
-                    for j in range(dh):
-                        v1 = sum((r[i] * d[j] for r, d in zip(right[c], dual_h)), ZERO)
-                        v2 = sum((d[i] * p[c][j] for d, p in zip(dual_g, left)), ZERO)
-                        if v1 != v2:
-                            raise CoproductMismatch(
-                                "coproduct formulas disagree for grades "
-                                f"({group.name(g)}, {group.name(h)}) at entry "
-                                f"({c}, {i}, {j}): {v1} vs {v2}; the input violates "
-                                "the algebra laws"
-                            )
-                        row.append(v1)
-                    plane.append(tuple(row))
-                grid.append(tuple(plane))
-            coproducts[(g, h)] = Tensor3._wrap(dgh, dg, dh, tuple(grid))
+            right: dict[tuple[int, int, int], int] = {}
+            for c, r, i, v in P_image[(gh, inv[h])]:
+                for j, w in duals[h].get(r, ()):
+                    right[(c, i, j)] = right.get((c, i, j), 0) + v * w
+            left: dict[tuple[int, int, int], int] = {}
+            for s, c, j, v in P_image[(inv[g], gh)]:
+                for i, w in duals[g].get(s, ()):
+                    left[(c, i, j)] = left.get((c, i, j), 0) + w * v
+            entries = nonzero(right)
+            if entries != nonzero(left):
+                c, i, j = key = min(
+                    k for k in right.keys() | left.keys() if right.get(k, 0) != left.get(k, 0)
+                )
+                raise CoproductMismatch(
+                    "coproduct formulas disagree for grades "
+                    f"({group.name(g)}, {group.name(h)}) at entry ({c}, {i}, {j}): "
+                    f"{value(right.get(key, 0))} vs {value(left.get(key, 0))}; "
+                    "the input violates the algebra laws"
+                )
+            shape = (a.dims[gh], a.dims[g], a.dims[h])
+            tensor = tensors.get((shape, entries))
+            if tensor is None:
+                dgh, dg, dh = shape
+                grid = [[[ZERO] * dh for _ in range(dg)] for _ in range(dgh)]
+                for (c, i, j), x in entries:
+                    grid[c][i][j] = value(x)
+                data = tuple(tuple(map(tuple, plane)) for plane in grid)
+                tensor = tensors[(shape, entries)] = Tensor3._wrap(dgh, dg, dh, data)
+            coproducts[(g, h)] = tensor
 
     return DerivedStructure(pairings, dual_bases, coproducts, euler)
 
@@ -598,13 +623,22 @@ def _derive(a: GFrobeniusAlgebra) -> DerivedStructure:
 def handle_element(a: GFrobeniusAlgebra, dual: Matrix, x: int, y: int) -> tuple[int, Vector]:
     """The handle contribution for the pair (x, y): act with y on each basis
     vector of grade x and multiply by its dual partner, the columns of
-    `dual`, the dual-basis matrix of grade x.  That is the `product_sum`
-    of ``action[(y, x)] @ dual^T`` over grades (y x y^-1, x^-1).  Returns
-    the grade (the commutator y x y^-1 x^-1) and the element."""
+    `dual`, the dual-basis matrix of grade x.  That is the sum of
+    pairs[i][j] * basis_i * basis_j over grades (y x y^-1, x^-1), where
+    pairs is ``action[(y, x)] @ dual^T``.  Returns the grade (the
+    commutator y x y^-1 x^-1) and the element."""
     group = a.group
     moved_grade, xi = group.conj(y, x), group.inv(x)
     pairs = a.action[(y, x)] @ dual.transpose()
-    return group.mul(moved_grade, xi), product_sum(a, moved_grade, xi, pairs)
+    t = a.product[(moved_grade, xi)]
+    out = [ZERO] * t.dim2
+    for plane, weights in zip(t.data, pairs.data):
+        for row, w in zip(plane, weights):
+            if w:
+                for p, v in enumerate(row):
+                    if v:
+                        out[p] += w * v
+    return group.mul(moved_grade, xi), tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -736,16 +770,29 @@ def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
             rhs = contract(moved(twisted[g], conj_by[g]), acts_by_b[g])
             yield (g,), dims[g] * total, column_row(over_right[g], D, d_a), rhs
 
-    def torus_identity():
-        duals = {g: dual for g, (_, dual) in inverted_pairings(a).items()}
+    def torus_identity(D_image):  # over d_p * d_a * d_dual; row g along h, positions p
+        def pairs(entries):
+            """Entries (x, y, value) as a factor keyed by the pair x*D + y."""
+            return {x * D + y: [(0, v)] for x, y, v in entries}
+
+        acted_on = batch_columns(A_image, n, first=True)  # A[(h, g)] along h
+        conjugates = list(zip(*conj_by))  # conjugates[g][h] = h g h^-1
+        # P[(h, g h^-1 g^-1)] along h, for each g
+        diagonal = batch_columns(
+            {(g, h): P_image[(h, conj(g, inv(h)))] for g in range(n) for h in range(n)}, n
+        )
+        duals = factor(batch_columns({(0, h): D_image[h] for h in range(n)}, n)[0], 1, (D,))
         for g in range(n):
-            for h in range(n):
-                hi = inv(h)
-                ghi = conj(g, hi)
-                _, lhs = handle_element(a, duals[g], g, h)
-                # basis_i of grade h times g acting on dual_i of grade h
-                pairs = (a.action[(g, hi)] @ duals[h]).transpose()
-                yield (g, h), lhs, product_sum(a, h, ghi, pairs)
+            # the handle element of (g, h): sum over a, i, b of
+            # A[(h, g)][a, i] D_g[b, i] P[(hgh^-1, g^-1)][a, b, p]
+            handles = moved(factor(over_left[inv(g)], 0, (D2, 1)), conjugates[g])
+            by_bi = contract(factor(acted_on[g], 0, (D,)), handles)
+            lhs = contract(pairs(D_image[g]), regroup(by_bi, D))
+            # basis_i of grade h times g acting on dual_i of grade h: sum over
+            # i, a, r of D_h[r, i] A[(g, h^-1)][a, r] P[(h, g h^-1 g^-1)][i, a, p]
+            by_ar = contract(duals, factor(diagonal[g], 0, (D2, 1)))
+            rhs = contract(moved(pairs(acts[g]), group.inverse), regroup(by_ar, D))
+            yield (g,), n, lhs, rhs
 
     def vector_of(target):
         """Side shape of vector cases landing in grade target(context, k)."""
@@ -816,7 +863,17 @@ def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
         ),
     ]
     if entries[-2].passed:
-        entries.append(law(group, "torus-identity", torus_identity(), ("g", "h")))
+        D_image, d_dual = dual_image(a)
+        entries.append(
+            law(
+                group,
+                "torus-identity",
+                torus_identity(D_image),
+                ("g", "h"),
+                scale=d_p * d_a * d_dual,
+                locate=row_locator(D, 1, vector_of(lambda c, h: T[conj_by[h][c[0]]][inv(c[0])])),
+            )
+        )
     else:
         blocked = (("blocked", "degenerate pairing; identity not evaluated"),)
         entries.append(failing("torus-identity", blocked, "", ""))

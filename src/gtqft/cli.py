@@ -38,7 +38,15 @@ from .exactlin import Matrix, format_matrix, format_scalar
 from .groups import FiniteGroup, builtin_from_string, load_group
 from .orbifold import orbifold_algebra
 from .report import CheckReport, failing
-from .tqft import Evaluator, cerf_check, evaluate, split_matrix, word_functoriality_witness
+from .tqft import (
+    Evaluator,
+    _rows_and_witness,
+    _rows_to_matrix,
+    cerf_check,
+    evaluate,
+    split_matrix,
+    word_functoriality_witness,
+)
 
 
 @dataclass
@@ -330,7 +338,7 @@ def _cmd_fuzz(config: RunConfig) -> int:
     previous_value: Matrix | None = None
     for index in range(config.count):
         word = random_cobordism(a.group, rng.getrandbits(32), config.budget)
-        witness = word_functoriality_witness(ev, word)
+        rows, witness = _rows_and_witness(ev, word)
         if witness is not None:
             shrunk = minimize_word(
                 word, lambda w: word_functoriality_witness(ev, w) is not None
@@ -340,7 +348,7 @@ def _cmd_fuzz(config: RunConfig) -> int:
             print(f"minimized: {shrunk.to_text()}")
             print(f"witness: {dict(witness.context)}")
             return 1
-        value = ev(word)
+        value = _rows_to_matrix(rows, ev.signature_dimension(word.dom))
         rewritten = rewrite_equivalent(word, rng)
         if rewritten is not None and ev(rewritten) != value:
             shrunk = minimize_word(rewritten, lambda w: ev(w) != value)

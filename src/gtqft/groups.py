@@ -105,14 +105,6 @@ class FiniteGroup:
         """k g k^-1."""
         return self.table[self.table[k][g]][self.inverse[k]]
 
-    def power(self, g: int, m: int) -> int:
-        if m < 0:
-            return self.power(self.inverse[g], -m)
-        result = self.identity
-        for _ in range(m):
-            result = self.table[result][g]
-        return result
-
     def index(self, name: str) -> int:
         try:
             return self._index[name]

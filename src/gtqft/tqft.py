@@ -16,7 +16,8 @@ with denominator 1 are kept as ints, which mix exactly with Fractions.  The
 result is converted to a Fraction `Matrix` at the edge, and that `Matrix`
 is the value of the word; its signatures are the word's `dom` and `cod`.
 The functoriality probe multiplies running maps in this row form too, and
-builds a `Matrix` only for a witness.  `Evaluator.layer_matrix` (the
+builds a `Matrix` only for a witness; the fuzz loop takes each word's value
+from the probe's own forward pass (`_rows_and_witness`).  `Evaluator.layer_matrix` (the
 Kronecker product of a layer's pieces) is kept as the independent
 whole-layer reference path that the tests compare against; the fuzz
 tensor check likewise compares with `Matrix.kron`.
@@ -414,6 +415,13 @@ def word_functoriality_witness(ev: Evaluator, word: Cobordism) -> Witness | None
     each split multiplies the two in that form, so no `Matrix` is built
     unless a witness is printed.
     """
+    return _rows_and_witness(ev, word)[1]
+
+
+def _rows_and_witness(ev: Evaluator, word: Cobordism) -> tuple[list[dict], Witness | None]:
+    """The rows of the word's value (``ev(word)`` is their `_rows_to_matrix`
+    over the domain's dimension) and its `word_functoriality_witness`,
+    from one forward pass."""
     rows, dim_dom = ev._start(word)
     prefixes = []  # the rows of the first 0, 1, .., n - 1 layers
     for layer in word.layers:
@@ -431,4 +439,4 @@ def word_functoriality_witness(ev: Evaluator, word: Cobordism) -> Witness | None
         where = (("split-after-layer", str(i)), ("word", word.to_text()))
         return Witness(where, *(matrix_literal(_rows_to_matrix(r, dim_dom)) for r in sides))
 
-    return first_failure("functoriality", splits(), render).witness
+    return total, first_failure("functoriality", splits(), render).witness

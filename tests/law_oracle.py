@@ -7,24 +7,27 @@ package evaluates the same laws a row at a time (see the "Law checks"
 section of `gtqft.algebra`); `test_row_laws.py` asserts that the two give
 equal reports on every single-entry mutation of a few small algebras.
 The laws that the package checks case by case on its `Fraction` tables
-(`unit-laws`, the action laws on single blocks, `trace-invariance`,
-`pairing-nondegenerate` and `torus-identity`) are kept here too, the
-single-block ones on int images with their own `_int_vector`, so that
-`check_axioms` below is the whole report of the case-at-a-time design.  The pairings, handle
-elements and the right side of the torus identity are built here from
-basis vectors and one `apply_product` per basis pair, independently of
-the package's `pairing_matrix`, `product_sum` and `handle_element`.
-`action_on_dual_basis_check` is a law the package does not check at all;
-the tests and goldens use it as an oracle for the derived dual bases.
+(`unit-laws`, the action laws on single blocks, `trace-invariance` and
+`pairing-nondegenerate`) are kept here too, the single-block ones on int
+images with their own `_int_vector`, so that `check_axioms` below is the
+whole report of the case-at-a-time design.  The pairings, handle elements
+and the right side of the torus identity are built here in `Fraction`
+arithmetic from basis vectors and one `apply_product` per basis pair,
+independently of the package's `pairing_matrix` and `handle_element`.
+`derive_coproducts` is the two-formula `Fraction` derive that the
+package's int-image `derive` is compared with.  `action_on_dual_basis_check`
+is a law the package does not check at all; the tests and goldens use it as
+an oracle for the derived dual bases.
 """
 
 from __future__ import annotations
 
 from gtqft.algebra import _group_renderer
-from gtqft.errors import DimensionMismatch
+from gtqft.errors import CoproductMismatch, DimensionMismatch
 from gtqft.exactlin import (
     ZERO,
     Matrix,
+    Tensor3,
     basis_vector,
     format_scalar,
     int_image,
@@ -104,6 +107,45 @@ def handle_element(a, dual, x, y):
         product = a.apply_product(moved_grade, xi, act.column_vector(i), dual.column_vector(i))
         out = vector_add(out, product)
     return grade, out
+
+
+def derive_coproducts(a) -> dict:
+    """The coproducts of `a`, entry by entry in `Fraction` arithmetic by
+    both one-sided formulas (basis_c times the dual basis of h on the
+    right, the dual basis of g times basis_c on the left), cross-asserted:
+    CoproductMismatch names the first differing entry.  The dual bases are
+    the inverses of this module's pairings, so a degenerate pairing raises
+    DimensionMismatch or SingularMatrix."""
+    group = a.group
+    n = group.order
+    dual_bases = {g: pairing_matrix(a, g).inverse() for g in range(n)}
+    coproducts = {}
+    for g in range(n):
+        for h in range(n):
+            gh = group.mul(g, h)
+            dgh, dg, dh = a.dims[gh], a.dims[g], a.dims[h]
+            right, dual_h = a.product[(gh, group.inv(h))].data, dual_bases[h].data
+            left, dual_g = a.product[(group.inv(g), gh)].data, dual_bases[g].data
+            grid = []
+            for c in range(dgh):
+                plane = []
+                for i in range(dg):
+                    row = []
+                    for j in range(dh):
+                        v1 = sum((r[i] * d[j] for r, d in zip(right[c], dual_h)), ZERO)
+                        v2 = sum((d[i] * p[c][j] for d, p in zip(dual_g, left)), ZERO)
+                        if v1 != v2:
+                            raise CoproductMismatch(
+                                "coproduct formulas disagree for grades "
+                                f"({group.name(g)}, {group.name(h)}) at entry "
+                                f"({c}, {i}, {j}): {v1} vs {v2}; the input violates "
+                                "the algebra laws"
+                            )
+                        row.append(v1)
+                    plane.append(row)
+                grid.append(plane)
+            coproducts[(g, h)] = Tensor3(dgh, dg, dh, grid)
+    return coproducts
 
 
 def check_axioms(a) -> CheckReport:

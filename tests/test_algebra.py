@@ -20,8 +20,8 @@ from gtqft import (
 from gtqft.algebra import pairing_matrix
 from gtqft.errors import CoproductMismatch, DegeneratePairing, SchemaError, ShapeError
 from gtqft.exactlin import Matrix, Tensor3, basis_vector
-from law_oracle import action_on_dual_basis_check
-from test_row_laws import mixed_dims_algebra
+from law_oracle import action_on_dual_basis_check, derive_coproducts
+from test_row_laws import derived, mixed_dims_algebra, package_coproducts
 
 F = Fraction
 
@@ -357,6 +357,18 @@ class TestCoproductCrossAssert:
     def test_rich_algebra_formulas_agree(self, rich_s3):
         # derive() raises if the two one-sided formulas ever disagree
         derive(rich_s3)
+
+    @pytest.mark.parametrize(
+        "fixture", ["s3_algebra", "rich_s3", "rescaled_rich_s3", "zero_grade_z3"]
+    )
+    def test_fixtures_match_the_fraction_formulas(self, request, fixture):
+        a = request.getfixturevalue(fixture)
+        assert dict(derive(a).coproducts) == derive_coproducts(a)
+
+    @pytest.mark.parametrize("name", sorted(SAVED_ALGEBRAS))
+    def test_saved_algebras_match_the_fraction_formulas(self, name):
+        a = load_algebra(SAVED_ALGEBRAS[name])
+        assert derived(package_coproducts, a) == derived(derive_coproducts, a)
 
     def test_disagreement_raises(self, s3):
         # break twisted commutativity so the two formulas separate:

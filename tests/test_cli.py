@@ -492,12 +492,17 @@ class TestFuzzGolden:
     def test_functoriality_failure_report(self, monkeypatch, capsys):
         # every word of more than one layer fails, so the first word is
         # reported and shrinks to two layers
-        def fails(ev, word):
-            if len(word.layers) > 1:
-                return Witness((("split-after-layer", "1"),), "(1)", "(0)")
-            return None
+        real = gtqft.tqft._rows_and_witness
 
-        monkeypatch.setattr(gtqft.cli, "word_functoriality_witness", fails)
+        def fails(ev, word):
+            rows, _ = real(ev, word)
+            if len(word.layers) > 1:
+                return rows, Witness((("split-after-layer", "1"),), "(1)", "(0)")
+            return rows, None
+
+        # the fuzz loop's own pass and the minimizer's probe both read it
+        monkeypatch.setattr(gtqft.cli, "_rows_and_witness", fails)
+        monkeypatch.setattr(gtqft.tqft, "_rows_and_witness", fails)
         status, out = self._fuzz(capsys, *self.FORCED, "--budget", "6", "--count", "20")
         assert status == 1
         assert out == (
