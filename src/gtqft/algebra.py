@@ -37,7 +37,7 @@ is named through the group (basis indices included, so index 0 reads as
 the identity's name) and both sides are formatted as exact literals.
 
 The laws over n^2 or n^3 grade tuples run a *row* at a time
-(`report.first_row_failure`).  A row fixes the outer indices of the law,
+(through `law`).  A row fixes the outer indices of the law,
 for example (g, h) for associativity, and holds both sides of every case
 below them at once.  Each side maps a position, the padded basis indices
 of a case followed by the coordinates of its side, to an int column that
@@ -52,11 +52,13 @@ law sums over.  Where a law moves a grade, a factor's columns are
 reindexed through rows of ``group.table`` or of the conjugation
 (`exactlin.moved`).  The work is in proportion to the nonzero products,
 and each product of two columns is one list-level operation over the
-whole group.  The two sides of a row are compared with one ``!=``.  Only
-on a mismatch does `report.row_locator` take the earliest differing case
-in the loop order (batch index first, then the basis indices) and cut
-out its context and sides, the same values a case-at-a-time loop would
-give, so every witness keeps its bytes.
+whole group.  `law` hands the rows to `report.first_failure` as cases
+and is the one reader of their counts; the two sides of a row are
+compared with one ``!=``.  Only on a mismatch does `report.row_locator`
+take the earliest differing case in the loop order (batch index first,
+then the basis indices) and cut out its context and exact sides, the
+same values a case-at-a-time loop would give, so every witness keeps its
+bytes.
 
 One rule splits the work: the rows run on the int images of the tables,
 and every other law reads the `Fraction` tables one case at a time through
@@ -83,8 +85,8 @@ the action automorphism and twisted cocommutativity multiply their left
 side by D_A; Frobenius is D_P*D_C and the torus identity D_P*D_A*D_dual on
 both sides; both coproduct formulas are at D_P*D_dual).
 Since x = y exactly when S*x = S*y, the comparison is still exact, and
-`report.descaled` renders a witness as ``Fraction(x, S)``, the same bytes
-as a side computed in `Fraction` arithmetic.
+`report.row_locator` gives a witness's sides as ``Fraction(x, S)``, the
+same bytes as a side computed in `Fraction` arithmetic.
 """
 
 from __future__ import annotations
@@ -125,10 +127,8 @@ from .groups import FiniteGroup, builtin, builtin_from_string, load_group, save_
 from .report import (
     CheckReport,
     Witness,
-    descaled,
     failing,
     first_failure,
-    first_row_failure,
     renderer,
     row_locator,
 )
@@ -620,16 +620,16 @@ def _derive(a: GFrobeniusAlgebra) -> DerivedStructure:
     return DerivedStructure(pairings, dual_bases, coproducts, euler)
 
 
-def handle_element(a: GFrobeniusAlgebra, dual: Matrix, x: int, y: int) -> tuple[int, Vector]:
+def handle_element(a: GFrobeniusAlgebra, euler: Matrix, x: int, y: int) -> tuple[int, Vector]:
     """The handle contribution for the pair (x, y): act with y on each basis
-    vector of grade x and multiply by its dual partner, the columns of
-    `dual`, the dual-basis matrix of grade x.  That is the sum of
-    pairs[i][j] * basis_i * basis_j over grades (y x y^-1, x^-1), where
-    pairs is ``action[(y, x)] @ dual^T``.  Returns the grade (the
-    commutator y x y^-1 x^-1) and the element."""
+    vector of grade x and multiply by its dual partner, the rows of
+    `euler`, the Euler matrix of grade x (``derive(a).euler[x]``).  That is
+    the sum of pairs[i][j] * basis_i * basis_j over grades
+    (y x y^-1, x^-1), where pairs is ``action[(y, x)] @ euler``.  Returns
+    the grade (the commutator y x y^-1 x^-1) and the element."""
     group = a.group
     moved_grade, xi = group.conj(y, x), group.inv(x)
-    pairs = a.action[(y, x)] @ dual.transpose()
+    pairs = a.action[(y, x)] @ euler
     t = a.product[(moved_grade, xi)]
     out = [ZERO] * t.dim2
     for plane, weights in zip(t.data, pairs.data):
@@ -651,15 +651,16 @@ def _group_renderer(group: FiniteGroup, keys: Sequence[str], left=str, right=Non
     return renderer(keys, lambda v: group.name(v) if isinstance(v, int) else str(v), left, right)
 
 
-def law(group, name, cases, keys, left=vector_literal, right=None, scale=None, locate=None):
-    """The entry of law `name` from its cases, or its rows when `locate` is
-    given, naming context ints through `group` and descaling int sides."""
+def law(group, name, cases, keys, left=vector_literal, right=None, locate=None):
+    """The entry of law `name` from its cases, naming context ints through
+    `group`.  With `locate`, `cases` are rows ``(context, count, lhs, rhs)``
+    of `count` real cases each, compared whole, and the first differing
+    row is rendered through ``locate(context, lhs, rhs)``."""
     render = _group_renderer(group, keys, left, right)
-    if scale is not None:
-        render = descaled(render, scale)
     if locate is None:
         return first_failure(name, cases, render)
-    return first_row_failure(name, cases, locate, render)
+    rows = ((context, lhs, rhs) for context, _count, lhs, rhs in cases)
+    return first_failure(name, rows, lambda *row: render(*locate(*row)))
 
 
 def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
@@ -798,13 +799,12 @@ def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
         """Side shape of vector cases landing in grade target(context, k)."""
         return lambda context, k: (dims[target(context, k)],)
 
-    def automorphism_scale(context):
-        return 1 if len(context) == 1 else d_p * d_a * d_a
-
-    automorphism_products = row_locator(D, 3, vector_of(lambda c, h: conj_by[c[0]][T[c[1]][h]]))
+    automorphism_products = row_locator(
+        D, 3, vector_of(lambda c, h: conj_by[c[0]][T[c[1]][h]]), d_p * d_a * d_a
+    )
 
     def automorphism_cases(context, lhs, rhs):
-        if len(context) == 1:  # the unit check of k
+        if len(context) == 1:  # the unit check of k, exact already
             return context, lhs, rhs
         return automorphism_products(context, lhs, rhs)
 
@@ -814,8 +814,7 @@ def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
             "product-associativity",
             associativity(),
             ("g", "h", "k", "i", "j", "l"),
-            scale=d_p * d_p,
-            locate=row_locator(D, 4, vector_of(lambda c, k: T[T[c[0]][c[1]]][k])),
+            locate=row_locator(D, 4, vector_of(lambda c, k: T[T[c[0]][c[1]]][k]), d_p * d_p),
         ),
         law(group, "unit-laws", unit_laws(), ("g", "j", "side")),
         law(
@@ -832,15 +831,15 @@ def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
             action_homomorphism(),
             ("k", "l", "g"),
             matrix_literal,
-            scale=d_a * d_a,
-            locate=row_locator(D, 2, lambda c, g: (dims[conj_by[T[c[0]][c[1]]][g]], dims[g])),
+            locate=row_locator(
+                D, 2, lambda c, g: (dims[conj_by[T[c[0]][c[1]]][g]], dims[g]), d_a * d_a
+            ),
         ),
         law(
             group,
             "action-automorphism",
             action_automorphism(),
             ("k", "g", "h", "i", "j"),
-            scale=automorphism_scale,
             locate=automorphism_cases,
         ),
         law(
@@ -858,8 +857,7 @@ def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
             "twisted-commutativity",
             twisted_commutativity(),
             ("g", "h", "i", "j"),
-            scale=d_p * d_a,
-            locate=row_locator(D, 3, vector_of(lambda c, h: T[c[0]][h])),
+            locate=row_locator(D, 3, vector_of(lambda c, h: T[c[0]][h]), d_p * d_a),
         ),
     ]
     if entries[-2].passed:
@@ -870,8 +868,12 @@ def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
                 "torus-identity",
                 torus_identity(D_image),
                 ("g", "h"),
-                scale=d_p * d_a * d_dual,
-                locate=row_locator(D, 1, vector_of(lambda c, h: T[conj_by[h][c[0]]][inv(c[0])])),
+                locate=row_locator(
+                    D,
+                    1,
+                    vector_of(lambda c, h: T[conj_by[h][c[0]]][inv(c[0])]),
+                    d_p * d_a * d_dual,
+                ),
             )
         )
     else:
@@ -911,10 +913,8 @@ def check_frobenius_diagram(a: GFrobeniusAlgebra, d: DerivedStructure) -> CheckR
                 yield (g, h), dims[g] * dims[gh] * split_sizes[h], lhs, rhs
 
     keys = ("g", "h", "k", "i", "c", "p", "b")
-    scale, locate = d_p * d_c, row_locator(D, 4, lambda context, k: ())
-    entry = law(
-        group, "frobenius-relation", rows(), keys, format_scalar, scale=scale, locate=locate
-    )
+    locate = row_locator(D, 4, lambda context, k: (), d_p * d_c)
+    entry = law(group, "frobenius-relation", rows(), keys, format_scalar, locate=locate)
     return CheckReport((entry,))
 
 
@@ -944,8 +944,6 @@ def check_cocommutativity(a: GFrobeniusAlgebra, d: DerivedStructure) -> CheckRep
             yield (g,), count, column_row(merged[g], D, d_a, order), rhs
 
     keys = ("g", "h", "c", "i", "j")
-    scale, locate = d_a * d_c, row_locator(D, 3, lambda context, h: ())
-    entry = law(
-        group, "twisted-cocommutativity", rows(), keys, format_scalar, scale=scale, locate=locate
-    )
+    locate = row_locator(D, 3, lambda context, h: (), d_a * d_c)
+    entry = law(group, "twisted-cocommutativity", rows(), keys, format_scalar, locate=locate)
     return CheckReport((entry,))

@@ -40,8 +40,6 @@ from .orbifold import orbifold_algebra
 from .report import CheckReport, failing
 from .tqft import (
     Evaluator,
-    _rows_and_witness,
-    _rows_to_matrix,
     cerf_check,
     evaluate,
     split_matrix,
@@ -338,17 +336,16 @@ def _cmd_fuzz(config: RunConfig) -> int:
     previous_value: Matrix | None = None
     for index in range(config.count):
         word = random_cobordism(a.group, rng.getrandbits(32), config.budget)
-        rows, witness = _rows_and_witness(ev, word)
+        value, witness = word_functoriality_witness(ev, word)
         if witness is not None:
             shrunk = minimize_word(
-                word, lambda w: word_functoriality_witness(ev, w) is not None
+                word, lambda w: word_functoriality_witness(ev, w)[1] is not None
             )
             print(f"fuzz: functoriality failed at word {index}")
             print(f"word: {word.to_text()}")
             print(f"minimized: {shrunk.to_text()}")
             print(f"witness: {dict(witness.context)}")
             return 1
-        value = _rows_to_matrix(rows, ev.signature_dimension(word.dom))
         rewritten = rewrite_equivalent(word, rng)
         if rewritten is not None and ev(rewritten) != value:
             shrunk = minimize_word(rewritten, lambda w: ev(w) != value)
@@ -412,14 +409,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_algebra=True):
+    def common(p):
         p.add_argument("--group", help="group file or builtin spec like cyclic:4")
-        if needs_algebra:
-            p.add_argument(
-                "--algebra",
-                required=True,
-                help='algebra file or "builtin:group-algebra" (with --group)',
-            )
+        p.add_argument(
+            "--algebra",
+            required=True,
+            help='algebra file or "builtin:group-algebra" (with --group)',
+        )
         p.add_argument(
             "--format",
             dest="fmt",

@@ -1,34 +1,31 @@
 """Structured pass/fail reports carrying first-counterexample witnesses.
 
-Every exhaustive law check is written one of two ways, and both stop at
-the first case whose two sides differ and only then render it: names and
-exact literals are built by the law's renderer once, at the first
-mismatch, never per case.
+One driver, `first_failure`, runs every exhaustive law check: it draws the
+law's cases as ``(context, lhs, rhs)`` in a fixed order, where ``context``
+is the raw data that locates the case (group element and basis indices,
+not yet names), and turns the first case with ``lhs != rhs`` into a
+failing `CheckEntry`; names and exact literals are built by the law's
+renderer once, at the first mismatch, never per case.  A check that needs
+every case computed anyway (the orbifold builds its whole product table)
+may pass a list instead of a generator.
 
-* Case at a time: a generator yields the law's cases as
-  ``(context, lhs, rhs)`` in a fixed order, where ``context`` is the raw
-  data that locates the case (group element and basis indices, not yet
-  names), and `first_failure` turns the first case with ``lhs != rhs``
-  into a failing `CheckEntry`.  A check that needs every case computed
-  anyway (the orbifold builds its whole product table) may pass a list
-  instead of a generator.
-* A row at a time: a generator yields *rows* ``(context, count, lhs,
-  rhs)``.  A row fixes the outer indices of a law (its ``context``) and
-  holds the ``count`` real cases below it.  ``lhs`` and ``rhs`` map
-  positions to int columns: a position spells the remaining basis and
-  side indices, each padded to one size per law, and a column runs over
-  the row's batch index, the first index below the context.  Only nonzero
-  columns are kept, so padded positions, which are zero on both sides,
-  never appear.  `first_row_failure` compares whole rows with one
-  ``!=``; only on a mismatch does the law's ``locate`` (usually a
-  `row_locator`) map the differing entries back to the earliest case in
-  the law's loop order and cut out that case's context and sides, the
-  same values the case-at-a-time loop would have yielded.
+Rows are a source of cases that `algebra.law` adapts to that driver.  A
+row ``(context, count, lhs, rhs)`` fixes the outer indices of a law (its
+``context``) and holds the ``count`` real cases below it.  ``lhs`` and
+``rhs`` map positions to int columns: a position spells the remaining
+basis and side indices, each padded to one size per law, and a column
+runs over the row's batch index, the first index below the context.  Only
+nonzero columns are kept, so padded positions, which are zero on both
+sides, never appear.  Whole rows are compared with one ``!=``; only on a
+mismatch does the law's ``locate`` (usually a `row_locator`) map the
+differing entries back to the earliest case in the law's loop order and
+cut out that case's context and exact sides, the same values the
+case-at-a-time loop would have yielded.
 
 A law evaluated on int images (see `exactlin.int_image`) has int sides
-already brought to one common scale; `descaled` wraps its renderer so
-that the witness shows the exact values ``Fraction(x, scale)``, the same
-bytes as sides computed in `Fraction` arithmetic.
+already brought to one common scale; `row_locator` and `descaled` turn
+them into the exact values ``Fraction(x, scale)``, the same bytes as sides
+computed in `Fraction` arithmetic.
 """
 
 from __future__ import annotations
@@ -110,21 +107,9 @@ def first_failure(
 Locate = Callable[[tuple, object, object], tuple[object, object, object]]
 
 
-def first_row_failure(
-    name: str, rows: Iterable[tuple[tuple, int, object, object]], locate: Locate, render: Render
-) -> CheckEntry:
-    """The entry of law `name` from its rows ``(context, count, lhs, rhs)``,
-    each holding `count` real cases: failing with
-    ``render(*locate(context, lhs, rhs))`` of the first row whose sides
-    differ, passing when every row agrees.  Rows after the first mismatch
-    are never drawn."""
-    for context, _count, lhs, rhs in rows:
-        if lhs != rhs:
-            return CheckEntry(name, False, render(*locate(context, lhs, rhs)))
-    return CheckEntry(name, True)
-
-
-def row_locator(pad: int, digits: int, shape: Callable[[tuple, int], tuple[int, ...]]) -> Locate:
+def row_locator(
+    pad: int, digits: int, shape: Callable[[tuple, int], tuple[int, ...]], scale: int
+) -> Locate:
     """`locate` for rows that map positions to int columns, an absent
     position standing for a zero column.  A position spells `digits` index
     digits in row-major order, each padded to `pad`: a case's basis
@@ -133,7 +118,8 @@ def row_locator(pad: int, digits: int, shape: Callable[[tuple, int], tuple[int, 
     ``shape(context, e)`` gives the real side dimensions of the row's
     cases at e: () for a scalar, (size,) for a vector, (rows, cols) for a
     matrix.  Returns the earliest differing case in the order
-    (e, *basis indices), with its context and both sides."""
+    (e, *basis indices), with its context and both sides as exact values
+    over `scale`, the row's total scale."""
 
     def spelled(t: int) -> list[int]:
         out = []
@@ -163,7 +149,7 @@ def row_locator(pad: int, digits: int, shape: Callable[[tuple, int], tuple[int, 
             rows, cols = size
             return [[at(row, (i, j)) for j in range(cols)] for i in range(rows)]
 
-        return (*context, e, *index), side(lhs), side(rhs)
+        return (*context, e, *index), _over(side(lhs), scale), _over(side(rhs), scale)
 
     return locate
 
@@ -195,12 +181,10 @@ def _over(side, scale: int):
     return tuple(Fraction(x, scale) for x in side)
 
 
-def descaled(render: Render, scale: int | Callable[[object], int]) -> Render:
-    """`render` of the exact values of int sides; `scale` is the sides'
-    common scale, or a function of the case's context giving it."""
+def descaled(render: Render, scale: int) -> Render:
+    """`render` of the exact values of int sides over `scale`."""
 
     def render_exact(context, lhs, rhs) -> Witness:
-        s = scale(context) if callable(scale) else scale
-        return render(context, _over(lhs, s), _over(rhs, s))
+        return render(context, _over(lhs, scale), _over(rhs, scale))
 
     return render_exact

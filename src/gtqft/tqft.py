@@ -16,8 +16,8 @@ with denominator 1 are kept as ints, which mix exactly with Fractions.  The
 result is converted to a Fraction `Matrix` at the edge, and that `Matrix`
 is the value of the word; its signatures are the word's `dom` and `cod`.
 The functoriality probe multiplies running maps in this row form too, and
-builds a `Matrix` only for a witness; the fuzz loop takes each word's value
-from the probe's own forward pass (`_rows_and_witness`).  `Evaluator.layer_matrix` (the
+returns the word's value with its witness, both from one forward pass, so
+the fuzz loop evaluates each word once.  `Evaluator.layer_matrix` (the
 Kronecker product of a layer's pieces) is kept as the independent
 whole-layer reference path that the tests compare against; the fuzz
 tensor check likewise compares with `Matrix.kron`.
@@ -356,11 +356,11 @@ def closed_invariant(a: GFrobeniusAlgebra, holonomies) -> Fraction:
     """
     group = a.group
     pairs = _flat_pairs(group, holonomies)
-    dual_bases = derive(a).dual_bases
+    euler = derive(a).euler
     vec = a.unit
     grade = group.identity
     for x, y in pairs:
-        handle_grade, handle = handle_element(a, dual_bases[x], x, y)
+        handle_grade, handle = handle_element(a, euler[x], x, y)
         vec = a.apply_product(grade, handle_grade, vec, handle)
         grade = group.mul(grade, handle_grade)
     value = a.trace_of(vec)
@@ -405,23 +405,17 @@ def _times(suffix_rows: list[dict], prefix_rows: list[dict], count: int) -> list
     return [{j: x for j, x in row.items() if x} for row in out]  # zeros dropped
 
 
-def word_functoriality_witness(ev: Evaluator, word: Cobordism) -> Witness | None:
-    """Check that the word's value equals suffix times prefix at every
-    split but the one after the last layer, which cannot fail; None when
-    all agree.
+def word_functoriality_witness(ev: Evaluator, word: Cobordism) -> tuple[Matrix, Witness | None]:
+    """The word's value, ``ev(word)``, and the first split at which it
+    differs from suffix times prefix, or None when all agree; the split
+    after the last layer cannot fail and is not checked.
 
-    Prefixes grow by applying layers from the left, suffixes by applying
-    transposed layers from the right, both as running maps in row form, and
-    each split multiplies the two in that form, so no `Matrix` is built
-    unless a witness is printed.
+    The value comes from the probe's own forward pass, so the word is
+    evaluated once.  Prefixes grow by applying layers from the left,
+    suffixes by applying transposed layers from the right, both as running
+    maps in row form, and each split multiplies the two in that form, so
+    no other `Matrix` is built unless a witness is printed.
     """
-    return _rows_and_witness(ev, word)[1]
-
-
-def _rows_and_witness(ev: Evaluator, word: Cobordism) -> tuple[list[dict], Witness | None]:
-    """The rows of the word's value (``ev(word)`` is their `_rows_to_matrix`
-    over the domain's dimension) and its `word_functoriality_witness`,
-    from one forward pass."""
     rows, dim_dom = ev._start(word)
     prefixes = []  # the rows of the first 0, 1, .., n - 1 layers
     for layer in word.layers:
@@ -439,4 +433,5 @@ def _rows_and_witness(ev: Evaluator, word: Cobordism) -> tuple[list[dict], Witne
         where = (("split-after-layer", str(i)), ("word", word.to_text()))
         return Witness(where, *(matrix_literal(_rows_to_matrix(r, dim_dom)) for r in sides))
 
-    return total, first_failure("functoriality", splits(), render).witness
+    value = _rows_to_matrix(total, dim_dom)
+    return value, first_failure("functoriality", splits(), render).witness

@@ -217,8 +217,11 @@ def check_axioms(a) -> CheckReport:
                     yield (k, l, g), composed, targets[(kl, g)]
 
     def action_automorphism():
+        # the unit check of k is over d_a * d_u and the products over
+        # d_p * d_a^2; both are brought to d_u * d_p * d_a^2
         for k in range(n):
-            yield (k,), _int_apply(A[(k, e)], unit, dims[e]), scaled(unit, d_a)
+            fixed = _int_apply(A[(k, e)], unit, dims[e])
+            yield (k,), scaled(fixed, d_p * d_a), scaled(unit, d_p * d_a * d_a)
             for g in range(n):
                 kg = conj(k, g)
                 moved = [_int_apply(A[(k, g)], bi, dims[kg]) for bi in bases[g]]
@@ -232,7 +235,7 @@ def check_axioms(a) -> CheckReport:
                             rhs = _int_times(
                                 moved_product, moved[i], _int_apply(act_h, bj, dims[kh]), size
                             )
-                            yield (k, g, h, i, j), scaled(lhs, d_a), rhs
+                            yield (k, g, h, i, j), scaled(lhs, d_a * d_u), scaled(rhs, d_u)
 
     def trivial_on_own_grade():
         for g in range(n):
@@ -290,9 +293,6 @@ def check_axioms(a) -> CheckReport:
         render = _group_renderer(group, keys, left, right)
         return first_failure(name, cases, render if scale is None else descaled(render, scale))
 
-    def automorphism_scale(context):
-        return d_a * d_u if len(context) == 1 else d_p * d_a * d_a
-
     entries = [
         law("product-associativity", associativity(), ("g", "h", "k", "i", "j", "l"), scale=d_p * d_p),
         law("unit-laws", unit_laws(), ("g", "j", "side"), scale=d_u * d_p),
@@ -305,7 +305,12 @@ def check_axioms(a) -> CheckReport:
             scale=d_a,
         ),
         law("action-homomorphism", action_homomorphism(), ("k", "l", "g"), matrix_literal, scale=d_a * d_a),
-        law("action-automorphism", action_automorphism(), ("k", "g", "h", "i", "j"), scale=automorphism_scale),
+        law(
+            "action-automorphism",
+            action_automorphism(),
+            ("k", "g", "h", "i", "j"),
+            scale=d_u * d_p * d_a * d_a,
+        ),
         law(
             "action-trivial-on-own-grade",
             trivial_on_own_grade(),

@@ -417,6 +417,17 @@ class TestFuzzCommand:
         assert "200 words over budget 8 passed" in capsys.readouterr().out
         assert products == []
 
+    def test_each_word_goes_through_the_probe_once(self, monkeypatch, capsys):
+        calls = []
+        probe = gtqft.cli.word_functoriality_witness
+        monkeypatch.setattr(
+            gtqft.cli, "word_functoriality_witness", lambda *a: calls.append(1) or probe(*a)
+        )
+        argv = ["--group", "cyclic:4", "--algebra", "builtin:group-algebra", "--count", "50"]
+        assert main(["fuzz", *argv]) == 0
+        assert "50 words" in capsys.readouterr().out
+        assert len(calls) == 50
+
 
 class TestFuzzGolden:
     """Byte-exact stdout of fuzz runs, passing and failing."""
@@ -492,17 +503,16 @@ class TestFuzzGolden:
     def test_functoriality_failure_report(self, monkeypatch, capsys):
         # every word of more than one layer fails, so the first word is
         # reported and shrinks to two layers
-        real = gtqft.tqft._rows_and_witness
+        real = gtqft.cli.word_functoriality_witness
 
         def fails(ev, word):
-            rows, _ = real(ev, word)
+            value, _ = real(ev, word)
             if len(word.layers) > 1:
-                return rows, Witness((("split-after-layer", "1"),), "(1)", "(0)")
-            return rows, None
+                return value, Witness((("split-after-layer", "1"),), "(1)", "(0)")
+            return value, None
 
-        # the fuzz loop's own pass and the minimizer's probe both read it
-        monkeypatch.setattr(gtqft.cli, "_rows_and_witness", fails)
-        monkeypatch.setattr(gtqft.tqft, "_rows_and_witness", fails)
+        # the fuzz loop's own pass and the minimizer's probe both call it
+        monkeypatch.setattr(gtqft.cli, "word_functoriality_witness", fails)
         status, out = self._fuzz(capsys, *self.FORCED, "--budget", "6", "--count", "20")
         assert status == 1
         assert out == (

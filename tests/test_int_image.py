@@ -5,7 +5,7 @@ loops that run on it.
 denominator D; the laws compare int sides brought to one total scale.  The
 property tests check the image against the `Fraction` tables it stands for;
 the counting tests check that every law still draws every case, counted
-through the real (unpadded) case counts of the rows it hands its driver,
+through the real (unpadded) case counts of the rows it hands `law`,
 and that each table is imaged, and each pairing built and inverted, once.
 """
 
@@ -27,9 +27,10 @@ from gtqft import (
     group_algebra,
     orbifold_algebra,
 )
+from gtqft.algebra import law
 from gtqft.cli import main
 from gtqft.exactlin import Matrix, Tensor3, int_image
-from gtqft.report import first_failure, first_row_failure
+from gtqft.report import first_failure
 from law_oracle import _int_times, _int_vector
 
 F = Fraction
@@ -121,9 +122,10 @@ def test_int_product_is_the_fraction_product_scaled(case):
 @pytest.fixture
 def drawn(monkeypatch):
     """Law name -> number of real cases the law fed to its driver: one per
-    case for `first_failure`, the count each row declares for
-    `first_row_failure`."""
+    case for `first_failure`, the count each row declares for a row law,
+    read where `law` is given the rows."""
     counts: dict[str, int] = {}
+    row_laws: set[str] = set()
 
     def counted(name, items, size):
         for item in items:
@@ -131,15 +133,19 @@ def drawn(monkeypatch):
             yield item
 
     def counting(name, cases, render):
-        return first_failure(name, counted(name, cases, lambda case: 1), render)
+        if name not in row_laws:  # a row law's rows are counted by `law`
+            cases = counted(name, cases, lambda case: 1)
+        return first_failure(name, cases, render)
 
-    def counting_rows(name, rows, locate, render):
-        return first_row_failure(name, counted(name, rows, lambda row: row[1]), locate, render)
+    def counting_law(group, name, cases, keys, *args, locate=None):
+        if locate is not None:
+            row_laws.add(name)
+            cases = counted(name, cases, lambda row: row[1])
+        return law(group, name, cases, keys, *args, locate=locate)
 
+    monkeypatch.setattr(gtqft.algebra, "law", counting_law)
     for module in (gtqft.algebra, gtqft.orbifold):
         monkeypatch.setattr(module, "first_failure", counting)
-        # the orbifold runs no rows, so it need not import the row driver
-        monkeypatch.setattr(module, "first_row_failure", counting_rows, raising=False)
     return counts
 
 

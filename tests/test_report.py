@@ -1,4 +1,9 @@
-from gtqft.report import CheckEntry, Witness, first_failure, first_row_failure, renderer, row_locator
+from fractions import Fraction
+
+from gtqft.algebra import law
+from gtqft.exactlin import Matrix
+from gtqft.groups import builtin
+from gtqft.report import CheckEntry, Witness, first_failure, renderer, row_locator
 
 
 class TestFirstFailure:
@@ -44,16 +49,20 @@ class TestRenderer:
         assert witness.context == (("k", "7"),)
 
 
-class TestFirstRowFailure:
+class TestLawRows:
+    """Rows ``(context, count, lhs, rhs)`` reach `first_failure` through
+    `algebra.law`."""
+
     @staticmethod
     def locate(context, lhs, rhs):
         return context, lhs, rhs
 
     def test_passes_when_every_row_agrees(self):
         rows = [((0,), 2, [[1, 2]], [[1, 2]]), ((1,), 0, [], [])]
-        assert first_row_failure("law", rows, self.locate, renderer(("g",))) == CheckEntry("law", True)
+        entry = law(builtin("cyclic", 2), "law", rows, ("g",), locate=self.locate)
+        assert entry == CheckEntry("law", True)
 
-    def test_locates_only_the_first_differing_row_and_draws_no_further_row(self):
+    def test_locates_the_first_differing_row_and_draws_no_further_row(self):
         drawn, located = [], []
 
         def rows():
@@ -65,8 +74,8 @@ class TestFirstRowFailure:
             located.append(context)
             return context, lhs[0][0], rhs[0][0]
 
-        entry = first_row_failure("law", rows(), locate, renderer(("g",)))
-        assert entry == CheckEntry("law", False, Witness((("g", "2"),), "2", "-2"))
+        entry = law(builtin("cyclic", 5), "law", rows(), ("g",), str, locate=locate)
+        assert entry == CheckEntry("law", False, Witness((("g", "g2"),), "2", "-2"))
         assert drawn == [0, 1, 2] and located == [(2,)]
 
 
@@ -76,15 +85,16 @@ class TestRowLocator:
         # index; entry e of a column is batch value e; sides of real size 1
         lhs = {0: [0, 0, 5], 2: [0, 7, 0]}
         rhs = {0: [0, 0, 6], 2: [0, 8, 0]}
-        locate = row_locator(2, 2, lambda context, e: (1,))
-        assert locate(("g",), lhs, rhs) == (("g", 1, 1), [7], [8])
+        locate = row_locator(2, 2, lambda context, e: (1,), 2)
+        assert locate(("g",), lhs, rhs) == (("g", 1, 1), (Fraction(7, 2),), (Fraction(4),))
 
     def test_absent_positions_are_zero(self):
-        locate = row_locator(2, 2, lambda c, e: ())
-        assert locate((), {1: [0, 3]}, {}) == ((1, 0, 1), 3, 0)
+        locate = row_locator(2, 2, lambda c, e: (), 3)
+        assert locate((), {1: [0, 3]}, {}) == ((1, 0, 1), Fraction(1), Fraction(0))
 
     def test_matrix_sides(self):
         # pad 2; position t spells (i, j) of a 2x1 matrix side
         lhs, rhs = {0: [1], 2: [4]}, {0: [1], 2: [9]}
-        locate = row_locator(2, 2, lambda c, e: (2, 1))
-        assert locate((5,), lhs, rhs) == ((5, 0), [[1], [4]], [[1], [9]])
+        locate = row_locator(2, 2, lambda c, e: (2, 1), 1)
+        exact = Matrix.from_rows([[1], [4]]), Matrix.from_rows([[1], [9]])
+        assert locate((5,), lhs, rhs) == ((5, 0), *exact)

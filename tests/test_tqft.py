@@ -116,7 +116,7 @@ class TestFunctoriality:
             ev = Evaluator(a)
             for seed in range(count):
                 word = random_cobordism(a.group, seed, 8)
-                assert word_functoriality_witness(ev, word) is None
+                assert word_functoriality_witness(ev, word) == (ev(word), None)
 
     def test_cancelled_entries_are_no_mismatch(self):
         # C[Z2] with trace (2, 1) has a dual basis of mixed signs, so the
@@ -127,13 +127,13 @@ class TestFunctoriality:
         counit = parse("split(e,e) ; cup * id(e)", a.group)
         assert ev(counit) == Matrix.identity(2)
         for word in [counit] + [random_cobordism(a.group, seed, 6) for seed in range(60)]:
-            assert word_functoriality_witness(ev, word) is None, word.to_text()
+            assert word_functoriality_witness(ev, word)[1] is None, word.to_text()
 
     def test_witness_reports_a_wrong_prefix(self, monkeypatch, rich_s3):
         ev = Evaluator(rich_s3)
         word = parse("split(p021,p021) ; merge(p021,p021)", rich_s3.group)
         double_layer_output(monkeypatch, word.layers[1])
-        witness = word_functoriality_witness(ev, word)
+        witness = word_functoriality_witness(ev, word)[1]
         assert witness is not None
         assert dict(witness.context)["split-after-layer"] == "1"
 
@@ -155,7 +155,7 @@ class TestFunctoriality:
             for index, layer in enumerate(word.layers):
                 with monkeypatch.context() as patch:
                     double_layer_output(patch, layer)
-                    witness = word_functoriality_witness(ev, word)
+                    witness = word_functoriality_witness(ev, word)[1]
                 context = (("split-after-layer", str(index)), ("word", word.to_text()))
                 assert witness.context == context
                 assert (witness.left, witness.right) == (left, right)
