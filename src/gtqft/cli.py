@@ -244,7 +244,7 @@ def _cmd_derive(config: RunConfig) -> int:
 def _cmd_orbifold(config: RunConfig) -> int:
     a = _load_algebra_source(config)
     orb = orbifold_algebra(a)
-    doc = save_algebra(orb.as_trivial_algebra())
+    doc = save_algebra(orb.trivial)
     doc["group"] = "cyclic:1"
     print(json.dumps(doc, indent=2, sort_keys=True))
     if not orb.certification.passed:

@@ -16,8 +16,8 @@ from .errors import NotAGroup, SchemaError, UnknownElement, UnknownGroup
 class FiniteGroup:
     """A finite group given by element names and an index multiplication table.
 
-    Construction validates the group laws (Latin square, associativity,
-    two-sided identity, inverses) and locates identity and inverses.
+    Construction validates the group laws (Latin square, two-sided
+    identity, associativity) and locates identity and inverses.
     Instances are immutable and freely shareable, except for `signatures`,
     the table of piece boundaries that `gtqft.cobordism` fills lazily.
     """
@@ -71,20 +71,14 @@ class FiniteGroup:
                             f"({names[a]}, {names[b]}, {names[c]})"
                         )
 
-        inverse = []
-        for a in range(n):
-            b = next(
-                (x for x in range(n) if table[a][x] == identity and table[x][a] == identity),
-                None,
-            )
-            if b is None:
-                raise NotAGroup(f"element {names[a]} has no two-sided inverse")
-            inverse.append(b)
+        # each Latin row holds the identity once, at the right inverse; in
+        # a group a right inverse is also the left one
+        inverse = tuple(row.index(identity) for row in table)
 
         self.names = names
         self.table = table
         self.identity = identity
-        self.inverse = tuple(inverse)
+        self.inverse = inverse
         self._index = {name: i for i, name in enumerate(names)}
         self.signatures: dict = {}
 

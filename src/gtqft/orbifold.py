@@ -120,43 +120,34 @@ def invariant_projector(a: GFrobeniusAlgebra) -> Matrix:
 
 
 class SectorDecomposition:
-    """Per-class data: representatives, centralizer-invariant sector bases,
-    and the mutually inverse change-of-basis matrices between the direct sum
-    of those sectors and the invariant basis of the whole algebra.
+    """The mutually inverse change-of-basis matrices between the direct sum
+    of the centralizer-invariant sectors of the class representatives and
+    the invariant basis of the whole algebra.
     """
 
-    __slots__ = ("representatives", "sector_bases", "expand", "restrict")
+    __slots__ = ("expand", "restrict")
 
-    def __init__(self, representatives, sector_bases, expand, restrict):
-        self.representatives = representatives
-        self.sector_bases = sector_bases
+    def __init__(self, expand, restrict):
         self.expand = expand
         self.restrict = restrict
 
 
 class OrbifoldAlgebra:
     """The invariant subalgebra, certified as an ordinary Frobenius algebra;
-    `trivial` holds it over the trivial group, as the file format saves it."""
+    `trivial` is that algebra over the trivial group, as the file format
+    saves it."""
 
-    __slots__ = ("parent", "basis", "trivial", "class_data", "certification")
+    __slots__ = ("basis", "trivial", "class_data", "certification")
 
-    def __init__(self, parent, basis, trivial, class_data, certification):
-        self.parent = parent
+    def __init__(self, basis, trivial, class_data, certification):
         self.basis = basis
         self.trivial = trivial
         self.class_data = class_data
         self.certification = certification
 
-    product = property(lambda self: self.trivial.product[(0, 0)])
-    unit = property(lambda self: self.trivial.unit)
-    trace = property(lambda self: self.trivial.trace)
-
     @property
     def dimension(self) -> int:
         return len(self.basis)
-
-    def as_trivial_algebra(self) -> GFrobeniusAlgebra:
-        return self.trivial
 
 
 def _sector_decomposition(
@@ -179,16 +170,15 @@ def _sector_decomposition(
         sector_bases.append(basis)
         sector_pivots.append(pivots)
 
-    # expansion: a centralizer-invariant sector vector spreads over its class
+    # expansion: a centralizer-invariant sector vector spreads over its
+    # class, each member h reached by the least k with k rep k^-1 = h
     expand_cols: list[Vector] = []
     for ci, rep in enumerate(classes.representatives):
-        members = classes.classes[ci]
-        movers = []
-        for h in members:
-            k = next(k for k in group.elements() if group.conj(k, rep) == h)
-            movers.append((h, k))
+        movers: dict[int, int] = {}
+        for k in group.elements():
+            movers.setdefault(group.conj(k, rep), k)
         for w in sector_bases[ci]:
-            moved = [(h, a.apply_action(k, rep, w)) for h, k in movers]
+            moved = [(h, a.apply_action(movers[h], rep, w)) for h in sorted(movers)]
             full = _total_vector(offsets, total, moved)
             expand_cols.append(_coordinates(inv_basis, inv_pivots, full, "class expansion"))
 
@@ -208,13 +198,10 @@ def _sector_decomposition(
         restrict_cols.append(tuple(coords))
     restrict = Matrix(dim_inv, dim_sec, restrict_cols).transpose()
 
-    if restrict @ expand != Matrix.identity(dim_sec) or expand @ restrict != Matrix.identity(
-        dim_inv
-    ):
+    # square matrices: one product is the identity exactly when the other is
+    if dim_sec != dim_inv or restrict @ expand != Matrix.identity(dim_sec):
         raise NotClosed("sector change of basis failed to invert")
-    return SectorDecomposition(
-        classes.representatives, tuple(sector_bases), expand, restrict
-    )
+    return SectorDecomposition(expand, restrict)
 
 
 def orbifold_algebra(a: GFrobeniusAlgebra) -> OrbifoldAlgebra:
@@ -266,8 +253,8 @@ def orbifold_algebra(a: GFrobeniusAlgebra) -> OrbifoldAlgebra:
 
     # the unit is invariant, so it must lie in the span and act as identity
     e = group.identity
-    unit_total = _total_vector(offsets, total, [(e, a.unit)])
-    unit_parts = _grade_parts(a, offsets, unit_total)
+    unit_parts = [(e, a.unit)]
+    unit_total = _total_vector(offsets, total, unit_parts)
     unit_coords, unit_spanned = _span_coordinates(basis, pivots, unit_total)
     if unit_spanned != unit_total:
         unit_coords = (ZERO,) * d
@@ -316,7 +303,6 @@ def orbifold_algebra(a: GFrobeniusAlgebra) -> OrbifoldAlgebra:
     else:
         entries.append(passing(name))
     return OrbifoldAlgebra(
-        parent=a,
         basis=basis,
         trivial=trivial,
         class_data=class_data,

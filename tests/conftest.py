@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from gtqft import GFrobeniusAlgebra, builtin, frobenius_untwisted, group_algebra
+from gtqft import FiniteGroup, GFrobeniusAlgebra, builtin, frobenius_untwisted, group_algebra
 from gtqft.exactlin import Matrix, Tensor3
 
 
@@ -55,6 +56,45 @@ def rescaled_algebra(a: GFrobeniusAlgebra, seed: int) -> GFrobeniusAlgebra:
     unit = tuple(u / c for u, c in zip(a.unit, ce))
     trace = tuple(t * c for t, c in zip(a.trace, ce))
     return GFrobeniusAlgebra(group, a.dims, product, action, unit, trace)
+
+
+def twisted_group_algebra(cover, z: str) -> GFrobeniusAlgebra:
+    """The twisted group algebra Q^theta[G] of G = cover / {e, z}, for a
+    central element z of order two (discrete torsion).
+
+    Each coset is named by its least-index element s(a), and the section s
+    gives the +-1 cocycle s(a) s(b) = theta(a, b) s(ab).  Then c_a c_b =
+    theta(a, b) c_ab, the action is conjugation by c_k, and the unit and
+    the trace are both 1 on the one-dimensional identity grade.
+    """
+    zi = cover.index(z)
+    assert cover.mul(zi, zi) == cover.identity != zi
+    assert all(cover.mul(zi, x) == cover.mul(x, zi) for x in cover.elements())
+    section = sorted({min(x, cover.mul(zi, x)) for x in cover.elements()})
+    coset = {x: section.index(min(x, cover.mul(zi, x))) for x in cover.elements()}
+    table = [[coset[cover.mul(s, t)] for t in section] for s in section]
+    group = FiniteGroup([cover.name(s) for s in section], table)
+    n, mul, inv = group.order, group.mul, group.inv
+    theta = [
+        [1 if cover.mul(section[a], section[b]) == section[mul(a, b)] else -1 for b in range(n)]
+        for a in range(n)
+    ]
+    for a, b, c in itertools.product(range(n), repeat=3):
+        assert theta[a][b] * theta[mul(a, b)][c] == theta[b][c] * theta[a][mul(b, c)]
+    product = {
+        (a, b): Tensor3.from_entries(1, 1, 1, {(0, 0, 0): theta[a][b]})
+        for a in range(n)
+        for b in range(n)
+    }
+    # c_k c_a c_k^-1, where c_k^-1 = c_{k^-1} / theta(k, k^-1)
+    action = {
+        (k, a): Matrix.from_rows(
+            [[Fraction(theta[k][a] * theta[mul(k, a)][inv(k)], theta[k][inv(k)])]]
+        )
+        for k in range(n)
+        for a in range(n)
+    }
+    return GFrobeniusAlgebra(group, (1,) * n, product, action, (1,), (1,))
 
 
 def zero_grade_algebra(group) -> GFrobeniusAlgebra:
@@ -141,3 +181,13 @@ def rescaled_rich_s3(rich_s3):
 @pytest.fixture(scope="session")
 def zero_grade_z3(z3):
     return zero_grade_algebra(z3)
+
+
+@pytest.fixture(scope="session")
+def twisted_klein(q8):
+    return twisted_group_algebra(q8, "n")
+
+
+@pytest.fixture(scope="session")
+def twisted_d4():
+    return twisted_group_algebra(builtin("dihedral", 8), "r4")

@@ -399,7 +399,7 @@ def orbifold_associativity(orb) -> CheckEntry:
     """The `orbifold-associativity` entry of an orbifold algebra, from its
     (zero-filled) structure constants."""
     d = orb.dimension
-    products = {(i, j): orb.product.data[i][j] for i in range(d) for j in range(d)}
+    products = {(i, j): orb.trivial.product[(0, 0)].data[i][j] for i in range(d) for j in range(d)}
     constants, d_o = int_image(products)
 
     def associativity():

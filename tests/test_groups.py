@@ -155,6 +155,9 @@ class TestConjugacy:
             for i in range(g.order)
         ]
         shuffled = FiniteGroup(names, table)
+        e = shuffled.identity
+        for a in shuffled.elements():
+            assert shuffled.mul(a, shuffled.inv(a)) == shuffled.mul(shuffled.inv(a), a) == e
         original = sorted(len(c) for c in conjugacy(g).classes)
         relabeled = sorted(len(c) for c in conjugacy(shuffled).classes)
         assert original == relabeled

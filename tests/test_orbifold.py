@@ -118,7 +118,7 @@ class TestOrbifoldAlgebra:
                 direct = multiply_total(a, offsets, vi, vj)
                 recombined = [F(0)] * len(direct)
                 for k in range(orb.dimension):
-                    c = orb.product[(i, j, k)]
+                    c = orb.trivial.product[(0, 0)][(i, j, k)]
                     if c:
                         for idx, value in enumerate(orb.basis[k]):
                             recombined[idx] += c * value
@@ -127,8 +127,8 @@ class TestOrbifoldAlgebra:
     def test_trivial_group_returns_same_algebra(self, dual_numbers):
         orb = orbifold_algebra(dual_numbers)
         assert orb.dimension == 2
-        assert orb.as_trivial_algebra().product[(0, 0)] == dual_numbers.product[(0, 0)]
-        assert orb.as_trivial_algebra().trace == dual_numbers.trace
+        assert orb.trivial.product[(0, 0)] == dual_numbers.product[(0, 0)]
+        assert orb.trivial.trace == dual_numbers.trace
 
     @pytest.mark.parametrize("name,param", CRITERION_GROUPS)
     def test_certified_for_builtins(self, name, param):
@@ -145,7 +145,7 @@ class TestOrbifoldAlgebra:
                 [
                     sum(
                         (
-                            orb.product[(i, j, k)] * orb.trace[k]
+                            orb.trivial.product[(0, 0)][(i, j, k)] * orb.trivial.trace[k]
                             for k in range(d)
                         ),
                         F(0),
@@ -163,10 +163,10 @@ class TestOrbifoldAlgebra:
         for i in range(d):
             for j in range(d):
                 for k in range(d):
-                    assert orb.product[(i, j, k)] == orb.product[(j, i, k)]
+                    assert orb.trivial.product[(0, 0)][(i, j, k)] == orb.trivial.product[(0, 0)][(j, i, k)]
 
     def test_resulting_algebra_passes_checker(self, s3_algebra):
-        triv = orbifold_algebra(s3_algebra).as_trivial_algebra()
+        triv = orbifold_algebra(s3_algebra).trivial
         assert check_axioms(triv).passed
 
     def test_trivial_algebra_is_built_once(self, monkeypatch, capsys):
@@ -201,8 +201,8 @@ class TestOrbifoldAlgebra:
         assert entry.witness.context == (("i", "1"), ("j", "2"))
         assert entry.witness.left == "(0, 0, 0, 1)"
         # the failed products are zero-filled and every later entry still runs
-        assert [orb.product[(1, 2, k)] for k in range(3)] == [0, 0, 0]
-        assert [orb.product[(2, 1, k)] for k in range(3)] == [0, 0, 0]
+        assert [orb.trivial.product[(0, 0)][(1, 2, k)] for k in range(3)] == [0, 0, 0]
+        assert [orb.trivial.product[(0, 0)][(2, 1, k)] for k in range(3)] == [0, 0, 0]
         assert [e.name for e in orb.certification.entries] == [
             "orbifold-closure",
             "orbifold-commutativity",
