@@ -55,7 +55,7 @@ from .errors import (
     UnknownElement,
     UnknownGroup,
 )
-from .exactlin import Matrix, Scalar, Tensor3
+from .exactlin import Matrix, Tensor3
 from .groups import ConjugacyData, FiniteGroup, builtin, builtin_from_string, conjugacy
 from .orbifold import OrbifoldAlgebra, orbifold_algebra
 from .report import CheckEntry, CheckReport, Witness
@@ -92,7 +92,6 @@ __all__ = [
     "ParseError",
     "Piece",
     "PieceKind",
-    "Scalar",
     "SchemaError",
     "ShapeError",
     "SignatureMismatch",

@@ -101,6 +101,7 @@ from .errors import (
     SchemaError,
     ShapeError,
     SingularMatrix,
+    UnknownElement,
 )
 from .exactlin import (
     ONE,
@@ -209,26 +210,8 @@ class GFrobeniusAlgebra:
 
     def apply_product(self, g: int, h: int, x: Vector, y: Vector) -> Vector:
         """Multiply a grade-g vector by a grade-h vector; lands in grade g*h."""
-        t = self.product[(g, h)]
-        out = [ZERO] * t.dim2
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            plane = t.data[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                row = plane[j]
-                for p, v in enumerate(row):
-                    if v:
-                        out[p] += c * v
-        return tuple(out)
-
-    def apply_action(self, k: int, g: int, x: Vector) -> Vector:
-        """Apply the conjugation automorphism of k to a grade-g vector."""
-        m = self.action[(k, g)]
-        return m.apply(x)
+        weights = [[xi * yj if yj else ZERO for yj in y] if xi else () for xi in x]
+        return _plane_sum(self.product[(g, h)], weights)
 
     def trace_of(self, x: Vector) -> Fraction:
         """Evaluate the trace functional on an identity-component vector."""
@@ -248,6 +231,19 @@ class GFrobeniusAlgebra:
 
     def __repr__(self) -> str:
         return f"GFrobeniusAlgebra(order={self.group.order}, dims={self.dims})"
+
+
+def _plane_sum(t: Tensor3, weights) -> Vector:
+    """The sum of ``weights[i][j]`` times row (i, j) of the product tensor
+    `t`, in the order (i, j, p); a zero or missing weight adds nothing."""
+    out = [ZERO] * t.dim2
+    for plane, plane_weights in zip(t.data, weights):
+        for row, w in zip(plane, plane_weights):
+            if w:
+                for p, v in enumerate(row):
+                    if v:
+                        out[p] += w * v
+    return tuple(out)
 
 
 def group_algebra(group: FiniteGroup) -> GFrobeniusAlgebra:
@@ -304,9 +300,10 @@ def _scalar_from_json(value, where: str) -> Fraction:
 def _element_index(group: FiniteGroup, value, where: str) -> int:
     if not isinstance(value, str):
         raise SchemaError(f"{where}: element references must be name strings")
-    if value not in group.names:
-        raise SchemaError(f"{where}: unknown element name {value!r}")
-    return group.index(value)
+    try:
+        return group.index(value)
+    except UnknownElement:
+        raise SchemaError(f"{where}: unknown element name {value!r}") from None
 
 
 def _int_field(entry, key, where) -> int:
@@ -457,30 +454,28 @@ def save_algebra(a: GFrobeniusAlgebra) -> dict:
 
 
 class DerivedStructure:
-    """Pairings, dual bases, coproducts and handle elements of an algebra.
+    """Pairings, coproducts and Euler matrices of an algebra.
 
     * ``pairings[g]``: the Gram matrix of trace(x*y) for x in grade g and
       y in grade g^-1; its matrix is also the component-wise isomorphism
       onto the linear dual of grade g^-1 induced by the trace.
-    * ``dual_bases[g]``: columns express the dual basis of grade g in the
-      stored basis of grade g^-1 (the inverse of ``pairings[g]``).
     * ``coproducts[(g, h)]``: tensor of shape
       (dims[g*h], dims[g], dims[h]); entry (c, i, j) is the coefficient of
       basis_i x basis_j in the coproduct of basis_c.
     * ``euler[g]``: the diagonal sum basis_i x dual_i of grade g paired
-      with grade g^-1, stored as a dims[g] x dims[g^-1] matrix.
+      with grade g^-1, a dims[g] x dims[g^-1] matrix: the transpose of the
+      inverse of ``pairings[g]``, whose columns are the dual basis of g.
 
-    `derive` hands one structure to every caller on an algebra, so the four
+    `derive` hands one structure to every caller on an algebra, so the three
     mappings are read-only views.  ``_built`` keeps the int image of
     ``coproducts`` (`table_image`) on this structure, not on the algebra,
     so a structure built by hand is checked on its own coproducts.
     """
 
-    __slots__ = ("pairings", "dual_bases", "coproducts", "euler", "_built")
+    __slots__ = ("pairings", "coproducts", "euler", "_built")
 
-    def __init__(self, pairings, dual_bases, coproducts, euler):
+    def __init__(self, pairings, coproducts, euler):
         self.pairings = MappingProxyType(pairings)
-        self.dual_bases = MappingProxyType(dual_bases)
         self.coproducts = MappingProxyType(coproducts)
         self.euler = MappingProxyType(euler)
         self._built: dict = {}
@@ -529,7 +524,7 @@ def inverted_pairings(a: GFrobeniusAlgebra) -> dict[int, tuple[Matrix, Matrix | 
 
 
 def derive(a: GFrobeniusAlgebra) -> DerivedStructure:
-    """Dual bases, coproducts and handle elements from the trace pairing.
+    """Pairings, coproducts and Euler matrices from the trace pairing.
 
     Requires every pairing to be nondegenerate (`inverted_pairings`);
     raises DegeneratePairing otherwise.  The coproduct for each grade pair
@@ -546,7 +541,7 @@ def dual_image(a: GFrobeniusAlgebra) -> tuple[dict, int]:
     denominator, built once per algebra.  Requires every pairing to be
     nondegenerate (`inverted_pairings`)."""
     return _once(
-        a, "dual_bases", lambda: int_image({g: d for g, (_, d) in inverted_pairings(a).items()})
+        a, "duals", lambda: int_image({g: d for g, (_, d) in inverted_pairings(a).items()})
     )
 
 
@@ -561,8 +556,7 @@ def _derive(a: GFrobeniusAlgebra) -> DerivedStructure:
                 reason = f"component dimensions differ: {theta.rows} vs {theta.cols}"
             raise DegeneratePairing(group.name(g), reason)
     pairings = {g: theta for g, (theta, _) in inverted.items()}
-    dual_bases = {g: dual for g, (_, dual) in inverted.items()}
-    euler = {g: dual.transpose() for g, dual in dual_bases.items()}
+    euler = {g: dual.transpose() for g, (_, dual) in inverted.items()}
 
     # both formulas over d_p * d_dual; the dual basis of a grade keyed by
     # its row, the index each formula sums over
@@ -617,7 +611,7 @@ def _derive(a: GFrobeniusAlgebra) -> DerivedStructure:
                 tensor = tensors[(shape, entries)] = Tensor3._wrap(dgh, dg, dh, data)
             coproducts[(g, h)] = tensor
 
-    return DerivedStructure(pairings, dual_bases, coproducts, euler)
+    return DerivedStructure(pairings, coproducts, euler)
 
 
 def handle_element(a: GFrobeniusAlgebra, euler: Matrix, x: int, y: int) -> tuple[int, Vector]:
@@ -630,15 +624,7 @@ def handle_element(a: GFrobeniusAlgebra, euler: Matrix, x: int, y: int) -> tuple
     group = a.group
     moved_grade, xi = group.conj(y, x), group.inv(x)
     pairs = a.action[(y, x)] @ euler
-    t = a.product[(moved_grade, xi)]
-    out = [ZERO] * t.dim2
-    for plane, weights in zip(t.data, pairs.data):
-        for row, w in zip(plane, weights):
-            if w:
-                for p, v in enumerate(row):
-                    if v:
-                        out[p] += w * v
-    return group.mul(moved_grade, xi), tuple(out)
+    return group.mul(moved_grade, xi), _plane_sum(a.product[(moved_grade, xi)], pairs.data)
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +717,7 @@ def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
         firsts = [factor(cols, 0, (D3, 1)) for cols in over_right]
         blocks = {key: factor(entries, 0, (D2,)) for key, entries in A_image.items()}
         for k in range(n):
-            yield (k,), 1, a.apply_action(k, e, a.unit), a.unit
+            yield (k,), 1, a.action[(k, e)].apply(a.unit), a.unit
             for g in range(n):
                 # k acting on b_i b_j, summed over q in grade gh
                 lhs = contract(moved(acted[k], T[g]), products[g], d_a)
@@ -749,7 +735,7 @@ def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
         for h in range(n):
             for t in range(de):
                 b_t = basis_vector(de, t)
-                yield (h, t), a.trace_of(a.apply_action(h, e, b_t)), a.trace[t]
+                yield (h, t), a.trace_of(a.action[(h, e)].apply(b_t)), a.trace[t]
 
     def nondegenerate():
         # a square matrix has det != 0 exactly when it is invertible

@@ -4,11 +4,11 @@ Commands: check, derive, orbifold, eval, cerf, fuzz.  Exit status is 0
 when every executed check passed, 1 when a check failed, and 2 when an
 error stopped the run; errors print one machine-readable line
 ``error: category=<parse|type|degenerate-pairing|check-failure|budget|output|internal> ...``
-to stderr.  ``output`` is a stdout whose reader has gone away.
-``internal`` is any exception that is not a package error, a fault of the
-program rather than of the input, printed as
-``error: category=internal <Type>: <message>``.  Output is deterministic
-for fixed inputs and seed.
+to stderr.  A usage error is ``parse``; ``output`` is a stdout whose
+reader has gone away.  ``internal`` is any exception that is not a
+package error, a fault of the program rather than of the input, printed
+as ``error: category=internal <Type>: <message>``.  Output is
+deterministic for fixed inputs and seed.
 """
 
 from __future__ import annotations
@@ -90,21 +90,6 @@ def format_report(report: CheckReport, mode: str = "human") -> str:
                 ctx = f"  [{pairs}]  left={e.witness.left}  right={e.witness.right}"
             lines.append(f"FAIL  {e.name}{ctx}")
     return "\n".join(lines)
-
-
-def parse_records(text: str) -> tuple[int, int]:
-    """Read back a records-mode report as (passed, failed) counts."""
-    passed = failed = 0
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        if rec.get("record") == "check":
-            if rec["passed"]:
-                passed += 1
-            else:
-                failed += 1
-    return passed, failed
 
 
 def _source_file(source: str) -> Path | None:
@@ -401,8 +386,15 @@ def run(config: RunConfig) -> int:
     return 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise `SchemaError`; the subparsers share this class."""
+
+    def error(self, message):
+        raise SchemaError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gtqft",
         description="Exact checker and evaluator for graded Frobenius algebras "
         "and the surface field theories they generate.",
@@ -453,7 +445,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SchemaError as exc:
+        print(f"error: category=parse {exc}", file=sys.stderr)
+        return 2
     return run(config_from_args(args))
 
 

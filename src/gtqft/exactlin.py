@@ -38,7 +38,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, SingularMatrix
 
-Scalar = Fraction
 Vector = tuple[Fraction, ...]
 
 ZERO = Fraction(0)

@@ -121,19 +121,15 @@ class FiniteGroup:
 
 @dataclass(frozen=True)
 class ConjugacyData:
-    """Conjugacy classes, least-index representatives and all centralizers."""
+    """Conjugacy classes and their least-index representatives."""
 
     classes: tuple[tuple[int, ...], ...]
     representatives: tuple[int, ...]
-    centralizers: tuple[tuple[int, ...], ...]
 
 
 def conjugacy(group: FiniteGroup) -> ConjugacyData:
-    """Brute-force conjugacy classes and centralizers.
-
-    Class representatives are the least element index of each class, which
-    makes downstream basis orderings deterministic.
-    """
+    """Brute-force conjugacy classes, each represented by its least element
+    index, which makes downstream basis orderings deterministic."""
     n = group.order
     seen = [False] * n
     classes = []
@@ -144,14 +140,7 @@ def conjugacy(group: FiniteGroup) -> ConjugacyData:
         for x in orbit:
             seen[x] = True
         classes.append(tuple(orbit))
-    centralizers = tuple(
-        tuple(k for k in range(n) if group.mul(k, g) == group.mul(g, k)) for g in range(n)
-    )
-    return ConjugacyData(
-        classes=tuple(classes),
-        representatives=tuple(c[0] for c in classes),
-        centralizers=centralizers,
-    )
+    return ConjugacyData(tuple(classes), tuple(c[0] for c in classes))
 
 
 def _cyclic(n: int) -> FiniteGroup:

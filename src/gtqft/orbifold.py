@@ -178,7 +178,7 @@ def _sector_decomposition(
         for k in group.elements():
             movers.setdefault(group.conj(k, rep), k)
         for w in sector_bases[ci]:
-            moved = [(h, a.apply_action(movers[h], rep, w)) for h in sorted(movers)]
+            moved = [(h, a.action[(movers[h], rep)].apply(w)) for h in sorted(movers)]
             full = _total_vector(offsets, total, moved)
             expand_cols.append(_coordinates(inv_basis, inv_pivots, full, "class expansion"))
 

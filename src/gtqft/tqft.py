@@ -348,7 +348,7 @@ def closed_surface_word(group: FiniteGroup, holonomies) -> Cobordism:
 
 
 def closed_invariant(a: GFrobeniusAlgebra, holonomies) -> Fraction:
-    """Scalar value of the closed labelled surface of genus len(holonomies)/2.
+    """The value of the closed labelled surface of genus len(holonomies)/2.
 
     Computed as the trace of the product of handle contributions; for genus
     at most two the result is cross-checked against direct evaluation of an

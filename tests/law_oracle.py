@@ -284,7 +284,7 @@ def check_axioms(a) -> CheckReport:
                 _, lhs = handle_element(a, duals[g], g, h)
                 rhs = zero_vector(dims[mul(h, ghi)])
                 for i in range(dims[h]):
-                    moved = a.apply_action(g, hi, duals[h].column_vector(i))
+                    moved = a.action[(g, hi)].apply(duals[h].column_vector(i))
                     bi = basis_vector(dims[h], i)
                     rhs = vector_add(rhs, a.apply_product(h, ghi, bi, moved))
                 yield (g, h), lhs, rhs

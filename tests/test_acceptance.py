@@ -75,7 +75,7 @@ def test_criterion_2_coproduct_consistency():
     for a in criterion_algebras():
         group = a.group
         d = derive(a)
-        duals = d.dual_bases
+        duals = {g: euler.transpose() for g, euler in d.euler.items()}
         for g in group.elements():
             for h in group.elements():
                 gh = group.mul(g, h)

@@ -281,7 +281,7 @@ class TestDerive:
         d = derive(rich_s3)
         for g in rich_s3.group.elements():
             dim = rich_s3.dims[g]
-            assert d.pairings[g] @ d.dual_bases[g] == Matrix.identity(dim)
+            assert d.pairings[g] @ d.euler[g].transpose() == Matrix.identity(dim)
 
 
 class TestDiagramChecks:
@@ -299,7 +299,7 @@ class TestDiagramChecks:
         coproducts[(1, 2)] = Tensor3.from_entries(1, 1, 1, {(0, 0, 0): 5})
         from gtqft.algebra import DerivedStructure
 
-        doctored = DerivedStructure(d.pairings, d.dual_bases, coproducts, d.euler)
+        doctored = DerivedStructure(d.pairings, coproducts, d.euler)
         report = check_frobenius_diagram(s3_algebra, doctored)
         assert not report.passed
         assert report.failures()[0].witness.context

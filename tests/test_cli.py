@@ -22,11 +22,11 @@ from gtqft.cli import (
     config_from_args,
     format_report,
     main,
-    parse_records,
     minimize_word,
     run,
 )
 from gtqft.cobordism import CERF_CASES, PieceKind, parse as parse_word
+from gtqft.errors import SchemaError
 from gtqft.exactlin import Matrix, Tensor3
 from gtqft.report import Witness, failing, passing
 
@@ -53,8 +53,11 @@ class TestFormatReport:
         report = CheckReport(
             (passing("one"), passing("two"), failing("three", (("x", "0"),), "1", "2"))
         )
-        text = format_report(report, "records")
-        assert parse_records(text) == (2, 1)
+        records = [json.loads(line) for line in format_report(report, "records").splitlines()]
+        assert records[0] == {"record": "summary", "passed": 2, "failed": 1}
+        assert [(r["name"], r["passed"]) for r in records[1:]] == [
+            ("one", True), ("two", True), ("three", False),
+        ]
 
 
 class TestCheckCommand:
@@ -233,6 +236,9 @@ class TestCommandSources:
         assert "error: category=parse" in captured.err
 
 
+S3_CHECK = ["check", "--group", "symmetric:3", "--algebra", "builtin:group-algebra"]
+
+
 class TestBadInputIsAParseError:
     """Faults of the input exit 2 with category=parse, which is not kept
     for faults of the program."""
@@ -284,6 +290,35 @@ class TestBadInputIsAParseError:
         status, err = self._status_and_error(capsys, argv)
         assert status == 2
         assert err.startswith(f"error: category=parse invalid JSON in {path}: ")
+
+    # usage errors that argparse finds, each with the part of its message naming it
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (S3_CHECK[:3], "the following arguments are required: --algebra"),
+            ([*S3_CHECK, "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+            (["cerf", "--algebra", "a.json", "--case", "999"], "--case: invalid choice: '999'"),
+            (["fuzz", "--algebra", "a.json", "--seed", "x"], "--seed: invalid int value: 'x'"),
+            (["frobnicate"], "invalid choice: 'frobnicate'"),
+            ([], "the following arguments are required: command"),
+            ([*S3_CHECK, "--case", "111"], "unrecognized arguments: --case 111"),
+        ],
+        ids=["no-algebra", "xml", "cerf-case", "fuzz-seed", "unknown", "no-command", "case"],
+    )
+    def test_usage_error_is_a_parse_error(self, capsys, argv, message):
+        status = main(argv)
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: category=parse ") and message in line
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--help"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 0
+        assert captured.out.startswith("usage: gtqft check ") and captured.err == ""
 
 
 class TestCerfCommand:
@@ -582,14 +617,12 @@ class TestArguments:
     def test_config(self, argv, expected):
         assert config_from_args(build_parser().parse_args(argv)) == expected
 
-    def test_cerf_cases_are_the_table(self, capsys):
+    def test_cerf_cases_are_the_table(self):
         for case in CERF_CASES:
             args = build_parser().parse_args(["cerf", "--algebra", "a.json", "--case", case])
             assert args.case == case
-        with pytest.raises(SystemExit) as exc:
+        with pytest.raises(SchemaError, match="invalid choice: 'nope'"):
             build_parser().parse_args(["cerf", "--algebra", "a.json", "--case", "nope"])
-        assert exc.value.code == 2
-        assert "invalid choice: 'nope'" in capsys.readouterr().err
 
     def test_defaults(self):
         config = RunConfig(command="fuzz")
@@ -640,8 +673,9 @@ class TestMainEntry:
         )
         out = capsys.readouterr().out
         assert status == 0
-        passed, failed = parse_records(out)
-        assert failed == 0 and passed >= 10
+        summary, *checks = [json.loads(line) for line in out.splitlines()]
+        assert summary == {"record": "summary", "passed": len(checks), "failed": 0}
+        assert len(checks) >= 10 and all(r["passed"] for r in checks)
 
     def test_missing_algebra_file(self, capsys):
         status = main(["check", "--algebra", "/nonexistent/path.json"])

@@ -10,6 +10,8 @@ certification entry shows a real witness somewhere.  The surface
 identities (the cylinder, twist and pants rows among them) are pinned
 through `cerf --all-labels` on every mutated algebra; the library goldens
 are the `dual-basis` oracle of `law_oracle` and the orbifold certification.
+Two passing twisted group algebras, whose action is -1 on some blocks, pin
+`check`, `derive`, `orbifold` and those `cerf` rows.
 
 Regenerate the file only for an intended output change:
 
@@ -31,7 +33,11 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from conftest import dual_number_group_algebra, rescaled_algebra  # noqa: E402
+from conftest import (  # noqa: E402
+    dual_number_group_algebra,
+    rescaled_algebra,
+    twisted_group_algebra,
+)
 from gtqft import (  # noqa: E402
     builtin_from_string,
     cerf_case_words,
@@ -124,6 +130,11 @@ for _name in [name for name in ALGEBRAS if name not in (*_UNMUTATED, "dims-misma
 # the smallest change of a product table over its common denominator
 ALGEBRAS["rescaled-step"] = ("rescaled-group", "symmetric:3", (("step", "p021", "p102", 0, 0, 0),))
 ALGEBRAS["rescaled-rich-step"] = ("rescaled-rich", "symmetric:3", (("step", "p120", "p120", 1, 0, 1),))
+# twisted group algebras cover / <z> (discrete torsion): the action is -1 on
+# some blocks; not mutated and without rescaled twins
+ALGEBRAS["twisted-klein"] = ("twisted", "quaternion8/n", ())
+ALGEBRAS["twisted-d4"] = ("twisted", "dihedral:8/r4", ())
+_TWISTED = ("twisted-klein", "twisted-d4")
 
 
 def _edited(old: str, new: str) -> str:
@@ -132,11 +143,14 @@ def _edited(old: str, new: str) -> str:
 
 def algebra_doc(name: str) -> dict:
     kind, spec, edits = ALGEBRAS[name]
-    group = builtin_from_string(spec)
+    cover, _, z = spec.partition("/")
+    group = builtin_from_string(cover)
     if kind == "group":
         a = group_algebra(group)
     elif kind == "rich":
         a = dual_number_group_algebra(group)
+    elif kind == "twisted":
+        a = twisted_group_algebra(group, z)
     elif kind == "rescaled-group":
         a = rescaled_algebra(group_algebra(group), 3)
     else:
@@ -182,11 +196,11 @@ S3_WORDS = (
 CLI_CASES: dict[str, tuple[str, tuple[str, ...]]] = {}
 for _alg in ALGEBRAS:
     CLI_CASES[f"check-{_alg}"] = (_alg, ("check",))
-for _alg in ("s3", "rich-s3", "rescaled-rich-s3", "frobenius", "trace-zero"):
+for _alg in ("s3", "rich-s3", "rescaled-rich-s3", "frobenius", "trace-zero", *_TWISTED):
     CLI_CASES[f"derive-{_alg}"] = (_alg, ("derive",))
 _ORBIFOLD_MUTATIONS = ("unit-left", "unit-right", "sign", "trace-zero", "rich-swap", "twisted", "closure")
 for _alg in (
-    "s3", "rich-s3", "rescaled-rich-s3", *_ORBIFOLD_MUTATIONS,
+    "s3", "rich-s3", "rescaled-rich-s3", *_TWISTED, *_ORBIFOLD_MUTATIONS,
     *(f"rescaled-{m}" for m in _ORBIFOLD_MUTATIONS),
 ):
     CLI_CASES[f"orbifold-{_alg}"] = (_alg, ("orbifold",))
@@ -207,7 +221,7 @@ _LIBRARY_MUTATIONS = (
 _MUTATED = (*_LIBRARY_MUTATIONS, *(f"rescaled-{m}" for m in _LIBRARY_MUTATIONS))
 for _alg, _case in (
     ("s3", "twist"), ("s3", "pants"),
-    *((m, c) for m in _MUTATED for c in ("twist", "cylinder", "pants")),
+    *((m, c) for m in (*_MUTATED, *_TWISTED) for c in ("twist", "cylinder", "pants")),
 ):
     CLI_CASES[f"cerf-{_alg}-{_case}-all"] = (_alg, ("cerf", "--case", _case, "--all-labels"))
 

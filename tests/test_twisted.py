@@ -32,10 +32,10 @@ def regular_class_count(a) -> int:
     when theta(k, a) = theta(a, k) for every k that commutes with a."""
     group = a.group
     theta = {key: t.data[0][0][0] for key, t in a.product.items()}
-    data = conjugacy(group)
+    mul = group.mul
     return sum(
-        all(theta[(k, r)] == theta[(r, k)] for k in data.centralizers[r])
-        for r in data.representatives
+        all(theta[(k, r)] == theta[(r, k)] for k in group.elements() if mul(k, r) == mul(r, k))
+        for r in conjugacy(group).representatives
     )
 
 
