@@ -8,12 +8,14 @@ to stderr.  A usage error is ``parse``; ``output`` is a stdout whose
 reader has gone away.  ``internal`` is any exception that is not a
 package error, a fault of the program rather than of the input, printed
 as ``error: category=internal <Type>: <message>``.  Output is
-deterministic for fixed inputs and seed.
+deterministic for fixed inputs and seed.  The argument parser is built
+once per process, on the first `main` call, and reused by every later one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -393,7 +395,11 @@ class _Parser(argparse.ArgumentParser):
         raise SchemaError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    `main` call; callers must not mutate it.  Help text is formatted when it
+    is printed, so `--help` still follows the terminal width."""
     parser = _Parser(
         prog="gtqft",
         description="Exact checker and evaluator for graded Frobenius algebras "

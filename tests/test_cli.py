@@ -238,6 +238,32 @@ class TestCommandSources:
 
 S3_CHECK = ["check", "--group", "symmetric:3", "--algebra", "builtin:group-algebra"]
 
+# usage errors that argparse finds, each with the part of its message naming it
+USAGE_ERRORS = {
+    "no-algebra": (S3_CHECK[:3], "the following arguments are required: --algebra"),
+    "xml": ([*S3_CHECK, "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+    "cerf-case": (
+        ["cerf", "--algebra", "a.json", "--case", "999"], "--case: invalid choice: '999'"
+    ),
+    "fuzz-seed": (
+        ["fuzz", "--algebra", "a.json", "--seed", "x"], "--seed: invalid int value: 'x'"
+    ),
+    "unknown": (["frobnicate"], "invalid choice: 'frobnicate'"),
+    "no-command": ([], "the following arguments are required: command"),
+    "case": ([*S3_CHECK, "--case", "111"], "unrecognized arguments: --case 111"),
+}
+COMMANDS = ("check", "derive", "orbifold", "eval", "cerf", "fuzz")
+
+
+def _outcome(capsys, argv):
+    """Status (or `SystemExit` code), stdout and stderr of one `main` call."""
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return status, captured.out, captured.err
+
 
 class TestBadInputIsAParseError:
     """Faults of the input exit 2 with category=parse, which is not kept
@@ -291,20 +317,7 @@ class TestBadInputIsAParseError:
         assert status == 2
         assert err.startswith(f"error: category=parse invalid JSON in {path}: ")
 
-    # usage errors that argparse finds, each with the part of its message naming it
-    @pytest.mark.parametrize(
-        "argv,message",
-        [
-            (S3_CHECK[:3], "the following arguments are required: --algebra"),
-            ([*S3_CHECK, "--format", "xml"], "argument --format: invalid choice: 'xml'"),
-            (["cerf", "--algebra", "a.json", "--case", "999"], "--case: invalid choice: '999'"),
-            (["fuzz", "--algebra", "a.json", "--seed", "x"], "--seed: invalid int value: 'x'"),
-            (["frobnicate"], "invalid choice: 'frobnicate'"),
-            ([], "the following arguments are required: command"),
-            ([*S3_CHECK, "--case", "111"], "unrecognized arguments: --case 111"),
-        ],
-        ids=["no-algebra", "xml", "cerf-case", "fuzz-seed", "unknown", "no-command", "case"],
-    )
+    @pytest.mark.parametrize("argv,message", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
     def test_usage_error_is_a_parse_error(self, capsys, argv, message):
         status = main(argv)
         captured = capsys.readouterr()
@@ -314,11 +327,58 @@ class TestBadInputIsAParseError:
         assert line.startswith("error: category=parse ") and message in line
 
     def test_help_exits_zero(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["check", "--help"])
-        captured = capsys.readouterr()
-        assert exc.value.code == 0
-        assert captured.out.startswith("usage: gtqft check ") and captured.err == ""
+        for command in ("", *COMMANDS):
+            status, out, err = _outcome(capsys, [command, "--help"] if command else ["--help"])
+            assert status == ("exit", 0)
+            assert out.startswith(f"usage: gtqft {command}".rstrip() + " ") and err == ""
+
+
+class TestSharedParser:
+    """`main` reuses one parser per process; no call leaves state in it."""
+
+    def test_calls_leave_no_state(self, tmp_path, capsys):
+        saved = json.loads((Path(__file__).parent / "saved_algebras.json").read_text())
+        doc = saved["mixed-z2"]
+        for entry in doc["action"]:
+            if entry["k"] == entry["g"] == "g1" and entry["i"] == entry["j"] == 0:
+                entry["value"] = "2"
+        path = tmp_path / "mutated.json"
+        path.write_text(json.dumps(doc))
+        errors = [argv for argv, _ in USAGE_ERRORS.values()]
+        help_, bad_check = ["fuzz", "--help"], ["check", "--algebra", str(path)]
+        sequence = [errors[0], help_, errors[1], S3_CHECK, errors[2], bad_check, *errors[3:]]
+        first = [_outcome(capsys, argv) for argv in sequence]
+        assert [status for status, _, _ in first] == [2, ("exit", 0), 2, 0, 2, 1, 2, 2, 2, 2]
+        assert [_outcome(capsys, argv) for argv in sequence] == first
+
+    def test_main_builds_no_parser_after_the_first_call(self, monkeypatch):
+        built = []
+        init = gtqft.cli._Parser.__init__
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(gtqft.cli._Parser, "__init__", counted)
+        main(S3_CHECK)
+        before = len(built)
+        main(S3_CHECK)
+        main(["fuzz", "--group", "cyclic:2", "--algebra", "builtin:group-algebra", "--count", "5"])
+        assert len(built) == before
+        assert build_parser() is build_parser()
+        # the counter sees a build: the top level and its six subcommands
+        build_parser.__wrapped__()
+        assert len(built) == before + 7
+
+    def test_help_follows_the_terminal_width(self, monkeypatch, capsys):
+        wraps = []
+        for columns in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            shared = _outcome(capsys, ["fuzz", "--help"])
+            with pytest.raises(SystemExit):
+                build_parser.__wrapped__().parse_args(["fuzz", "--help"])
+            assert capsys.readouterr().out == shared[1]
+            wraps.append(shared[1])
+        assert wraps[0] != wraps[1]
 
 
 class TestCerfCommand:
