@@ -141,8 +141,8 @@ class GFrobeniusAlgebra:
     Nothing mutates an algebra after it is built, so ``_built`` keeps each
     table derived from it once built (`_once`): the `derive` structure, the
     `inverted_pairings`, the `table_image` of ``product`` and ``action``,
-    the `dual_image`, and the evaluator's piece cache, which fills piece by
-    piece.
+    the `dual_image`, and the evaluator's piece and layer caches, which
+    fill piece by piece and layer by layer.
     """
 
     __slots__ = ("group", "dims", "product", "action", "unit", "trace", "_built")

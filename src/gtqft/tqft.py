@@ -12,15 +12,18 @@ index of the current signature, and each piece of a layer is applied only
 to the legs it touches, so a layer of width w over components of dimension
 d costs about d^(w+1) rather than the d^(2w) of its whole-layer matrix.
 Pieces whose matrix is exactly the identity are skipped, and piece entries
-with denominator 1 are kept as ints, which mix exactly with Fractions.  The
-result is converted to a Fraction `Matrix` at the edge, and that `Matrix`
-is the value of the word; its signatures are the word's `dom` and `cod`.
-The functoriality probe multiplies running maps in this row form too, and
-returns the word's value with its witness, both from one forward pass, so
-the fuzz loop evaluates each word once.  `Evaluator.layer_matrix` (the
-Kronecker product of a layer's pieces) is kept as the independent
-whole-layer reference path that the tests compare against; the fuzz
-tensor check likewise compares with `Matrix.kron`.
+with denominator 1 are kept as ints, which mix exactly with Fractions.  No
+row of a running map holds an exact zero, so two running maps of one
+signature are equal exactly when their matrices are.  The result is
+converted to a Fraction `Matrix` at the edge, and that `Matrix` is the
+value of the word; its signatures are the word's `dom` and `cod`.  `cerf`
+compares the alternative words of a row in row form and builds a `Matrix`
+only to print a witness.  The functoriality probe multiplies running maps
+in row form too, and returns the word's value with its witness, both from
+one forward pass, so the fuzz loop evaluates each word once.
+`Evaluator.layer_matrix` (the Kronecker product of a layer's pieces) is
+kept as the independent whole-layer reference path that the tests compare
+against; the fuzz tensor check likewise compares with `Matrix.kron`.
 
 Closed surfaces: a genus-h labelling (a1, b1, .., ah, bh) is flat when the
 left-to-right product of the commutators b*a*b^-1*a^-1 is the identity;
@@ -36,6 +39,10 @@ pairings, dual bases and coproducts once per algebra, and every later
 evaluator, check and closed invariant on it reuses them.  The piece
 matrices are stored on the algebra as well, in one cache that every
 `Evaluator` on it shares and that fills piece by piece as words need them.
+Each layer is compiled once per algebra and direction, next to the pieces:
+its plan lists the strides and kernel terms of its non-identity pieces, so
+a layer that recurs costs no piece lookups (and a layer of a group algebra
+compiles to the empty plan).
 """
 
 from __future__ import annotations
@@ -118,7 +125,8 @@ def _apply_piece(rows: list[dict], terms, left: int, src: int, right: int) -> li
                     for m, c in row_terms:
                         for j, x in rows[r + m * right].items():
                             acc[j] = acc.get(j, 0) + c * x
-                    out.append(acc)
+                    # the one place a sum can cancel: running rows hold no zeros
+                    out.append({j: x for j, x in acc.items() if x} if 0 in acc.values() else acc)
     return out
 
 
@@ -164,13 +172,16 @@ class _PieceMatrix(Matrix):
 
 
 class Evaluator:
-    """Evaluates words over one algebra, reading the per-piece matrices from
-    the cache that every evaluator on that algebra shares."""
+    """Evaluates words over one algebra, reading the per-piece matrices and
+    the compiled layers from the caches that every evaluator on that
+    algebra shares."""
 
     def __init__(self, algebra: GFrobeniusAlgebra):
         self.algebra = algebra
         self.derived = derive(algebra)
         self._pieces: dict[Piece, _PieceMatrix] = _once(algebra, "pieces", dict)
+        # layer -> its plan, one map per direction: (forward, transposed)
+        self._layers: tuple[dict, dict] = _once(algebra, "layers", lambda: ({}, {}))
 
     def signature_dimension(self, signature) -> int:
         dim = 1
@@ -208,16 +219,10 @@ class Evaluator:
         out = self._pieces[piece] = _PieceMatrix(out)
         return out
 
-    def _apply_layer(self, rows: list[dict], layer, transposed: bool = False) -> list[dict]:
-        """Apply a layer to a running map, each piece to its own legs only.
-
-        Transposed, the rows index the layer's codomain and the transposed
-        pieces carry them back to its domain, so that the running map is a
-        transposed suffix of a word.
-        """
+    def _compile_layer(self, layer, transposed: bool) -> tuple:
+        """A layer's plan: `(terms, left, src, right)` for each piece that is
+        not the identity, in the order `_apply_layer` applies them."""
         mats = [self.piece_matrix(piece) for piece in layer]
-        if all(m.terms is None for m in mats):
-            return rows
         # (source dimension, target dimension, terms) of each piece
         ops = (
             [(m.rows, m.cols, m.transposed) for m in mats]
@@ -227,11 +232,27 @@ class Evaluator:
         right = [1] * len(ops)
         for i in range(len(ops) - 1, 0, -1):
             right[i - 1] = right[i] * ops[i][0]
+        plan = []
         left = 1
         for (src, dst, terms), r in zip(ops, right):
             if terms is not None:
-                rows = _apply_piece(rows, terms, left, src, r)
+                plan.append((terms, left, src, r))
             left *= dst
+        return tuple(plan)
+
+    def _apply_layer(self, rows: list[dict], layer, transposed: bool = False) -> list[dict]:
+        """Apply a layer to a running map, each piece to its own legs only.
+
+        Transposed, the rows index the layer's codomain and the transposed
+        pieces carry them back to its domain, so that the running map is a
+        transposed suffix of a word.
+        """
+        plans = self._layers[transposed]
+        plan = plans.get(layer)
+        if plan is None:
+            plan = plans[layer] = self._compile_layer(layer, transposed)
+        for terms, left, src, right in plan:
+            rows = _apply_piece(rows, terms, left, src, right)
         return rows
 
     def _start(self, word: Cobordism) -> tuple[list[dict], int]:
@@ -240,11 +261,16 @@ class Evaluator:
         dim = self.signature_dimension(word.dom)
         return _identity_rows(dim), dim
 
-    def __call__(self, word: Cobordism) -> Matrix:
-        rows, dim = self._start(word)
+    def _rows(self, word: Cobordism) -> list[dict]:
+        """The word's value as a running map: one row per index of its
+        codomain, over the columns of its domain."""
+        rows, _ = self._start(word)
         for layer in word.layers:
             rows = self._apply_layer(rows, layer)
-        return _rows_to_matrix(rows, dim)
+        return rows
+
+    def __call__(self, word: Cobordism) -> Matrix:
+        return _rows_to_matrix(self._rows(word), self.signature_dimension(word.dom))
 
     def layer_matrix(self, layer) -> Matrix:
         """Whole-layer matrix, the Kronecker product of the layer's pieces:
@@ -267,33 +293,45 @@ def evaluate(a: GFrobeniusAlgebra, word: Cobordism) -> Matrix:
 
 
 def cerf_check(
-    a: GFrobeniusAlgebra, case: str, labels=None, all_labels: bool = False
+    a: GFrobeniusAlgebra,
+    case: str,
+    labels=None,
+    all_labels: bool = False,
+    budget: int = 10_000_000,
 ) -> CheckReport:
     """Evaluate every alternative decomposition of a move case and demand
-    exact matrix equality, for one labelling or exhaustively over all in
-    lexicographic order; each word is evaluated once.
+    exact equality, for one labelling or exhaustively over all in
+    lexicographic order; each word is evaluated once, and alternatives are
+    compared as running maps, which hold no zeros.
 
     One report entry per alternative word (compared against the first),
-    carrying the first failing labelling as witness.
+    carrying the first failing labelling as witness.  Exhaustively, more
+    than `budget` labellings raise BudgetExceeded before any word is built.
     """
-    ev = Evaluator(a)
     group = a.group
     if all_labels:
-        labellings = itertools.product(group.elements(), repeat=case_label_count(case))
+        count = case_label_count(case)
+        total = group.order**count
+        if total > budget:
+            raise BudgetExceeded(f"{total} labellings exceed the budget of {budget}")
+        labellings = itertools.product(group.elements(), repeat=count)
     else:
         labellings = [tuple(labels or ())]
+    ev = Evaluator(a)
     witnesses: dict[int, Witness] = {}
     alternatives = 0
     for labelling in labellings:
         words = cerf_case_words(group, case, labelling)
         if {(w.dom, w.cod) for w in words} != {(words[0].dom, words[0].cod)}:
             raise EngineError(f"move case {case} produced mismatched signatures")
-        values = [ev(w) for w in words]
+        values = [ev._rows(w) for w in words]
         alternatives = len(values) - 1
         for j, value in enumerate(values[1:], start=1):
             if j not in witnesses and value != values[0]:
+                dim = ev.signature_dimension(words[0].dom)
                 where = (("labels", ", ".join(map(group.name, labelling))), ("alternative", str(j)))
-                witnesses[j] = Witness(where, matrix_literal(value), matrix_literal(values[0]))
+                sides = (matrix_literal(_rows_to_matrix(v, dim)) for v in (value, values[0]))
+                witnesses[j] = Witness(where, *sides)
     entries = tuple(
         CheckEntry(f"cerf-{case}-alt{j}", j not in witnesses, witnesses.get(j))
         for j in range(1, alternatives + 1)
@@ -421,7 +459,7 @@ def word_functoriality_witness(ev: Evaluator, word: Cobordism) -> tuple[Matrix, 
     for layer in word.layers:
         prefixes.append(rows)
         rows = ev._apply_layer(rows, layer)
-    total = [{j: x for j, x in row.items() if x} for row in rows]
+    total = rows
 
     def splits():
         suffix_rows = _identity_rows(len(total))  # rows of the transposed suffix

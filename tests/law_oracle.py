@@ -17,12 +17,17 @@ independently of the package's `pairing_matrix` and `handle_element`.
 `derive_coproducts` is the two-formula `Fraction` derive that the
 package's int-image `derive` is compared with.  `action_on_dual_basis_check`
 is a law the package does not check at all; the tests and goldens use it as
-an oracle for the derived dual bases.
+an oracle for the derived dual bases.  `cerf_reference` is the surface table
+compared as `Matrix` values, word by word, where the package compares the
+words' running maps.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from gtqft.algebra import _group_renderer
+from gtqft.cobordism import case_label_count, cerf_case_words
 from gtqft.errors import CoproductMismatch, DimensionMismatch
 from gtqft.exactlin import (
     ZERO,
@@ -35,6 +40,7 @@ from gtqft.exactlin import (
     vector_literal,
 )
 from gtqft.report import CheckEntry, CheckReport, Witness, descaled, failing, first_failure, renderer
+from gtqft.tqft import Evaluator
 
 
 def _int_vector(v) -> tuple[list[int], int]:
@@ -439,3 +445,27 @@ def action_on_dual_basis_check(a, d) -> CheckReport:
 
     render = _group_renderer(group, ("g", "h"), matrix_literal)
     return CheckReport((first_failure("dual-basis-equivariance", cases(), render),))
+
+
+def cerf_reference(a, case) -> CheckReport:
+    """`cerf_check(a, case, all_labels=True)` on matrices: every word of the
+    row at every labelling, in lexicographic order, evaluated to its `Matrix`
+    by `Evaluator.__call__`, and each alternative compared with the first
+    word's `Matrix`.  One entry per alternative, with its first failing
+    labelling as witness."""
+    group, ev = a.group, Evaluator(a)
+    witnesses: dict[int, Witness] = {}
+    alternatives = 0
+    for labelling in itertools.product(group.elements(), repeat=case_label_count(case)):
+        values = [ev(w) for w in cerf_case_words(group, case, labelling)]
+        alternatives = len(values) - 1
+        for j, value in enumerate(values[1:], start=1):
+            if j not in witnesses and value != values[0]:
+                where = (("labels", ", ".join(map(group.name, labelling))), ("alternative", str(j)))
+                witnesses[j] = Witness(where, matrix_literal(value), matrix_literal(values[0]))
+    return CheckReport(
+        tuple(
+            CheckEntry(f"cerf-{case}-alt{j}", j not in witnesses, witnesses.get(j))
+            for j in range(1, alternatives + 1)
+        )
+    )

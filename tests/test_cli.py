@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import gtqft.cli
+import gtqft.tqft
 from conftest import dual_number_group_algebra
 from gtqft import (
     CheckReport,
@@ -429,6 +430,18 @@ class TestCerfCommand:
         out = capsys.readouterr().out
         assert status == 0
         assert out.startswith("checks: ") and "FAIL" not in out
+
+    def test_all_labels_over_the_budget(self, monkeypatch, capsys):
+        # estimated only: building a word would raise
+        monkeypatch.setattr(gtqft.tqft, "cerf_case_words", lambda *args: 1 / 0)
+        argv = ["cerf", "--group", "cyclic:60", "--algebra", "builtin:group-algebra"]
+        status = main([*argv, "--case", "111", "--all-labels"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: category=budget 12960000 labellings exceed the budget of 10000000\n"
+        )
 
     def test_wrong_label_count_is_a_type_error(self, capsys):
         argv = ["cerf", "--group", "symmetric:3", "--algebra", "builtin:group-algebra"]

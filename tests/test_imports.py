@@ -6,8 +6,8 @@ A deletion that leaves an unused import behind fails here.  Each module of
 with `ast`; a name bound by ``import`` or ``from ... import`` counts as
 used when it appears anywhere else in the module as a name.  A relative
 import of an underscore name is private: the one allowed is
-`algebra._once`, through which the evaluator keeps its piece cache in the
-algebra's ``_built``.
+`algebra._once`, through which the evaluator keeps its piece and layer
+caches in the algebra's ``_built``.
 """
 
 import ast

@@ -28,12 +28,32 @@ from gtqft import (
 )
 import gtqft.algebra
 import gtqft.tqft
-from gtqft.algebra import GFrobeniusAlgebra
-from gtqft.errors import BudgetExceeded, FlatnessViolation
+from gtqft.algebra import GFrobeniusAlgebra, load_algebra
+from gtqft.cobordism import CERF_CASES
+from gtqft.errors import BudgetExceeded, EngineError, FlatnessViolation
 from gtqft.exactlin import matrix_literal
-from gtqft.tqft import word_functoriality_witness
+from gtqft.tqft import _identity_rows, _rows_to_matrix, word_functoriality_witness
+from law_oracle import cerf_reference
+from test_golden import _MUTATED, algebra_doc
 
 F = Fraction
+
+
+@pytest.fixture(scope="module")
+def mixed_sign_z2():
+    """C[Z2] with trace (2, 1): its dual basis has mixed signs, so the
+    counit law and other words cancel to exact zeros in running rows."""
+    product = [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
+    return frobenius_untwisted(2, product, unit=(1, 0), trace=(2, 1))
+
+
+# the algebras whose words the kernel tests below evaluate: words of the
+# zero-grade one pass through empty legs, and sums of the mixed-sign C[Z2]
+# cancel to exact zeros
+FIXTURES = (
+    "s3_algebra", "rich_s3", "rescaled_s3", "rescaled_rich_s3", "zero_grade_z3",
+    "twisted_klein", "twisted_d4", "mixed_sign_z2", "dual_numbers",
+)
 
 
 class TestEvaluate:
@@ -118,11 +138,8 @@ class TestFunctoriality:
                 word = random_cobordism(a.group, seed, 8)
                 assert word_functoriality_witness(ev, word) == (ev(word), None)
 
-    def test_cancelled_entries_are_no_mismatch(self):
-        # C[Z2] with trace (2, 1) has a dual basis of mixed signs, so the
-        # counit law and other words cancel to exact zeros in running rows
-        product = [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
-        a = frobenius_untwisted(2, product, unit=(1, 0), trace=(2, 1))
+    def test_cancelled_entries_are_no_mismatch(self, mixed_sign_z2):
+        a = mixed_sign_z2
         ev = Evaluator(a)
         counit = parse("split(e,e) ; cup * id(e)", a.group)
         assert ev(counit) == Matrix.identity(2)
@@ -223,6 +240,18 @@ class TestLegwiseKernel:
             head = Cobordism(word.group, word.layers[:cut], domain=word.dom)
             assert ev(head) == kron_reference(ev, head)
 
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_running_maps_hold_no_zeros(self, request, name):
+        # so that rows of one signature are equal exactly when their matrices are
+        a = request.getfixturevalue(name)
+        ev = Evaluator(a)
+        for seed in range(150):
+            word = random_cobordism(a.group, seed, 9)
+            rows = ev._rows(word)
+            assert all(x != 0 for row in rows for x in row.values()), word.to_text()
+            value = _rows_to_matrix(rows, ev.signature_dimension(word.dom))
+            assert value == kron_reference(ev, word), word.to_text()
+
     def test_group_algebra_pieces_are_skipped(self, s3_algebra, rich_s3):
         # exact identity pieces cost no arithmetic
         ev = Evaluator(s3_algebra)
@@ -316,6 +345,65 @@ class TestCerf:
         assert not report.passed
         witness = report.failures()[0].witness
         assert witness is not None and witness.context
+
+
+def _report_or_error(check):
+    try:
+        return check()
+    except EngineError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestCerfReference:
+    """The table compares running maps; `law_oracle.cerf_reference`
+    compares the words' `Matrix` values, and the two reports must be equal
+    on every row, witnesses included."""
+
+    @staticmethod
+    def assert_rows_agree(a):
+        for case in CERF_CASES:
+            report = _report_or_error(lambda: cerf_check(a, case, all_labels=True))
+            assert report == _report_or_error(lambda: cerf_reference(a, case)), case
+
+    @pytest.mark.parametrize("name", _MUTATED)
+    def test_mutated_algebras(self, name):
+        self.assert_rows_agree(load_algebra(algebra_doc(name)))
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixtures(self, request, name):
+        self.assert_rows_agree(request.getfixturevalue(name))
+
+
+class _WordBuilt(Exception):
+    pass
+
+
+def _no_words(*args):
+    raise _WordBuilt
+
+
+class TestCerfBudget:
+    """The labelling count is estimated before any word is built: every
+    test here makes building a word raise."""
+
+    def test_default_budget(self, monkeypatch):
+        # 60**4 labellings of 111, over the 10**7 of hom_count_oracle's default
+        a = group_algebra(builtin("cyclic", 60))
+        monkeypatch.setattr(gtqft.tqft, "cerf_case_words", _no_words)
+        with pytest.raises(BudgetExceeded, match="^12960000 labellings exceed the budget of 10000000$"):
+            cerf_check(a, "111", all_labels=True)
+
+    def test_a_count_at_the_budget_runs(self, monkeypatch, s3_algebra):
+        monkeypatch.setattr(gtqft.tqft, "cerf_case_words", _no_words)
+        with pytest.raises(BudgetExceeded):
+            cerf_check(s3_algebra, "111", all_labels=True, budget=6**4 - 1)
+        with pytest.raises(_WordBuilt):
+            cerf_check(s3_algebra, "111", all_labels=True, budget=6**4)
+
+    def test_one_labelling_is_not_budgeted(self, monkeypatch, s3_algebra):
+        monkeypatch.setattr(gtqft.tqft, "cerf_case_words", _no_words)
+        with pytest.raises(_WordBuilt):
+            cerf_check(s3_algebra, "111", labels=(1, 2, 3, 0), budget=0)
 
 
 class TestClosedInvariant:
@@ -434,17 +522,23 @@ class TestSharedDerive:
 
 
 class TestSharedPieces:
-    """The piece matrices are stored on the algebra, so every evaluator on
-    it shares them; each test builds its own algebra, since a shared
-    fixture would carry the pieces of earlier tests."""
+    """The piece matrices and the compiled layers are stored on the
+    algebra, so every evaluator on it shares them; each test builds its own
+    algebra, since a shared fixture would carry the pieces of earlier
+    tests."""
 
     def test_evaluators_on_one_algebra_share_the_pieces(self):
         a = group_algebra(builtin("symmetric", 3))
         first, second = Evaluator(a), Evaluator(a)
         assert first._pieces is second._pieces
-        first(Cobordism(a.group, ((merge(1, 2),),)))
+        assert first._layers is second._layers
+        layer = (merge(1, 2),)
+        first(Cobordism(a.group, (layer,)))
         assert merge(1, 2) in second._pieces
-        assert Evaluator(_fresh_copy(a))._pieces == {}
+        assert layer in second._layers[0]
+        fresh = Evaluator(_fresh_copy(a))
+        assert fresh._pieces == {}
+        assert fresh._layers == ({}, {})
 
     def test_closed_invariants_build_each_merge_matrix_once(self, monkeypatch):
         a = group_algebra(builtin("symmetric", 3))
@@ -461,6 +555,40 @@ class TestSharedPieces:
         assert flat == 18
         assert len(built) == 11
 
+    def test_group_algebra_layers_compile_to_nothing(self):
+        a = group_algebra(builtin("symmetric", 3))
+        ev = Evaluator(a)
+        for seed in range(50):
+            word = random_cobordism(a.group, seed, 8)
+            assert word_functoriality_witness(ev, word) == (ev(word), None)
+        forward, transposed = ev._layers
+        assert forward and transposed
+        assert set(forward.values()) == set(transposed.values()) == {()}
+
+    def test_forward_and_transposed_plans_are_kept_apart(self, rich_s3):
+        ev = Evaluator(_fresh_copy(rich_s3))
+        layer = (id_piece(0), merge(1, 2))
+        piece = ev.piece_matrix(merge(1, 2))  # 2 x 4, after an identity leg of 2
+        forward = ev._apply_layer(_identity_rows(8), layer)
+        transposed = ev._apply_layer(_identity_rows(4), layer, transposed=True)
+        assert ev._layers[0][layer] == ((piece.terms, 2, 4, 1),)
+        assert ev._layers[1][layer] == ((piece.transposed, 2, 2, 1),)
+        whole = ev.layer_matrix(layer)
+        assert _rows_to_matrix(forward, 8) == whole
+        assert _rows_to_matrix(transposed, 4) == whole.transpose()
+
+    def test_a_compiled_layer_reads_no_piece(self, monkeypatch, rich_s3):
+        ev = Evaluator(_fresh_copy(rich_s3))
+        words = [random_cobordism(rich_s3.group, seed, 8) for seed in range(30)]
+        values = [ev(word) for word in words]
+        read = []
+        real = Evaluator.piece_matrix
+        monkeypatch.setattr(
+            Evaluator, "piece_matrix", lambda self, piece: read.append(piece) or real(self, piece)
+        )
+        assert [ev(word) for word in words] == values
+        assert read == []
+
     @pytest.mark.parametrize(
         "case, calls",
         # the row's words at each of its S3 labellings
@@ -468,14 +596,15 @@ class TestSharedPieces:
         ids=["cylinder", "twist", "pants"],
     )
     def test_table_checks_evaluate_each_word_once(self, monkeypatch, case, calls):
+        # the table compares running maps, so it counts the row evaluations
         a = group_algebra(builtin("symmetric", 3))
         count = [0]
-        real = Evaluator.__call__
+        real = Evaluator._rows
 
         def counted(ev, word):
             count[0] += 1
             return real(ev, word)
 
-        monkeypatch.setattr(Evaluator, "__call__", counted)
+        monkeypatch.setattr(Evaluator, "_rows", counted)
         assert cerf_check(a, case, all_labels=True).passed
         assert count[0] == calls
