@@ -291,13 +291,15 @@ def evaluate(a: GFrobeniusAlgebra, word: Cobordism) -> Matrix:
 # ---------------------------------------------------------------------------
 # Well-definedness checks
 
+# The most labellings or tuples a brute-force enumeration may visit.
+_ENUMERATION_BUDGET = 10_000_000
+
 
 def cerf_check(
     a: GFrobeniusAlgebra,
     case: str,
     labels=None,
     all_labels: bool = False,
-    budget: int = 10_000_000,
 ) -> CheckReport:
     """Evaluate every alternative decomposition of a move case and demand
     exact equality, for one labelling or exhaustively over all in
@@ -306,14 +308,17 @@ def cerf_check(
 
     One report entry per alternative word (compared against the first),
     carrying the first failing labelling as witness.  Exhaustively, more
-    than `budget` labellings raise BudgetExceeded before any word is built.
+    than _ENUMERATION_BUDGET labellings raise BudgetExceeded before any word
+    is built.
     """
     group = a.group
     if all_labels:
         count = case_label_count(case)
         total = group.order**count
-        if total > budget:
-            raise BudgetExceeded(f"{total} labellings exceed the budget of {budget}")
+        if total > _ENUMERATION_BUDGET:
+            raise BudgetExceeded(
+                f"{total} labellings exceed the budget of {_ENUMERATION_BUDGET}"
+            )
         labellings = itertools.product(group.elements(), repeat=count)
     else:
         labellings = [tuple(labels or ())]
@@ -412,7 +417,9 @@ def closed_invariant(a: GFrobeniusAlgebra, holonomies) -> Fraction:
     return value
 
 
-def hom_count_oracle(group: FiniteGroup, genus: int, budget: int = 10_000_000) -> int:
+def hom_count_oracle(
+    group: FiniteGroup, genus: int, budget: int = _ENUMERATION_BUDGET
+) -> int:
     """Count flat labellings of the closed genus-h surface by brute force,
     i.e. 2h-tuples whose commutator product is the identity."""
     if genus < 0:

@@ -201,16 +201,18 @@ def kron_reference(ev: Evaluator, word: Cobordism) -> Matrix:
 
 
 class TestLegwiseKernel:
-    @pytest.mark.parametrize(
-        "name", ["s3_algebra", "rich_s3", "rescaled_s3", "rescaled_rich_s3", "zero_grade_z3"]
-    )
+    @pytest.mark.parametrize("name", FIXTURES)
     def test_matches_kronecker_layers(self, request, name):
         a = request.getfixturevalue(name)
         ev = Evaluator(a)
         words = [random_cobordism(a.group, seed, 9) for seed in range(150)]
         assert any(not w.dom or not w.cod for w in words)  # cap/cup ends occur
         for word in words:
-            value = ev(word)
+            rows = ev._rows(word)
+            # no zeros, so that rows of one signature are equal exactly when
+            # their matrices are
+            assert all(x != 0 for row in rows for x in row.values()), word.to_text()
+            value = _rows_to_matrix(rows, ev.signature_dimension(word.dom))
             assert value == kron_reference(ev, word), word.to_text()
             assert all(type(x) is F for row in value.data for x in row)
 
@@ -239,18 +241,6 @@ class TestLegwiseKernel:
             cut = len(word.layers) // 2
             head = Cobordism(word.group, word.layers[:cut], domain=word.dom)
             assert ev(head) == kron_reference(ev, head)
-
-    @pytest.mark.parametrize("name", FIXTURES)
-    def test_running_maps_hold_no_zeros(self, request, name):
-        # so that rows of one signature are equal exactly when their matrices are
-        a = request.getfixturevalue(name)
-        ev = Evaluator(a)
-        for seed in range(150):
-            word = random_cobordism(a.group, seed, 9)
-            rows = ev._rows(word)
-            assert all(x != 0 for row in rows for x in row.values()), word.to_text()
-            value = _rows_to_matrix(rows, ev.signature_dimension(word.dom))
-            assert value == kron_reference(ev, word), word.to_text()
 
     def test_group_algebra_pieces_are_skipped(self, s3_algebra, rich_s3):
         # exact identity pieces cost no arithmetic
@@ -387,7 +377,7 @@ class TestCerfBudget:
     test here makes building a word raise."""
 
     def test_default_budget(self, monkeypatch):
-        # 60**4 labellings of 111, over the 10**7 of hom_count_oracle's default
+        # 60**4 labellings of 111, over the 10**7 that also bounds hom_count_oracle
         a = group_algebra(builtin("cyclic", 60))
         monkeypatch.setattr(gtqft.tqft, "cerf_case_words", _no_words)
         with pytest.raises(BudgetExceeded, match="^12960000 labellings exceed the budget of 10000000$"):
@@ -395,15 +385,18 @@ class TestCerfBudget:
 
     def test_a_count_at_the_budget_runs(self, monkeypatch, s3_algebra):
         monkeypatch.setattr(gtqft.tqft, "cerf_case_words", _no_words)
+        monkeypatch.setattr(gtqft.tqft, "_ENUMERATION_BUDGET", 6**4 - 1)
         with pytest.raises(BudgetExceeded):
-            cerf_check(s3_algebra, "111", all_labels=True, budget=6**4 - 1)
+            cerf_check(s3_algebra, "111", all_labels=True)
+        monkeypatch.setattr(gtqft.tqft, "_ENUMERATION_BUDGET", 6**4)
         with pytest.raises(_WordBuilt):
-            cerf_check(s3_algebra, "111", all_labels=True, budget=6**4)
+            cerf_check(s3_algebra, "111", all_labels=True)
 
     def test_one_labelling_is_not_budgeted(self, monkeypatch, s3_algebra):
         monkeypatch.setattr(gtqft.tqft, "cerf_case_words", _no_words)
+        monkeypatch.setattr(gtqft.tqft, "_ENUMERATION_BUDGET", 0)
         with pytest.raises(_WordBuilt):
-            cerf_check(s3_algebra, "111", labels=(1, 2, 3, 0), budget=0)
+            cerf_check(s3_algebra, "111", labels=(1, 2, 3, 0))
 
 
 class TestClosedInvariant:
