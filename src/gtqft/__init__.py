@@ -25,10 +25,8 @@ from .cobordism import (
     PieceKind,
     cap,
     cerf_case_words,
-    compose,
     cup,
     cyl,
-    dual,
     id_piece,
     merge,
     parse,
@@ -110,12 +108,10 @@ __all__ = [
     "check_frobenius_diagram",
     "closed_invariant",
     "closed_surface_word",
-    "compose",
     "conjugacy",
     "cup",
     "cyl",
     "derive",
-    "dual",
     "evaluate",
     "frobenius_untwisted",
     "group_algebra",

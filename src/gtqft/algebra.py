@@ -102,6 +102,7 @@ from .errors import (
     ShapeError,
     SingularMatrix,
     UnknownElement,
+    check_budget,
 )
 from .exactlin import (
     ONE,
@@ -317,7 +318,9 @@ def load_algebra(doc) -> GFrobeniusAlgebra:
     """Build a shape-validated algebra from a parsed JSON document.
 
     Omitted product/action entries are zero.  The laws are *not* checked
-    here; run `check_axioms` on the result.
+    here; run `check_axioms` on the result.  A document whose blocks would
+    hold more cells than the work budget raises BudgetExceeded before any
+    block is built.
     """
     if not isinstance(doc, dict):
         raise SchemaError("algebra document must be an object")
@@ -340,6 +343,13 @@ def load_algebra(doc) -> GFrobeniusAlgebra:
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise SchemaError(f"dims[{name!r}] must be a non-negative integer")
         dims[g] = value
+    # every block is filled densely, so count the cells of the product
+    # blocks (g, h) and the action blocks (h, g) before reading any entry
+    T, conj = group.table, group.conj
+    cells = sum(
+        dims[g] * (dims[h] * dims[T[g][h]] + dims[conj(h, g)]) for g in range(n) for h in range(n)
+    )
+    check_budget(cells, "table cells")
 
     product_entries: dict[tuple[int, int], dict[tuple[int, int, int], Fraction]] = {}
     raw_product = doc.get("product", [])
@@ -413,13 +423,10 @@ def load_algebra(doc) -> GFrobeniusAlgebra:
         (g, h): Tensor3.from_entries(dims[g], dims[h], dims[group.mul(g, h)], cell)
         for (g, h), cell in product_entries.items()
     }
-    action = {}
-    for (k, g), cell in action_entries.items():
-        target = group.conj(k, g)
-        grid = [[ZERO] * dims[g] for _ in range(dims[target])]
-        for (i, j), value in cell.items():
-            grid[i][j] = value
-        action[(k, g)] = Matrix(dims[target], dims[g], grid)
+    action = {
+        (k, g): Matrix.from_entries(dims[conj(k, g)], dims[g], cell)
+        for (k, g), cell in action_entries.items()
+    }
 
     return GFrobeniusAlgebra(group, dims, product, action, unit, trace)
 

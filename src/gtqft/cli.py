@@ -42,6 +42,7 @@ from .orbifold import orbifold_algebra
 from .report import CheckReport, failing
 from .tqft import (
     Evaluator,
+    RunningMap,
     cerf_check,
     evaluate,
     split_matrix,
@@ -320,7 +321,7 @@ def _cmd_fuzz(config: RunConfig) -> int:
     ev = Evaluator(a)
     rng = random.Random(config.seed)
     previous: Cobordism | None = None
-    previous_value: Matrix | None = None
+    previous_value: RunningMap | None = None
     for index in range(config.count):
         word = random_cobordism(a.group, rng.getrandbits(32), config.budget)
         value, witness = word_functoriality_witness(ev, word)
@@ -334,14 +335,14 @@ def _cmd_fuzz(config: RunConfig) -> int:
             print(f"witness: {dict(witness.context)}")
             return 1
         rewritten = rewrite_equivalent(word, rng)
-        if rewritten is not None and ev(rewritten) != value:
-            shrunk = minimize_word(rewritten, lambda w: ev(w) != value)
+        if rewritten is not None and ev.running_map(rewritten) != value:
+            shrunk = minimize_word(rewritten, lambda w: ev.running_map(w) != value)
             print(f"fuzz: rewrite equality failed at word {index}")
             print(f"word: {word.to_text()}")
             print(f"rewritten: {shrunk.to_text()}")
             return 1
         if previous is not None and index % 10 == 0:
-            if ev(tensor_words(previous, word)) != previous_value.kron(value):
+            if ev(tensor_words(previous, word)) != previous_value.matrix().kron(value.matrix()):
                 print(f"fuzz: tensor functoriality failed at word {index}")
                 print(f"left: {previous.to_text()}")
                 print(f"right: {word.to_text()}")

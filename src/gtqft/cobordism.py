@@ -36,7 +36,7 @@ and e the identity.  Each row lists alternative words of one surface,
 which every field theory sends to the same map.  "111", "202" and "301"
 take four labels, "sphere" none, "cylinder" one, and "twist" and "pants"
 two; "103" is compiled at import as the reverse of "301", by the piece flip
-`dual` uses over label products (the inverse of a product is the reversed
+`_flip` over label products (the inverse of a product is the reversed
 string with its case swapped).  `cerf_case_words` builds a row's words,
 `cerf --case` (`tqft.cerf_check`) compares the words of every row, and
 `rewrite_equivalent` replaces a piece by a word of the cylinder, twist or
@@ -235,18 +235,6 @@ class Cobordism:
         )
 
 
-def compose(c1: Cobordism, c2: Cobordism) -> Cobordism:
-    """Glue c2 after c1; their boundary signatures must match."""
-    if c1.group != c2.group:
-        raise SignatureMismatch("cannot compose words over different groups")
-    if c1.cod != c2.dom:
-        raise SignatureMismatch(
-            f"cannot glue {_format_signature(c1.group, c1.cod)} onto "
-            f"{_format_signature(c1.group, c2.dom)}"
-        )
-    return Cobordism(c1.group, c1.layers + c2.layers, domain=c1.dom)
-
-
 def tensor(c1: Cobordism, c2: Cobordism) -> Cobordism:
     """Place two words side by side; the shorter is padded with id layers."""
     if c1.group != c2.group:
@@ -286,12 +274,6 @@ def _flip(layers, conj, inv) -> tuple[tuple[Piece, ...], ...]:
         return Piece(_FLIPPED_KIND.get(kind, kind), labels)
 
     return tuple(tuple(map(flip, layer)) for layer in reversed(layers))
-
-
-def dual(c: Cobordism) -> Cobordism:
-    """Reverse the word: layers run backwards and every piece is flipped."""
-    group = c.group
-    return Cobordism(group, _flip(c.layers, group.conj, group.inv), domain=c.cod)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ Each error carries a short machine category that the CLI uses for its exit
 diagnostics: "parse" (malformed input), "type" (well-formed but inconsistent
 labels, shapes or signatures), "degenerate-pairing" (a singular trace
 pairing blocks a construction), "check-failure" or "budget" (an enumeration
-would exceed its work budget).  The CLI reports any other exception as
-"internal": a fault of the program, not of its input.
+or a loaded algebra's tables would exceed the work budget).  The CLI
+reports any other exception as "internal": a fault of the program, not of
+its input.
 """
 
 from __future__ import annotations
@@ -120,6 +121,22 @@ class FlatnessViolation(EngineError):
 
 
 class BudgetExceeded(EngineError):
-    """A brute-force enumeration would exceed its configured budget."""
+    """A brute-force enumeration or a dense table would exceed its work
+    budget."""
 
     category = "budget"
+
+
+# The most labellings, tuples or table cells one enumeration or one loaded
+# algebra may hold.  `check_budget` reads it at call time, so setting it
+# here bounds every estimate at once.
+WORK_BUDGET = 10_000_000
+
+
+def check_budget(count: int, what: str, budget: int | None = None) -> None:
+    """Raise BudgetExceeded when `count` of `what` exceed `budget`, by
+    default WORK_BUDGET; called with the estimate, before any work."""
+    if budget is None:
+        budget = WORK_BUDGET
+    if count > budget:
+        raise BudgetExceeded(f"{count} {what} exceed the budget of {budget}")

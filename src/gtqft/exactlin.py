@@ -106,6 +106,13 @@ class Matrix:
         return cls._wrap(rows, cols, tuple((ZERO,) * cols for _ in range(rows)))
 
     @classmethod
+    def from_entries(cls, rows: int, cols: int, entries: dict) -> "Matrix":
+        grid = [[ZERO] * cols for _ in range(rows)]
+        for (i, j), value in entries.items():
+            grid[i][j] = Fraction(value)
+        return cls._wrap(rows, cols, tuple(map(tuple, grid)))
+
+    @classmethod
     def column(cls, values: Iterable) -> "Matrix":
         vec = as_vector(values)
         return cls._wrap(len(vec), 1, tuple((v,) for v in vec))

@@ -7,20 +7,26 @@ circle as the most significant index (the same convention as the Kronecker
 product in exactlin).  Any single consistent choice would do, but matrix
 equality across decompositions requires fixing one.
 
-Evaluation is leg-wise: the running map is kept as one sparse row per
-index of the current signature, and each piece of a layer is applied only
-to the legs it touches, so a layer of width w over components of dimension
-d costs about d^(w+1) rather than the d^(2w) of its whole-layer matrix.
-Pieces whose matrix is exactly the identity are skipped, and piece entries
-with denominator 1 are kept as ints, which mix exactly with Fractions.  No
-row of a running map holds an exact zero, so two running maps of one
-signature are equal exactly when their matrices are.  The result is
-converted to a Fraction `Matrix` at the edge, and that `Matrix` is the
-value of the word; its signatures are the word's `dom` and `cod`.  `cerf`
-compares the alternative words of a row in row form and builds a `Matrix`
-only to print a witness.  The functoriality probe multiplies running maps
-in row form too, and returns the word's value with its witness, both from
-one forward pass, so the fuzz loop evaluates each word once.
+Evaluation is leg-wise and in exact ints: the running map is kept as one
+sparse row of int entries per index of the current signature, over one
+int scale that the whole map is divided by, and each piece of a layer is
+applied only to the legs it touches, so a layer of width w over components
+of dimension d costs about d^(w+1) rather than the d^(2w) of its
+whole-layer matrix.  A piece's entries are ints over one denominator, the
+lcm of their denominators; a layer's scale is the product of its pieces'
+denominators, and a word's scale the product of its layers' scales, so on
+group and rich algebras every scale is 1 and no scaling work is done.
+Pieces whose matrix is exactly the identity are skipped.  No row of a
+running map holds an exact zero, so two running maps of one signature and
+scale are equal exactly when their rows are; over different scales they
+are compared entry by entry, cross-multiplied.  `_rows_to_matrix` is the
+one place that divides: it builds the Fraction `Matrix` of a running map,
+which is the value of the word, with the word's `dom` and `cod` as its
+signatures.  `cerf` compares the alternative words of a row in row form
+and builds a `Matrix` only to print a witness.  The functoriality probe
+multiplies running maps in row form too, and returns the word's value as
+a `RunningMap` with its witness, both from one forward pass, so the fuzz
+loop evaluates each word once and compares its rewrite as running maps.
 `Evaluator.layer_matrix` (the Kronecker product of a layer's pieces) is
 kept as the independent whole-layer reference path that the tests compare
 against; the fuzz tensor check likewise compares with `Matrix.kron`.
@@ -40,14 +46,15 @@ evaluator, check and closed invariant on it reuses them.  The piece
 matrices are stored on the algebra as well, in one cache that every
 `Evaluator` on it shares and that fills piece by piece as words need them.
 Each layer is compiled once per algebra and direction, next to the pieces:
-its plan lists the strides and kernel terms of its non-identity pieces, so
-a layer that recurs costs no piece lookups (and a layer of a group algebra
-compiles to the empty plan).
+its plan holds its scale and the strides and kernel terms of its
+non-identity pieces, so a layer that recurs costs no piece lookups (and
+every layer of a group algebra shares one plan that applies nothing).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .algebra import GFrobeniusAlgebra, _once, derive, handle_element
@@ -64,20 +71,16 @@ from .cobordism import (
     merge,
     split,
 )
-from .errors import BudgetExceeded, EngineError, FlatnessViolation, SignatureMismatch
-from .exactlin import ONE, ZERO, Matrix, Tensor3, matrix_literal
+from .errors import EngineError, FlatnessViolation, SignatureMismatch, check_budget
+from .exactlin import ZERO, Matrix, Tensor3, matrix_literal
 from .groups import FiniteGroup
 from .report import CheckEntry, CheckReport, Witness, first_failure
 
 
-def _exact(x: Fraction):
-    """x as an int when its denominator is 1, else x itself."""
-    return x.numerator if x.denominator == 1 else x
-
-
-# A running map is a list of rows, one per index of the current signature;
-# a row is a dict from column to its nonzero entries.  Rows are shared
-# between maps and never mutated.
+# A running map is a list of rows, one per index of the current signature,
+# over one positive int scale: a row is a dict from column to the nonzero
+# int numerators of its entries, the map being the rows divided by the
+# scale.  Rows are shared between maps and never mutated.
 _ZERO_ROW: dict = {}
 
 
@@ -85,28 +88,53 @@ def _identity_rows(n: int) -> list[dict]:
     return [{i: 1} for i in range(n)]
 
 
-# Building a Fraction costs about as much as a Fraction product, and most
-# entries of a running map are small integers, so those are shared.
-_SMALL_FRACTIONS = {i: Fraction(i) for i in range(-16, 17) if i}
-
-
-def _rows_to_matrix(rows: list[dict], cols: int) -> Matrix:
-    small = _SMALL_FRACTIONS
+def _rows_to_matrix(rows: list[dict], cols: int, scale: int) -> Matrix:
+    """The `Matrix` of rows over `scale`: the one place the evaluator divides."""
     grid = []
     for row in rows:
         dense = [ZERO] * cols
         for j, x in row.items():
-            if type(x) is not Fraction:
-                x = small.get(x) or Fraction(x)
-            dense[j] = x
+            dense[j] = Fraction(x, scale)
         grid.append(tuple(dense))
     return Matrix._wrap(len(rows), cols, tuple(grid))
 
 
+def _same(rows: list[dict], scale: int, other: list[dict], other_scale: int) -> bool:
+    """Whether rows over `scale` equal other over `other_scale`: dict
+    equality at one scale, else each entry cross-multiplied.  Rows hold no
+    zeros, so equal maps have the same columns in every row."""
+    if scale == other_scale:
+        return rows == other
+    return len(rows) == len(other) and all(
+        r.keys() == o.keys() and all(x * other_scale == o[j] * scale for j, x in r.items())
+        for r, o in zip(rows, other)
+    )
+
+
+class RunningMap:
+    """A word's value in row form: `rows` over `scale`, one row per index of
+    the word's codomain over the `cols` columns of its domain.  Two are
+    equal exactly when their matrices are; `matrix()` divides."""
+
+    __slots__ = ("rows", "cols", "scale")
+
+    def __init__(self, rows: list[dict], cols: int, scale: int):
+        self.rows, self.cols, self.scale = rows, cols, scale
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RunningMap):
+            return NotImplemented
+        return self.cols == other.cols and _same(self.rows, self.scale, other.rows, other.scale)
+
+    def matrix(self) -> Matrix:
+        return _rows_to_matrix(self.rows, self.cols, self.scale)
+
+
 def _apply_piece(rows: list[dict], terms, left: int, src: int, right: int) -> list[dict]:
     """Apply a piece to the middle index of rows grouped as (left, src,
-    right).  `terms[o]` lists the (input index, coefficient) pairs of the
-    piece's nonzero entries in output row o."""
+    right).  `terms[o]` lists the (input index, int coefficient) pairs of
+    the piece's nonzero entries in output row o, all over the piece's
+    denominator, which the caller multiplies into the running map's scale."""
     if src * right == 0:
         return [_ZERO_ROW] * (left * len(terms) * right)
     out: list[dict] = []
@@ -152,23 +180,30 @@ class _PieceMatrix(Matrix):
     """A piece's matrix together with its kernel form.
 
     `terms[o]` lists the (input index, coefficient) pairs of the nonzero
-    entries in row o, with coefficients of denominator 1 as ints, and
-    `transposed[i]` does the same for column i.  Both are None when the
-    matrix is exactly the identity, so the kernel skips the piece.
+    entries in row o, and `transposed[i]` does the same for column i; the
+    coefficients are ints over `denominator`, the lcm of the entries'
+    denominators.  Both are None when the matrix is exactly the identity,
+    so the kernel skips the piece.
     """
 
-    __slots__ = ("terms", "transposed")
+    __slots__ = ("terms", "transposed", "denominator")
 
     def __init__(self, m: Matrix):
         self.rows, self.cols, self.data = m.rows, m.cols, m.data
+        d = self.denominator = math.lcm(*{x.denominator for row in m.data for x in row})
         if m.rows == m.cols and m == Matrix.identity(m.rows):
             self.terms = self.transposed = None
             return
-        grid = [[_exact(x) for x in row] for row in m.data]
+        grid = [[x.numerator * (d // x.denominator) for x in row] for row in m.data]
         self.terms = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in grid)
         self.transposed = tuple(
             tuple((i, grid[i][j]) for i in range(m.rows) if grid[i][j]) for j in range(m.cols)
         )
+
+
+# The plan of a layer whose pieces are all identities, shared by every such
+# layer (every layer of a group algebra).
+_IDENTITY_PLAN = (1,)
 
 
 class Evaluator:
@@ -211,17 +246,15 @@ class Evaluator:
         else:  # SWAP
             g, h = labels
             dg, dh = a.dims[g], a.dims[h]
-            grid = [[ZERO] * (dg * dh) for _ in range(dh * dg)]
-            for i in range(dg):
-                for j in range(dh):
-                    grid[j * dg + i][i * dh + j] = ONE
-            out = Matrix(dh * dg, dg * dh, grid)
+            flips = {(j * dg + i, i * dh + j): 1 for i in range(dg) for j in range(dh)}
+            out = Matrix.from_entries(dh * dg, dg * dh, flips)
         out = self._pieces[piece] = _PieceMatrix(out)
         return out
 
     def _compile_layer(self, layer, transposed: bool) -> tuple:
-        """A layer's plan: `(terms, left, src, right)` for each piece that is
-        not the identity, in the order `_apply_layer` applies them."""
+        """A layer's plan, stored for the next use: the product of its
+        pieces' denominators, then `(terms, left, src, right)` for each
+        piece that is not the identity, in the order they are applied."""
         mats = [self.piece_matrix(piece) for piece in layer]
         # (source dimension, target dimension, terms) of each piece
         ops = (
@@ -232,28 +265,37 @@ class Evaluator:
         right = [1] * len(ops)
         for i in range(len(ops) - 1, 0, -1):
             right[i - 1] = right[i] * ops[i][0]
-        plan = []
+        scale = math.prod(m.denominator for m in mats)
+        plan = [scale]
         left = 1
         for (src, dst, terms), r in zip(ops, right):
             if terms is not None:
                 plan.append((terms, left, src, r))
             left *= dst
-        return tuple(plan)
+        plan = _IDENTITY_PLAN if plan == [1] else tuple(plan)
+        self._layers[transposed][layer] = plan
+        return plan
 
-    def _apply_layer(self, rows: list[dict], layer, transposed: bool = False) -> list[dict]:
-        """Apply a layer to a running map, each piece to its own legs only.
+    def _apply_layers(
+        self, rows: list[dict], layers, transposed: bool = False
+    ) -> tuple[list[dict], int]:
+        """Apply layers, in the order given, to a running map, each piece to
+        its own legs only; returns the new rows and the product of the
+        layers' scales, by which the map's scale grows.
 
-        Transposed, the rows index the layer's codomain and the transposed
+        Transposed, the rows index a layer's codomain and the transposed
         pieces carry them back to its domain, so that the running map is a
         transposed suffix of a word.
         """
         plans = self._layers[transposed]
-        plan = plans.get(layer)
-        if plan is None:
-            plan = plans[layer] = self._compile_layer(layer, transposed)
-        for terms, left, src, right in plan:
-            rows = _apply_piece(rows, terms, left, src, right)
-        return rows
+        scale = 1
+        for layer in layers:
+            plan = plans.get(layer) or self._compile_layer(layer, transposed)
+            if plan is not _IDENTITY_PLAN:
+                scale *= plan[0]
+                for terms, left, src, right in plan[1:]:
+                    rows = _apply_piece(rows, terms, left, src, right)
+        return rows, scale
 
     def _start(self, word: Cobordism) -> tuple[list[dict], int]:
         if word.group != self.algebra.group:
@@ -261,16 +303,19 @@ class Evaluator:
         dim = self.signature_dimension(word.dom)
         return _identity_rows(dim), dim
 
-    def _rows(self, word: Cobordism) -> list[dict]:
-        """The word's value as a running map: one row per index of its
-        codomain, over the columns of its domain."""
+    def _rows(self, word: Cobordism) -> tuple[list[dict], int]:
+        """The word's value as a running map and its scale: one row per
+        index of its codomain, over the columns of its domain."""
         rows, _ = self._start(word)
-        for layer in word.layers:
-            rows = self._apply_layer(rows, layer)
-        return rows
+        return self._apply_layers(rows, word.layers)
+
+    def running_map(self, word: Cobordism) -> RunningMap:
+        """The word's value in row form: ``ev(word)`` before the division."""
+        rows, scale = self._rows(word)
+        return RunningMap(rows, self.signature_dimension(word.dom), scale)
 
     def __call__(self, word: Cobordism) -> Matrix:
-        return _rows_to_matrix(self._rows(word), self.signature_dimension(word.dom))
+        return self.running_map(word).matrix()
 
     def layer_matrix(self, layer) -> Matrix:
         """Whole-layer matrix, the Kronecker product of the layer's pieces:
@@ -291,10 +336,6 @@ def evaluate(a: GFrobeniusAlgebra, word: Cobordism) -> Matrix:
 # ---------------------------------------------------------------------------
 # Well-definedness checks
 
-# The most labellings or tuples a brute-force enumeration may visit.
-_ENUMERATION_BUDGET = 10_000_000
-
-
 def cerf_check(
     a: GFrobeniusAlgebra,
     case: str,
@@ -308,17 +349,13 @@ def cerf_check(
 
     One report entry per alternative word (compared against the first),
     carrying the first failing labelling as witness.  Exhaustively, more
-    than _ENUMERATION_BUDGET labellings raise BudgetExceeded before any word
-    is built.
+    labellings than the work budget raise BudgetExceeded before any word is
+    built.
     """
     group = a.group
     if all_labels:
         count = case_label_count(case)
-        total = group.order**count
-        if total > _ENUMERATION_BUDGET:
-            raise BudgetExceeded(
-                f"{total} labellings exceed the budget of {_ENUMERATION_BUDGET}"
-            )
+        check_budget(group.order**count, "labellings")
         labellings = itertools.product(group.elements(), repeat=count)
     else:
         labellings = [tuple(labels or ())]
@@ -331,11 +368,12 @@ def cerf_check(
             raise EngineError(f"move case {case} produced mismatched signatures")
         values = [ev._rows(w) for w in words]
         alternatives = len(values) - 1
+        first = values[0]
         for j, value in enumerate(values[1:], start=1):
-            if j not in witnesses and value != values[0]:
+            if j not in witnesses and not _same(*value, *first):
                 dim = ev.signature_dimension(words[0].dom)
                 where = (("labels", ", ".join(map(group.name, labelling))), ("alternative", str(j)))
-                sides = (matrix_literal(_rows_to_matrix(v, dim)) for v in (value, values[0]))
+                sides = (matrix_literal(_rows_to_matrix(r, dim, s)) for r, s in (value, first))
                 witnesses[j] = Witness(where, *sides)
     entries = tuple(
         CheckEntry(f"cerf-{case}-alt{j}", j not in witnesses, witnesses.get(j))
@@ -417,16 +455,13 @@ def closed_invariant(a: GFrobeniusAlgebra, holonomies) -> Fraction:
     return value
 
 
-def hom_count_oracle(
-    group: FiniteGroup, genus: int, budget: int = _ENUMERATION_BUDGET
-) -> int:
+def hom_count_oracle(group: FiniteGroup, genus: int, budget: int | None = None) -> int:
     """Count flat labellings of the closed genus-h surface by brute force,
-    i.e. 2h-tuples whose commutator product is the identity."""
+    i.e. 2h-tuples whose commutator product is the identity; more tuples
+    than `budget` (the work budget unless given) raise BudgetExceeded."""
     if genus < 0:
         raise ValueError("genus must be non-negative")
-    total = group.order ** (2 * genus)
-    if total > budget:
-        raise BudgetExceeded(f"{total} tuples exceed the budget of {budget}")
+    check_budget(group.order ** (2 * genus), "tuples", budget)
     count = 0
     for tup in itertools.product(group.elements(), repeat=2 * genus):
         _, defect = _flatness_defect(group, tup)
@@ -440,7 +475,8 @@ def hom_count_oracle(
 
 
 def _times(suffix_rows: list[dict], prefix_rows: list[dict], count: int) -> list[dict]:
-    """The `count` rows of S @ P from the rows of S transposed and of P."""
+    """The `count` rows of S @ P from the rows of S transposed and of P,
+    over the product of their scales."""
     out: list[dict] = [{} for _ in range(count)]
     for s_row, p_row in zip(suffix_rows, prefix_rows):
         for c, x in s_row.items():
@@ -450,33 +486,39 @@ def _times(suffix_rows: list[dict], prefix_rows: list[dict], count: int) -> list
     return [{j: x for j, x in row.items() if x} for row in out]  # zeros dropped
 
 
-def word_functoriality_witness(ev: Evaluator, word: Cobordism) -> tuple[Matrix, Witness | None]:
-    """The word's value, ``ev(word)``, and the first split at which it
-    differs from suffix times prefix, or None when all agree; the split
-    after the last layer cannot fail and is not checked.
+def word_functoriality_witness(
+    ev: Evaluator, word: Cobordism
+) -> tuple[RunningMap, Witness | None]:
+    """The word's value as a `RunningMap`, equal to ``ev.running_map(word)``,
+    and the first split at which it differs from suffix times prefix, or
+    None when all agree; the split after the last layer cannot fail and is
+    not checked.
 
     The value comes from the probe's own forward pass, so the word is
     evaluated once.  Prefixes grow by applying layers from the left,
     suffixes by applying transposed layers from the right, both as running
     maps in row form, and each split multiplies the two in that form, so
-    no other `Matrix` is built unless a witness is printed.
+    no `Matrix` is built unless a witness is printed.
     """
     rows, dim_dom = ev._start(word)
+    scale = 1
     prefixes = []  # the rows of the first 0, 1, .., n - 1 layers
     for layer in word.layers:
         prefixes.append(rows)
-        rows = ev._apply_layer(rows, layer)
-    total = rows
+        rows, s = ev._apply_layers(rows, (layer,))
+        scale *= s
+    value = RunningMap(rows, dim_dom, scale)
 
     def splits():
-        suffix_rows = _identity_rows(len(total))  # rows of the transposed suffix
+        # A layer has one scale in both directions, so every suffix times
+        # prefix is over the word's scale, and the rows compare as they are.
+        suffix_rows = _identity_rows(len(rows))  # rows of the transposed suffix
         for i in range(len(word.layers) - 1, -1, -1):
-            suffix_rows = ev._apply_layer(suffix_rows, word.layers[i], transposed=True)
-            yield i, _times(suffix_rows, prefixes[i], len(total)), total
+            suffix_rows, _ = ev._apply_layers(suffix_rows, (word.layers[i],), transposed=True)
+            yield i, _times(suffix_rows, prefixes[i], len(rows)), rows
 
     def render(i, *sides) -> Witness:
         where = (("split-after-layer", str(i)), ("word", word.to_text()))
-        return Witness(where, *(matrix_literal(_rows_to_matrix(r, dim_dom)) for r in sides))
+        return Witness(where, *(matrix_literal(_rows_to_matrix(r, dim_dom, scale)) for r in sides))
 
-    value = _rows_to_matrix(total, dim_dom)
     return value, first_failure("functoriality", splits(), render).witness

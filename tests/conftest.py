@@ -4,8 +4,28 @@ from fractions import Fraction
 
 import pytest
 
-from gtqft import FiniteGroup, GFrobeniusAlgebra, builtin, frobenius_untwisted, group_algebra
+from gtqft import (
+    Cobordism,
+    FiniteGroup,
+    GFrobeniusAlgebra,
+    builtin,
+    frobenius_untwisted,
+    group_algebra,
+)
+from gtqft.cobordism import _flip
 from gtqft.exactlin import Matrix, Tensor3
+
+
+def compose(c1: Cobordism, c2: Cobordism) -> Cobordism:
+    """c2 glued after c1; the word's own type check rejects signatures
+    that do not match."""
+    return Cobordism(c1.group, c1.layers + c2.layers, domain=c1.dom)
+
+
+def dual(c: Cobordism) -> Cobordism:
+    """The word reversed: layers run backwards and every piece is flipped."""
+    group = c.group
+    return Cobordism(group, _flip(c.layers, group.conj, group.inv), domain=c.cod)
 
 
 def dual_numbers_algebra() -> GFrobeniusAlgebra:

@@ -18,7 +18,14 @@ from gtqft import (
     save_algebra,
 )
 from gtqft.algebra import pairing_matrix
-from gtqft.errors import CoproductMismatch, DegeneratePairing, SchemaError, ShapeError
+import gtqft.errors
+from gtqft.errors import (
+    BudgetExceeded,
+    CoproductMismatch,
+    DegeneratePairing,
+    SchemaError,
+    ShapeError,
+)
 from gtqft.exactlin import Matrix, Tensor3, basis_vector
 from law_oracle import action_on_dual_basis_check, derive_coproducts
 from test_row_laws import derived, mixed_dims_algebra, package_coproducts
@@ -119,6 +126,49 @@ class TestLoad:
         for name, a in saved.items():
             assert json.dumps(save_algebra(a)) == json.dumps(SAVED_ALGEBRAS[name]), name
             assert load_algebra(save_algebra(a)) == a
+
+
+class TestLoadBudget:
+    """The cells of a document's blocks are counted before any entry is
+    read or block built.  Only small documents are loaded here: each test
+    lowers the work budget below their count and makes building a block
+    raise."""
+
+    # product (e, e) and action (e, e), (g1, e); the g1 grade is empty
+    CELLS = 3
+
+    @pytest.fixture
+    def no_blocks(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a block was built")
+
+        for cls in (Tensor3, Matrix):
+            for name in ("__init__", "zeros", "from_entries"):
+                monkeypatch.setattr(cls, name, refuse)
+
+    def test_over_the_budget(self, monkeypatch, no_blocks):
+        monkeypatch.setattr(gtqft.errors, "WORK_BUDGET", self.CELLS - 1)
+        with pytest.raises(BudgetExceeded, match="^3 table cells exceed the budget of 2$"):
+            load_algebra(trivial_algebra_doc())
+
+    def test_before_any_entry_is_read(self, monkeypatch, no_blocks):
+        doc = trivial_algebra_doc()
+        doc["product"][0]["value"] = "1.5"  # a parse error, had it been read
+        monkeypatch.setattr(gtqft.errors, "WORK_BUDGET", self.CELLS - 1)
+        with pytest.raises(BudgetExceeded):
+            load_algebra(doc)
+
+    def test_at_the_budget(self, monkeypatch):
+        monkeypatch.setattr(gtqft.errors, "WORK_BUDGET", self.CELLS)
+        assert load_algebra(trivial_algebra_doc()).dims == (1, 0)
+
+    def test_action_cells_are_counted(self, monkeypatch, request):
+        # product 1 + 4 + 4 + 4 cells and action 1 + 4 + 1 + 4 cells
+        doc = save_algebra(mixed_dims_algebra())
+        request.getfixturevalue("no_blocks")
+        monkeypatch.setattr(gtqft.errors, "WORK_BUDGET", 22)
+        with pytest.raises(BudgetExceeded, match="^23 table cells exceed the budget of 22$"):
+            load_algebra(doc)
 
 
 class TestGroupAlgebra:

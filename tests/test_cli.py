@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import gtqft.cli
+import gtqft.errors
 import gtqft.tqft
 from conftest import dual_number_group_algebra
 from gtqft import (
@@ -443,6 +445,22 @@ class TestCerfCommand:
             "error: category=budget 12960000 labellings exceed the budget of 10000000\n"
         )
 
+    def test_a_document_over_the_budget(self, monkeypatch, tmp_path, capsys):
+        # 3 cells: product (e, e) and action (e, e), (g1, e) of a one-dimensional
+        # identity grade over cyclic:2; the budget is lowered, never the document raised
+        doc = save_algebra(group_algebra(builtin("cyclic", 2)))
+        doc["dims"] = {"e": 1}
+        doc["product"] = doc["product"][:1]
+        doc["action"] = [entry for entry in doc["action"] if entry["g"] == "e"]
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr(gtqft.errors, "WORK_BUDGET", 2)
+        status = main(["check", "--algebra", str(path)])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err == "error: category=budget 3 table cells exceed the budget of 2\n"
+
     def test_wrong_label_count_is_a_type_error(self, capsys):
         argv = ["cerf", "--group", "symmetric:3", "--algebra", "builtin:group-algebra"]
         status = main([*argv, "--case", "twist", "--labels", "p021"])
@@ -450,6 +468,57 @@ class TestCerfCommand:
         assert status == 2
         assert captured.out == ""
         assert captured.err == "error: category=type case twist takes 2 labels, got 1\n"
+
+
+class TestRescaledWitnesses:
+    """A negative control for the scaled running maps: the rescaled rich S3
+    with one action block doubled.  Its words hold entries over many
+    denominators, so each witness is divided at the edge; every expected
+    text here was printed by the evaluator on Fraction rows that came
+    before the scaled ones."""
+
+    EXPECTED = {
+        (("e", "p102"), "cylinder"): (
+            "checks: 5 passed, 1 failed\n"
+            "FAIL  cerf-cylinder-alt1  [labels=p102 alternative=1]"
+            "  left=[[2, 0], [0, 2]]  right=[[1, 0], [0, 1]]\n"
+            "PASS  cerf-cylinder-alt2\nPASS  cerf-cylinder-alt3\nPASS  cerf-cylinder-alt4\n"
+            "PASS  cerf-cylinder-alt5\nPASS  cerf-cylinder-alt6\n"
+        ),
+        (("e", "p102"), "pants"): (
+            "checks: 0 passed, 1 failed\n"
+            "FAIL  cerf-pants-alt1  [labels=p102, e alternative=1]"
+            "  left=[[5/4, 0, 0, 0], [0, 9/32, 5/4, 0]]"
+            "  right=[[5/2, 0, 0, 0], [0, 9/16, 5/2, 0]]\n"
+        ),
+        (("e", "p102"), "111"): (
+            "checks: 0 passed, 1 failed\n"
+            "FAIL  cerf-111-alt1  [labels=e, e, e, p102 alternative=1]"
+            "  left=[[0, 0], [3/8, 0]]  right=[[0, 0], [3/4, 0]]\n"
+        ),
+        (("p102", "p201"), "twist"): (
+            "checks: 1 passed, 3 failed\n"
+            "FAIL  cerf-twist-alt1  [labels=p201, p021 alternative=1]"
+            "  left=[[1/3, 0], [0, 6/5]]  right=[[1/6, 0], [0, 3/5]]\n"
+            "FAIL  cerf-twist-alt2  [labels=p201, p102 alternative=2]"
+            "  left=[[1/6, 0], [0, 3/5]]  right=[[1/3, 0], [0, 6/5]]\n"
+            "PASS  cerf-twist-alt3\n"
+            "FAIL  cerf-twist-alt4  [labels=p201, p021 alternative=4]"
+            "  left=[[1/3, 0], [0, 6/5]]  right=[[1/6, 0], [0, 3/5]]\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("block, case", sorted(EXPECTED), ids=lambda x: "-".join(x))
+    def test_witness_text(self, tmp_path, capsys, block, case):
+        saved = json.loads((Path(__file__).parent / "saved_algebras.json").read_text())
+        doc = saved["rescaled-rich-s3"]
+        for entry in doc["action"]:
+            if (entry["k"], entry["g"]) == block:
+                entry["value"] = str(2 * Fraction(entry["value"]))
+        path = tmp_path / "doubled.json"
+        path.write_text(json.dumps(doc))
+        status = main(["cerf", "--algebra", str(path), "--case", case, "--all-labels"])
+        assert (status, capsys.readouterr().out) == (1, self.EXPECTED[(block, case)])
 
 
 class TestOrbifoldCommand:

@@ -14,10 +14,8 @@ from gtqft import (
     cap,
     rewrite_equivalent,
     cerf_case_words,
-    compose,
     cup,
     cyl,
-    dual,
     id_piece,
     merge,
     parse,
@@ -28,6 +26,7 @@ from gtqft import (
 )
 from gtqft.cobordism import CERF_CASES, PieceKind, _splice, case_label_count
 from gtqft.errors import ParseError, SignatureMismatch
+from conftest import compose, dual
 
 _KEYWORDS = '"id", "cyl", "merge", "split", "cap", "cup" or "swap"'
 

@@ -11,7 +11,6 @@ from gtqft import (
     cerf_check,
     closed_invariant,
     closed_surface_word,
-    compose,
     cyl,
     derive,
     evaluate,
@@ -27,12 +26,14 @@ from gtqft import (
     tensor,
 )
 import gtqft.algebra
+import gtqft.errors
 import gtqft.tqft
 from gtqft.algebra import GFrobeniusAlgebra, load_algebra
-from gtqft.cobordism import CERF_CASES
+from gtqft.cobordism import CERF_CASES, cerf_case_words
 from gtqft.errors import BudgetExceeded, EngineError, FlatnessViolation
 from gtqft.exactlin import matrix_literal
-from gtqft.tqft import _identity_rows, _rows_to_matrix, word_functoriality_witness
+from gtqft.tqft import RunningMap, _identity_rows, _rows_to_matrix, word_functoriality_witness
+from conftest import compose
 from law_oracle import cerf_reference
 from test_golden import _MUTATED, algebra_doc
 
@@ -54,6 +55,9 @@ FIXTURES = (
     "s3_algebra", "rich_s3", "rescaled_s3", "rescaled_rich_s3", "zero_grade_z3",
     "twisted_klein", "twisted_d4", "mixed_sign_z2", "dual_numbers",
 )
+# the fixtures with structure constants of denominator other than 1: their
+# running maps carry scales other than 1
+FRACTIONAL = ("rescaled_s3", "rescaled_rich_s3", "mixed_sign_z2")
 
 
 class TestEvaluate:
@@ -136,7 +140,9 @@ class TestFunctoriality:
             ev = Evaluator(a)
             for seed in range(count):
                 word = random_cobordism(a.group, seed, 8)
-                assert word_functoriality_witness(ev, word) == (ev(word), None)
+                value, witness = word_functoriality_witness(ev, word)
+                assert (value.matrix(), witness) == (ev(word), None)
+                assert value == ev.running_map(word)
 
     def test_cancelled_entries_are_no_mismatch(self, mixed_sign_z2):
         a = mixed_sign_z2
@@ -181,15 +187,18 @@ class TestFunctoriality:
 def double_layer_output(monkeypatch, faulty_layer) -> None:
     """Make the forward kernel double the output of `faulty_layer`; the
     transposed kernel is left as it is."""
-    apply_layer = Evaluator._apply_layer
+    apply_layers = Evaluator._apply_layers
 
-    def doubled(self, rows, layer, transposed=False):
-        out = apply_layer(self, rows, layer, transposed)
-        if transposed or layer is not faulty_layer:
-            return out
-        return [{j: 2 * x for j, x in row.items()} for row in out]
+    def doubled(self, rows, layers, transposed=False):
+        scale = 1
+        for layer in layers:
+            rows, s = apply_layers(self, rows, (layer,), transposed)
+            scale *= s
+            if not transposed and layer is faulty_layer:
+                rows = [{j: 2 * x for j, x in row.items()} for row in rows]
+        return rows, scale
 
-    monkeypatch.setattr(Evaluator, "_apply_layer", doubled)
+    monkeypatch.setattr(Evaluator, "_apply_layers", doubled)
 
 
 def kron_reference(ev: Evaluator, word: Cobordism) -> Matrix:
@@ -207,14 +216,18 @@ class TestLegwiseKernel:
         ev = Evaluator(a)
         words = [random_cobordism(a.group, seed, 9) for seed in range(150)]
         assert any(not w.dom or not w.cod for w in words)  # cap/cup ends occur
+        scales = set()
         for word in words:
-            rows = ev._rows(word)
-            # no zeros, so that rows of one signature are equal exactly when
-            # their matrices are
-            assert all(x != 0 for row in rows for x in row.values()), word.to_text()
-            value = _rows_to_matrix(rows, ev.signature_dimension(word.dom))
+            rows, scale = ev._rows(word)
+            scales.add(scale)
+            # int entries and no zeros, so that rows of one signature and
+            # scale are equal exactly when their matrices are
+            assert all(type(x) is int and x != 0 for row in rows for x in row.values()), word.to_text()
+            value = _rows_to_matrix(rows, ev.signature_dimension(word.dom), scale)
             assert value == kron_reference(ev, word), word.to_text()
             assert all(type(x) is F for row in value.data for x in row)
+        # integral algebras never scale; the others do on some words
+        assert (scales == {1}) == (name not in FRACTIONAL), scales
 
     @pytest.mark.parametrize("name", ["s3_algebra", "rich_s3", "rescaled_rich_s3"])
     def test_closed_surfaces_match_kronecker_layers(self, request, name):
@@ -241,6 +254,17 @@ class TestLegwiseKernel:
             cut = len(word.layers) // 2
             head = Cobordism(word.group, word.layers[:cut], domain=word.dom)
             assert ev(head) == kron_reference(ev, head)
+
+    def test_running_maps_are_equal_exactly_when_their_matrices_are(self):
+        # zero maps on domains of two sizes, and one map over three scales
+        maps = [
+            RunningMap([{}], 1, 1), RunningMap([{}], 2, 1),
+            RunningMap([{1: 1}], 2, 2), RunningMap([{1: 3}], 2, 6), RunningMap([{1: 3}], 2, 4),
+        ]
+        for x in maps:
+            for y in maps:
+                assert (x == y) == (x.matrix() == y.matrix())
+        assert sum(x == y for x in maps for y in maps) == len(maps) + 2
 
     def test_group_algebra_pieces_are_skipped(self, s3_algebra, rich_s3):
         # exact identity pieces cost no arithmetic
@@ -322,6 +346,19 @@ class TestCerf:
         report = cerf_check(rich_s3, case, all_labels=True)
         assert report.passed, report.failures()
 
+    @pytest.mark.parametrize("case, labels", [("pants", (1, 2)), ("cylinder", (0,))])
+    def test_alternatives_over_different_scales(self, rescaled_rich_s3, case, labels):
+        # equal values whose running maps carry different scales are
+        # compared by cross-multiplying, not found unequal
+        ev = Evaluator(rescaled_rich_s3)
+        words = cerf_case_words(rescaled_rich_s3.group, case, labels)
+        values = [ev._rows(word) for word in words]
+        assert len({scale for _, scale in values}) > 1
+        dim = ev.signature_dimension(words[0].dom)
+        first, *others = (_rows_to_matrix(rows, dim, scale) for rows, scale in values)
+        assert all(m == first for m in others)
+        assert cerf_check(rescaled_rich_s3, case, labels=labels).passed
+
     def test_single_labeling(self, s3_algebra):
         report = cerf_check(s3_algebra, "202", labels=(1, 4, 2, 5))
         assert report.passed
@@ -385,16 +422,16 @@ class TestCerfBudget:
 
     def test_a_count_at_the_budget_runs(self, monkeypatch, s3_algebra):
         monkeypatch.setattr(gtqft.tqft, "cerf_case_words", _no_words)
-        monkeypatch.setattr(gtqft.tqft, "_ENUMERATION_BUDGET", 6**4 - 1)
+        monkeypatch.setattr(gtqft.errors, "WORK_BUDGET", 6**4 - 1)
         with pytest.raises(BudgetExceeded):
             cerf_check(s3_algebra, "111", all_labels=True)
-        monkeypatch.setattr(gtqft.tqft, "_ENUMERATION_BUDGET", 6**4)
+        monkeypatch.setattr(gtqft.errors, "WORK_BUDGET", 6**4)
         with pytest.raises(_WordBuilt):
             cerf_check(s3_algebra, "111", all_labels=True)
 
     def test_one_labelling_is_not_budgeted(self, monkeypatch, s3_algebra):
         monkeypatch.setattr(gtqft.tqft, "cerf_case_words", _no_words)
-        monkeypatch.setattr(gtqft.tqft, "_ENUMERATION_BUDGET", 0)
+        monkeypatch.setattr(gtqft.errors, "WORK_BUDGET", 0)
         with pytest.raises(_WordBuilt):
             cerf_check(s3_algebra, "111", labels=(1, 2, 3, 0))
 
@@ -458,6 +495,14 @@ class TestHomCountOracle:
     def test_budget(self, s3):
         with pytest.raises(BudgetExceeded):
             hom_count_oracle(s3, 4, budget=1000)
+
+    def test_default_budget_is_the_work_budget(self, monkeypatch, s3):
+        # read at call time: the setting that bounds `cerf` bounds this too
+        monkeypatch.setattr(gtqft.errors, "WORK_BUDGET", 35)
+        with pytest.raises(BudgetExceeded, match="^36 tuples exceed the budget of 35$"):
+            hom_count_oracle(s3, 1)
+        monkeypatch.setattr(gtqft.errors, "WORK_BUDGET", 36)
+        assert hom_count_oracle(s3, 1) == 18
 
 
 class TestPartitionIdentity:
@@ -553,22 +598,26 @@ class TestSharedPieces:
         ev = Evaluator(a)
         for seed in range(50):
             word = random_cobordism(a.group, seed, 8)
-            assert word_functoriality_witness(ev, word) == (ev(word), None)
+            assert word_functoriality_witness(ev, word) == (ev.running_map(word), None)
         forward, transposed = ev._layers
         assert forward and transposed
-        assert set(forward.values()) == set(transposed.values()) == {()}
+        # scale 1 and no steps: every plan is the one shared identity plan
+        plans = [*forward.values(), *transposed.values()]
+        assert all(plan is plans[0] for plan in plans)
+        assert plans[0] == (1,)
 
     def test_forward_and_transposed_plans_are_kept_apart(self, rich_s3):
         ev = Evaluator(_fresh_copy(rich_s3))
         layer = (id_piece(0), merge(1, 2))
         piece = ev.piece_matrix(merge(1, 2))  # 2 x 4, after an identity leg of 2
-        forward = ev._apply_layer(_identity_rows(8), layer)
-        transposed = ev._apply_layer(_identity_rows(4), layer, transposed=True)
-        assert ev._layers[0][layer] == ((piece.terms, 2, 4, 1),)
-        assert ev._layers[1][layer] == ((piece.transposed, 2, 2, 1),)
+        forward, scale = ev._apply_layers(_identity_rows(8), (layer,))
+        transposed, transposed_scale = ev._apply_layers(_identity_rows(4), (layer,), transposed=True)
+        assert scale == transposed_scale == 1
+        assert ev._layers[0][layer] == (1, (piece.terms, 2, 4, 1))
+        assert ev._layers[1][layer] == (1, (piece.transposed, 2, 2, 1))
         whole = ev.layer_matrix(layer)
-        assert _rows_to_matrix(forward, 8) == whole
-        assert _rows_to_matrix(transposed, 4) == whole.transpose()
+        assert _rows_to_matrix(forward, 8, 1) == whole
+        assert _rows_to_matrix(transposed, 4, 1) == whole.transpose()
 
     def test_a_compiled_layer_reads_no_piece(self, monkeypatch, rich_s3):
         ev = Evaluator(_fresh_copy(rich_s3))
