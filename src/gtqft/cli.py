@@ -335,7 +335,8 @@ def _cmd_fuzz(config: RunConfig) -> int:
             print(f"witness: {dict(witness.context)}")
             return 1
         rewritten = rewrite_equivalent(word, rng)
-        if rewritten is not None and ev.running_map(rewritten) != value:
+        # the rewrite shares the word's layers before the splice: start there
+        if rewritten is not None and ev.running_map(rewritten, value) != value:
             shrunk = minimize_word(rewritten, lambda w: ev.running_map(w) != value)
             print(f"fuzz: rewrite equality failed at word {index}")
             print(f"word: {word.to_text()}")

@@ -27,6 +27,11 @@ and builds a `Matrix` only to print a witness.  The functoriality probe
 multiplies running maps in row form too, and returns the word's value as
 a `RunningMap` with its witness, both from one forward pass, so the fuzz
 loop evaluates each word once and compares its rewrite as running maps.
+The probe skips a split whose suffix and prefix rows are the same objects
+as those of the split after it, which a layer of identities leaves so:
+its product was just multiplied and agreed.  The value it returns keeps
+every prefix, and a rewrite is evaluated from its splice, the first layer
+it does not share with the word, starting at the prefix there.
 `Evaluator.layer_matrix` (the Kronecker product of a layer's pieces) is
 kept as the independent whole-layer reference path that the tests compare
 against; the fuzz tensor check likewise compares with `Matrix.kron`.
@@ -47,8 +52,10 @@ matrices are stored on the algebra as well, in one cache that every
 `Evaluator` on it shares and that fills piece by piece as words need them.
 Each layer is compiled once per algebra and direction, next to the pieces:
 its plan holds its scale and the strides and kernel terms of its
-non-identity pieces, so a layer that recurs costs no piece lookups (and
-every layer of a group algebra shares one plan that applies nothing).
+non-identity pieces, so a layer that recurs costs no piece lookups.  A
+layer of identity pieces (every layer of a group algebra) gets the one
+shared plan that applies nothing, stored for both directions at its first
+compile, so it is never compiled transposed.
 """
 
 from __future__ import annotations
@@ -128,6 +135,20 @@ class RunningMap:
 
     def matrix(self) -> Matrix:
         return _rows_to_matrix(self.rows, self.cols, self.scale)
+
+
+class ProbedMap(RunningMap):
+    """A word's value as the functoriality probe leaves it: a `RunningMap`
+    that also keeps the word and, for k = 0, 1, .., n, the rows and scale
+    of its first k layers, so that `Evaluator.running_map` can evaluate a
+    word that shares its first layers from the first layer that differs."""
+
+    __slots__ = ("word", "prefixes")
+
+    def __init__(self, word: Cobordism, prefixes: list[tuple[list[dict], int]], cols: int):
+        rows, scale = prefixes[-1]
+        super().__init__(rows, cols, scale)
+        self.word, self.prefixes = word, prefixes
 
 
 def _apply_piece(rows: list[dict], terms, left: int, src: int, right: int) -> list[dict]:
@@ -254,8 +275,13 @@ class Evaluator:
     def _compile_layer(self, layer, transposed: bool) -> tuple:
         """A layer's plan, stored for the next use: the product of its
         pieces' denominators, then `(terms, left, src, right)` for each
-        piece that is not the identity, in the order they are applied."""
+        piece that is not the identity, in the order they are applied.  A
+        layer of identity pieces stores the shared identity plan for both
+        directions at once, so it is never compiled transposed."""
         mats = [self.piece_matrix(piece) for piece in layer]
+        if all(m.terms is None for m in mats):  # identities, each over denominator 1
+            self._layers[0][layer] = self._layers[1][layer] = _IDENTITY_PLAN
+            return _IDENTITY_PLAN
         # (source dimension, target dimension, terms) of each piece
         ops = (
             [(m.rows, m.cols, m.transposed) for m in mats]
@@ -272,8 +298,7 @@ class Evaluator:
             if terms is not None:
                 plan.append((terms, left, src, r))
             left *= dst
-        plan = _IDENTITY_PLAN if plan == [1] else tuple(plan)
-        self._layers[transposed][layer] = plan
+        plan = self._layers[transposed][layer] = tuple(plan)
         return plan
 
     def _apply_layers(
@@ -309,9 +334,27 @@ class Evaluator:
         rows, _ = self._start(word)
         return self._apply_layers(rows, word.layers)
 
-    def running_map(self, word: Cobordism) -> RunningMap:
-        """The word's value in row form: ``ev(word)`` before the division."""
-        rows, scale = self._rows(word)
+    def running_map(self, word: Cobordism, probed: ProbedMap | None = None) -> RunningMap:
+        """The word's value in row form: ``ev(word)`` before the division.
+
+        Given the probe's value of a word with the same group and domain on
+        this algebra, the word is evaluated from the splice, the first layer
+        it does not share with that word (layers compare by identity): from
+        the probed prefix there, only the layers after it are applied.
+        Layers apply one at a time and deterministically, so the value is
+        the same as from the first layer.
+        """
+        if probed is None or (probed.word.group, probed.word.dom) != (word.group, word.dom):
+            rows, scale = self._rows(word)
+        else:
+            splice = 0
+            for mine, theirs in zip(word.layers, probed.word.layers):
+                if mine is not theirs:
+                    break
+                splice += 1
+            rows, scale = probed.prefixes[splice]
+            rows, s = self._apply_layers(rows, word.layers[splice:])
+            scale *= s
         return RunningMap(rows, self.signature_dimension(word.dom), scale)
 
     def __call__(self, word: Cobordism) -> Matrix:
@@ -483,39 +526,50 @@ def _times(suffix_rows: list[dict], prefix_rows: list[dict], count: int) -> list
             acc = out[c]
             for j, y in p_row.items():
                 acc[j] = acc.get(j, 0) + x * y
-    return [{j: x for j, x in row.items() if x} for row in out]  # zeros dropped
+    # the sums can cancel: running rows hold no zeros
+    return [{j: x for j, x in row.items() if x} if 0 in row.values() else row for row in out]
 
 
 def word_functoriality_witness(
     ev: Evaluator, word: Cobordism
-) -> tuple[RunningMap, Witness | None]:
+) -> tuple[ProbedMap, Witness | None]:
     """The word's value as a `RunningMap`, equal to ``ev.running_map(word)``,
     and the first split at which it differs from suffix times prefix, or
     None when all agree; the split after the last layer cannot fail and is
     not checked.
 
     The value comes from the probe's own forward pass, so the word is
-    evaluated once.  Prefixes grow by applying layers from the left,
-    suffixes by applying transposed layers from the right, both as running
-    maps in row form, and each split multiplies the two in that form, so
-    no `Matrix` is built unless a witness is printed.
+    evaluated once, and it is a `ProbedMap` that keeps every prefix, from
+    which `Evaluator.running_map` evaluates a rewrite of the word.
+    Prefixes grow by applying layers from the left, suffixes by applying
+    transposed layers from the right, both as running maps in row form,
+    and each split multiplies the two in that form, so no `Matrix` is
+    built unless a witness is printed.  A split whose suffix rows and
+    prefix rows are the same objects as those of the split after it (a
+    layer of identities left both as they were) has the product just
+    multiplied and agreed, and is skipped.
     """
     rows, dim_dom = ev._start(word)
     scale = 1
-    prefixes = []  # the rows of the first 0, 1, .., n - 1 layers
+    prefixes = [(rows, scale)]  # the rows and scale of the first 0, 1, .., n layers
     for layer in word.layers:
-        prefixes.append(rows)
         rows, s = ev._apply_layers(rows, (layer,))
         scale *= s
-    value = RunningMap(rows, dim_dom, scale)
+        prefixes.append((rows, scale))
+    value = ProbedMap(word, prefixes, dim_dom)
 
     def splits():
         # A layer has one scale in both directions, so every suffix times
         # prefix is over the word's scale, and the rows compare as they are.
         suffix_rows = _identity_rows(len(rows))  # rows of the transposed suffix
+        drawn = None, None  # the suffix and prefix rows last multiplied
         for i in range(len(word.layers) - 1, -1, -1):
             suffix_rows, _ = ev._apply_layers(suffix_rows, (word.layers[i],), transposed=True)
-            yield i, _times(suffix_rows, prefixes[i], len(rows)), rows
+            prefix_rows = prefixes[i][0]
+            if suffix_rows is drawn[0] and prefix_rows is drawn[1]:
+                continue
+            drawn = suffix_rows, prefix_rows
+            yield i, _times(suffix_rows, prefix_rows, len(rows)), rows
 
     def render(i, *sides) -> Witness:
         where = (("split-after-layer", str(i)), ("word", word.to_text()))

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,12 +22,14 @@ from gtqft import (
     merge,
     parse,
     random_cobordism,
+    rewrite_equivalent,
     split,
     swap,
     tensor,
 )
 import gtqft.algebra
 import gtqft.errors
+from gtqft.cli import main
 import gtqft.tqft
 from gtqft.algebra import GFrobeniusAlgebra, load_algebra
 from gtqft.cobordism import CERF_CASES, cerf_case_words
@@ -183,18 +186,56 @@ class TestFunctoriality:
                 assert witness.context == context
                 assert (witness.left, witness.right) == (left, right)
 
+    def test_unchanged_splits_are_multiplied_once(self, monkeypatch, s3_algebra):
+        # every layer of a group algebra leaves both running maps as they
+        # are, so only the first split walking down is multiplied
+        ev = Evaluator(s3_algebra)
+        calls = [0]
+        real = gtqft.tqft._times
 
-def double_layer_output(monkeypatch, faulty_layer) -> None:
-    """Make the forward kernel double the output of `faulty_layer`; the
-    transposed kernel is left as it is."""
+        def counted(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(gtqft.tqft, "_times", counted)
+        long_words = 0
+        for seed in range(200):
+            word = random_cobordism(s3_algebra.group, seed, 8)
+            calls[0] = 0
+            assert word_functoriality_witness(ev, word)[1] is None
+            if len(word.layers) > 1:
+                long_words += 1
+                assert calls[0] == 1, word.to_text()
+        assert long_words >= 100
+
+    def test_a_skipped_split_is_still_checked(self, monkeypatch, rich_s3):
+        # layer 1 is all identities, so its split would reuse the product of
+        # split 2; a transposed kernel that doubles it returns new rows, and
+        # the split is multiplied out and fails with the witness that the
+        # probe gave when it multiplied every split
+        ev = Evaluator(rich_s3)
+        text = "split(p021,p021) ; id(p021) * id(p021) ; merge(p021,p021) ; cyl(e;p021)"
+        word = parse(text, rich_s3.group)
+        assert word_functoriality_witness(ev, word)[1] is None
+        assert ev._layers[1][word.layers[1]] is gtqft.tqft._IDENTITY_PLAN
+        double_layer_output(monkeypatch, word.layers[1], transposed=True)
+        witness = word_functoriality_witness(ev, word)[1]
+        assert witness.context == (("split-after-layer", "1"), ("word", text))
+        assert (witness.left, witness.right) == ("[[0, 0], [4, 0]]", "[[0, 0], [2, 0]]")
+
+
+def double_layer_output(monkeypatch, faulty_layer, transposed: bool = False) -> None:
+    """Make the kernel double the output of `faulty_layer` in one direction,
+    forward unless `transposed`; the other direction is left as it is."""
     apply_layers = Evaluator._apply_layers
+    faulty_direction = transposed
 
     def doubled(self, rows, layers, transposed=False):
         scale = 1
         for layer in layers:
             rows, s = apply_layers(self, rows, (layer,), transposed)
             scale *= s
-            if not transposed and layer is faulty_layer:
+            if transposed == faulty_direction and layer is faulty_layer:
                 rows = [{j: 2 * x for j, x in row.items()} for row in rows]
         return rows, scale
 
@@ -279,10 +320,6 @@ class TestLegwiseKernel:
 
 class TestRewriteEquality:
     def test_values_invariant_under_rewrites(self, rich_s3):
-        import random
-
-        from gtqft import rewrite_equivalent
-
         ev = Evaluator(rich_s3)
         rng = random.Random(99)
         for seed in range(150):
@@ -291,6 +328,32 @@ class TestRewriteEquality:
             if rewritten is None:
                 continue
             assert ev(rewritten) == ev(word)
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_rewrites_are_evaluated_from_the_splice(self, monkeypatch, request, name):
+        a = request.getfixturevalue(name)
+        ev = Evaluator(a)
+        rng = random.Random(7)
+        cases = []
+        for seed in range(150):
+            word = random_cobordism(a.group, seed, 9)
+            rewritten = rewrite_equivalent(word, rng)
+            if rewritten is not None:
+                value = word_functoriality_witness(ev, word)[0]
+                cases.append((word, rewritten, value, ev.running_map(rewritten)))
+        # from here on no word is evaluated from its first layer
+        monkeypatch.setattr(Evaluator, "_rows", lambda *args: pytest.fail("no splice taken"))
+        splices, scales = set(), set()
+        for word, rewritten, value, want in cases:
+            got = ev.running_map(rewritten, value)
+            assert (got.rows, got.cols, got.scale) == (want.rows, want.cols, want.scale)
+            assert got == value, rewritten.to_text()
+            shared = (x is y for x, y in zip(word.layers, rewritten.layers))
+            splice = next(i for i, same in enumerate(shared) if not same)
+            splices.add("first" if splice == 0 else "last" if splice == len(word.layers) - 1 else "")
+            scales.add(want.scale)
+        assert {"first", "last"} <= splices
+        assert (scales == {1}) == (name not in FRACTIONAL), scales
 
 
 def _rows_pass(a, *cases) -> bool:
@@ -593,18 +656,33 @@ class TestSharedPieces:
         assert flat == 18
         assert len(built) == 11
 
-    def test_group_algebra_layers_compile_to_nothing(self):
+    def test_group_algebra_layers_compile_to_nothing(self, monkeypatch, capsys):
+        compiled = []  # the evaluator and direction of each compile
+        real = Evaluator._compile_layer
+
+        def recorded(ev, layer, transposed):
+            compiled.append((ev, transposed))
+            return real(ev, layer, transposed)
+
+        monkeypatch.setattr(Evaluator, "_compile_layer", recorded)
         a = group_algebra(builtin("symmetric", 3))
         ev = Evaluator(a)
         for seed in range(50):
             word = random_cobordism(a.group, seed, 8)
             assert word_functoriality_witness(ev, word) == (ev.running_map(word), None)
-        forward, transposed = ev._layers
-        assert forward and transposed
-        # scale 1 and no steps: every plan is the one shared identity plan
-        plans = [*forward.values(), *transposed.values()]
-        assert all(plan is plans[0] for plan in plans)
-        assert plans[0] == (1,)
+        argv = ["--group", "quaternion8", "--algebra", "builtin:group-algebra", "--budget", "8"]
+        assert main(["fuzz", *argv, "--seed", "3", "--count", "200"]) == 0
+        assert capsys.readouterr().out.startswith("fuzz: 200 words")
+        # each layer is compiled once, forward, for both directions
+        assert compiled and not any(transposed for _, transposed in compiled)
+        caches = {id(ev._layers): ev._layers for ev, _ in compiled}
+        assert len(caches) == 2
+        for forward, transposed in caches.values():
+            assert forward.keys() == transposed.keys()
+            # scale 1 and no steps: every plan is the one shared identity plan
+            plans = [*forward.values(), *transposed.values()]
+            assert all(plan is gtqft.tqft._IDENTITY_PLAN for plan in plans)
+        assert gtqft.tqft._IDENTITY_PLAN == (1,)
 
     def test_forward_and_transposed_plans_are_kept_apart(self, rich_s3):
         ev = Evaluator(_fresh_copy(rich_s3))
