@@ -133,10 +133,8 @@ class BudgetExceeded(EngineError):
 WORK_BUDGET = 10_000_000
 
 
-def check_budget(count: int, what: str, budget: int | None = None) -> None:
-    """Raise BudgetExceeded when `count` of `what` exceed `budget`, by
-    default WORK_BUDGET; called with the estimate, before any work."""
-    if budget is None:
-        budget = WORK_BUDGET
-    if count > budget:
-        raise BudgetExceeded(f"{count} {what} exceed the budget of {budget}")
+def check_budget(count: int, what: str) -> None:
+    """Raise BudgetExceeded when `count` of `what` exceed WORK_BUDGET, read
+    at call time; called with the estimate, before any work."""
+    if count > WORK_BUDGET:
+        raise BudgetExceeded(f"{count} {what} exceed the budget of {WORK_BUDGET}")

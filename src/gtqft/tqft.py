@@ -16,14 +16,16 @@ whole-layer matrix.  A piece's entries are ints over one denominator, the
 lcm of their denominators; a layer's scale is the product of its pieces'
 denominators, and a word's scale the product of its layers' scales, so on
 group and rich algebras every scale is 1 and no scaling work is done.
-Pieces whose matrix is exactly the identity are skipped.  No row of a
+Pieces whose matrix is exactly the identity are skipped.  A word's value
+is one `RunningMap`, which owns both equality and division.  No row of a
 running map holds an exact zero, so two running maps of one signature and
 scale are equal exactly when their rows are; over different scales they
-are compared entry by entry, cross-multiplied.  `_rows_to_matrix` is the
-one place that divides: it builds the Fraction `Matrix` of a running map,
-which is the value of the word, with the word's `dom` and `cod` as its
-signatures.  `cerf` compares the alternative words of a row in row form
-and builds a `Matrix` only to print a witness.  The functoriality probe
+are compared entry by entry, cross-multiplied.  `RunningMap.matrix` is the
+one place that divides: it builds the Fraction `Matrix` of the word's
+value, with the word's `dom` and `cod` as its signatures.  `cerf` applies
+the words of a labelling to one identity map on their common domain,
+compares them as running maps and builds a `Matrix` only to print a
+witness.  The functoriality probe
 multiplies running maps in row form too, and returns the word's value as
 a `RunningMap` with its witness, both from one forward pass, so the fuzz
 loop evaluates each word once and compares its rewrite as running maps.
@@ -95,33 +97,12 @@ def _identity_rows(n: int) -> list[dict]:
     return [{i: 1} for i in range(n)]
 
 
-def _rows_to_matrix(rows: list[dict], cols: int, scale: int) -> Matrix:
-    """The `Matrix` of rows over `scale`: the one place the evaluator divides."""
-    grid = []
-    for row in rows:
-        dense = [ZERO] * cols
-        for j, x in row.items():
-            dense[j] = Fraction(x, scale)
-        grid.append(tuple(dense))
-    return Matrix._wrap(len(rows), cols, tuple(grid))
-
-
-def _same(rows: list[dict], scale: int, other: list[dict], other_scale: int) -> bool:
-    """Whether rows over `scale` equal other over `other_scale`: dict
-    equality at one scale, else each entry cross-multiplied.  Rows hold no
-    zeros, so equal maps have the same columns in every row."""
-    if scale == other_scale:
-        return rows == other
-    return len(rows) == len(other) and all(
-        r.keys() == o.keys() and all(x * other_scale == o[j] * scale for j, x in r.items())
-        for r, o in zip(rows, other)
-    )
-
-
 class RunningMap:
     """A word's value in row form: `rows` over `scale`, one row per index of
     the word's codomain over the `cols` columns of its domain.  Two are
-    equal exactly when their matrices are; `matrix()` divides."""
+    equal exactly when their matrices are: rows hold no zeros, so at one
+    scale they compare as dicts, and over two scales entry by entry,
+    cross-multiplied.  `matrix()` is the one place the evaluator divides."""
 
     __slots__ = ("rows", "cols", "scale")
 
@@ -131,10 +112,25 @@ class RunningMap:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RunningMap):
             return NotImplemented
-        return self.cols == other.cols and _same(self.rows, self.scale, other.rows, other.scale)
+        if self.cols != other.cols:
+            return False
+        if self.scale == other.scale:
+            return self.rows == other.rows
+        scale, other_scale = self.scale, other.scale
+        return len(self.rows) == len(other.rows) and all(
+            r.keys() == o.keys() and all(x * other_scale == o[j] * scale for j, x in r.items())
+            for r, o in zip(self.rows, other.rows)
+        )
 
     def matrix(self) -> Matrix:
-        return _rows_to_matrix(self.rows, self.cols, self.scale)
+        """The value as a Fraction `Matrix`, each entry divided by the scale."""
+        grid = []
+        for row in self.rows:
+            dense = [ZERO] * self.cols
+            for j, x in row.items():
+                dense[j] = Fraction(x, self.scale)
+            grid.append(tuple(dense))
+        return Matrix._wrap(len(self.rows), self.cols, tuple(grid))
 
 
 class ProbedMap(RunningMap):
@@ -322,17 +318,11 @@ class Evaluator:
                     rows = _apply_piece(rows, terms, left, src, right)
         return rows, scale
 
-    def _start(self, word: Cobordism) -> tuple[list[dict], int]:
+    def _start(self, word: Cobordism) -> list[dict]:
+        """The identity rows on the word's domain, from which its layers apply."""
         if word.group != self.algebra.group:
             raise SignatureMismatch("word and algebra use different groups")
-        dim = self.signature_dimension(word.dom)
-        return _identity_rows(dim), dim
-
-    def _rows(self, word: Cobordism) -> tuple[list[dict], int]:
-        """The word's value as a running map and its scale: one row per
-        index of its codomain, over the columns of its domain."""
-        rows, _ = self._start(word)
-        return self._apply_layers(rows, word.layers)
+        return _identity_rows(self.signature_dimension(word.dom))
 
     def running_map(self, word: Cobordism, probed: ProbedMap | None = None) -> RunningMap:
         """The word's value in row form: ``ev(word)`` before the division.
@@ -344,18 +334,17 @@ class Evaluator:
         Layers apply one at a time and deterministically, so the value is
         the same as from the first layer.
         """
+        splice = 0
         if probed is None or (probed.word.group, probed.word.dom) != (word.group, word.dom):
-            rows, scale = self._rows(word)
+            rows, scale = self._start(word), 1
         else:
-            splice = 0
             for mine, theirs in zip(word.layers, probed.word.layers):
                 if mine is not theirs:
                     break
                 splice += 1
             rows, scale = probed.prefixes[splice]
-            rows, s = self._apply_layers(rows, word.layers[splice:])
-            scale *= s
-        return RunningMap(rows, self.signature_dimension(word.dom), scale)
+        rows, s = self._apply_layers(rows, word.layers[splice:])
+        return RunningMap(rows, self.signature_dimension(word.dom), scale * s)
 
     def __call__(self, word: Cobordism) -> Matrix:
         return self.running_map(word).matrix()
@@ -409,14 +398,18 @@ def cerf_check(
         words = cerf_case_words(group, case, labelling)
         if {(w.dom, w.cod) for w in words} != {(words[0].dom, words[0].cod)}:
             raise EngineError(f"move case {case} produced mismatched signatures")
-        values = [ev._rows(w) for w in words]
+        # the guard above makes one identity map the start of every word
+        start = ev._start(words[0])
+        values = []
+        for w in words:
+            rows, scale = ev._apply_layers(start, w.layers)
+            values.append(RunningMap(rows, len(start), scale))
         alternatives = len(values) - 1
         first = values[0]
         for j, value in enumerate(values[1:], start=1):
-            if j not in witnesses and not _same(*value, *first):
-                dim = ev.signature_dimension(words[0].dom)
+            if j not in witnesses and value != first:
                 where = (("labels", ", ".join(map(group.name, labelling))), ("alternative", str(j)))
-                sides = (matrix_literal(_rows_to_matrix(r, dim, s)) for r, s in (value, first))
+                sides = (matrix_literal(side.matrix()) for side in (value, first))
                 witnesses[j] = Witness(where, *sides)
     entries = tuple(
         CheckEntry(f"cerf-{case}-alt{j}", j not in witnesses, witnesses.get(j))
@@ -498,13 +491,13 @@ def closed_invariant(a: GFrobeniusAlgebra, holonomies) -> Fraction:
     return value
 
 
-def hom_count_oracle(group: FiniteGroup, genus: int, budget: int | None = None) -> int:
+def hom_count_oracle(group: FiniteGroup, genus: int) -> int:
     """Count flat labellings of the closed genus-h surface by brute force,
     i.e. 2h-tuples whose commutator product is the identity; more tuples
-    than `budget` (the work budget unless given) raise BudgetExceeded."""
+    than the work budget raise BudgetExceeded."""
     if genus < 0:
         raise ValueError("genus must be non-negative")
-    check_budget(group.order ** (2 * genus), "tuples", budget)
+    check_budget(group.order ** (2 * genus), "tuples")
     count = 0
     for tup in itertools.product(group.elements(), repeat=2 * genus):
         _, defect = _flatness_defect(group, tup)
@@ -549,8 +542,8 @@ def word_functoriality_witness(
     layer of identities left both as they were) has the product just
     multiplied and agreed, and is skipped.
     """
-    rows, dim_dom = ev._start(word)
-    scale = 1
+    rows = ev._start(word)
+    dim_dom, scale = len(rows), 1
     prefixes = [(rows, scale)]  # the rows and scale of the first 0, 1, .., n layers
     for layer in word.layers:
         rows, s = ev._apply_layers(rows, (layer,))
@@ -573,6 +566,7 @@ def word_functoriality_witness(
 
     def render(i, *sides) -> Witness:
         where = (("split-after-layer", str(i)), ("word", word.to_text()))
-        return Witness(where, *(matrix_literal(_rows_to_matrix(r, dim_dom, scale)) for r in sides))
+        maps = (RunningMap(r, dim_dom, scale) for r in sides)
+        return Witness(where, *(matrix_literal(m.matrix()) for m in maps))
 
     return value, first_failure("functoriality", splits(), render).witness

@@ -211,6 +211,18 @@ class TestUntwisted:
         with pytest.raises(DegeneratePairing):
             derive(a)
 
+    @pytest.mark.xfail(
+        raises=IndexError,
+        strict=True,
+        reason="witnesses name basis indices through group.name (ROADMAP item 1)",
+    )
+    def test_a_witness_names_a_basis_index_past_the_group(self):
+        # x * 1 = 2x breaks associativity over the one-element group, and
+        # the witness names basis index 1
+        product = Tensor3.from_entries(2, 2, 2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 2})
+        report = check_axioms(frobenius_untwisted(2, product, (1, 0), (0, 1)))
+        assert not report.passed
+
 
 def mutated_group_algebra(group, rng) -> GFrobeniusAlgebra:
     """Randomly perturb one product entry, action entry or unit coordinate."""

@@ -64,5 +64,5 @@ def test_no_private_name_is_imported(path):
 
 
 def test_a_private_import_is_found():
-    source = "from .tqft import Evaluator, _rows_to_matrix\nfrom .algebra import _once\n"
-    assert private_imports(source) == ["tqft._rows_to_matrix"]
+    source = "from .tqft import Evaluator, _identity_rows\nfrom .algebra import _once\n"
+    assert private_imports(source) == ["tqft._identity_rows"]

@@ -35,7 +35,7 @@ from gtqft.algebra import GFrobeniusAlgebra, load_algebra
 from gtqft.cobordism import CERF_CASES, cerf_case_words
 from gtqft.errors import BudgetExceeded, EngineError, FlatnessViolation
 from gtqft.exactlin import matrix_literal
-from gtqft.tqft import RunningMap, _identity_rows, _rows_to_matrix, word_functoriality_witness
+from gtqft.tqft import RunningMap, _identity_rows, word_functoriality_witness
 from conftest import compose
 from law_oracle import cerf_reference
 from test_golden import _MUTATED, algebra_doc
@@ -259,12 +259,13 @@ class TestLegwiseKernel:
         assert any(not w.dom or not w.cod for w in words)  # cap/cup ends occur
         scales = set()
         for word in words:
-            rows, scale = ev._rows(word)
-            scales.add(scale)
+            running = ev.running_map(word)
+            scales.add(running.scale)
             # int entries and no zeros, so that rows of one signature and
             # scale are equal exactly when their matrices are
+            rows = running.rows
             assert all(type(x) is int and x != 0 for row in rows for x in row.values()), word.to_text()
-            value = _rows_to_matrix(rows, ev.signature_dimension(word.dom), scale)
+            value = running.matrix()
             assert value == kron_reference(ev, word), word.to_text()
             assert all(type(x) is F for row in value.data for x in row)
         # integral algebras never scale; the others do on some words
@@ -342,7 +343,7 @@ class TestRewriteEquality:
                 value = word_functoriality_witness(ev, word)[0]
                 cases.append((word, rewritten, value, ev.running_map(rewritten)))
         # from here on no word is evaluated from its first layer
-        monkeypatch.setattr(Evaluator, "_rows", lambda *args: pytest.fail("no splice taken"))
+        monkeypatch.setattr(Evaluator, "_start", lambda *args: pytest.fail("no splice taken"))
         splices, scales = set(), set()
         for word, rewritten, value, want in cases:
             got = ev.running_map(rewritten, value)
@@ -415,10 +416,9 @@ class TestCerf:
         # compared by cross-multiplying, not found unequal
         ev = Evaluator(rescaled_rich_s3)
         words = cerf_case_words(rescaled_rich_s3.group, case, labels)
-        values = [ev._rows(word) for word in words]
-        assert len({scale for _, scale in values}) > 1
-        dim = ev.signature_dimension(words[0].dom)
-        first, *others = (_rows_to_matrix(rows, dim, scale) for rows, scale in values)
+        values = [ev.running_map(word) for word in words]
+        assert len({value.scale for value in values}) > 1
+        first, *others = (value.matrix() for value in values)
         assert all(m == first for m in others)
         assert cerf_check(rescaled_rich_s3, case, labels=labels).passed
 
@@ -435,6 +435,17 @@ class TestCerf:
         assert not report.passed
         witness = report.failures()[0].witness
         assert witness is not None and witness.context
+
+    def test_mismatched_signatures_are_refused_before_evaluation(self, monkeypatch, s3_algebra):
+        # the words of a labelling share one start map, so they must share a domain
+        group = s3_algebra.group
+        words = [Cobordism(group, [(id_piece(g),)]) for g in (1, 2)]
+        monkeypatch.setattr(gtqft.tqft, "cerf_case_words", lambda *args: words)
+        monkeypatch.setattr(
+            Evaluator, "_apply_layers", lambda *args, **kwargs: pytest.fail("a word was evaluated")
+        )
+        with pytest.raises(EngineError, match="^move case cylinder produced mismatched signatures$"):
+            cerf_check(s3_algebra, "cylinder", labels=(0,))
 
 
 def _report_or_error(check):
@@ -554,10 +565,6 @@ class TestHomCountOracle:
 
     def test_z2_genus_two(self, z2):
         assert hom_count_oracle(z2, 2) == 16
-
-    def test_budget(self, s3):
-        with pytest.raises(BudgetExceeded):
-            hom_count_oracle(s3, 4, budget=1000)
 
     def test_default_budget_is_the_work_budget(self, monkeypatch, s3):
         # read at call time: the setting that bounds `cerf` bounds this too
@@ -694,8 +701,8 @@ class TestSharedPieces:
         assert ev._layers[0][layer] == (1, (piece.terms, 2, 4, 1))
         assert ev._layers[1][layer] == (1, (piece.transposed, 2, 2, 1))
         whole = ev.layer_matrix(layer)
-        assert _rows_to_matrix(forward, 8, 1) == whole
-        assert _rows_to_matrix(transposed, 4, 1) == whole.transpose()
+        assert RunningMap(forward, 8, 1).matrix() == whole
+        assert RunningMap(transposed, 4, 1).matrix() == whole.transpose()
 
     def test_a_compiled_layer_reads_no_piece(self, monkeypatch, rich_s3):
         ev = Evaluator(_fresh_copy(rich_s3))
@@ -716,15 +723,15 @@ class TestSharedPieces:
         ids=["cylinder", "twist", "pants"],
     )
     def test_table_checks_evaluate_each_word_once(self, monkeypatch, case, calls):
-        # the table compares running maps, so it counts the row evaluations
+        # each word's layers are applied in one call, from the labelling's start
         a = group_algebra(builtin("symmetric", 3))
         count = [0]
-        real = Evaluator._rows
+        real = Evaluator._apply_layers
 
-        def counted(ev, word):
+        def counted(ev, rows, layers, transposed=False):
             count[0] += 1
-            return real(ev, word)
+            return real(ev, rows, layers, transposed)
 
-        monkeypatch.setattr(Evaluator, "_rows", counted)
+        monkeypatch.setattr(Evaluator, "_apply_layers", counted)
         assert cerf_check(a, case, all_labels=True).passed
         assert count[0] == calls
