@@ -110,6 +110,7 @@ from .exactlin import (
     Matrix,
     Tensor3,
     Vector,
+    add_scaled,
     as_vector,
     basis_vector,
     format_scalar,
@@ -236,14 +237,11 @@ class GFrobeniusAlgebra:
 
 def _plane_sum(t: Tensor3, weights) -> Vector:
     """The sum of ``weights[i][j]`` times row (i, j) of the product tensor
-    `t`, in the order (i, j, p); a zero or missing weight adds nothing."""
+    `t`, one `add_scaled` per plane i; a zero or missing weight adds
+    nothing."""
     out = [ZERO] * t.dim2
     for plane, plane_weights in zip(t.data, weights):
-        for row, w in zip(plane, plane_weights):
-            if w:
-                for p, v in enumerate(row):
-                    if v:
-                        out[p] += w * v
+        add_scaled(out, plane_weights, plane)
     return tuple(out)
 
 

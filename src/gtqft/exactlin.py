@@ -4,10 +4,14 @@ Scalars at every interface are `fractions.Fraction`; every operation here
 is exact and no tolerance parameter exists anywhere in the package.
 Dimensions in this problem domain are tiny (graded components of dimension
 0..6), so storage is dense and the algorithms are the straightforward cubic
-ones.  `Matrix.inverse` is the right half of `rref` of ``[M | I]`` (M is
-singular when a pivot falls in the right half), and `nonzero_entries` is
-the one walk over a block's nonzero entries, for int images and saved
-algebra documents alike.
+ones.  `add_scaled` is the one loop that scales and sums `Fraction` rows:
+`Matrix.__matmul__`, `Matrix.apply`, `rref`'s elimination,
+`algebra._plane_sum` and `orbifold._span_coordinates` all call it.
+`Matrix.det` keeps its own elimination, because it is the independent
+oracle that `inverse` is tested against.  `Matrix.inverse` is the right
+half of `rref` of ``[M | I]`` (M is singular when a pivot falls in the
+right half), and `nonzero_entries` is the one walk over a block's nonzero
+entries, for int images and saved algebra documents alike.
 
 Hot loops that only multiply, add and compare table entries run on an
 *int image* instead (`int_image`): every block of a table is scaled by the
@@ -135,24 +139,9 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        odata = other.data
-        out = []
-        for arow in self.data:
-            row = [ZERO] * other.cols
-            for k, aik in enumerate(arow):
-                if aik:
-                    brow = odata[k]
-                    for j, bkj in enumerate(brow):
-                        if bkj:
-                            row[j] += aik * bkj
-            out.append(tuple(row))
-        return Matrix._wrap(self.rows, other.cols, tuple(out))
-
-    def scale(self, c) -> "Matrix":
-        c = Fraction(c)
-        return Matrix._wrap(
-            self.rows, self.cols, tuple(tuple(c * x for x in row) for row in self.data)
-        )
+        odata, cols = other.data, other.cols
+        grid = tuple(tuple(add_scaled([ZERO] * cols, arow, odata)) for arow in self.data)
+        return Matrix._wrap(self.rows, cols, grid)
 
     def transpose(self) -> "Matrix":
         columns = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
@@ -177,13 +166,7 @@ class Matrix:
     def apply(self, vec: Vector) -> Vector:
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length does not match column count")
-        return tuple(
-            sum((row[j] * vec[j] for j in range(self.cols) if vec[j]), ZERO)
-            for row in self.data
-        )
-
-    def column_vector(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.data)
+        return tuple(add_scaled([ZERO] * self.rows, vec, zip(*self.data)))
 
     def det(self) -> Fraction:
         if self.rows != self.cols:
@@ -217,6 +200,18 @@ class Matrix:
         return Matrix._wrap(n, n, tuple(row[n:] for row in reduced.data))
 
 
+def add_scaled(out: list, weights: Iterable, rows: Iterable) -> list:
+    """Add ``c * row`` into `out` for each pair (c, row) of `weights` and
+    `rows` taken in step, skipping zero weights and zero entries; returns
+    `out`.  The one loop that scales and sums `Fraction` rows."""
+    for c, row in zip(weights, rows):
+        if c:
+            for p, v in enumerate(row):
+                if v:
+                    out[p] += c * v
+    return out
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot columns (least-index pivots)."""
     work = [list(row) for row in m.data]
@@ -235,8 +230,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         prow = work[r]
         for i in range(m.rows):
             if i != r and work[i][col]:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], prow)]
+                add_scaled(work[i], (-work[i][col],), (prow,))
         pivots.append(col)
         r += 1
     return Matrix._wrap(m.rows, m.cols, tuple(tuple(row) for row in work)), tuple(pivots)

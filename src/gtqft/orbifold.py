@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .algebra import GFrobeniusAlgebra, frobenius_untwisted, inverted_pairings, table_image
 from .errors import NotClosed
-from .exactlin import ZERO, Matrix, Tensor3, Vector, int_image, rref, vector_literal
+from .exactlin import ZERO, Matrix, Tensor3, Vector, add_scaled, int_image, rref, vector_literal
 from .groups import conjugacy
 from .report import CheckReport, Witness, descaled, failing, first_failure, passing, renderer
 
@@ -79,16 +79,11 @@ def _image_basis(m: Matrix) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
 def _span_coordinates(
     basis: Sequence[Vector], pivots: Sequence[int], vec: Vector
 ) -> tuple[Vector, Vector]:
-    """Coordinates of `vec` in an echelonized basis, and the vector they
-    span; the two vectors agree exactly when `vec` lies in the span."""
+    """Coordinates of `vec` in an echelonized basis (its entries at the
+    pivots), and the vector they span, summed by `add_scaled`; the two
+    vectors agree exactly when `vec` lies in the span."""
     coords = tuple(vec[p] for p in pivots)
-    spanned = [ZERO] * len(vec)
-    for c, b in zip(coords, basis):
-        if c:
-            for idx, value in enumerate(b):
-                if value:
-                    spanned[idx] += c * value
-    return coords, tuple(spanned)
+    return coords, tuple(add_scaled([ZERO] * len(vec), coords, basis))
 
 
 def _coordinates(

@@ -107,10 +107,10 @@ def handle_element(a, dual, x, y):
     group = a.group
     moved_grade, xi = group.conj(y, x), group.inv(x)
     grade = group.mul(moved_grade, xi)
-    act = a.action[(y, x)]
+    act_columns, dual_columns = a.action[(y, x)].transpose().data, dual.transpose().data
     out = zero_vector(a.dims[grade])
     for i in range(a.dims[x]):
-        product = a.apply_product(moved_grade, xi, act.column_vector(i), dual.column_vector(i))
+        product = a.apply_product(moved_grade, xi, act_columns[i], dual_columns[i])
         out = vector_add(out, product)
     return grade, out
 
@@ -290,7 +290,7 @@ def check_axioms(a) -> CheckReport:
                 _, lhs = handle_element(a, duals[g], g, h)
                 rhs = zero_vector(dims[mul(h, ghi)])
                 for i in range(dims[h]):
-                    moved = a.action[(g, hi)].apply(duals[h].column_vector(i))
+                    moved = a.action[(g, hi)].apply(duals[h].transpose().data[i])
                     bi = basis_vector(dims[h], i)
                     rhs = vector_add(rhs, a.apply_product(h, ghi, bi, moved))
                 yield (g, h), lhs, rhs

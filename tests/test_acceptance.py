@@ -85,14 +85,14 @@ def test_criterion_2_coproduct_consistency():
                     # first reading: multiply by the dual basis of h on the right
                     first = [
                         a.apply_product(
-                            gh, group.inv(h), bc, duals[h].column_vector(j)
+                            gh, group.inv(h), bc, duals[h].transpose().data[j]
                         )
                         for j in range(a.dims[h])
                     ]
                     # second reading: multiply by the dual basis of g on the left
                     second = [
                         a.apply_product(
-                            group.inv(g), gh, duals[g].column_vector(i), bc
+                            group.inv(g), gh, duals[g].transpose().data[i], bc
                         )
                         for i in range(a.dims[g])
                     ]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtqft.errors import DimensionMismatch, SingularMatrix
-from gtqft.exactlin import ONE, ZERO, Matrix, rref, scalar_from_string
+from gtqft.exactlin import ONE, ZERO, Matrix, add_scaled, rref, scalar_from_string
 
 F = Fraction
 
@@ -57,6 +57,72 @@ def gauss_jordan_inverse(m: Matrix) -> Matrix:
                 f = work[r][col]
                 work[r] = [x - f * y for x, y in zip(work[r], prow)]
     return Matrix(n, n, [row[n:] for row in work])
+
+
+def dense_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Reference row reduction: the dense elimination `rref` ran before it
+    called `add_scaled`, subtracting f times the whole pivot row."""
+    work = [list(row) for row in m.data]
+    pivots = []
+    r = 0
+    for col in range(m.cols):
+        if r == m.rows:
+            break
+        pivot = next((i for i in range(r, m.rows) if work[i][col]), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        p = work[r][col]
+        if p != ONE:
+            work[r] = [x / p for x in work[r]]
+        prow = work[r]
+        for i in range(m.rows):
+            if i != r and work[i][col]:
+                f = work[i][col]
+                work[i] = [x - f * y for x, y in zip(work[i], prow)]
+        pivots.append(col)
+        r += 1
+    return Matrix(m.rows, m.cols, work), tuple(pivots)
+
+
+# About half of the entries are zero, so the kernel's zero skips are taken.
+sparse_fractions = st.tuples(st.booleans(), small_fractions).map(
+    lambda pair: pair[1] if pair[0] else F(0)
+)
+
+
+def sparse_grids(rows, cols):
+    return st.lists(
+        st.lists(sparse_fractions, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    )
+
+
+@st.composite
+def product_inputs(draw):
+    """Sparse A (n x k) and B (k x m) and a vector of length k, sizes 0..4."""
+    n, k, m = (draw(st.integers(0, 4)) for _ in range(3))
+    vec = tuple(draw(st.lists(sparse_fractions, min_size=k, max_size=k)))
+    return Matrix(n, k, draw(sparse_grids(n, k))), Matrix(k, m, draw(sparse_grids(k, m))), vec
+
+
+@st.composite
+def rref_inputs(draw):
+    """A sparse rectangular matrix of size 0..5 x 0..5, made rank-deficient
+    on purpose by a row that combines two others or by a zero column."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    data = draw(sparse_grids(rows, cols))
+    kinds = ["random"] + (["zero-column"] if rows and cols else [])
+    kinds += ["combined-row"] if rows > 2 else []
+    kind = draw(st.sampled_from(kinds))
+    if kind == "zero-column":
+        col = draw(st.integers(0, cols - 1))
+        for row in data:
+            row[col] = F(0)
+    elif kind == "combined-row":
+        a, b, dst = draw(st.permutations(range(rows)))[:3]
+        c, d = draw(small_fractions), draw(small_fractions)
+        data[dst] = [c * x + d * y for x, y in zip(data[a], data[b])]
+    return Matrix(rows, cols, data)
 
 
 @st.composite
@@ -157,6 +223,38 @@ class TestInverse:
             assert inv @ m == Matrix.identity(3)
 
 
+class TestProducts:
+    def test_add_scaled_accumulates_in_place(self):
+        out = [F(1), ZERO, ZERO]
+        rows = [(F(1), ZERO, F(2)), (F(5), F(5), F(5)), (ZERO, F(3), F(-1))]
+        assert add_scaled(out, (F(1, 2), ZERO, F(2)), rows) is out
+        assert out == [F(3, 2), F(6), F(-1)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(product_inputs())
+    def test_matmul_agrees_with_the_triple_sum(self, case):
+        a, b, _ = case
+        ad, bd = a.data, b.data
+        expected = [
+            [sum((ad[i][l] * bd[l][j] for l in range(a.cols)), ZERO) for j in range(b.cols)]
+            for i in range(a.rows)
+        ]
+        assert a @ b == Matrix(a.rows, b.cols, expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(product_inputs())
+    def test_apply_agrees_with_row_dot_products(self, case):
+        a, _, vec = case
+        expected = tuple(sum((x * v for x, v in zip(row, vec)), ZERO) for row in a.data)
+        assert a.apply(vec) == expected
+
+    def test_shapes_are_checked(self):
+        with pytest.raises(DimensionMismatch):
+            Matrix.zeros(2, 3) @ Matrix.zeros(2, 3)
+        with pytest.raises(DimensionMismatch):
+            Matrix.zeros(2, 3).apply((ONE, ONE))
+
+
 class TestKron:
     def test_identity_blocks(self):
         assert Matrix.identity(2).kron(Matrix.identity(3)) == Matrix.identity(6)
@@ -164,8 +262,9 @@ class TestKron:
     def test_scalar_factor(self):
         a = Matrix.from_rows([[1, 2], [3, 4]])
         s = Matrix.from_rows([[F(1, 2)]])
-        assert a.kron(s) == a.scale(F(1, 2))
-        assert s.kron(a) == a.scale(F(1, 2))
+        halved = Matrix.from_rows([[F(1, 2), 1], [F(3, 2), 2]])
+        assert a.kron(s) == halved
+        assert s.kron(a) == halved
 
     def test_applies_factorwise(self):
         a = Matrix.from_rows([[1, 2], [0, 1]])
@@ -195,3 +294,9 @@ class TestRref:
         m = Matrix.identity(3)
         reduced, pivots = rref(m)
         assert reduced == m and pivots == (0, 1, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rref_inputs())
+    def test_agrees_with_dense_elimination(self, m):
+        reduced, pivots = rref(m)
+        assert (reduced, pivots) == dense_rref(m)

@@ -175,7 +175,8 @@ class TestFunctoriality:
             word = random_cobordism(a.group, seed, 8)
             value = kron_reference(ev, word)
             if value != Matrix.zeros(value.rows, value.cols):
-                cases.append((word, matrix_literal(value), matrix_literal(value.scale(2))))
+                doubled = Matrix.from_rows([[2 * x for x in row] for row in value.data])
+                cases.append((word, matrix_literal(value), matrix_literal(doubled)))
         assert len(cases) >= 20
         for word, left, right in cases:
             for index, layer in enumerate(word.layers):
