@@ -35,7 +35,7 @@ from .algebra import (
 )
 from .cobordism import CERF_CASES, Cobordism, Piece, parse, random_cobordism, rewrite_equivalent
 from .cobordism import tensor as tensor_words
-from .errors import EngineError, SchemaError
+from .errors import EngineError, SchemaError, SignatureMismatch
 from .exactlin import Matrix, format_matrix, format_scalar
 from .groups import FiniteGroup, builtin_from_string, load_group
 from .orbifold import orbifold_algebra
@@ -293,7 +293,7 @@ def _well_typed(group: FiniteGroup, layer_lists):
     for layers in layer_lists:
         try:
             yield Cobordism(group, layers)
-        except EngineError:
+        except SignatureMismatch:
             pass
 
 

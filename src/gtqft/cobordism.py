@@ -28,6 +28,16 @@ parentheses.
 
 Pieces are interned, and each group's signature table holds the (dom, cod)
 of every piece seen over it: a word's type check reads one entry per piece.
+The check runs on the routes for words from outside: `parse`, the public
+`Cobordism(...)` and so the shrink candidates of the fuzz minimizer, each
+of which raises SignatureMismatch on a mistyped word.  The package's own
+builders make words that are well typed by construction and pass their
+(dom, cod) to `Cobordism._typed`, which does not check: `cerf_case_words`
+(below), `random_cobordism`, which tracks the signature as it draws,
+`rewrite_equivalent`, whose gadgets have the boundary of the piece they
+replace, `tensor`, which sets two typed words side by side, and
+`tqft.closed_surface_word`, built only for flat labellings, whose legs
+close back to the identity.
 
 The surface identities are one table of words in this grammar whose
 elements are label products: `ab` is the product of labels a and b, read
@@ -41,6 +51,15 @@ string with its case swapped).  `cerf_case_words` builds a row's words,
 `cerf --case` (`tqft.cerf_check`) compares the words of every row, and
 `rewrite_equivalent` replaces a piece by a word of the cylinder, twist or
 pants row.
+
+Each row is proved typed once, at import, over the free group on a, b, c,
+d: every layer boundary of every word, reduced there, chains, and all the
+row's words share one (dom, cod); otherwise the import raises
+SignatureMismatch.  A boundary equal over the free group is equal under
+every labelling in every group, since a labelling is a homomorphism from
+it, so no word of the table can fail the per-labelling check, which is
+skipped.  The row's (dom, cod) is read from value slots once per
+labelling and shared by all its words.
 """
 
 from __future__ import annotations
@@ -177,7 +196,15 @@ def _format_signature(group: FiniteGroup, sig: Signature) -> str:
 
 
 class Cobordism:
-    """A type-checked word of layers.  Immutable after construction."""
+    """A well-typed word of layers.  Immutable after construction.
+
+    `Cobordism(group, layers)` checks the type: each piece's labels lie in
+    the group, each layer's domain is the codomain of the one before, and
+    the first layer's domain is the declared `domain`, if any; a mistyped
+    word raises SignatureMismatch.  The package's own builders know the
+    type from how they build a word and pass it to `Cobordism._typed`,
+    which does not check.
+    """
 
     __slots__ = ("group", "layers", "dom", "cod")
 
@@ -219,6 +246,15 @@ class Cobordism:
         self.dom = dom
         self.cod = cod
 
+    @classmethod
+    def _typed(cls, group: FiniteGroup, layers, dom: Signature, cod: Signature) -> Cobordism:
+        """The word of `layers`, a tuple of tuples, from `dom` to `cod`,
+        without the type check: for builders whose words are well typed by
+        construction, at those signatures."""
+        word = object.__new__(cls)
+        word.group, word.layers, word.dom, word.cod = group, layers, dom, cod
+        return word
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cobordism):
             return NotImplemented
@@ -249,8 +285,8 @@ def tensor(c1: Cobordism, c2: Cobordism) -> Cobordism:
             layers.append(pad)
         return layers
 
-    layers = [a + b for a, b in zip(padded(c1), padded(c2))]
-    return Cobordism(group, layers, domain=c1.dom + c2.dom)
+    layers = tuple([a + b for a, b in zip(padded(c1), padded(c2))])
+    return Cobordism._typed(group, layers, c1.dom + c2.dom, c1.cod + c2.cod)
 
 
 _FLIPPED_KIND = {
@@ -430,14 +466,85 @@ def _picker(indices: list[int]):
     return itemgetter(slice(indices[0], indices[0] + 1) if indices else slice(0))
 
 
-def _compile(parsed: list[list[tuple[Piece, ...]]]):
+def _inverse(x: str) -> str:
+    """The inverse of a label product: the reversed string, case swapped."""
+    return x[::-1].swapcase()
+
+
+def _reduce(x: str) -> str:
+    """A label product reduced over the free group on a, b, c, d: each e
+    dropped and each letter next to its inverse cancelled; "" is e."""
+    out: list[str] = []
+    for c in x:
+        if c == "e":
+            continue
+        if out and out[-1] == c.swapcase():
+            out.pop()
+        else:
+            out.append(c)
+    return "".join(out)
+
+
+class _FreeGroup:
+    """The free group on the label letters, on reduced label products: the
+    part of `FiniteGroup` that `_BOUNDARY` reads."""
+
+    identity = ""
+
+    @staticmethod
+    def mul(g: str, h: str) -> str:
+        return _reduce(g + h)
+
+    @staticmethod
+    def conj(k: str, g: str) -> str:
+        return _reduce(k + g + _inverse(k))
+
+
+def _row_signature(case: str, parsed: list[list[tuple[Piece, ...]]]):
+    """The one (dom, cod) of a table row's words over the free group, as
+    tuples of reduced label products.
+
+    Every layer of every word must chain there, and all words must share
+    one (dom, cod); otherwise SignatureMismatch.  A boundary equal over the
+    free group is equal under every labelling in every group, so each word
+    is then well typed at every labelling, at this (dom, cod) evaluated.
+    """
+    signatures = set()
+    for index, word in enumerate(parsed):
+        bounds = []
+        for layer in word:
+            layer_dom = layer_cod = ()
+            for piece in layer:
+                entry = _BOUNDARY[piece.kind](_FreeGroup, tuple(map(_reduce, piece.labels)))
+                layer_dom += entry[0]
+                layer_cod += entry[1]
+            bounds.append((layer_dom, layer_cod))
+        for n in range(1, len(bounds)):
+            if bounds[n][0] != bounds[n - 1][1]:
+                raise SignatureMismatch(
+                    f"move case {case} word {index}: layer {n + 1} expects {bounds[n][0]} "
+                    f"but receives {bounds[n - 1][1]} over the free group"
+                )
+        signatures.add((bounds[0][0], bounds[-1][1]))
+    if len(signatures) != 1:
+        raise SignatureMismatch(
+            f"move case {case} has words of different signatures: {sorted(signatures)}"
+        )
+    return signatures.pop()
+
+
+def _compile(case: str, parsed: list[list[tuple[Piece, ...]]]):
     """One case's parsed words, read once into slots that a labelling fills.
 
     Value slots hold e, the labels, their inverses, then the label
     products: step (i, j) fills the next slot with slot i times slot j.
     A piece is its kind and a picker of value slots, a layer a picker of
-    pieces and a word a picker of layers; the last item is the label count.
+    pieces and a word a picker of layers.  The row's dom and cod, proved
+    over the free group by `_row_signature`, are pickers of value slots
+    too, so every word of a labelling shares them; the last item is the
+    label count.
     """
+    dom, cod = (tuple(x or "e" for x in sig) for sig in _row_signature(case, parsed))
     layers = {x: i for i, x in enumerate(dict.fromkeys(x for word in parsed for x in word))}
     pieces = {p: i for i, p in enumerate(dict.fromkeys(p for layer in layers for p in layer))}
     products = {x for p in pieces for x in p.labels}
@@ -445,7 +552,8 @@ def _compile(parsed: list[list[tuple[Piece, ...]]]):
     assert _LABEL_LETTERS.startswith(letters)
     slot = {x: i for i, x in enumerate("e" + letters + letters.upper())}
     steps = []
-    for x in sorted({x[:n] for x in products for n in range(2, len(x) + 1)}, key=len):
+    prefixes = {x[:n] for x in products | {*dom, *cod} for n in range(2, len(x) + 1)}
+    for x in sorted(prefixes, key=len):
         steps.append((slot[x[:-1]], slot[x[-1]]))
         slot[x] = len(slot)
     return (
@@ -453,23 +561,23 @@ def _compile(parsed: list[list[tuple[Piece, ...]]]):
         tuple((p.kind, _picker([slot[x] for x in p.labels])) for p in pieces),
         tuple(_picker([pieces[p] for p in layer]) for layer in layers),
         tuple(_picker([layers[layer] for layer in word]) for word in parsed),
+        _picker([slot[x] for x in dom]),
+        _picker([slot[x] for x in cod]),
         len(letters),
     )
 
 
 _PARSED = {case: [_Parser(w, str).word() for w in words] for case, words in _CASE_WORDS.items()}
-# 103: each 301 word reversed; a product's inverse is its reversed string, case swapped
-_PARSED["103"] = [
-    _flip(w, lambda k, g: k + g + k[::-1].swapcase(), lambda k: k[::-1].swapcase())
-    for w in _PARSED["301"]
-]
-_COMPILED = {case: _compile(words) for case, words in _PARSED.items()}
+# 103: each 301 word reversed
+_PARSED["103"] = [_flip(w, lambda k, g: k + g + _inverse(k), _inverse) for w in _PARSED["301"]]
+# every row is proved typed over the free group here, before any word is built
+_COMPILED = {case: _compile(case, words) for case, words in _PARSED.items()}
 
 
 def case_label_count(case: str) -> int:
     if case not in CERF_CASES:
         raise SignatureMismatch(f"unknown move case {case!r}; expected one of {CERF_CASES}")
-    return _COMPILED[case][4]
+    return _COMPILED[case][-1]
 
 
 def _slot_values(group: FiniteGroup, steps, labels: tuple[int, ...]) -> tuple[int, ...]:
@@ -485,7 +593,7 @@ def _slot_values(group: FiniteGroup, steps, labels: tuple[int, ...]) -> tuple[in
 def _case_word(group: FiniteGroup, case: str, labels: tuple[int, ...], index: int):
     """The layers of word `index` of table row `case` at `labels`, unchecked;
     only that word's pieces are built."""
-    steps, piece_rows, layer_rows, word_rows, _ = _COMPILED[case]
+    steps, piece_rows, layer_rows, word_rows = _COMPILED[case][:4]
     value = _slot_values(group, steps, labels)
     return tuple([
         tuple([Piece(kind, labels_of(value)) for kind, labels_of in pieces_of(piece_rows)])
@@ -507,11 +615,12 @@ def cerf_case_words(group: FiniteGroup, case: str, labels: Sequence[int]) -> lis
     labels = tuple(labels)
     if len(labels) != want:
         raise SignatureMismatch(f"case {case} takes {want} labels, got {len(labels)}")
-    steps, piece_rows, layer_rows, word_rows, _ = _COMPILED[case]
+    steps, piece_rows, layer_rows, word_rows, dom_of, cod_of, _ = _COMPILED[case]
     value = _slot_values(group, steps, labels)
     pieces = tuple([Piece(kind, labels_of(value)) for kind, labels_of in piece_rows])
     layers = tuple([pieces_of(pieces) for pieces_of in layer_rows])
-    return [Cobordism(group, layers_of(layers)) for layers_of in word_rows]
+    dom, cod = dom_of(value), cod_of(value)
+    return [Cobordism._typed(group, layers_of(layers), dom, cod) for layers_of in word_rows]
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +641,7 @@ def _splice(word: Cobordism, layer_index: int, piece_index: int, gadget) -> Cobo
         right_ids = tuple(id_piece(g) for p in right for g in _signature(group, p)[1])
         new_layers += [left_ids + gadget_layer + right_ids for gadget_layer in gadget[1:]]
     layers = word.layers[:layer_index] + tuple(new_layers) + word.layers[layer_index + 1 :]
-    return Cobordism(group, layers, domain=word.dom)
+    return Cobordism._typed(group, layers, word.dom, word.cod)
 
 
 def rewrite_equivalent(word: Cobordism, rng: random.Random) -> Cobordism | None:
@@ -590,9 +699,10 @@ def random_cobordism(group: FiniteGroup, seed: int, size_budget: int) -> Cobordi
     if budget >= 2 and rng.random() < 0.2:
         layers.append((cap(),))
         budget -= 1
-        sig: tuple[int, ...] = (e,)
+        dom: Signature = ()
+        sig: Signature = (e,)
     else:
-        sig = (rng.randrange(n),)
+        dom = sig = (rng.randrange(n),)
 
     while budget >= len(sig) and sig:
         pieces: list[Piece] = []
@@ -639,4 +749,5 @@ def random_cobordism(group: FiniteGroup, seed: int, size_budget: int) -> Cobordi
         if rng.random() < 0.25:
             break
 
-    return Cobordism(group, layers)
+    # each layer consumes every leg of `sig` and leaves the legs of `out`
+    return Cobordism._typed(group, tuple(layers), dom, sig)

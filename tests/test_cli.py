@@ -28,7 +28,7 @@ from gtqft.cli import (
     minimize_word,
     run,
 )
-from gtqft.cobordism import CERF_CASES, PieceKind, parse as parse_word
+from gtqft.cobordism import CERF_CASES, Cobordism, PieceKind, cyl, parse as parse_word
 from gtqft.errors import SchemaError
 from gtqft.exactlin import Matrix, Tensor3
 from gtqft.report import Witness, failing, passing
@@ -793,6 +793,26 @@ class TestMinimize:
 
         shrunk = minimize_word(word, has_cyl)
         assert shrunk.layers[0][0].labels == (s3.identity, s3.identity)
+
+    def test_a_mistyped_candidate_is_skipped(self, s3):
+        # three conjugating cylinders; dropping the middle one leaves a gap
+        g, k = s3.index("p021"), s3.index("p120")
+        h = s3.conj(k, g)
+        h2 = s3.conj(k, h)
+        assert h2 != h
+        word = Cobordism(s3, ((cyl(g, k),), (cyl(h, k),), (cyl(h2, k),)))
+        candidates = list(gtqft.cli._well_typed(s3, gtqft.cli._layer_drops(word)))
+        assert [c.layers for c in candidates] == [word.layers[1:], word.layers[:2]]
+
+    def test_an_engine_fault_while_building_a_candidate_propagates(self, monkeypatch, s3):
+        # only a mistyped candidate is skipped; any other error is a fault to report
+        def faulty(group, layers):
+            raise gtqft.errors.EngineError("fault")
+
+        word = parse_word("cyl(p120;p021) ; id(p201)", s3)
+        monkeypatch.setattr(gtqft.cli, "Cobordism", faulty)
+        with pytest.raises(gtqft.errors.EngineError, match="^fault$"):
+            minimize_word(word, lambda w: True)
 
 
 class TestMainEntry:

@@ -14,6 +14,7 @@ from gtqft import (
     cap,
     rewrite_equivalent,
     cerf_case_words,
+    closed_surface_word,
     cup,
     cyl,
     id_piece,
@@ -24,8 +25,15 @@ from gtqft import (
     swap,
     tensor,
 )
-from gtqft.cobordism import CERF_CASES, PieceKind, _splice, case_label_count
-from gtqft.errors import ParseError, SignatureMismatch
+from gtqft.cobordism import (
+    CERF_CASES,
+    PieceKind,
+    _PARSED,
+    _row_signature,
+    _splice,
+    case_label_count,
+)
+from gtqft.errors import FlatnessViolation, ParseError, SignatureMismatch
 from conftest import compose, dual
 
 _KEYWORDS = '"id", "cyl", "merge", "split", "cap", "cup" or "swap"'
@@ -246,7 +254,8 @@ class TestInternedPieces:
 
     def test_signature_table_is_freed_with_its_group(self):
         group = builtin("dihedral", 3)
-        words = cerf_case_words(group, "202", (1, 2, 3, 4))
+        # the checked constructor fills the table; the table's own words skip it
+        words = [Cobordism(group, w.layers) for w in cerf_case_words(group, "202", (1, 2, 3, 4))]
         table = group.signatures
         assert len(table) > 0
         del words
@@ -505,3 +514,67 @@ class TestRewriteEquivalent:
 def test_swap_signature(z4):
     w = Cobordism(z4, ((swap(1, 2),),))
     assert w.dom == (1, 2) and w.cod == (2, 1)
+
+
+_GROUPS = {
+    "s3": ("symmetric", 3), "d4": ("dihedral", 4), "q8": ("quaternion8",), "c5": ("cyclic", 5),
+}
+
+
+@pytest.mark.parametrize("name", _GROUPS)
+class TestTypedByConstruction:
+    """The builders that know a word's type skip the check; each of their
+    words must equal the checked word of its layers and domain, in layers,
+    dom and cod (a word of no layers is typed by its domain alone)."""
+
+    @staticmethod
+    def assert_checked(word):
+        checked = Cobordism(word.group, word.layers, domain=word.dom)
+        assert (checked.layers, checked.dom, checked.cod) == (word.layers, word.dom, word.cod)
+
+    def test_cerf_words_on_every_seventh_labelling(self, name):
+        group = builtin(*_GROUPS[name])
+        for case in CERF_CASES:
+            labellings = itertools.product(range(group.order), repeat=case_label_count(case))
+            for labels in itertools.islice(labellings, 0, None, 7):
+                for word in cerf_case_words(group, case, labels):
+                    self.assert_checked(word)
+
+    def test_random_words_and_their_rewrites(self, name):
+        group = builtin(*_GROUPS[name])
+        rng = random.Random(5)
+        for seed in range(2000):
+            word = random_cobordism(group, seed, 1 + seed % 12)
+            self.assert_checked(word)
+            rewritten = rewrite_equivalent(word, rng)
+            if rewritten is not None:
+                self.assert_checked(rewritten)
+
+    def test_tensor_pairs(self, name):
+        group = builtin(*_GROUPS[name])
+        words = [random_cobordism(group, seed, 1 + seed % 6) for seed in range(20)]
+        words += [Cobordism(group, ()), Cobordism(group, (), domain=(1,))]
+        for c1, c2 in itertools.product(words, repeat=2):
+            self.assert_checked(tensor(c1, c2))
+
+    def test_closed_surface_words_of_genus_one_and_two(self, name):
+        group = builtin(*_GROUPS[name])
+        built = 0
+        for genus in (1, 2):
+            for labels in itertools.product(range(group.order), repeat=2 * genus):
+                try:
+                    word = closed_surface_word(group, labels)
+                except FlatnessViolation:
+                    continue
+                self.assert_checked(word)
+                built += 1
+        assert built > group.order
+
+
+def test_gadget_rows_have_the_boundaries_of_their_pieces():
+    # over the free group, so `_splice` keeps the word's dom and cod in every group:
+    # cylinder words replace id(a), twist words cyl(a;b), and the pants word
+    # followed by cyl(ba;B) replaces merge(a,b)
+    assert _row_signature("cylinder", _PARSED["cylinder"]) == (("a",), ("a",))
+    assert _row_signature("twist", _PARSED["twist"]) == (("a",), ("baB",))
+    assert _row_signature("pants", _PARSED["pants"]) == (("a", "b"), ("ba",))

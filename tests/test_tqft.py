@@ -28,12 +28,13 @@ from gtqft import (
     tensor,
 )
 import gtqft.algebra
+import gtqft.cobordism
 import gtqft.errors
 from gtqft.cli import main
 import gtqft.tqft
 from gtqft.algebra import GFrobeniusAlgebra, load_algebra
 from gtqft.cobordism import CERF_CASES, cerf_case_words
-from gtqft.errors import BudgetExceeded, EngineError, FlatnessViolation
+from gtqft.errors import BudgetExceeded, EngineError, FlatnessViolation, SignatureMismatch
 from gtqft.exactlin import matrix_literal
 from gtqft.tqft import RunningMap, _identity_rows, word_functoriality_witness
 from conftest import compose
@@ -437,16 +438,22 @@ class TestCerf:
         witness = report.failures()[0].witness
         assert witness is not None and witness.context
 
-    def test_mismatched_signatures_are_refused_before_evaluation(self, monkeypatch, s3_algebra):
-        # the words of a labelling share one start map, so they must share a domain
-        group = s3_algebra.group
-        words = [Cobordism(group, [(id_piece(g),)]) for g in (1, 2)]
-        monkeypatch.setattr(gtqft.tqft, "cerf_case_words", lambda *args: words)
-        monkeypatch.setattr(
-            Evaluator, "_apply_layers", lambda *args, **kwargs: pytest.fail("a word was evaluated")
-        )
-        with pytest.raises(EngineError, match="^move case cylinder produced mismatched signatures$"):
-            cerf_check(s3_algebra, "cylinder", labels=(0,))
+    def test_mismatched_signatures_are_refused_before_evaluation(self):
+        # the words of a labelling share one start map, so a table row must
+        # give all its words one (dom, cod); the proof over the free group
+        # runs when the row is compiled, before any word is built
+        def compile_row(*words):
+            parsed = [gtqft.cobordism._Parser(w, str).word() for w in words]
+            return gtqft.cobordism._compile("bad", parsed)
+
+        # cyl(a;b) leaves baB, which the id(ab) after it does not take
+        mistyped = r"^move case bad word 1: layer 2 expects \('ab',\) but receives \('baB',\)"
+        with pytest.raises(SignatureMismatch, match=mistyped):
+            compile_row("cyl(a;b)", "cyl(a;b) ; id(ab)")
+        # ab and ba: equal in every abelian group, but not in every group
+        with pytest.raises(SignatureMismatch, match="^move case bad has words of different sign"):
+            compile_row("merge(a,b)", "merge(a,b) ; cyl(ab;b)")
+        assert compile_row("merge(a,b) ; cyl(ab;b)", "swap(a,b) ; merge(b,a)")
 
 
 def _report_or_error(check):
