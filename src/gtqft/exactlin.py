@@ -4,9 +4,12 @@ Scalars at every interface are `fractions.Fraction`; every operation here
 is exact and no tolerance parameter exists anywhere in the package.
 Dimensions in this problem domain are tiny (graded components of dimension
 0..6), so storage is dense and the algorithms are the straightforward cubic
-ones.  `add_scaled` is the one loop that scales and sums `Fraction` rows:
-`Matrix.__matmul__`, `Matrix.apply`, `rref`'s elimination,
-`algebra._plane_sum` and `orbifold._span_coordinates` all call it.
+ones.  `add_scaled` is the one loop that scales and sums rows, of
+`Fraction`s or of ints: `Matrix.__matmul__`, `Matrix.apply`, `rref`'s
+elimination and `algebra._plane_sum` call it on `Fraction` rows, the
+orbifold's closure and unit tests on its int basis rows, and
+`orbifold._span_coordinates`, which only the sector cross-check still
+reads, on the `Fraction` basis.
 `Matrix.det` keeps its own elimination, because it is the independent
 oracle that `inverse` is tested against.  `Matrix.inverse` is the right
 half of `rref` of ``[M | I]`` (M is singular when a pivot falls in the
@@ -203,7 +206,8 @@ class Matrix:
 def add_scaled(out: list, weights: Iterable, rows: Iterable) -> list:
     """Add ``c * row`` into `out` for each pair (c, row) of `weights` and
     `rows` taken in step, skipping zero weights and zero entries; returns
-    `out`.  The one loop that scales and sums `Fraction` rows."""
+    `out`.  The one loop that scales and sums rows, of `Fraction`s or of
+    ints."""
     for c, row in zip(weights, rows):
         if c:
             for p, v in enumerate(row):

@@ -6,25 +6,34 @@ reduced row echelon form of the projector image with least-index pivots,
 so serialization and tests see a deterministic basis.
 
 Vectors of the total space are flat tuples over all graded components,
-concatenated in element-index order.  `_offsets`, `_grade_parts` and
-`_total_vector` are the one total-space layout: the first places each
-grade, the second lists a vector's nonzero grade components, and the third
-is the only code that writes components into a total-space vector.
+concatenated in element-index order; `_offsets` places each grade.
 
-The certification checks each law case by case, associativity on the int
-image of the invariant structure constants.  The projector reads the
-action's int image kept on the algebra (`algebra.table_image`), and the
-trace check reads the invariant algebra's `algebra.inverted_pairings`.
+The certification runs on int rows at one scale.  The basis becomes int
+rows B over s, the lcm of its denominators.  Each product v_i v_j is one
+int vector W over s^2 d_p, summed on the int image of the product
+(`algebra.table_image`, over d_p).  The basis is reduced, so the
+coordinates of W are its entries at the pivots, and W lies in the span
+exactly when sum_m W[p_m] B_m == s W.  Commutativity and associativity
+read those numerators, over s^2 d_p, and the unit law compares int
+vectors over one scale as well.  `Fraction`s are built only for the basis,
+the invariant algebra and the witnesses (`report.descaled`).  The
+projector reads the action's int image, and the trace check reads the
+invariant algebra's `algebra.inverted_pairings`.
+
+The sector decomposition is the independent `Fraction` cross-check of the
+basis: `_span_coordinates`, `_coordinates` and `_total_vector` serve it
+alone.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
 from .algebra import GFrobeniusAlgebra, frobenius_untwisted, inverted_pairings, table_image
-from .errors import NotClosed
-from .exactlin import ZERO, Matrix, Tensor3, Vector, add_scaled, int_image, rref, vector_literal
+from .errors import NotClosed, check_budget
+from .exactlin import ZERO, Matrix, Tensor3, Vector, add_scaled, rref, vector_literal
 from .groups import conjugacy
 from .report import CheckReport, Witness, descaled, failing, first_failure, passing, renderer
 
@@ -43,13 +52,6 @@ def _component(a: GFrobeniusAlgebra, offsets, vec: Vector, g: int) -> Vector:
     return tuple(vec[start : start + a.dims[g]])
 
 
-def _grade_parts(a: GFrobeniusAlgebra, offsets, vec: Vector) -> list[tuple[int, Vector]]:
-    """The nonzero grade components of a total-space vector, as
-    (grade, component) pairs in element order."""
-    parts = ((g, _component(a, offsets, vec, g)) for g in a.group.elements())
-    return [(g, part) for g, part in parts if any(part)]
-
-
 def _total_vector(offsets, total: int, parts) -> Vector:
     """The total-space vector of (grade, component) pairs; components of
     one grade add up."""
@@ -62,11 +64,38 @@ def _total_vector(offsets, total: int, parts) -> Vector:
     return tuple(out)
 
 
-def _product_parts(a: GFrobeniusAlgebra, xs, ys) -> list[tuple[int, Vector]]:
-    """Grade parts of the product of two vectors given by their grade parts:
-    one `apply_product` per pair of nonzero grades."""
-    mul = a.group.mul
-    return [(mul(g, h), a.apply_product(g, h, x, y)) for g, x in xs for h, y in ys]
+def _int_rows(rows: Sequence[Vector]) -> tuple[list[list[int]], int]:
+    """`Fraction` rows as int rows over s, the lcm of their denominators;
+    returns (int rows, s)."""
+    s = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (s // x.denominator) for x in row] for row in rows], s
+
+
+def _int_parts(a: GFrobeniusAlgebra, offsets, row: list[int]) -> list[tuple[int, list[int]]]:
+    """The nonzero grade components of an int total-space row, as
+    (grade, component) pairs in element order."""
+    parts = ((g, row[offsets[g] : offsets[g] + a.dims[g]]) for g in a.group.elements())
+    return [(g, part) for g, part in parts if any(part)]
+
+
+def _times(a: GFrobeniusAlgebra, offsets, total: int, xs, ys) -> list[int]:
+    """The int total-space product of two int rows given by their grade
+    parts, summed on the int image of the product: over the rows' scales
+    times d_p, the image's scale."""
+    image, _ = table_image(a, "product")
+    table = a.group.table
+    out = [0] * total
+    for g, x in xs:
+        row = table[g]
+        for h, y in ys:
+            base = offsets[row[h]]
+            for i, j, p, v in image[(g, h)]:
+                xi = x[i]
+                if xi:
+                    yj = y[j]
+                    if yj:
+                        out[base + p] += xi * yj * v
+    return out
 
 
 def _image_basis(m: Matrix) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
@@ -110,7 +139,7 @@ def invariant_projector(a: GFrobeniusAlgebra) -> Matrix:
             grid[row0 + i][col0 + j] += v
     scale = group.order * d_a
     return Matrix._wrap(
-        total, total, tuple(tuple(Fraction(x, scale) for x in row) for row in grid)
+        total, total, tuple(tuple(Fraction(x, scale) if x else ZERO for x in row) for row in grid)
     )
 
 
@@ -207,57 +236,75 @@ def orbifold_algebra(a: GFrobeniusAlgebra) -> OrbifoldAlgebra:
     restricted trace pairing, and the sector isomorphism (`class_data`,
     None when the sector change of basis fails).  Products and a unit that
     leave the invariant span are zero-filled, so that every entry is still
-    computed.
+    computed.  Row-reducing the total x total projector is cubic in the
+    total dimension, and so are the d^3 associativity cases (d <= total),
+    so total^3 is checked against the work budget before anything is built.
     """
     group = a.group
     offsets, total = _offsets(a)
+    check_budget(total**3, "units of orbifold work")
     projector = invariant_projector(a)
     basis, pivots = _image_basis(projector)
     d = len(basis)
-    parts = [_grade_parts(a, offsets, v) for v in basis]
+    rows, s = _int_rows(basis)
+    parts = [_int_parts(a, offsets, row) for row in rows]
+    _, d_p = table_image(a, "product")
     inside = "a vector inside the invariant span"
 
-    products: dict[tuple[int, int], Vector] = {}
+    def in_span(w: list[int]) -> tuple[list[int], list[int], list[int]]:
+        # the coordinates of an int vector w over any scale t, and the two
+        # sides of its closure test, s * w and the span of the coordinates,
+        # both over s * t
+        coords = [w[p] for p in pivots]
+        return coords, [s * x for x in w], add_scaled([0] * total, coords, rows)
+
+    # v_i v_j is W / d_o with d_o = s^2 d_p, and its coordinates are W at
+    # the pivots, over the same scale: products[i][j]
+    d_o = s * s * d_p
+    products: list[list[list[int]]] = []
     closure = []  # every product is needed below, so all cases are built
     for i in range(d):
+        products.append([])
         for j in range(d):
-            w = _total_vector(offsets, total, _product_parts(a, parts[i], parts[j]))
-            coords, spanned = _span_coordinates(basis, pivots, w)
-            products[(i, j)] = coords if spanned == w else (ZERO,) * d
-            closure.append(((i, j), w, spanned))
+            coords, lhs, spanned = in_span(_times(a, offsets, total, parts[i], parts[j]))
+            products[i].append(coords if lhs == spanned else [0] * d)
+            closure.append(((i, j), lhs, spanned))
 
-    # commutativity compares the coordinate tuples; associativity runs on
-    # the int image of the structure constants, over d_o^2, summing over
-    # the coordinates m of v_i v_j on the left and of v_j v_k on the right
-    constants, d_o = int_image(products)
+    # commutativity compares the coordinate numerators; associativity sums
+    # over the coordinates m of v_i v_j on the left and of v_j v_k on the
+    # right, over d_o^2
+    constants = [[[(m, c) for m, c in enumerate(w) if c] for w in row] for row in products]
 
     def associativity():
-        for i in range(d):
-            for j in range(d):
-                ij = constants[(i, j)]
+        for i, left in enumerate(constants):
+            for j, ij in enumerate(left):
+                middle = constants[j]
                 for k in range(d):
                     lhs = [0] * d
                     for m, c in ij:
-                        for p, v in constants[(m, k)]:
+                        for p, v in constants[m][k]:
                             lhs[p] += c * v
                     rhs = [0] * d
-                    for m, c in constants[(j, k)]:
-                        for p, v in constants[(i, m)]:
+                    for m, c in middle[k]:
+                        for p, v in left[m]:
                             rhs[p] += c * v
                     yield (i, j, k), lhs, rhs
 
-    # the unit is invariant, so it must lie in the span and act as identity
+    # the unit is invariant, so it must lie in the span and act as identity;
+    # both tests compare int vectors over d_u * s * d_p
     e = group.identity
-    unit_parts = [(e, a.unit)]
-    unit_total = _total_vector(offsets, total, unit_parts)
-    unit_coords, unit_spanned = _span_coordinates(basis, pivots, unit_total)
-    if unit_spanned != unit_total:
-        unit_coords = (ZERO,) * d
+    (unit,), d_u = _int_rows((a.unit,))
+    unit_total = [0] * total
+    unit_total[offsets[e] : offsets[e] + len(unit)] = unit
+    unit_coords, unit_lhs, unit_spanned = in_span(unit_total)
+    if unit_lhs != unit_spanned:
+        unit_coords = [0] * d
+    unit_parts = [(e, unit)]
 
     def unit_law():
-        yield None, unit_total, unit_spanned
-        for j, vj in enumerate(basis):
-            yield j, _total_vector(offsets, total, _product_parts(a, unit_parts, parts[j])), vj
+        yield None, [d_p * x for x in unit_lhs], [d_p * x for x in unit_spanned]
+        for j, row in enumerate(rows):
+            yield j, _times(a, offsets, total, unit_parts, parts[j]), [d_u * d_p * x for x in row]
 
     def render_unit(j, lhs, rhs) -> Witness:
         if j is None:
@@ -265,24 +312,32 @@ def orbifold_algebra(a: GFrobeniusAlgebra) -> OrbifoldAlgebra:
         return Witness((("j", str(j)),), vector_literal(lhs), vector_literal(rhs))
 
     commuting = (
-        ((i, j), products[(i, j)], products[(j, i)]) for i in range(d) for j in range(i + 1, d)
+        ((i, j), products[i][j], products[j][i]) for i in range(d) for j in range(i + 1, d)
     )
     outside = renderer(("i", "j"), str, vector_literal, lambda _: inside)
     pairs = renderer(("i", "j"), str, vector_literal)
-    triples = descaled(renderer(("i", "j", "k"), str, vector_literal), d_o * d_o)
+    triples = renderer(("i", "j", "k"), str, vector_literal)
     entries = [
-        first_failure("orbifold-closure", closure, outside),
-        first_failure("orbifold-commutativity", commuting, pairs),
-        first_failure("orbifold-associativity", associativity(), triples),
-        first_failure("orbifold-unit", unit_law(), render_unit),
+        first_failure("orbifold-closure", closure, descaled(outside, s * d_o)),
+        first_failure("orbifold-commutativity", commuting, descaled(pairs, d_o)),
+        first_failure("orbifold-associativity", associativity(), descaled(triples, d_o * d_o)),
+        first_failure("orbifold-unit", unit_law(), descaled(render_unit, d_u * s * d_p)),
     ]
 
     # restricted trace: evaluate on the identity component only
     trace_coords = tuple(a.trace_of(_component(a, offsets, v, e)) for v in basis)
     product_tensor = Tensor3._wrap(
-        d, d, d, tuple(tuple(products[(i, j)] for j in range(d)) for i in range(d))
+        d,
+        d,
+        d,
+        tuple(
+            tuple(tuple(Fraction(x, d_o) if x else ZERO for x in w) for w in row)
+            for row in products
+        ),
     )
-    trivial = frobenius_untwisted(d, product_tensor, unit_coords, trace_coords)
+    trivial = frobenius_untwisted(
+        d, product_tensor, tuple(Fraction(x, d_u) for x in unit_coords), trace_coords
+    )
     name = "orbifold-trace-nondegenerate"
     if inverted_pairings(trivial)[0][1] is not None:
         entries.append(passing(name))

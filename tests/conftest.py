@@ -133,6 +133,44 @@ def zero_grade_algebra(group) -> GFrobeniusAlgebra:
     return GFrobeniusAlgebra(group, dims, product, action, (1, 0), (0, 1))
 
 
+def sites(a):
+    """Every product, action, unit and trace entry of `a`, zeros included."""
+    for key, t in a.product.items():
+        for i in range(t.dim0):
+            for j in range(t.dim1):
+                for p in range(t.dim2):
+                    yield "product", key, (i, j, p)
+    for key, m in a.action.items():
+        for i in range(m.rows):
+            for j in range(m.cols):
+                yield "action", key, (i, j)
+    for kind in ("unit", "trace"):
+        for i in range(len(a.unit)):
+            yield kind, None, (i,)
+
+
+def mutated(a, site, value) -> GFrobeniusAlgebra:
+    """`a` with the entry at `site` (one of `sites(a)`) set to `value`."""
+    kind, key, index = site
+    product, action = dict(a.product), dict(a.action)
+    vectors = {"unit": list(a.unit), "trace": list(a.trace)}
+    if kind == "product":
+        t = a.product[key]
+        grid = [[list(row) for row in plane] for plane in t.data]
+        i, j, p = index
+        grid[i][j][p] = Fraction(value)
+        product[key] = Tensor3(t.dim0, t.dim1, t.dim2, grid)
+    elif kind == "action":
+        m = a.action[key]
+        grid = [list(row) for row in m.data]
+        i, j = index
+        grid[i][j] = Fraction(value)
+        action[key] = Matrix(m.rows, m.cols, grid)
+    else:
+        vectors[kind][index[0]] = Fraction(value)
+    return GFrobeniusAlgebra(a.group, a.dims, product, action, vectors["unit"], vectors["trace"])
+
+
 @pytest.fixture(scope="session")
 def z2():
     return builtin("cyclic", 2)

@@ -15,7 +15,8 @@ and the right side of the torus identity are built here in `Fraction`
 arithmetic from basis vectors and one `apply_product` per basis pair,
 independently of the package's `pairing_matrix` and `handle_element`.
 `derive_coproducts` is the two-formula `Fraction` derive that the
-package's int-image `derive` is compared with.  `action_on_dual_basis_check`
+package's int-image `derive` is compared with, and `orbifold_reference`
+the `Fraction` orbifold route that its int rows are compared with.  `action_on_dual_basis_check`
 is a law the package does not check at all; the tests and goldens use it as
 an oracle for the derived dual bases.  `cerf_reference` is the surface table
 compared as `Matrix` values, word by word, where the package compares the
@@ -26,9 +27,9 @@ from __future__ import annotations
 
 import itertools
 
-from gtqft.algebra import _group_renderer
+from gtqft.algebra import _group_renderer, frobenius_untwisted, inverted_pairings
 from gtqft.cobordism import case_label_count, cerf_case_words
-from gtqft.errors import CoproductMismatch, DimensionMismatch
+from gtqft.errors import CoproductMismatch, DimensionMismatch, NotClosed
 from gtqft.exactlin import (
     ZERO,
     Matrix,
@@ -39,7 +40,25 @@ from gtqft.exactlin import (
     matrix_literal,
     vector_literal,
 )
-from gtqft.report import CheckEntry, CheckReport, Witness, descaled, failing, first_failure, renderer
+from gtqft.orbifold import (
+    _component,
+    _image_basis,
+    _offsets,
+    _sector_decomposition,
+    _span_coordinates,
+    _total_vector,
+    invariant_projector,
+)
+from gtqft.report import (
+    CheckEntry,
+    CheckReport,
+    Witness,
+    descaled,
+    failing,
+    first_failure,
+    passing,
+    renderer,
+)
 from gtqft.tqft import Evaluator
 
 
@@ -405,7 +424,11 @@ def orbifold_associativity(orb) -> CheckEntry:
     """The `orbifold-associativity` entry of an orbifold algebra, from its
     (zero-filled) structure constants."""
     d = orb.dimension
-    products = {(i, j): orb.trivial.product[(0, 0)].data[i][j] for i in range(d) for j in range(d)}
+    t = orb.trivial.product[(0, 0)]
+    return _orbifold_associativity({(i, j): t.data[i][j] for i in range(d) for j in range(d)}, d)
+
+
+def _orbifold_associativity(products, d: int) -> CheckEntry:
     constants, d_o = int_image(products)
 
     def associativity():
@@ -425,6 +448,95 @@ def orbifold_associativity(orb) -> CheckEntry:
 
     triples = descaled(renderer(("i", "j", "k"), str, vector_literal), d_o * d_o)
     return first_failure("orbifold-associativity", associativity(), triples)
+
+
+def _grade_parts(a, offsets, vec) -> list:
+    """The nonzero grade components of a total-space vector, as
+    (grade, component) pairs in element order."""
+    parts = ((g, _component(a, offsets, vec, g)) for g in a.group.elements())
+    return [(g, part) for g, part in parts if any(part)]
+
+
+def _product_parts(a, xs, ys) -> list:
+    """Grade parts of the product of two vectors given by their grade parts:
+    one `apply_product` per pair of nonzero grades."""
+    mul = a.group.mul
+    return [(mul(g, h), a.apply_product(g, h, x, y)) for g, x in xs for h, y in ys]
+
+
+def orbifold_reference(a):
+    """The certification and the invariant algebra of `orbifold_algebra(a)`,
+    with closure, commutativity and the unit law computed in `Fraction`s:
+    every product of two invariant basis vectors is one `apply_product` per
+    pair of their nonzero grades, and its coordinates and span come from
+    `_span_coordinates`.  The projector, the basis, the trace pairing and
+    the sector decomposition are the package's own.  Returns
+    (certification, trivial algebra)."""
+    group = a.group
+    offsets, total = _offsets(a)
+    projector = invariant_projector(a)
+    basis, pivots = _image_basis(projector)
+    d = len(basis)
+    parts = [_grade_parts(a, offsets, v) for v in basis]
+    inside = "a vector inside the invariant span"
+
+    products = {}
+    closure = []
+    for i in range(d):
+        for j in range(d):
+            w = _total_vector(offsets, total, _product_parts(a, parts[i], parts[j]))
+            coords, spanned = _span_coordinates(basis, pivots, w)
+            products[(i, j)] = coords if spanned == w else (ZERO,) * d
+            closure.append(((i, j), w, spanned))
+
+    e = group.identity
+    unit_parts = [(e, a.unit)]
+    unit_total = _total_vector(offsets, total, unit_parts)
+    unit_coords, unit_spanned = _span_coordinates(basis, pivots, unit_total)
+    if unit_spanned != unit_total:
+        unit_coords = (ZERO,) * d
+
+    def unit_law():
+        yield None, unit_total, unit_spanned
+        for j, vj in enumerate(basis):
+            yield j, _total_vector(offsets, total, _product_parts(a, unit_parts, parts[j])), vj
+
+    def render_unit(j, lhs, rhs) -> Witness:
+        if j is None:
+            return Witness((("vector", "unit"),), vector_literal(lhs), inside)
+        return Witness((("j", str(j)),), vector_literal(lhs), vector_literal(rhs))
+
+    commuting = (
+        ((i, j), products[(i, j)], products[(j, i)]) for i in range(d) for j in range(i + 1, d)
+    )
+    entries = [
+        first_failure(
+            "orbifold-closure", closure, renderer(("i", "j"), str, vector_literal, lambda _: inside)
+        ),
+        first_failure("orbifold-commutativity", commuting, renderer(("i", "j"), str, vector_literal)),
+        _orbifold_associativity(products, d),
+        first_failure("orbifold-unit", unit_law(), render_unit),
+    ]
+
+    trace_coords = tuple(a.trace_of(_component(a, offsets, v, e)) for v in basis)
+    product_tensor = Tensor3._wrap(
+        d, d, d, tuple(tuple(products[(i, j)] for j in range(d)) for i in range(d))
+    )
+    trivial = frobenius_untwisted(d, product_tensor, unit_coords, trace_coords)
+    name = "orbifold-trace-nondegenerate"
+    if inverted_pairings(trivial)[0][1] is not None:
+        entries.append(passing(name))
+    else:
+        entries.append(failing(name, (("gram", "determinant"),), "0", "nonzero determinant"))
+
+    name = "orbifold-sector-isomorphism"
+    try:
+        _sector_decomposition(a, projector, basis, pivots)
+    except NotClosed as exc:
+        entries.append(failing(name, (("error", str(exc)),), "", ""))
+    else:
+        entries.append(passing(name))
+    return CheckReport(tuple(entries)), trivial
 
 
 def action_on_dual_basis_check(a, d) -> CheckReport:

@@ -9,6 +9,7 @@ import pytest
 
 import gtqft.cli
 import gtqft.errors
+import gtqft.orbifold
 import gtqft.tqft
 from conftest import dual_number_group_algebra
 from gtqft import (
@@ -547,6 +548,25 @@ class TestOrbifoldCommand:
             "FAIL  orbifold-sector-isomorphism  "
             "[error=sector change of basis failed to invert]  left=  right="
         )
+
+    S3_GROUP_ALGEBRA = ["--group", "symmetric:3", "--algebra", "builtin:group-algebra"]
+
+    def test_work_over_the_budget(self, monkeypatch, capsys):
+        # estimated only: the S3 group algebra has total dimension 6, so
+        # 6**3 = 216 units of work, one more than the lowered budget, and
+        # building the projector would raise
+        monkeypatch.setattr(gtqft.errors, "WORK_BUDGET", 215)
+        monkeypatch.setattr(gtqft.orbifold, "invariant_projector", lambda a: 1 / 0)
+        status = main(["orbifold", *self.S3_GROUP_ALGEBRA])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err == "error: category=budget 216 units of orbifold work exceed the budget of 215\n"
+
+    def test_work_at_the_budget(self, monkeypatch, capsys):
+        monkeypatch.setattr(gtqft.errors, "WORK_BUDGET", 216)
+        assert main(["orbifold", *self.S3_GROUP_ALGEBRA]) == 0
+        assert json.loads(capsys.readouterr().out)["dims"] == {"e": 3}
 
 
 class TestFuzzCommand:

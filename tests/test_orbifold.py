@@ -1,10 +1,13 @@
 import itertools
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import gtqft.orbifold
+import law_oracle
+from conftest import mutated, sites
 from gtqft import (
     GFrobeniusAlgebra,
     Matrix,
@@ -12,7 +15,9 @@ from gtqft import (
     check_axioms,
     conjugacy,
     group_algebra,
+    load_algebra,
     orbifold_algebra,
+    save_algebra,
 )
 from gtqft.cli import main
 from gtqft.exactlin import ZERO, Vector
@@ -265,3 +270,75 @@ class TestSectorIsomorphism:
         expand, restrict = _sectors(rich_s3)
         assert expand @ restrict == Matrix.identity(expand.rows)
         assert restrict @ expand == Matrix.identity(expand.rows)
+
+
+# --- the int rows against the Fraction route -------------------------------
+
+SAVED_ALGEBRAS = json.loads((Path(__file__).parent / "saved_algebras.json").read_text())
+ORACLE_FIXTURES = [
+    "s3_algebra",
+    "z2_algebra",
+    "dual_numbers",
+    "rich_s3",
+    "rescaled_s3",
+    "rescaled_rich_s3",
+    "zero_grade_z3",
+    "twisted_klein",
+    "twisted_d4",
+]
+MUTATED_FIXTURES = ["rich_s3", "rescaled_rich_s3", "twisted_d4"]
+ORBIFOLD_LAWS = (
+    "orbifold-closure",
+    "orbifold-commutativity",
+    "orbifold-associativity",
+    "orbifold-unit",
+)
+
+
+def assert_matches_the_fraction_route(a: GFrobeniusAlgebra):
+    """Assert that the certification and the saved invariant algebra of `a`
+    are those of the `Fraction` route; returns the certification."""
+    orb = orbifold_algebra(a)
+    certification, trivial = law_oracle.orbifold_reference(a)
+    assert repr(orb.certification) == repr(certification)
+    assert save_algebra(orb.trivial) == save_algebra(trivial)
+    return orb.certification
+
+
+def entry(a: GFrobeniusAlgebra, site) -> Fraction:
+    """The value of `a` at `site`, one of `conftest.sites(a)`."""
+    kind, key, index = site
+    if kind == "product":
+        return a.product[key][index]
+    if kind == "action":
+        return a.action[key].data[index[0]][index[1]]
+    return getattr(a, kind)[index[0]]
+
+
+class TestFractionRoute:
+    @pytest.mark.parametrize("fixture", ORACLE_FIXTURES)
+    def test_fixture(self, request, fixture):
+        assert_matches_the_fraction_route(request.getfixturevalue(fixture))
+
+    @pytest.mark.parametrize("name,param", CRITERION_GROUPS)
+    def test_group_algebra(self, name, param):
+        assert_matches_the_fraction_route(group_algebra(builtin(name, param)))
+
+    @pytest.mark.parametrize("name", sorted(SAVED_ALGEBRAS))
+    def test_saved_algebra(self, name):
+        assert_matches_the_fraction_route(load_algebra(SAVED_ALGEBRAS[name]))
+
+    def test_single_entry_mutations(self, request):
+        # every third entry of the product, action, unit and trace tables,
+        # so that every table is reached; for each law, whether it failed
+        # with a witness over a denominator other than 1
+        fractional: dict[str, bool] = {}
+        for fixture in MUTATED_FIXTURES:
+            base = request.getfixturevalue(fixture)
+            for site in itertools.islice(sites(base), 0, None, 3):
+                for delta in (F(1), F(-1, 2)):
+                    mutant = mutated(base, site, entry(base, site) + delta)
+                    for failure in assert_matches_the_fraction_route(mutant).failures():
+                        seen = "/" in failure.witness.left + failure.witness.right
+                        fractional[failure.name] = fractional.get(failure.name, False) or seen
+        assert all(fractional.get(name) for name in ORBIFOLD_LAWS), fractional
