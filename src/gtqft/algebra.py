@@ -679,17 +679,22 @@ def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
     # A[(k, g)][b, j] along g keyed by b, with j at stride D: the action on
     # the last leg of the automorphism and the twisted commutativity
     acts_by_b = [factor(cols, 0, (D,)) for cols in acts]
+    # P[(x, y)][i, j, p] along y keyed by p, with i, j at strides D^2, D:
+    # the inner product of the associativity and of the automorphism
+    right_by_p = [factor(cols, 2, (D2, D)) for cols in over_right]
+    # P[(x, y)][i, j, p] along x keyed by i, with j, p at strides D^2, 1:
+    # the twisted commutativity and the handle elements of the torus
+    left_by_i = [factor(cols, 0, (D2, 1)) for cols in over_left]
 
     def associativity():  # over d_p^2; row (g, h) along k, positions (i, j, l, p)
         firsts = {key: factor(entries, 2, (D3, D2)) for key, entries in P_image.items()}
         lefts = [factor(cols, 0, (D, 1)) for cols in over_right]
-        inners = [factor(cols, 2, (D2, D)) for cols in over_right]
         rights = [factor(cols, 1, (D3, 1)) for cols in over_right]
         for g in range(n):
             for h in range(n):
                 # (b_i b_j) b_l sums over m in grade gh, b_i (b_j b_l) over m in grade hk
                 lhs = contract(firsts[(g, h)], lefts[T[g][h]])
-                rhs = contract(inners[h], moved(rights[g], T[h]))
+                rhs = contract(right_by_p[h], moved(rights[g], T[h]))
                 yield (g, h), dims[g] * dims[h] * total, lhs, rhs
 
     def unit_laws():
@@ -718,14 +723,13 @@ def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
         # (i, j, p)), and fixes the unit (on the tables, checked first for
         # each k)
         acted = [factor(cols, 1, (1,)) for cols in acts]
-        products = [factor(cols, 2, (D2, D)) for cols in over_right]
         firsts = [factor(cols, 0, (D3, 1)) for cols in over_right]
         blocks = {key: factor(entries, 0, (D2,)) for key, entries in A_image.items()}
         for k in range(n):
             yield (k,), 1, a.action[(k, e)].apply(a.unit), a.unit
             for g in range(n):
                 # k acting on b_i b_j, summed over q in grade gh
-                lhs = contract(moved(acted[k], T[g]), products[g], d_a)
+                lhs = contract(moved(acted[k], T[g]), right_by_p[g], d_a)
                 # (k b_i)(k b_j): k b_i has coordinates x in grade kgk^-1 and
                 # k b_j coordinates b in grade khk^-1
                 half = contract(blocks[(k, g)], moved(firsts[conj_by[k][g]], conj_by[k]))
@@ -756,10 +760,9 @@ def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
         return Witness(where, "det 0", "nonzero determinant")
 
     def twisted_commutativity():  # over d_p * d_a; row g along h, positions (i, j, p)
-        twisted = [factor(cols, 0, (D2, 1)) for cols in over_left]
         for g in range(n):
             # (g b_j) b_i sums over b in grade ghg^-1
-            rhs = contract(moved(twisted[g], conj_by[g]), acts_by_b[g])
+            rhs = contract(moved(left_by_i[g], conj_by[g]), acts_by_b[g])
             yield (g,), dims[g] * total, column_row(over_right[g], D, d_a), rhs
 
     def torus_identity(D_image):  # over d_p * d_a * d_dual; row g along h, positions p
@@ -777,7 +780,7 @@ def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
         for g in range(n):
             # the handle element of (g, h): sum over a, i, b of
             # A[(h, g)][a, i] D_g[b, i] P[(hgh^-1, g^-1)][a, b, p]
-            handles = moved(factor(over_left[inv(g)], 0, (D2, 1)), conjugates[g])
+            handles = moved(left_by_i[inv(g)], conjugates[g])
             by_bi = contract(factor(acted_on[g], 0, (D,)), handles)
             lhs = contract(pairs(D_image[g]), regroup(by_bi, D))
             # basis_i of grade h times g acting on dual_i of grade h: sum over

@@ -6,10 +6,9 @@ Dimensions in this problem domain are tiny (graded components of dimension
 0..6), so storage is dense and the algorithms are the straightforward cubic
 ones.  `add_scaled` is the one loop that scales and sums rows, of
 `Fraction`s or of ints: `Matrix.__matmul__`, `Matrix.apply`, `rref`'s
-elimination and `algebra._plane_sum` call it on `Fraction` rows, the
-orbifold's closure and unit tests on its int basis rows, and
-`orbifold._span_coordinates`, which only the sector cross-check still
-reads, on the `Fraction` basis.
+elimination and `algebra._plane_sum` call it on `Fraction` rows, and
+`orbifold._in_span`, the orbifold's one span test (closure, the unit and
+the sector decomposition), on int rows.
 `Matrix.det` keeps its own elimination, because it is the independent
 oracle that `inverse` is tested against.  `Matrix.inverse` is the right
 half of `rref` of ``[M | I]`` (M is singular when a pivot falls in the

@@ -177,35 +177,23 @@ def _symmetric(n: int) -> FiniteGroup:
 
 
 def _quaternion8() -> FiniteGroup:
-    # Unit quaternions ordered (1, -1, i, -i, j, -j, k, -k); "n" prefixes
-    # the negatives.  Element 2*axis + (0 if positive else 1), axes 1,i,j,k.
+    # Unit quaternions (1, -1, i, -i, j, -j, k, -k) as 4-tuples (a, b, c, d)
+    # for a + bi + cj + dk, multiplied by the Hamilton product; "n" prefixes
+    # the negatives.
     names = ["e", "n", "i", "ni", "j", "nj", "k", "nk"]
+    units = [tuple(s * (x == axis) for x in range(4)) for axis in range(4) for s in (1, -1)]
 
-    def times(ax1, ax2):
-        # (sign, axis) product on the axis set {1, i, j, k}
-        if ax1 == 0:
-            return 1, ax2
-        if ax2 == 0:
-            return 1, ax1
-        if ax1 == ax2:
-            return -1, 0
-        cyc = {(1, 2): (1, 3), (2, 3): (1, 1), (3, 1): (1, 2)}
-        if (ax1, ax2) in cyc:
-            return cyc[(ax1, ax2)]
-        s, ax = cyc[(ax2, ax1)]
-        return -s, ax
+    def times(p, q):
+        a1, b1, c1, d1 = p
+        a2, b2, c2, d2 = q
+        return (
+            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+        )
 
-    table = []
-    for a in range(8):
-        row = []
-        for b in range(8):
-            s, ax = times(a // 2, b // 2)
-            if a % 2:
-                s = -s
-            if b % 2:
-                s = -s
-            row.append(2 * ax + (0 if s > 0 else 1))
-        table.append(row)
+    table = [[units.index(times(p, q)) for q in units] for p in units]
     return FiniteGroup(names, table)
 
 

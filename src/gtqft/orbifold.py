@@ -13,16 +13,19 @@ rows B over s, the lcm of its denominators.  Each product v_i v_j is one
 int vector W over s^2 d_p, summed on the int image of the product
 (`algebra.table_image`, over d_p).  The basis is reduced, so the
 coordinates of W are its entries at the pivots, and W lies in the span
-exactly when sum_m W[p_m] B_m == s W.  Commutativity and associativity
-read those numerators, over s^2 d_p, and the unit law compares int
-vectors over one scale as well.  `Fraction`s are built only for the basis,
-the invariant algebra and the witnesses (`report.descaled`).  The
-projector reads the action's int image, and the trace check reads the
-invariant algebra's `algebra.inverted_pairings`.
+exactly when sum_m W[p_m] B_m == s W: `_in_span`, the one span test.
+Commutativity and associativity read those numerators, over s^2 d_p, and
+the unit law compares int vectors over one scale as well.  `Fraction`s are
+built only for the basis, the invariant algebra and the witnesses
+(`report.descaled`).  The projector reads the action's int image, and the
+trace check reads the invariant algebra's `algebra.inverted_pairings`.
 
-The sector decomposition is the independent `Fraction` cross-check of the
-basis: `_span_coordinates`, `_coordinates` and `_total_vector` serve it
-alone.
+The sector decomposition cross-checks the basis by another method: each
+sector basis is row-reduced from its own diagonal block of the projector.
+It then runs on the same int forms: the sector bases as int rows, the
+class expansion on the action's int image, the restriction on the
+invariant int rows, all tested by `_in_span`; `Fraction`s are built only
+for the change-of-basis matrices and the `NotClosed` texts.
 """
 
 from __future__ import annotations
@@ -50,18 +53,6 @@ def _offsets(a: GFrobeniusAlgebra) -> tuple[tuple[int, ...], int]:
 def _component(a: GFrobeniusAlgebra, offsets, vec: Vector, g: int) -> Vector:
     start = offsets[g]
     return tuple(vec[start : start + a.dims[g]])
-
-
-def _total_vector(offsets, total: int, parts) -> Vector:
-    """The total-space vector of (grade, component) pairs; components of
-    one grade add up."""
-    out = [ZERO] * total
-    for g, part in parts:
-        base = offsets[g]
-        for i, v in enumerate(part):
-            if v:
-                out[base + i] += v
-    return tuple(out)
 
 
 def _int_rows(rows: Sequence[Vector]) -> tuple[list[list[int]], int]:
@@ -105,24 +96,27 @@ def _image_basis(m: Matrix) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
     return basis, pivots
 
 
-def _span_coordinates(
-    basis: Sequence[Vector], pivots: Sequence[int], vec: Vector
-) -> tuple[Vector, Vector]:
-    """Coordinates of `vec` in an echelonized basis (its entries at the
-    pivots), and the vector they span, summed by `add_scaled`; the two
-    vectors agree exactly when `vec` lies in the span."""
-    coords = tuple(vec[p] for p in pivots)
-    return coords, tuple(add_scaled([ZERO] * len(vec), coords, basis))
+def _in_span(
+    rows: Sequence[list[int]], s: int, pivots: Sequence[int], w: list[int]
+) -> tuple[list[int], list[int], list[int]]:
+    """The coordinates of an int vector w over any scale t in the reduced
+    int rows over s with these pivots (w at the pivots, over t), and the
+    two sides of its span test, s w and the span of the coordinates, both
+    over s t: they agree exactly when w lies in the span."""
+    coords = [w[p] for p in pivots]
+    return coords, [s * x for x in w], add_scaled([0] * len(w), coords, rows)
 
 
 def _coordinates(
-    basis: Sequence[Vector], pivots: Sequence[int], vec: Vector, what: str
-) -> Vector:
-    """Coordinates of `vec` in an echelonized basis; NotClosed if outside the span."""
-    coords, spanned = _span_coordinates(basis, pivots, vec)
-    if spanned != tuple(vec):
-        raise NotClosed(f"{what} leaves the invariant span: {vector_literal(vec)}")
-    return coords
+    rows: Sequence[list[int]], s: int, pivots: Sequence[int], w: list[int], t: int, what: str
+) -> list[Fraction]:
+    """The `Fraction` coordinates of the int vector w over t in the reduced
+    int rows over s; NotClosed, quoting w, if it lies outside their span."""
+    coords, lhs, spanned = _in_span(rows, s, pivots, w)
+    if lhs != spanned:
+        vec = vector_literal(tuple(Fraction(x, t) for x in w))
+        raise NotClosed(f"{what} leaves the invariant span: {vec}")
+    return [Fraction(c, t) for c in coords]
 
 
 def invariant_projector(a: GFrobeniusAlgebra) -> Matrix:
@@ -175,51 +169,56 @@ class OrbifoldAlgebra:
 
 
 def _sector_decomposition(
-    a: GFrobeniusAlgebra, projector: Matrix, inv_basis: Sequence[Vector], inv_pivots: Sequence[int]
+    a: GFrobeniusAlgebra, projector: Matrix, rows: Sequence[list[int]], s: int, pivots: Sequence[int]
 ) -> SectorDecomposition:
+    """The sector change of basis for the invariant basis given as reduced
+    int rows over s with these pivots; NotClosed when it fails."""
     group = a.group
     offsets, total = _offsets(a)
     classes = conjugacy(group)
+    action, d_a = table_image(a, "action")
 
     # The (r, r) diagonal block of the invariant projector is
     # (1/n) * sum of action[(k, r)] over the k with k r k^-1 = r, that is
     # over the centralizer C(r): |C(r)|/n times the centralizer's own
-    # averaging projector, so its image has the same reduced basis.
-    sector_bases: list[tuple[Vector, ...]] = []
-    sector_pivots: list[tuple[int, ...]] = []
+    # averaging projector, so its image has the same reduced basis, here
+    # as int rows over t with their pivots.
+    sectors: list[tuple[list[list[int]], int, tuple[int, ...]]] = []
     for rep in classes.representatives:
         start, stop = offsets[rep], offsets[rep] + a.dims[rep]
         block = tuple(row[start:stop] for row in projector.data[start:stop])
-        basis, pivots = _image_basis(Matrix._wrap(stop - start, stop - start, block))
-        sector_bases.append(basis)
-        sector_pivots.append(pivots)
+        basis, sector_pivots = _image_basis(Matrix._wrap(stop - start, stop - start, block))
+        sectors.append((*_int_rows(basis), sector_pivots))
 
     # expansion: a centralizer-invariant sector vector spreads over its
-    # class, each member h reached by the least k with k rep k^-1 = h
-    expand_cols: list[Vector] = []
-    for ci, rep in enumerate(classes.representatives):
+    # class, each member h reached by the least k with k rep k^-1 = h; the
+    # spread vector is an int vector over t d_a
+    expand_cols: list[list[Fraction]] = []
+    for rep, (sector_rows, t, _) in zip(classes.representatives, sectors):
         movers: dict[int, int] = {}
         for k in group.elements():
             movers.setdefault(group.conj(k, rep), k)
-        for w in sector_bases[ci]:
-            moved = [(h, a.action[(movers[h], rep)].apply(w)) for h in sorted(movers)]
-            full = _total_vector(offsets, total, moved)
-            expand_cols.append(_coordinates(inv_basis, inv_pivots, full, "class expansion"))
+        for w in sector_rows:
+            full = [0] * total
+            for h, k in movers.items():
+                base = offsets[h]
+                for i, j, v in action[(k, rep)]:
+                    full[base + i] += v * w[j]
+            expand_cols.append(_coordinates(rows, s, pivots, full, t * d_a, "class expansion"))
 
-    dim_inv = len(inv_basis)
+    dim_inv = len(rows)
     dim_sec = len(expand_cols)
     expand = Matrix(dim_sec, dim_inv, expand_cols).transpose()
 
-    # restriction: an invariant vector is determined by its representative parts
-    restrict_cols: list[Vector] = []
-    for v in inv_basis:
+    # restriction: an invariant vector is determined by its representative
+    # parts, int vectors over s
+    restrict_cols: list[list[Fraction]] = []
+    for row in rows:
         coords: list[Fraction] = []
-        for ci, rep in enumerate(classes.representatives):
-            part = _component(a, offsets, v, rep)
-            coords.extend(
-                _coordinates(sector_bases[ci], sector_pivots[ci], part, "restriction")
-            )
-        restrict_cols.append(tuple(coords))
+        for rep, (sector_rows, t, sector_pivots) in zip(classes.representatives, sectors):
+            part = row[offsets[rep] : offsets[rep] + a.dims[rep]]
+            coords.extend(_coordinates(sector_rows, t, sector_pivots, part, s, "restriction"))
+        restrict_cols.append(coords)
     restrict = Matrix(dim_inv, dim_sec, restrict_cols).transpose()
 
     # square matrices: one product is the identity exactly when the other is
@@ -251,13 +250,6 @@ def orbifold_algebra(a: GFrobeniusAlgebra) -> OrbifoldAlgebra:
     _, d_p = table_image(a, "product")
     inside = "a vector inside the invariant span"
 
-    def in_span(w: list[int]) -> tuple[list[int], list[int], list[int]]:
-        # the coordinates of an int vector w over any scale t, and the two
-        # sides of its closure test, s * w and the span of the coordinates,
-        # both over s * t
-        coords = [w[p] for p in pivots]
-        return coords, [s * x for x in w], add_scaled([0] * total, coords, rows)
-
     # v_i v_j is W / d_o with d_o = s^2 d_p, and its coordinates are W at
     # the pivots, over the same scale: products[i][j]
     d_o = s * s * d_p
@@ -266,7 +258,8 @@ def orbifold_algebra(a: GFrobeniusAlgebra) -> OrbifoldAlgebra:
     for i in range(d):
         products.append([])
         for j in range(d):
-            coords, lhs, spanned = in_span(_times(a, offsets, total, parts[i], parts[j]))
+            w = _times(a, offsets, total, parts[i], parts[j])
+            coords, lhs, spanned = _in_span(rows, s, pivots, w)
             products[i].append(coords if lhs == spanned else [0] * d)
             closure.append(((i, j), lhs, spanned))
 
@@ -296,7 +289,7 @@ def orbifold_algebra(a: GFrobeniusAlgebra) -> OrbifoldAlgebra:
     (unit,), d_u = _int_rows((a.unit,))
     unit_total = [0] * total
     unit_total[offsets[e] : offsets[e] + len(unit)] = unit
-    unit_coords, unit_lhs, unit_spanned = in_span(unit_total)
+    unit_coords, unit_lhs, unit_spanned = _in_span(rows, s, pivots, unit_total)
     if unit_lhs != unit_spanned:
         unit_coords = [0] * d
     unit_parts = [(e, unit)]
@@ -346,7 +339,7 @@ def orbifold_algebra(a: GFrobeniusAlgebra) -> OrbifoldAlgebra:
 
     name = "orbifold-sector-isomorphism"
     try:
-        class_data = _sector_decomposition(a, projector, basis, pivots)
+        class_data = _sector_decomposition(a, projector, rows, s, pivots)
     except NotClosed as exc:
         class_data = None
         entries.append(failing(name, (("error", str(exc)),), "", ""))

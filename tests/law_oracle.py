@@ -16,7 +16,8 @@ arithmetic from basis vectors and one `apply_product` per basis pair,
 independently of the package's `pairing_matrix` and `handle_element`.
 `derive_coproducts` is the two-formula `Fraction` derive that the
 package's int-image `derive` is compared with, and `orbifold_reference`
-the `Fraction` orbifold route that its int rows are compared with.  `action_on_dual_basis_check`
+the `Fraction` orbifold route, sector decomposition included, that its int
+rows are compared with.  `action_on_dual_basis_check`
 is a law the package does not check at all; the tests and goldens use it as
 an oracle for the derived dual bases.  `cerf_reference` is the surface table
 compared as `Matrix` values, word by word, where the package compares the
@@ -34,19 +35,19 @@ from gtqft.exactlin import (
     ZERO,
     Matrix,
     Tensor3,
+    add_scaled,
     basis_vector,
     format_scalar,
     int_image,
     matrix_literal,
     vector_literal,
 )
+from gtqft.groups import conjugacy
 from gtqft.orbifold import (
+    SectorDecomposition,
     _component,
     _image_basis,
     _offsets,
-    _sector_decomposition,
-    _span_coordinates,
-    _total_vector,
     invariant_projector,
 )
 from gtqft.report import (
@@ -464,14 +465,87 @@ def _product_parts(a, xs, ys) -> list:
     return [(mul(g, h), a.apply_product(g, h, x, y)) for g, x in xs for h, y in ys]
 
 
+def _total_vector(offsets, total: int, parts) -> tuple:
+    """The total-space vector of (grade, component) pairs; components of
+    one grade add up."""
+    out = [ZERO] * total
+    for g, part in parts:
+        base = offsets[g]
+        for i, v in enumerate(part):
+            if v:
+                out[base + i] += v
+    return tuple(out)
+
+
+def _span_coordinates(basis, pivots, vec) -> tuple[tuple, tuple]:
+    """Coordinates of `vec` in an echelonized basis (its entries at the
+    pivots), and the vector they span; the two vectors agree exactly when
+    `vec` lies in the span."""
+    coords = tuple(vec[p] for p in pivots)
+    return coords, tuple(add_scaled([ZERO] * len(vec), coords, basis))
+
+
+def _coordinates(basis, pivots, vec, what: str) -> tuple:
+    """Coordinates of `vec` in an echelonized basis; NotClosed if outside the span."""
+    coords, spanned = _span_coordinates(basis, pivots, vec)
+    if spanned != tuple(vec):
+        raise NotClosed(f"{what} leaves the invariant span: {vector_literal(vec)}")
+    return coords
+
+
+def _sector_decomposition(a, projector, inv_basis, inv_pivots) -> SectorDecomposition:
+    """The sector change of basis in `Fraction`s: sector vectors moved by
+    `Matrix.apply` of the action blocks, coordinates from `_coordinates`."""
+    group = a.group
+    offsets, total = _offsets(a)
+    classes = conjugacy(group)
+
+    sector_bases = []
+    sector_pivots = []
+    for rep in classes.representatives:
+        start, stop = offsets[rep], offsets[rep] + a.dims[rep]
+        block = tuple(row[start:stop] for row in projector.data[start:stop])
+        basis, pivots = _image_basis(Matrix._wrap(stop - start, stop - start, block))
+        sector_bases.append(basis)
+        sector_pivots.append(pivots)
+
+    expand_cols = []
+    for ci, rep in enumerate(classes.representatives):
+        movers: dict[int, int] = {}
+        for k in group.elements():
+            movers.setdefault(group.conj(k, rep), k)
+        for w in sector_bases[ci]:
+            moved = [(h, a.action[(movers[h], rep)].apply(w)) for h in sorted(movers)]
+            full = _total_vector(offsets, total, moved)
+            expand_cols.append(_coordinates(inv_basis, inv_pivots, full, "class expansion"))
+
+    dim_inv = len(inv_basis)
+    dim_sec = len(expand_cols)
+    expand = Matrix(dim_sec, dim_inv, expand_cols).transpose()
+
+    restrict_cols = []
+    for v in inv_basis:
+        coords = []
+        for ci, rep in enumerate(classes.representatives):
+            part = _component(a, offsets, v, rep)
+            coords.extend(_coordinates(sector_bases[ci], sector_pivots[ci], part, "restriction"))
+        restrict_cols.append(tuple(coords))
+    restrict = Matrix(dim_inv, dim_sec, restrict_cols).transpose()
+
+    if dim_sec != dim_inv or restrict @ expand != Matrix.identity(dim_sec):
+        raise NotClosed("sector change of basis failed to invert")
+    return SectorDecomposition(expand, restrict)
+
+
 def orbifold_reference(a):
-    """The certification and the invariant algebra of `orbifold_algebra(a)`,
-    with closure, commutativity and the unit law computed in `Fraction`s:
-    every product of two invariant basis vectors is one `apply_product` per
-    pair of their nonzero grades, and its coordinates and span come from
-    `_span_coordinates`.  The projector, the basis, the trace pairing and
-    the sector decomposition are the package's own.  Returns
-    (certification, trivial algebra)."""
+    """The certification, the invariant algebra and the sector change of
+    basis of `orbifold_algebra(a)`, with closure, commutativity, the unit
+    law and the sector decomposition computed in `Fraction`s: every product
+    of two invariant basis vectors is one `apply_product` per pair of their
+    nonzero grades, and its coordinates and span come from
+    `_span_coordinates`.  The projector, the basis and the trace pairing are
+    the package's own.  Returns (certification, trivial algebra,
+    `SectorDecomposition` or None)."""
     group = a.group
     offsets, total = _offsets(a)
     projector = invariant_projector(a)
@@ -531,12 +605,13 @@ def orbifold_reference(a):
 
     name = "orbifold-sector-isomorphism"
     try:
-        _sector_decomposition(a, projector, basis, pivots)
+        class_data = _sector_decomposition(a, projector, basis, pivots)
     except NotClosed as exc:
+        class_data = None
         entries.append(failing(name, (("error", str(exc)),), "", ""))
     else:
         entries.append(passing(name))
-    return CheckReport(tuple(entries)), trivial
+    return CheckReport(tuple(entries)), trivial, class_data
 
 
 def action_on_dual_basis_check(a, d) -> CheckReport:

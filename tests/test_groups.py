@@ -79,6 +79,21 @@ class TestBuiltin:
         assert g.order == 8
         assert len(data.classes) == 5
 
+    def test_quaternion_table(self):
+        # the elements are 1, -1, i, -i, j, -j, k, -k, with ij = k, jk = i, ki = j
+        g = builtin("quaternion8")
+        assert g.names == ("e", "n", "i", "ni", "j", "nj", "k", "nk")
+        assert [list(row) for row in g.table] == [
+            [0, 1, 2, 3, 4, 5, 6, 7],
+            [1, 0, 3, 2, 5, 4, 7, 6],
+            [2, 3, 1, 0, 6, 7, 5, 4],
+            [3, 2, 0, 1, 7, 6, 4, 5],
+            [4, 5, 7, 6, 1, 0, 2, 3],
+            [5, 4, 6, 7, 0, 1, 3, 2],
+            [6, 7, 4, 5, 3, 2, 1, 0],
+            [7, 6, 5, 4, 2, 3, 0, 1],
+        ]
+
     @pytest.mark.parametrize("name,param", BUILTINS)
     def test_identity_first(self, name, param):
         g = builtin(name, param)

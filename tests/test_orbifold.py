@@ -231,6 +231,29 @@ class TestOrbifoldAlgebra:
         assert entry.witness.context == (("error", "sector change of basis failed to invert"),)
         assert (entry.witness.left, entry.witness.right) == ("", "")
 
+    @pytest.mark.parametrize(
+        "block,error",
+        [
+            (("e", "s0"), "class expansion leaves the invariant span: (0, 0, 0, 0, 2, 0, 1, 0)"),
+            (("r1", "s2"), "restriction leaves the invariant span: (1)"),
+        ],
+    )
+    def test_sector_witness_quotes_the_vector(self, twisted_d4, block, error):
+        # one action block of twisted D4 doubled: the sector vector it moves
+        # leaves the invariant span, or an invariant vector's representative
+        # part leaves its sector, and the witness quotes that vector
+        group = twisted_d4.group
+        key = tuple(group.index(name) for name in block)
+        action = dict(twisted_d4.action)
+        action[key] = Matrix.from_rows([[2 * x for x in row] for row in action[key].data])
+        broken = GFrobeniusAlgebra(
+            group, twisted_d4.dims, twisted_d4.product, action, twisted_d4.unit, twisted_d4.trace
+        )
+        orb = orbifold_algebra(broken)
+        assert orb.class_data is None
+        entry = orb.certification.entry("orbifold-sector-isomorphism")
+        assert entry.witness.context == (("error", error),)
+
     def test_passing_certification_has_six_entries(self, s3_algebra):
         orb = orbifold_algebra(s3_algebra)
         assert len(orb.certification.entries) == 6
@@ -296,12 +319,20 @@ ORBIFOLD_LAWS = (
 
 
 def assert_matches_the_fraction_route(a: GFrobeniusAlgebra):
-    """Assert that the certification and the saved invariant algebra of `a`
-    are those of the `Fraction` route; returns the certification."""
+    """Assert that the certification, the saved invariant algebra and the
+    sector change of basis of `a` are those of the `Fraction` route;
+    returns the certification."""
     orb = orbifold_algebra(a)
-    certification, trivial = law_oracle.orbifold_reference(a)
+    certification, trivial, class_data = law_oracle.orbifold_reference(a)
     assert repr(orb.certification) == repr(certification)
     assert save_algebra(orb.trivial) == save_algebra(trivial)
+    if class_data is None:
+        assert orb.class_data is None
+    else:
+        assert (orb.class_data.expand, orb.class_data.restrict) == (
+            class_data.expand,
+            class_data.restrict,
+        )
     return orb.certification
 
 
@@ -342,3 +373,23 @@ class TestFractionRoute:
                         seen = "/" in failure.witness.left + failure.witness.right
                         fractional[failure.name] = fractional.get(failure.name, False) or seen
         assert all(fractional.get(name) for name in ORBIFOLD_LAWS), fractional
+
+    def test_twisted_action_sweep(self, twisted_d4):
+        # every action entry of twisted D4 set to each value: the sector
+        # decomposition fails in each of its three ways, and each failure
+        # and each change of basis is the Fraction route's
+        sector_errors: dict[str, int] = {}
+        for site in sites(twisted_d4):
+            if site[0] != "action":
+                continue
+            for value in (F(2), F(-1, 2), F(0), F(1)):
+                certification = assert_matches_the_fraction_route(mutated(twisted_d4, site, value))
+                entry = certification.entry("orbifold-sector-isomorphism")
+                if not entry.passed:
+                    error = entry.witness.context[0][1].split(":")[0]
+                    sector_errors[error] = sector_errors.get(error, 0) + 1
+        assert sector_errors == {
+            "class expansion leaves the invariant span": 28,
+            "restriction leaves the invariant span": 28,
+            "sector change of basis failed to invert": 118,
+        }
