@@ -117,7 +117,9 @@ from .exactlin import (
     batch_columns,
     contract,
     factor,
+    fraction_rows,
     int_image,
+    int_rows,
     matrix_literal,
     column_row,
     moved,
@@ -503,11 +505,15 @@ def table_image(owner, name: str) -> tuple[dict, int]:
 def pairing_matrix(a: GFrobeniusAlgebra, g: int) -> Matrix:
     """Gram matrix of the trace pairing between grades g and g^-1: entry
     (i, j) is the trace of row (i, j) of ``product[(g, g^-1)]``, which is
-    the product basis_i * basis_j."""
-    t = a.product[(g, a.group.inv(g))]
-    return Matrix._wrap(
-        t.dim0, t.dim1, tuple(tuple(a.trace_of(v) for v in plane) for plane in t.data)
-    )
+    the product basis_i * basis_j.  Summed over the nonzero entries of the
+    product's int image against the trace's int row, then divided once."""
+    gi = a.group.inv(g)
+    image, d_p = table_image(a, "product")
+    (trace,), d_t = int_rows((a.trace,))
+    grid = [[0] * a.dims[gi] for _ in range(a.dims[g])]
+    for i, j, p, v in image[(g, gi)]:
+        grid[i][j] += v * trace[p]
+    return Matrix._wrap(a.dims[g], a.dims[gi], fraction_rows(grid, d_p * d_t))
 
 
 def inverted_pairings(a: GFrobeniusAlgebra) -> dict[int, tuple[Matrix, Matrix | None]]:

@@ -24,6 +24,20 @@ D_1*...*D_k, so two such expressions are compared exactly once both are
 brought to the same total scale, and a value is recovered as
 ``Fraction(x, scale)``.
 
+Rows convert between the two forms in one place each way: `int_rows`
+turns `Fraction` rows into int rows over s, the lcm of their
+denominators, and `fraction_rows` turns int rows over a scale back into
+tuple rows of exact values, each zero the shared `ZERO`.  The orbifold,
+the evaluator's piece matrices, `algebra.pairing_matrix` and the int
+sides of witnesses (`report.descaled`) call them.  Three loops keep their
+own form, because each measured slower through the two helpers:
+`int_image` keeps only the nonzero entries with their indices (through
+`int_rows`, `certify` lost 3 of 3 benchmark pairs); `tqft.RunningMap.matrix`
+fills a zero grid from sparse rows (densified for `fraction_rows`, `fuzz`
+lost 3 of 3 pairs, about 8% fewer jobs/s); and `algebra._derive` interns
+one `Fraction` per distinct coproduct numerator (without that memo,
+`derive` ran 10-15% slower on the rescaled algebras).
+
 The row laws read an image through `batch_columns`, whose columns are
 lists of ints running over one grade.  A `factor` keys the nonzero
 entries of such a table by the index a law sums over, and `contract` sums
@@ -49,14 +63,16 @@ Vector = tuple[Fraction, ...]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-_SCALAR_RE = re.compile(r"^[+-]?\d+(?:/0*[1-9]\d*)?$")
+_SCALAR_RE = re.compile(r"^([+-]?\d+)(?:/(0*[1-9]\d*))?$")
 
 
 def scalar_from_string(text: str) -> Fraction:
     """Parse a scalar literal, either "p" or "p/q" in decimal digits, q > 0."""
-    if not isinstance(text, str) or not _SCALAR_RE.match(text.strip()):
+    match = _SCALAR_RE.match(text.strip()) if isinstance(text, str) else None
+    if match is None:
         raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(text.strip())
+    num, den = match.groups()
+    return Fraction(int(num), int(den or 1))
 
 
 def format_scalar(value: Fraction) -> str:
@@ -117,16 +133,6 @@ class Matrix:
         for (i, j), value in entries.items():
             grid[i][j] = Fraction(value)
         return cls._wrap(rows, cols, tuple(map(tuple, grid)))
-
-    @classmethod
-    def column(cls, values: Iterable) -> "Matrix":
-        vec = as_vector(values)
-        return cls._wrap(len(vec), 1, tuple((v,) for v in vec))
-
-    @classmethod
-    def row(cls, values: Iterable) -> "Matrix":
-        vec = as_vector(values)
-        return cls._wrap(1, len(vec), (vec,))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -312,6 +318,19 @@ def nonzero_entries(block) -> list[tuple]:
     if isinstance(block, Matrix):
         return [(i, j, v) for i, row in enumerate(block.data) for j, v in enumerate(row) if v]
     return [(i, v) for i, v in enumerate(block) if v]
+
+
+def int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """`Fraction` rows as int rows over s, the lcm of their denominators (1
+    when there are no entries); returns (int rows, s)."""
+    s = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (s // x.denominator) for x in row] for row in rows], s
+
+
+def fraction_rows(rows: Iterable[Iterable[int]], scale: int) -> tuple[Vector, ...]:
+    """Int rows over `scale` as the tuple rows of their exact values, each
+    zero the shared `ZERO`."""
+    return tuple(tuple(Fraction(x, scale) if x else ZERO for x in row) for row in rows)
 
 
 def int_image(blocks: Mapping) -> tuple[dict, int]:

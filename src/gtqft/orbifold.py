@@ -9,7 +9,10 @@ Vectors of the total space are flat tuples over all graded components,
 concatenated in element-index order; `_offsets` places each grade.
 
 The certification runs on int rows at one scale.  The basis becomes int
-rows B over s, the lcm of its denominators.  Each product v_i v_j is one
+rows B over s, the lcm of its denominators (`exactlin.int_rows`, the one
+conversion from `Fraction` rows; `exactlin.fraction_rows` is the one
+back, for the projector, the invariant algebra and every coordinate and
+text built below).  Each product v_i v_j is one
 int vector W over s^2 d_p, summed on the int image of the product
 (`algebra.table_image`, over d_p).  The basis is reduced, so the
 coordinates of W are its entries at the pivots, and W lies in the span
@@ -30,13 +33,21 @@ for the change-of-basis matrices and the `NotClosed` texts.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
 from .algebra import GFrobeniusAlgebra, frobenius_untwisted, inverted_pairings, table_image
 from .errors import NotClosed, check_budget
-from .exactlin import ZERO, Matrix, Tensor3, Vector, add_scaled, rref, vector_literal
+from .exactlin import (
+    Matrix,
+    Tensor3,
+    Vector,
+    add_scaled,
+    fraction_rows,
+    int_rows,
+    rref,
+    vector_literal,
+)
 from .groups import conjugacy
 from .report import CheckReport, Witness, descaled, failing, first_failure, passing, renderer
 
@@ -53,13 +64,6 @@ def _offsets(a: GFrobeniusAlgebra) -> tuple[tuple[int, ...], int]:
 def _component(a: GFrobeniusAlgebra, offsets, vec: Vector, g: int) -> Vector:
     start = offsets[g]
     return tuple(vec[start : start + a.dims[g]])
-
-
-def _int_rows(rows: Sequence[Vector]) -> tuple[list[list[int]], int]:
-    """`Fraction` rows as int rows over s, the lcm of their denominators;
-    returns (int rows, s)."""
-    s = math.lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (s // x.denominator) for x in row] for row in rows], s
 
 
 def _int_parts(a: GFrobeniusAlgebra, offsets, row: list[int]) -> list[tuple[int, list[int]]]:
@@ -109,14 +113,14 @@ def _in_span(
 
 def _coordinates(
     rows: Sequence[list[int]], s: int, pivots: Sequence[int], w: list[int], t: int, what: str
-) -> list[Fraction]:
+) -> Vector:
     """The `Fraction` coordinates of the int vector w over t in the reduced
     int rows over s; NotClosed, quoting w, if it lies outside their span."""
     coords, lhs, spanned = _in_span(rows, s, pivots, w)
     if lhs != spanned:
-        vec = vector_literal(tuple(Fraction(x, t) for x in w))
+        vec = vector_literal(fraction_rows((w,), t)[0])
         raise NotClosed(f"{what} leaves the invariant span: {vec}")
-    return [Fraction(c, t) for c in coords]
+    return fraction_rows((coords,), t)[0]
 
 
 def invariant_projector(a: GFrobeniusAlgebra) -> Matrix:
@@ -131,10 +135,7 @@ def invariant_projector(a: GFrobeniusAlgebra) -> Matrix:
         row0, col0 = offsets[group.conj(k, g)], offsets[g]
         for i, j, v in entries:
             grid[row0 + i][col0 + j] += v
-    scale = group.order * d_a
-    return Matrix._wrap(
-        total, total, tuple(tuple(Fraction(x, scale) if x else ZERO for x in row) for row in grid)
-    )
+    return Matrix._wrap(total, total, fraction_rows(grid, group.order * d_a))
 
 
 class SectorDecomposition:
@@ -188,12 +189,12 @@ def _sector_decomposition(
         start, stop = offsets[rep], offsets[rep] + a.dims[rep]
         block = tuple(row[start:stop] for row in projector.data[start:stop])
         basis, sector_pivots = _image_basis(Matrix._wrap(stop - start, stop - start, block))
-        sectors.append((*_int_rows(basis), sector_pivots))
+        sectors.append((*int_rows(basis), sector_pivots))
 
     # expansion: a centralizer-invariant sector vector spreads over its
     # class, each member h reached by the least k with k rep k^-1 = h; the
     # spread vector is an int vector over t d_a
-    expand_cols: list[list[Fraction]] = []
+    expand_cols: list[Vector] = []
     for rep, (sector_rows, t, _) in zip(classes.representatives, sectors):
         movers: dict[int, int] = {}
         for k in group.elements():
@@ -208,7 +209,7 @@ def _sector_decomposition(
 
     dim_inv = len(rows)
     dim_sec = len(expand_cols)
-    expand = Matrix(dim_sec, dim_inv, expand_cols).transpose()
+    expand = Matrix._wrap(dim_inv, dim_sec, tuple(zip(*expand_cols)))
 
     # restriction: an invariant vector is determined by its representative
     # parts, int vectors over s
@@ -219,7 +220,7 @@ def _sector_decomposition(
             part = row[offsets[rep] : offsets[rep] + a.dims[rep]]
             coords.extend(_coordinates(sector_rows, t, sector_pivots, part, s, "restriction"))
         restrict_cols.append(coords)
-    restrict = Matrix(dim_inv, dim_sec, restrict_cols).transpose()
+    restrict = Matrix._wrap(dim_sec, dim_inv, tuple(zip(*restrict_cols)))
 
     # square matrices: one product is the identity exactly when the other is
     if dim_sec != dim_inv or restrict @ expand != Matrix.identity(dim_sec):
@@ -245,7 +246,7 @@ def orbifold_algebra(a: GFrobeniusAlgebra) -> OrbifoldAlgebra:
     projector = invariant_projector(a)
     basis, pivots = _image_basis(projector)
     d = len(basis)
-    rows, s = _int_rows(basis)
+    rows, s = int_rows(basis)
     parts = [_int_parts(a, offsets, row) for row in rows]
     _, d_p = table_image(a, "product")
     inside = "a vector inside the invariant span"
@@ -286,7 +287,7 @@ def orbifold_algebra(a: GFrobeniusAlgebra) -> OrbifoldAlgebra:
     # the unit is invariant, so it must lie in the span and act as identity;
     # both tests compare int vectors over d_u * s * d_p
     e = group.identity
-    (unit,), d_u = _int_rows((a.unit,))
+    (unit,), d_u = int_rows((a.unit,))
     unit_total = [0] * total
     unit_total[offsets[e] : offsets[e] + len(unit)] = unit
     unit_coords, unit_lhs, unit_spanned = _in_span(rows, s, pivots, unit_total)
@@ -319,18 +320,9 @@ def orbifold_algebra(a: GFrobeniusAlgebra) -> OrbifoldAlgebra:
 
     # restricted trace: evaluate on the identity component only
     trace_coords = tuple(a.trace_of(_component(a, offsets, v, e)) for v in basis)
-    product_tensor = Tensor3._wrap(
-        d,
-        d,
-        d,
-        tuple(
-            tuple(tuple(Fraction(x, d_o) if x else ZERO for x in w) for w in row)
-            for row in products
-        ),
-    )
-    trivial = frobenius_untwisted(
-        d, product_tensor, tuple(Fraction(x, d_u) for x in unit_coords), trace_coords
-    )
+    product_tensor = Tensor3._wrap(d, d, d, tuple(fraction_rows(row, d_o) for row in products))
+    unit_exact = fraction_rows((unit_coords,), d_u)[0]
+    trivial = frobenius_untwisted(d, product_tensor, unit_exact, trace_coords)
     name = "orbifold-trace-nondegenerate"
     if inverted_pairings(trivial)[0][1] is not None:
         entries.append(passing(name))

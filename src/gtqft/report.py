@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .exactlin import Matrix, padded_index
+from .exactlin import Matrix, fraction_rows, padded_index
 
 
 @dataclass(frozen=True)
@@ -177,8 +177,8 @@ def _over(side, scale: int):
     if isinstance(side, int):
         return Fraction(side, scale)
     if side and isinstance(side[0], list):
-        return Matrix.from_rows([[Fraction(x, scale) for x in row] for row in side])
-    return tuple(Fraction(x, scale) for x in side)
+        return Matrix._wrap(len(side), len(side[0]), fraction_rows(side, scale))
+    return fraction_rows((side,), scale)[0]
 
 
 def descaled(render: Render, scale: int) -> Render:

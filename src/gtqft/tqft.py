@@ -13,7 +13,8 @@ int scale that the whole map is divided by, and each piece of a layer is
 applied only to the legs it touches, so a layer of width w over components
 of dimension d costs about d^(w+1) rather than the d^(2w) of its
 whole-layer matrix.  A piece's entries are ints over one denominator, the
-lcm of their denominators; a layer's scale is the product of its pieces'
+lcm of their denominators (`exactlin.int_rows`, the one conversion from
+`Fraction` rows); a layer's scale is the product of its pieces'
 denominators, and a word's scale the product of its layers' scales, so on
 group and rich algebras every scale is 1 and no scaling work is done.
 Pieces whose matrix is exactly the identity are skipped.  A word's value
@@ -22,7 +23,9 @@ running map holds an exact zero, so two running maps of one signature and
 scale are equal exactly when their rows are; over different scales they
 are compared entry by entry, cross-multiplied.  `RunningMap.matrix` is the
 one place that divides: it builds the Fraction `Matrix` of the word's
-value, with the word's `dom` and `cod` as its signatures.  `cerf` applies
+value, with the word's `dom` and `cod` as its signatures, filling a zero
+grid from the sparse rows itself (densified rows through
+`exactlin.fraction_rows` measured slower on `fuzz`).  `cerf` applies
 the words of a labelling to one identity map on their common domain,
 compares them as running maps and builds a `Matrix` only to print a
 witness.  The functoriality probe
@@ -81,7 +84,7 @@ from .cobordism import (
     split,
 )
 from .errors import EngineError, FlatnessViolation, SignatureMismatch, check_budget
-from .exactlin import ZERO, Matrix, Tensor3, matrix_literal
+from .exactlin import ZERO, Matrix, Tensor3, int_rows, matrix_literal
 from .groups import FiniteGroup
 from .report import CheckEntry, CheckReport, Witness, first_failure
 
@@ -207,11 +210,10 @@ class _PieceMatrix(Matrix):
 
     def __init__(self, m: Matrix):
         self.rows, self.cols, self.data = m.rows, m.cols, m.data
-        d = self.denominator = math.lcm(*{x.denominator for row in m.data for x in row})
+        grid, self.denominator = int_rows(m.data)
         if m.rows == m.cols and m == Matrix.identity(m.rows):
             self.terms = self.transposed = None
             return
-        grid = [[x.numerator * (d // x.denominator) for x in row] for row in m.data]
         self.terms = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in grid)
         self.transposed = tuple(
             tuple((i, grid[i][j]) for i in range(m.rows) if grid[i][j]) for j in range(m.cols)
@@ -257,9 +259,9 @@ class Evaluator:
         elif kind is PieceKind.SPLIT:
             out = split_matrix(self.derived.coproducts[labels])
         elif kind is PieceKind.CAP:
-            out = Matrix.column(a.unit)
+            out = Matrix._wrap(len(a.unit), 1, tuple((v,) for v in a.unit))
         elif kind is PieceKind.CUP:
-            out = Matrix.row(a.trace)
+            out = Matrix._wrap(1, len(a.trace), (a.trace,))
         else:  # SWAP
             g, h = labels
             dg, dh = a.dims[g], a.dims[h]

@@ -6,7 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtqft.errors import DimensionMismatch, SingularMatrix
-from gtqft.exactlin import ONE, ZERO, Matrix, add_scaled, rref, scalar_from_string
+from gtqft.exactlin import (
+    ONE,
+    ZERO,
+    Matrix,
+    add_scaled,
+    fraction_rows,
+    int_rows,
+    rref,
+    scalar_from_string,
+)
 
 F = Fraction
 
@@ -163,6 +172,49 @@ class TestScalar:
     def test_rejects_non_rational(self, bad):
         with pytest.raises(ValueError):
             scalar_from_string(bad)
+
+    @pytest.mark.parametrize(
+        "text,value",
+        [
+            ("+3", F(3)),
+            ("007/010", F(7, 10)),
+            (" 2/3 ", F(2, 3)),
+            ("3\n", F(3)),
+            ("-0", F(0)),
+            ("\u0661", F(1)),
+        ],
+    )
+    def test_accepted_literals(self, text, value):
+        # signs, leading zeros, surrounding whitespace and Unicode decimal
+        # digits in the numerator
+        assert scalar_from_string(text) == value
+
+    @pytest.mark.parametrize("bad", ["\u0661/\u0662", "1_000", "1e3"])
+    def test_rejected_literals(self, bad):
+        # the denominator's first nonzero digit is ASCII; no separators, no
+        # exponents
+        with pytest.raises(ValueError):
+            scalar_from_string(bad)
+
+
+class TestConversions:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.builds(F, st.integers(-6, 6), st.integers(1, 12)), max_size=4)))
+    def test_round_trip(self, rows):
+        ints, s = int_rows(rows)
+        # s clears every denominator, and no s / q for a prime q does
+        entries = [x for row in rows for x in row]
+        assert all((x * s).denominator == 1 for x in entries)
+        primes = [q for q in range(2, s + 1) if s % q == 0 and all(q % r for r in range(2, q))]
+        assert all(any((x * (s // q)).denominator != 1 for x in entries) for q in primes)
+        assert all(type(x) is int for row in ints for x in row)
+        back = fraction_rows(ints, s)
+        assert back == tuple(map(tuple, rows))
+        assert all(x is ZERO for row in back for x in row if not x)
+
+    @pytest.mark.parametrize("rows", [(), ((),), ((), ())])
+    def test_no_entries_have_scale_one(self, rows):
+        assert int_rows(rows) == ([[] for _ in rows], 1)
 
 
 class TestInverse:

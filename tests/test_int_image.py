@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 
 import gtqft.algebra
 import gtqft.orbifold
+import law_oracle
+from conftest import mutated, sites
 from gtqft import (
     check_axioms,
     check_cocommutativity,
@@ -27,7 +29,7 @@ from gtqft import (
     group_algebra,
     orbifold_algebra,
 )
-from gtqft.algebra import law
+from gtqft.algebra import law, pairing_matrix
 from gtqft.cli import main
 from gtqft.exactlin import Matrix, Tensor3, int_image
 from gtqft.report import first_failure
@@ -114,6 +116,32 @@ def test_int_product_is_the_fraction_product_scaled(case):
     (xs, d_x), (ys, d_y) = _int_vector(x), _int_vector(y)
     got = _int_times(image[(0, 0)], xs, ys, a.dims[0])
     assert got == [d_p * d_x * d_y * v for v in a.apply_product(0, 0, x, y)]
+
+
+ALGEBRA_FIXTURES = [
+    "s3_algebra",
+    "z2_algebra",
+    "dual_numbers",
+    "rich_s3",
+    "rescaled_s3",
+    "rescaled_rich_s3",
+    "zero_grade_z3",
+    "twisted_klein",
+    "twisted_d4",
+]
+
+
+@pytest.mark.parametrize("fixture", ALGEBRA_FIXTURES)
+def test_pairing_matrix_is_the_gram_matrix(request, fixture):
+    # the pairing on the product's int image against the trace's int row,
+    # on the algebra and with each product and trace entry set to -1/2
+    base = request.getfixturevalue(fixture)
+    algebras = [base] + [
+        mutated(base, site, F(-1, 2)) for site in sites(base) if site[0] in ("product", "trace")
+    ]
+    for a in algebras:
+        for g in a.group.elements():
+            assert pairing_matrix(a, g) == law_oracle.pairing_matrix(a, g)
 
 
 # --- every case of every law is drawn -----------------------------------
@@ -252,8 +280,9 @@ def test_check_builds_each_table_once(builds, capsys):
 def test_orbifold_reads_the_one_nondegeneracy_decision(builds, capsys):
     assert main(["orbifold", *S3_GROUP_ALGEBRA]) == 0
     # the action and the product, read through `table_image`; the invariant
-    # structure constants are the product's numerators and need no image
-    assert len(builds["int_image"]) == len(set(builds["int_image"])) == 2
+    # structure constants are the product's numerators and need no image,
+    # but the invariant algebra's pairing reads its own product's image
+    assert len(builds["int_image"]) == len(set(builds["int_image"])) == 3
     # the invariant algebra's one pairing, and no determinant
     assert (builds["pairing_matrix"], builds["inverse"], builds["det"]) == (1, 1, 0)
 

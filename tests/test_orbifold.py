@@ -359,6 +359,15 @@ class TestFractionRoute:
     def test_saved_algebra(self, name):
         assert_matches_the_fraction_route(load_algebra(SAVED_ALGEBRAS[name]))
 
+    def test_no_invariants(self):
+        # a zero-dimensional identity grade and no action: nothing is
+        # invariant, and both changes of basis are 0x0 (no columns to zip)
+        doc = {"group": "cyclic:2", "dims": {"e": 0, "g1": 1}, "unit": [], "trace": []}
+        assert_matches_the_fraction_route(load_algebra(doc))
+        class_data = orbifold_algebra(load_algebra(doc)).class_data
+        for m in (class_data.expand, class_data.restrict):
+            assert (m.rows, m.cols, m.data) == (0, 0, ())
+
     def test_single_entry_mutations(self, request):
         # every third entry of the product, action, unit and trace tables,
         # so that every table is reached; for each law, whether it failed
