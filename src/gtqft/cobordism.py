@@ -44,10 +44,10 @@ elements are label products: `ab` is the product of labels a and b, read
 left to right; a, b, c, d are the case's labels, A, B, C, D their inverses
 and e the identity.  Each row lists alternative words of one surface,
 which every field theory sends to the same map.  "111", "202" and "301"
-take four labels, "sphere" none, "cylinder" one, and "twist" and "pants"
-two; "103" is compiled at import as the reverse of "301", by the piece flip
-`_flip` over label products (the inverse of a product is the reversed
-string with its case swapped).  `cerf_case_words` builds a row's words,
+take four labels, "cylinder" one, and "twist" and "pants" two; "103" is
+compiled at import as the reverse of "301", by the piece flip `_flip` over
+label products (the inverse of a product is the reversed string with its
+case swapped).  `cerf_case_words` builds a row's words,
 `cerf --case` (`tqft.cerf_check`) compares the words of every row, and
 `rewrite_equivalent` replaces a piece by a word of the cylinder, twist or
 pants row.
@@ -67,6 +67,7 @@ from __future__ import annotations
 import enum
 import random
 import re
+from functools import partial
 from operator import itemgetter
 from typing import Sequence
 
@@ -195,6 +196,28 @@ def _format_signature(group: FiniteGroup, sig: Signature) -> str:
     return "[" + ", ".join(group.name(g) for g in sig) + "]"
 
 
+def _walk(layers, boundary, mismatch, dom=None) -> tuple[tuple, tuple]:
+    """The (dom, cod) of `layers`, each piece's read by `boundary`: all
+    layers are summed, then each must start where the one before ends (the
+    first at `dom`, if given), or `mismatch(n, expects, receives)` is raised
+    for layer n, counted from 1."""
+    bounds = []
+    for layer in layers:
+        layer_dom = layer_cod = ()
+        for piece in layer:
+            entry = boundary(piece)
+            layer_dom += entry[0]
+            layer_cod += entry[1]
+        bounds.append((layer_dom, layer_cod))
+    first = bounds[0][0] if bounds else dom or ()
+    current = first if dom is None else dom
+    for n, (layer_dom, layer_cod) in enumerate(bounds, 1):
+        if layer_dom != current:
+            raise mismatch(n, layer_dom, current)
+        current = layer_cod
+    return first, current
+
+
 class Cobordism:
     """A well-typed word of layers.  Immutable after construction.
 
@@ -215,32 +238,16 @@ class Cobordism:
         domain: Signature | None = None,
     ):
         layers = tuple(map(tuple, layers))
-        table = group.signatures
-        bounds = []  # (dom, cod) of each layer, one table entry per piece
-        for layer in layers:
-            layer_dom = layer_cod = ()
-            for piece in layer:
-                entry = table.get(piece) or _signature(group, piece)
-                layer_dom += entry[0]
-                layer_cod += entry[1]
-            bounds.append((layer_dom, layer_cod))
-        if layers:
-            dom = current = bounds[0][0]
-            if domain is not None and tuple(domain) != current:
-                raise SignatureMismatch(
-                    f"declared domain {_format_signature(group, tuple(domain))} does not "
-                    f"match first layer {_format_signature(group, current)}"
-                )
-            for index, (layer_dom, layer_cod) in enumerate(bounds):
-                if layer_dom != current:
-                    raise SignatureMismatch(
-                        f"layer {index + 1} expects {_format_signature(group, layer_dom)} "
-                        f"but receives {_format_signature(group, current)}"
-                    )
-                current = layer_cod
-            cod = current
-        else:
-            dom = cod = tuple(domain) if domain is not None else ()
+
+        def mismatch(n: int, expects: Signature, receives: Signature) -> SignatureMismatch:
+            expects, receives = (_format_signature(group, sig) for sig in (expects, receives))
+            return SignatureMismatch(  # at layer 1, only a declared domain can differ
+                f"declared domain {receives} does not match first layer {expects}" if n == 1
+                else f"layer {n} expects {expects} but receives {receives}"
+            )
+
+        domain = None if domain is None else tuple(domain)
+        dom, cod = _walk(layers, partial(_signature, group), mismatch, domain)
         self.group = group
         self.layers = layers
         self.dom = dom
@@ -439,8 +446,6 @@ _CASE_WORDS = {
         "cyl(ab;A) * cyl(cA;A) * cyl(dC;C) ; id(ba) * merge(Ac,Cd) ; merge(ba,Ad)",
         "cyl(ab;A) * cyl(cA;A) * cyl(dC;C) ; merge(ba,Ac) * id(Cd) ; merge(bc,Cd)",
     ),
-    # birth and death of a circle
-    "sphere": ("cap ; cup", "cap ; id(e) ; cup"),
     "cylinder": (
         "id(a)", "cyl(a;e)", "cyl(a;a)", "id(a) * cap ; merge(a,e)", "cap * id(a) ; merge(e,a)",
         "split(a,e) ; id(a) * cup", "split(e,a) ; cup * id(a)",
@@ -454,7 +459,7 @@ _CASE_WORDS = {
     "pants": ("merge(a,b) ; cyl(ab;b)", "swap(a,b) ; merge(b,a)"),
 }
 
-CERF_CASES = ("111", "202", "301", "103", "sphere", "cylinder", "twist", "pants")
+CERF_CASES = ("111", "202", "301", "103", "cylinder", "twist", "pants")
 
 _LABEL_LETTERS = "abcd"
 
@@ -502,30 +507,18 @@ class _FreeGroup:
 
 def _row_signature(case: str, parsed: list[list[tuple[Piece, ...]]]):
     """The one (dom, cod) of a table row's words over the free group, as
-    tuples of reduced label products.
+    tuples of reduced label products; SignatureMismatch unless every layer
+    of every word chains there and all words share it."""
 
-    Every layer of every word must chain there, and all words must share
-    one (dom, cod); otherwise SignatureMismatch.  A boundary equal over the
-    free group is equal under every labelling in every group, so each word
-    is then well typed at every labelling, at this (dom, cod) evaluated.
-    """
+    def boundary(piece: Piece):
+        return _BOUNDARY[piece.kind](_FreeGroup, tuple(map(_reduce, piece.labels)))
+
     signatures = set()
     for index, word in enumerate(parsed):
-        bounds = []
-        for layer in word:
-            layer_dom = layer_cod = ()
-            for piece in layer:
-                entry = _BOUNDARY[piece.kind](_FreeGroup, tuple(map(_reduce, piece.labels)))
-                layer_dom += entry[0]
-                layer_cod += entry[1]
-            bounds.append((layer_dom, layer_cod))
-        for n in range(1, len(bounds)):
-            if bounds[n][0] != bounds[n - 1][1]:
-                raise SignatureMismatch(
-                    f"move case {case} word {index}: layer {n + 1} expects {bounds[n][0]} "
-                    f"but receives {bounds[n - 1][1]} over the free group"
-                )
-        signatures.add((bounds[0][0], bounds[-1][1]))
+        where = f"move case {case} word {index}"
+        signatures.add(_walk(word, boundary, lambda n, expects, receives: SignatureMismatch(
+            f"{where}: layer {n} expects {expects} but receives {receives} over the free group"
+        )))
     if len(signatures) != 1:
         raise SignatureMismatch(
             f"move case {case} has words of different signatures: {sorted(signatures)}"
@@ -607,9 +600,9 @@ def cerf_case_words(group: FiniteGroup, case: str, labels: Sequence[int]) -> lis
     Every word in the returned list shares the same domain and codomain
     signature; a field theory must send them all to the same linear map.
     Cases "111", "202", "301" and "103" are the two-critical-point surfaces
-    with labelled holonomy arcs; "sphere" and "cylinder" cover the
-    birth/death insertions of caps and cups; "twist" twists a cylinder's
-    boundary circles and "pants" reorders a merge's inputs.
+    with labelled holonomy arcs; "cylinder" covers the birth/death
+    insertions of caps and cups; "twist" twists a cylinder's boundary
+    circles and "pants" reorders a merge's inputs.
     """
     want = case_label_count(case)
     labels = tuple(labels)

@@ -149,6 +149,16 @@ def sites(a):
             yield kind, None, (i,)
 
 
+def value_at(a, site) -> Fraction:
+    """The value of `a` at `site`, one of `sites(a)`."""
+    kind, key, index = site
+    if kind == "product":
+        return a.product[key][index]
+    if kind == "action":
+        return a.action[key].data[index[0]][index[1]]
+    return getattr(a, kind)[index[0]]
+
+
 def mutated(a, site, value) -> GFrobeniusAlgebra:
     """`a` with the entry at `site` (one of `sites(a)`) set to `value`."""
     kind, key, index = site

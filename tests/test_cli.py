@@ -434,6 +434,17 @@ class TestCerfCommand:
         assert status == 0
         assert out.startswith("checks: ") and "FAIL" not in out
 
+    def test_the_sphere_row_is_gone(self, capsys):
+        # its two words, cap ; cup and cap ; id(e) ; cup, differ only by an
+        # id layer, so no algebra could fail it
+        argv = ["cerf", "--group", "symmetric:3", "--algebra", "builtin:group-algebra"]
+        status = main([*argv, "--case", "sphere", "--all-labels"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: category=parse ") and "invalid choice: 'sphere'" in line
+
     def test_all_labels_over_the_budget(self, monkeypatch, capsys):
         # estimated only: building a word would raise
         monkeypatch.setattr(gtqft.tqft, "cerf_case_words", lambda *args: 1 / 0)

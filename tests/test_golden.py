@@ -234,7 +234,7 @@ LIBRARY_CASES = {f"{check}-{alg}": (alg, check) for alg in _MUTATED for check in
 # move case -> its S3 labels
 WORD_CASES = {
     f"words-{case}": {
-        "sphere": (), "cylinder": ("p120",), "twist": ("p120", "p021"), "pants": ("p021", "p120"),
+        "cylinder": ("p120",), "twist": ("p120", "p021"), "pants": ("p021", "p120"),
     }.get(case, ("p021", "p102", "p120", "p201"))
     for case in CERF_CASES
 }

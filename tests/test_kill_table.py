@@ -1,0 +1,69 @@
+"""Every check entry can fail, and no field theory check fails on an
+algebra that passes every law.
+
+The kill table (see `kill_table`) of three fixtures: the dual-number Z3
+algebra and twisted Klein run every Cerf row; the S3 group algebra runs
+none, and is here because it is the one fixture with mutants that fail
+`orbifold-closure` and `orbifold-trace-nondegenerate`.
+"""
+
+import pytest
+
+from conftest import dual_number_group_algebra
+from gtqft import check_axioms
+from gtqft.cobordism import CERF_CASES
+from kill_table import kills, outcomes
+
+ORBIFOLD = (
+    "orbifold-closure",
+    "orbifold-commutativity",
+    "orbifold-associativity",
+    "orbifold-unit",
+    "orbifold-trace-nondegenerate",
+    "orbifold-sector-isomorphism",
+)
+
+
+@pytest.fixture(scope="module")
+def fixtures(z3, twisted_klein, s3_algebra):
+    """Name -> (algebra, the Cerf rows it runs)."""
+    return {
+        "dual-number-z3": (dual_number_group_algebra(z3), CERF_CASES),
+        "twisted-klein": (twisted_klein, CERF_CASES),
+        "s3": (s3_algebra, ()),
+    }
+
+
+@pytest.fixture(scope="module")
+def tables(fixtures):
+    return {name: kills(a, cases) for name, (a, cases) in fixtures.items()}
+
+
+@pytest.fixture(scope="module")
+def laws(fixtures):
+    return {entry.name for entry in check_axioms(fixtures["s3"][0]).entries}
+
+
+def test_every_entry_fails_on_some_mutant(fixtures, tables, laws):
+    entries = {
+        *laws, "derive", "frobenius-relation", "twisted-cocommutativity",
+        *(f"cerf-{case}" for case in CERF_CASES), *ORBIFOLD,
+    }
+    assert len(laws) == 10
+    for a, cases in fixtures.values():
+        # each fixture passes every entry it runs, so a failure is the mutant's
+        ran = outcomes(a, cases)
+        assert all(ran.values()) and set(ran) <= entries
+    killed = {name for table in tables.values() for failed in table.values() for name in failed}
+    assert entries - killed == set()
+
+
+def test_no_field_theory_check_fails_where_every_law_holds(tables, laws):
+    # the algebra -> field theory half of the theorem
+    for name, table in tables.items():
+        for mutant, failed in table.items():
+            if not failed & laws:
+                assert not {
+                    entry for entry in failed
+                    if entry == "derive" or entry.startswith(("cerf-", "orbifold-"))
+                }, (name, mutant, failed)

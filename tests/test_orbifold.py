@@ -7,7 +7,7 @@ import pytest
 
 import gtqft.orbifold
 import law_oracle
-from conftest import mutated, sites
+from conftest import mutated, sites, value_at
 from gtqft import (
     GFrobeniusAlgebra,
     Matrix,
@@ -336,16 +336,6 @@ def assert_matches_the_fraction_route(a: GFrobeniusAlgebra):
     return orb.certification
 
 
-def entry(a: GFrobeniusAlgebra, site) -> Fraction:
-    """The value of `a` at `site`, one of `conftest.sites(a)`."""
-    kind, key, index = site
-    if kind == "product":
-        return a.product[key][index]
-    if kind == "action":
-        return a.action[key].data[index[0]][index[1]]
-    return getattr(a, kind)[index[0]]
-
-
 class TestFractionRoute:
     @pytest.mark.parametrize("fixture", ORACLE_FIXTURES)
     def test_fixture(self, request, fixture):
@@ -377,7 +367,7 @@ class TestFractionRoute:
             base = request.getfixturevalue(fixture)
             for site in itertools.islice(sites(base), 0, None, 3):
                 for delta in (F(1), F(-1, 2)):
-                    mutant = mutated(base, site, entry(base, site) + delta)
+                    mutant = mutated(base, site, value_at(base, site) + delta)
                     for failure in assert_matches_the_fraction_route(mutant).failures():
                         seen = "/" in failure.witness.left + failure.witness.right
                         fractional[failure.name] = fractional.get(failure.name, False) or seen

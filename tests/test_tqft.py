@@ -407,7 +407,7 @@ class TestCerf:
         report = cerf_check(dual_numbers, case, labels=(0, 0, 0, 0))
         assert report.passed
 
-    @pytest.mark.parametrize("case", ["111", "202", "301", "103", "sphere", "cylinder"])
+    @pytest.mark.parametrize("case", ["111", "202", "301", "103", "cylinder"])
     def test_rich_algebra_all_labelings(self, rich_s3, case):
         report = cerf_check(rich_s3, case, all_labels=True)
         assert report.passed, report.failures()
