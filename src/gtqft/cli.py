@@ -252,6 +252,8 @@ def _cmd_eval(config: RunConfig) -> int:
 
 
 def _cmd_cerf(config: RunConfig) -> int:
+    if config.all_labels and config.labels is not None:
+        raise SchemaError("cerf takes --labels or --all-labels, not both")
     a = _load_algebra_source(config)
     if config.case is None:
         raise SchemaError("--case is required for cerf")
@@ -260,7 +262,9 @@ def _cmd_cerf(config: RunConfig) -> int:
     else:
         if config.labels is None:
             raise SchemaError("cerf needs --labels or --all-labels")
-        names = [s.strip() for s in config.labels.split(",") if s.strip()]
+        names = [s.strip() for s in config.labels.split(",")]
+        if "" in names:
+            raise SchemaError(f"--labels {config.labels!r} has an empty element name")
         labels = tuple(a.group.index(name) for name in names)
         report = cerf_check(a, config.case, labels=labels)
     print(format_report(report, config.fmt))

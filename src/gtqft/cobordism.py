@@ -531,11 +531,11 @@ def _compile(case: str, parsed: list[list[tuple[Piece, ...]]]):
 
     Value slots hold e, the labels, their inverses, then the label
     products: step (i, j) fills the next slot with slot i times slot j.
-    A piece is its kind and a picker of value slots, a layer a picker of
-    pieces and a word a picker of layers.  The row's dom and cod, proved
-    over the free group by `_row_signature`, are pickers of value slots
-    too, so every word of a labelling shares them; the last item is the
-    label count.
+    A piece is its kind's intern table, its kind and a picker of value
+    slots, a layer a picker of pieces and a word a picker of layers.  The
+    row's dom and cod, proved over the free group by `_row_signature`, are
+    pickers of value slots too, so every word of a labelling shares them;
+    the last item is the label count.
     """
     dom, cod = (tuple(x or "e" for x in sig) for sig in _row_signature(case, parsed))
     layers = {x: i for i, x in enumerate(dict.fromkeys(x for word in parsed for x in word))}
@@ -551,7 +551,7 @@ def _compile(case: str, parsed: list[list[tuple[Piece, ...]]]):
         slot[x] = len(slot)
     return (
         tuple(steps),
-        tuple((p.kind, _picker([slot[x] for x in p.labels])) for p in pieces),
+        tuple((_PIECES[p.kind], p.kind, _picker([slot[x] for x in p.labels])) for p in pieces),
         tuple(_picker([pieces[p] for p in layer]) for layer in layers),
         tuple(_picker([layers[layer] for layer in word]) for word in parsed),
         _picker([slot[x] for x in dom]),
@@ -576,11 +576,21 @@ def case_label_count(case: str) -> int:
 def _slot_values(group: FiniteGroup, steps, labels: tuple[int, ...]) -> tuple[int, ...]:
     """The value slots of a compiled case at `labels`: e, the labels, their
     inverses, then one product per step."""
-    table = group.table
-    value = [group.identity, *labels, *map(group.inv, labels)]
+    table, inverse = group.table, group.inverse
+    value = [group.identity, *labels, *[inverse[x] for x in labels]]
     for i, j in steps:
         value.append(table[value[i]][value[j]])
     return tuple(value)
+
+
+def _pieces_at(piece_rows, value: tuple[int, ...]) -> tuple[Piece, ...]:
+    """The compiled pieces at the value slots, each read from its kind's
+    intern table and built only when the table does not hold it yet."""
+    return tuple([
+        table.get(labels) or Piece(kind, labels)
+        for table, kind, labels_of in piece_rows
+        for labels in (labels_of(value),)
+    ])
 
 
 def _case_word(group: FiniteGroup, case: str, labels: tuple[int, ...], index: int):
@@ -589,7 +599,7 @@ def _case_word(group: FiniteGroup, case: str, labels: tuple[int, ...], index: in
     steps, piece_rows, layer_rows, word_rows = _COMPILED[case][:4]
     value = _slot_values(group, steps, labels)
     return tuple([
-        tuple([Piece(kind, labels_of(value)) for kind, labels_of in pieces_of(piece_rows)])
+        _pieces_at(pieces_of(piece_rows), value)
         for pieces_of in word_rows[index](layer_rows)
     ])
 
@@ -610,7 +620,7 @@ def cerf_case_words(group: FiniteGroup, case: str, labels: Sequence[int]) -> lis
         raise SignatureMismatch(f"case {case} takes {want} labels, got {len(labels)}")
     steps, piece_rows, layer_rows, word_rows, dom_of, cod_of, _ = _COMPILED[case]
     value = _slot_values(group, steps, labels)
-    pieces = tuple([Piece(kind, labels_of(value)) for kind, labels_of in piece_rows])
+    pieces = _pieces_at(piece_rows, value)
     layers = tuple([pieces_of(pieces) for pieces_of in layer_rows])
     dom, cod = dom_of(value), cod_of(value)
     return [Cobordism._typed(group, layers_of(layers), dom, cod) for layers_of in word_rows]

@@ -26,10 +26,10 @@ one place that divides: it builds the Fraction `Matrix` of the word's
 value, with the word's `dom` and `cod` as its signatures, filling a zero
 grid from the sparse rows itself (densified rows through
 `exactlin.fraction_rows` measured slower on `fuzz`).  `cerf` applies
-the words of a labelling to one identity map on their common domain,
-compares them as running maps and builds a `Matrix` only to print a
-witness.  The functoriality probe
-multiplies running maps in row form too, and returns the word's value as
+the words of a labelling to one identity map on their common domain, one
+per domain dimension shared by all labellings, compares them as running
+maps and builds a `Matrix` only to print a witness.  The functoriality
+probe multiplies running maps in row form too, and returns the word's value as
 a `RunningMap` with its witness, both from one forward pass, so the fuzz
 loop evaluates each word once and compares its rewrite as running maps.
 The probe skips a split whose suffix and prefix rows are the same objects
@@ -277,7 +277,11 @@ class Evaluator:
         layer of identity pieces stores the shared identity plan for both
         directions at once, so it is never compiled transposed."""
         mats = [self.piece_matrix(piece) for piece in layer]
-        if all(m.terms is None for m in mats):  # identities, each over denominator 1
+        # a plain loop: `all` over a generator costs a frame per new layer
+        for m in mats:
+            if m.terms is not None:
+                break
+        else:  # identities, each over denominator 1
             self._layers[0][layer] = self._layers[1][layer] = _IDENTITY_PLAN
             return _IDENTITY_PLAN
         # (source dimension, target dimension, terms) of each piece
@@ -396,11 +400,16 @@ def cerf_check(
     ev = Evaluator(a)
     witnesses: dict[int, Witness] = {}
     alternatives = 0
+    starts: dict[int, list[dict]] = {}  # domain dimension -> its identity rows
     for labelling in labellings:
         words = cerf_case_words(group, case, labelling)
         # the table is proved at import to give a row's words one domain, so
-        # one identity map is the start of every word
-        start = ev._start(words[0])
+        # one identity map is the start of every word; rows are never
+        # mutated, so labellings whose domains have one dimension share it
+        dim = ev.signature_dimension(words[0].dom)
+        start = starts.get(dim)
+        if start is None:
+            start = starts[dim] = ev._start(words[0])
         values = []
         for w in words:
             rows, scale = ev._apply_layers(start, w.layers)

@@ -481,6 +481,35 @@ class TestCerfCommand:
         assert captured.out == ""
         assert captured.err == "error: category=type case twist takes 2 labels, got 1\n"
 
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            # the empty name was dropped, and the other four labels checked
+            ("p021,,p102,e,e", "--labels 'p021,,p102,e,e' has an empty element name"),
+            ("p021,p102,p120,e,", "--labels 'p021,p102,p120,e,' has an empty element name"),
+            (" , ", "--labels ' , ' has an empty element name"),
+        ],
+        ids=["inner", "trailing", "blank"],
+    )
+    def test_an_empty_label_name_is_a_parse_error(self, capsys, labels, message):
+        argv = ["cerf", "--group", "symmetric:3", "--algebra", "builtin:group-algebra"]
+        status = main([*argv, "--case", "111", "--labels", labels])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err == f"error: category=parse {message}\n"
+
+    def test_labels_with_all_labels_is_a_parse_error(self, capsys):
+        # --labels was ignored, and every labelling checked
+        argv = ["cerf", "--group", "symmetric:3", "--algebra", "builtin:group-algebra"]
+        status = main([*argv, "--case", "111", "--labels", "p021,p102,p120,e", "--all-labels"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: category=parse cerf takes --labels or --all-labels, not both\n"
+        )
+
 
 class TestRescaledWitnesses:
     """A negative control for the scaled running maps: the rescaled rich S3

@@ -28,7 +28,9 @@ from gtqft import (
 from gtqft.cobordism import (
     CERF_CASES,
     PieceKind,
+    _CASE_WORDS,
     _PARSED,
+    _Parser,
     _reduce,
     _row_signature,
     _splice,
@@ -344,6 +346,40 @@ class TestCaseBuilders:
                 assert [w.to_text() for w in found] == [w.to_text() for w in expected]
                 assert [(w.dom, w.cod) for w in found] == [(w.dom, w.cod) for w in expected]
                 assert found == expected
+
+    @pytest.mark.parametrize("case", [case for case in CERF_CASES if case != "103"])
+    def test_words_are_the_table_text_folded_through_the_group(self, s3, q8, case):
+        # the oracle of the builder's value slots, pickers and interned
+        # pieces: each word of the row's text with every label product
+        # folded through group.mul, typed by the checked constructor.  103
+        # has no text; it is checked against dual of 301 above
+        parsed = [_Parser(text, str).word() for text in _CASE_WORDS[case]]
+        for group in (s3, q8):
+            inverse = {
+                g: next(h for h in group.elements() if group.mul(g, h) == group.identity)
+                for g in group.elements()
+            }
+            for labels in itertools.product(group.elements(), repeat=case_label_count(case)):
+                letters = {"e": group.identity, **dict(zip("abcd", labels))}
+                letters.update(zip("ABCD", (inverse[g] for g in labels)))
+
+                def fold(product: str) -> int:
+                    value = group.identity
+                    for letter in product:
+                        value = group.mul(value, letters[letter])
+                    return value
+
+                expected = [
+                    Cobordism(group, [
+                        [Piece(piece.kind, tuple(map(fold, piece.labels))) for piece in layer]
+                        for layer in word
+                    ])
+                    for word in parsed
+                ]
+                found = cerf_case_words(group, case, labels)
+                assert [(w.layers, w.dom, w.cod) for w in found] == [
+                    (w.layers, w.dom, w.cod) for w in expected
+                ], labels
 
     def test_cylinder_case(self, z2):
         assert all(
