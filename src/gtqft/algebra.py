@@ -145,8 +145,12 @@ class GFrobeniusAlgebra:
     Nothing mutates an algebra after it is built, so ``_built`` keeps each
     table derived from it once built (`_once`): the `derive` structure, the
     `inverted_pairings`, the `table_image` of ``product`` and ``action``,
-    the `dual_image`, and the evaluator's piece and layer caches, which
-    fill piece by piece and layer by layer.
+    the `dual_image`, and the evaluator's piece, layer and kernel form
+    (``forms``) caches, which fill as words need them.
+
+    Blocks are immutable, so equal blocks may be one object (`load_algebra`,
+    `group_algebra`, and one zero block per shape for missing keys), and
+    `exactlin.int_image` and the kernel forms work once per distinct object.
     """
 
     __slots__ = ("group", "dims", "product", "action", "unit", "trace", "_built")
@@ -167,13 +171,14 @@ class GFrobeniusAlgebra:
         if any(d < 0 for d in dims):
             raise ShapeError("component dimensions must be non-negative")
 
+        zeros: dict[tuple, Tensor3 | Matrix] = {}  # shape -> its one zero block
         full_product: dict[tuple[int, int], Tensor3] = {}
         for g in range(n):
             for h in range(n):
                 want = (dims[g], dims[h], dims[group.mul(g, h)])
                 tensor = product.get((g, h))
                 if tensor is None:
-                    tensor = Tensor3.zeros(*want)
+                    tensor = zeros.get(want) or zeros.setdefault(want, Tensor3.zeros(*want))
                 elif tensor.dims != want:
                     raise ShapeError(
                         f"product tensor for ({group.name(g)}, {group.name(h)}) has shape "
@@ -188,7 +193,8 @@ class GFrobeniusAlgebra:
                 want_rows, want_cols = dims[target], dims[g]
                 block = action.get((k, g))
                 if block is None:
-                    block = Matrix.zeros(want_rows, want_cols)
+                    want = (want_rows, want_cols)
+                    block = zeros.get(want) or zeros.setdefault(want, Matrix.zeros(*want))
                 elif block.rows != want_rows or block.cols != want_cols:
                     raise ShapeError(
                         f"action block for ({group.name(k)}, {group.name(g)}) has shape "
@@ -320,7 +326,7 @@ def load_algebra(doc) -> GFrobeniusAlgebra:
     Omitted product/action entries are zero.  The laws are *not* checked
     here; run `check_axioms` on the result.  A document whose blocks would
     hold more cells than the work budget raises BudgetExceeded before any
-    block is built.
+    block is built.  Blocks of equal shape and entries load as one object.
     """
     if not isinstance(doc, dict):
         raise SchemaError("algebra document must be an object")
@@ -419,12 +425,22 @@ def load_algebra(doc) -> GFrobeniusAlgebra:
     unit = tuple(_scalar_from_json(v, f"unit[{i}]") for i, v in enumerate(raw_unit))
     trace = tuple(_scalar_from_json(v, f"trace[{i}]") for i, v in enumerate(raw_trace))
 
+    # one block per distinct shape and cell, keyed before any block is built
+    blocks: dict[tuple, Tensor3 | Matrix] = {}
+
+    def interned(build, shape: tuple, cell: dict):
+        key = (shape, frozenset(cell.items()))
+        block = blocks.get(key)
+        if block is None:
+            block = blocks[key] = build(*shape, cell)
+        return block
+
     product = {
-        (g, h): Tensor3.from_entries(dims[g], dims[h], dims[group.mul(g, h)], cell)
+        (g, h): interned(Tensor3.from_entries, (dims[g], dims[h], dims[T[g][h]]), cell)
         for (g, h), cell in product_entries.items()
     }
     action = {
-        (k, g): Matrix.from_entries(dims[conj(k, g)], dims[g], cell)
+        (k, g): interned(Matrix.from_entries, (dims[conj(k, g)], dims[g]), cell)
         for (k, g), cell in action_entries.items()
     }
 

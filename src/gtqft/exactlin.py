@@ -338,13 +338,18 @@ def int_image(blocks: Mapping) -> tuple[dict, int]:
     vectors) over their common denominator D, the lcm of every entry's
     denominator.  Each block becomes the list of its nonzero entries in
     row-major order as (*index, numerator), where the entry's value is
-    numerator / D; returns (image, D)."""
-    entries = {key: nonzero_entries(block) for key, block in blocks.items()}
+    numerator / D; returns (image, D).  Keys holding one block object share
+    one scan and one entry list (`blocks` keeps every id alive)."""
+    entries = {}  # block id -> its nonzero entries
+    for block in blocks.values():
+        if id(block) not in entries:
+            entries[id(block)] = nonzero_entries(block)
     scale = math.lcm(*(e[-1].denominator for block in entries.values() for e in block))
-    return {
-        key: [(*e[:-1], e[-1].numerator * (scale // e[-1].denominator)) for e in block]
-        for key, block in entries.items()
-    }, scale
+    images = {
+        at: [(*e[:-1], e[-1].numerator * (scale // e[-1].denominator)) for e in block]
+        for at, block in entries.items()
+    }
+    return {key: images[id(block)] for key, block in blocks.items()}, scale
 
 
 def padded_index(index: Sequence[int], pad: int) -> int:

@@ -21,7 +21,8 @@ Commutativity and associativity read those numerators, over s^2 d_p, and
 the unit law compares int vectors over one scale as well.  `Fraction`s are
 built only for the basis, the invariant algebra and the witnesses
 (`report.descaled`).  The projector reads the action's int image, and the
-trace check reads the invariant algebra's `algebra.inverted_pairings`.
+trace check reads the invariant algebra's `algebra.inverted_pairings`,
+on a product int image handed over from those numerators.
 
 The sector decomposition cross-checks the basis by another method: each
 sector basis is row-reduced from its own diagonal block of the projector.
@@ -33,6 +34,7 @@ for the change-of-basis matrices and the `NotClosed` texts.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -323,6 +325,16 @@ def orbifold_algebra(a: GFrobeniusAlgebra) -> OrbifoldAlgebra:
     product_tensor = Tensor3._wrap(d, d, d, tuple(fraction_rows(row, d_o) for row in products))
     unit_exact = fraction_rows((unit_coords,), d_u)[0]
     trivial = frobenius_untwisted(d, product_tensor, unit_exact, trace_coords)
+    # the product's int image as `int_image` builds it: the numerators and
+    # d_o divided by their gcd
+    common = math.gcd(d_o, *(c for row in constants for ij in row for _, c in ij))
+    image = [
+        (i, j, m, c // common)
+        for i, row in enumerate(constants)
+        for j, ij in enumerate(row)
+        for m, c in ij
+    ]
+    trivial._built["product"] = {(0, 0): image}, d_o // common
     name = "orbifold-trace-nondegenerate"
     if inverted_pairings(trivial)[0][1] is not None:
         entries.append(passing(name))

@@ -55,6 +55,8 @@ pairings, dual bases and coproducts once per algebra, and every later
 evaluator, check and closed invariant on it reuses them.  The piece
 matrices are stored on the algebra as well, in one cache that every
 `Evaluator` on it shares and that fills piece by piece as words need them.
+Kernel forms are kept per distinct block object (of a `cyl`, `merge` or
+`split`) or per dimensions (of an `id` or `swap`), and pieces share them.
 Each layer is compiled once per algebra and direction, next to the pieces:
 its plan holds its scale and the strides and kernel terms of its
 non-identity pieces, so a layer that recurs costs no piece lookups.  A
@@ -234,6 +236,8 @@ class Evaluator:
         self.algebra = algebra
         self.derived = derive(algebra)
         self._pieces: dict[Piece, _PieceMatrix] = _once(algebra, "pieces", dict)
+        # form key -> the kernel form its pieces share
+        self._forms: dict[tuple, _PieceMatrix] = _once(algebra, "forms", dict)
         # layer -> its plan, one map per direction: (forward, transposed)
         self._layers: tuple[dict, dict] = _once(algebra, "layers", lambda: ({}, {}))
 
@@ -249,25 +253,39 @@ class Evaluator:
             return cached
         a = self.algebra
         kind, labels = piece.kind, piece.labels
-        if kind is PieceKind.ID:
-            out = Matrix.identity(a.dims[labels[0]])
-        elif kind is PieceKind.CYL:
+        # form key: the block read, by id (the algebra keeps it alive), or
+        # else the label dimensions
+        if kind is PieceKind.CYL:
             g, k = labels
-            out = a.action[(k, g)]
+            block = a.action[(k, g)]
         elif kind is PieceKind.MERGE:
-            out = merge_matrix(a.product[labels])
+            block = a.product[labels]
         elif kind is PieceKind.SPLIT:
-            out = split_matrix(self.derived.coproducts[labels])
-        elif kind is PieceKind.CAP:
-            out = Matrix._wrap(len(a.unit), 1, tuple((v,) for v in a.unit))
-        elif kind is PieceKind.CUP:
-            out = Matrix._wrap(1, len(a.trace), (a.trace,))
-        else:  # SWAP
-            g, h = labels
-            dg, dh = a.dims[g], a.dims[h]
-            flips = {(j * dg + i, i * dh + j): 1 for i in range(dg) for j in range(dh)}
-            out = Matrix.from_entries(dh * dg, dg * dh, flips)
-        out = self._pieces[piece] = _PieceMatrix(out)
+            block = self.derived.coproducts[labels]
+        else:
+            block = None
+        key = (kind, *(a.dims[g] for g in labels)) if block is None else (kind, id(block))
+        out = self._forms.get(key)
+        if out is None:
+            if kind is PieceKind.ID:
+                out = Matrix.identity(a.dims[labels[0]])
+            elif kind is PieceKind.CYL:
+                out = block
+            elif kind is PieceKind.MERGE:
+                out = merge_matrix(block)
+            elif kind is PieceKind.SPLIT:
+                out = split_matrix(block)
+            elif kind is PieceKind.CAP:
+                out = Matrix._wrap(len(a.unit), 1, tuple((v,) for v in a.unit))
+            elif kind is PieceKind.CUP:
+                out = Matrix._wrap(1, len(a.trace), (a.trace,))
+            else:  # SWAP
+                g, h = labels
+                dg, dh = a.dims[g], a.dims[h]
+                flips = {(j * dg + i, i * dh + j): 1 for i in range(dg) for j in range(dh)}
+                out = Matrix.from_entries(dh * dg, dg * dh, flips)
+            out = self._forms[key] = _PieceMatrix(out)
+        self._pieces[piece] = out
         return out
 
     def _compile_layer(self, layer, transposed: bool) -> tuple:

@@ -119,6 +119,46 @@ class TestLoad:
     def test_round_trip_rich(self, rich_s3):
         assert load_algebra(save_algebra(rich_s3)) == rich_s3
 
+    def test_equal_cells_load_as_one_block(self, s3):
+        doc = save_algebra(group_algebra(s3))
+        a = load_algebra(doc)
+        assert len({id(t) for t in a.product.values()}) == 1
+        assert len({id(m) for m in a.action.values()}) == 1
+        # the one product entry p021 * p021 set to 2: that block is its own
+        # object, and the other 35 are still one
+        key = (s3.index("p021"), s3.index("p021"))
+        (entry,) = (e for e in doc["product"] if (e["g"], e["h"]) == ("p021", "p021"))
+        entry["value"] = "2"
+        b = load_algebra(doc)
+        others = {id(t) for k, t in b.product.items() if k != key}
+        assert len(others) == 1 and id(b.product[key]) not in others
+        assert b.product[key][(0, 0, 0)] == 2
+        assert b.action == a.action
+
+    def test_equal_cells_of_two_shapes_load_as_two_blocks(self):
+        # the cell {(0, 0): 1} on the one-dimensional grade e and on the
+        # two-dimensional grade g1
+        doc = trivial_algebra_doc()
+        doc["dims"] = {"e": 1, "g1": 2}
+        doc["action"] = [
+            {"k": k, "g": g, "i": 0, "j": 0, "value": "1"} for k in ("e", "g1") for g in ("e", "g1")
+        ]
+        a = load_algebra(doc)
+        assert a.action[(0, 0)] is a.action[(1, 0)]
+        assert a.action[(0, 1)] is a.action[(1, 1)] is not a.action[(0, 0)]
+        assert a.action[(0, 1)] == Matrix.from_rows([[1, 0], [0, 0]])
+
+    def test_missing_blocks_of_one_shape_are_one_zero_block(self, s3):
+        a = GFrobeniusAlgebra(s3, (1,) * 6, {}, {}, (1,), (1,))
+        assert len({id(t) for t in a.product.values()}) == 1
+        assert len({id(m) for m in a.action.values()}) == 1
+        assert a.product[(0, 0)] == Tensor3.zeros(1, 1, 1)
+        assert a.action[(0, 0)] == Matrix.zeros(1, 1)
+
+    @pytest.mark.parametrize("name", sorted(SAVED_ALGEBRAS))
+    def test_saved_documents_round_trip(self, name):
+        assert save_algebra(load_algebra(SAVED_ALGEBRAS[name])) == SAVED_ALGEBRAS[name]
+
     def test_saved_entry_order_is_pinned(self, rescaled_rich_s3):
         """Blocks of different shapes (mixed-z2) and non-integer entries
         (rescaled-rich-s3) keep their saved order and bytes."""

@@ -10,8 +10,9 @@ none, and is here because it is the one fixture with mutants that fail
 import pytest
 
 from conftest import dual_number_group_algebra
-from gtqft import check_axioms
+from gtqft import GFrobeniusAlgebra, check_axioms, load_algebra, save_algebra
 from gtqft.cobordism import CERF_CASES
+from gtqft.exactlin import Matrix, Tensor3
 from kill_table import kills, outcomes
 
 ORBIFOLD = (
@@ -56,6 +57,26 @@ def test_every_entry_fails_on_some_mutant(fixtures, tables, laws):
         assert all(ran.values()) and set(ran) <= entries
     killed = {name for table in tables.values() for failed in table.values() for name in failed}
     assert entries - killed == set()
+
+
+def test_shared_blocks_hide_no_mutant(fixtures, tables):
+    # a loaded dual-number Z3 holds one object for its nine equal product
+    # blocks and one for its nine action blocks; a mutant of one of them
+    # must fail the same entries as on the fixture, and as on a copy whose
+    # eighteen blocks are all separate objects
+    a, cases = fixtures["dual-number-z3"]
+    loaded = load_algebra(save_algebra(a))
+    assert len({id(t) for t in loaded.product.values()}) == 1
+    assert len({id(m) for m in loaded.action.values()}) == 1
+    apart = GFrobeniusAlgebra(
+        a.group,
+        a.dims,
+        {key: Tensor3._wrap(*t.dims, t.data) for key, t in a.product.items()},
+        {key: Matrix._wrap(m.rows, m.cols, m.data) for key, m in a.action.items()},
+        a.unit,
+        a.trace,
+    )
+    assert kills(loaded, cases) == kills(apart, cases) == tables["dual-number-z3"]
 
 
 def test_no_field_theory_check_fails_where_every_law_holds(tables, laws):

@@ -20,7 +20,7 @@ from gtqft import (
     save_algebra,
 )
 from gtqft.cli import main
-from gtqft.exactlin import ZERO, Vector
+from gtqft.exactlin import ZERO, Vector, int_image
 from gtqft.orbifold import invariant_projector, _component, _offsets
 
 F = Fraction
@@ -320,12 +320,14 @@ ORBIFOLD_LAWS = (
 
 def assert_matches_the_fraction_route(a: GFrobeniusAlgebra):
     """Assert that the certification, the saved invariant algebra and the
-    sector change of basis of `a` are those of the `Fraction` route;
-    returns the certification."""
+    sector change of basis of `a` are those of the `Fraction` route, and
+    that the invariant algebra's product int image, which the orbifold
+    hands over, is the one `int_image` builds; returns the certification."""
     orb = orbifold_algebra(a)
     certification, trivial, class_data = law_oracle.orbifold_reference(a)
     assert repr(orb.certification) == repr(certification)
     assert save_algebra(orb.trivial) == save_algebra(trivial)
+    assert orb.trivial._built["product"] == int_image(orb.trivial.product)
     if class_data is None:
         assert orb.class_data is None
     else:

@@ -35,7 +35,7 @@ import gtqft.cobordism
 import gtqft.errors
 from gtqft.cli import main
 import gtqft.tqft
-from gtqft.algebra import GFrobeniusAlgebra, load_algebra
+from gtqft.algebra import GFrobeniusAlgebra, load_algebra, save_algebra
 from gtqft.cobordism import CERF_CASES, cerf_case_words
 from gtqft.errors import BudgetExceeded, EngineError, FlatnessViolation, SignatureMismatch
 from gtqft.exactlin import matrix_literal
@@ -398,6 +398,24 @@ class TestDehn:
     def test_rich_algebra(self, rich_s3):
         assert _rows_pass(rich_s3, "cylinder", "twist")
 
+    def test_rescaled_rich_algebra(self, rescaled_rich_s3):
+        # every action block of rich S3 is the one identity matrix, so its
+        # cylinders apply nothing; the rescaled copy's grade-moving
+        # cylinders are not identities
+        assert _rows_pass(rescaled_rich_s3, "cylinder", "twist")
+
+    def test_doubled_grade_moving_block_fails_the_twist(self, rescaled_rich_s3):
+        # the negative control of the rows above: the action of p021 on p102
+        # doubled, on an algebra whose other blocks are all distinct
+        a = rescaled_rich_s3
+        k, g = key = (a.group.index("p021"), a.group.index("p102"))
+        assert a.group.conj(k, g) != g
+        action = dict(a.action)
+        action[key] = Matrix.from_rows([[2 * x for x in row] for row in a.action[key].data])
+        doubled = GFrobeniusAlgebra(a.group, a.dims, a.product, action, a.unit, a.trace)
+        assert _rows_pass(doubled, "cylinder")
+        assert not _rows_pass(doubled, "twist")
+
     def test_self_cylinder_is_identity(self, rich_s3):
         for g in rich_s3.group.elements():
             w = Cobordism(rich_s3.group, ((cyl(g, g),),))
@@ -684,7 +702,9 @@ class TestSharedPieces:
         assert fresh._pieces == {}
         assert fresh._layers == ({}, {})
 
-    def test_closed_invariants_build_each_merge_matrix_once(self, monkeypatch):
+    def test_closed_invariants_build_one_merge_matrix_per_distinct_block(self, monkeypatch):
+        # every product block of a group algebra is one object, so its 11
+        # merge pieces share one kernel form
         a = group_algebra(builtin("symmetric", 3))
         built = []
         real = gtqft.tqft.merge_matrix
@@ -697,7 +717,28 @@ class TestSharedPieces:
                 continue
             flat += 1
         assert flat == 18
-        assert len(built) == 11
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("fixture", ["rich_s3", "rescaled_rich_s3"])
+    def test_loaded_algebra_builds_one_form_per_distinct_block(
+        self, request, monkeypatch, fixture
+    ):
+        # a loaded algebra holds one object per distinct block, and derive
+        # one per distinct coproduct, so a kernel form is built once per
+        # distinct piece kind and matrix: all blocks of rich S3 are equal
+        # and all of the rescaled copy distinct
+        a = load_algebra(save_algebra(request.getfixturevalue(fixture)))
+        built = []
+        real = gtqft.tqft._PieceMatrix
+        monkeypatch.setattr(gtqft.tqft, "_PieceMatrix", lambda m: built.append(m) or real(m))
+        ev = Evaluator(a)
+        for seed in range(40):
+            ev(random_cobordism(a.group, seed, 8))
+        for case in ("cylinder", "twist", "pants"):
+            assert cerf_check(a, case, all_labels=True).passed
+        forms = {(piece.kind, m.rows, m.cols, m.data) for piece, m in ev._pieces.items()}
+        assert len(built) == len(forms) < len(ev._pieces)
+        assert {piece.kind for piece in ev._pieces} == set(PieceKind)
 
     def test_group_algebra_layers_compile_to_nothing(self, monkeypatch, capsys):
         compiled = []  # the evaluator and direction of each compile
