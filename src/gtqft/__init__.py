@@ -44,7 +44,6 @@ from .errors import (
     EngineError,
     FlatnessViolation,
     NotAGroup,
-    NotClosed,
     ParseError,
     SchemaError,
     ShapeError,
@@ -85,7 +84,6 @@ __all__ = [
     "GFrobeniusAlgebra",
     "Matrix",
     "NotAGroup",
-    "NotClosed",
     "OrbifoldAlgebra",
     "ParseError",
     "Piece",

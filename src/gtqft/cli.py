@@ -420,23 +420,25 @@ def build_parser() -> argparse.ArgumentParser:
             required=True,
             help='algebra file or "builtin:group-algebra" (with --group)',
         )
+
+    def formatted(p):
+        common(p)
         p.add_argument(
             "--format",
             dest="fmt",
             choices=["human", "records"],
             help="human-readable table or line-delimited JSON records",
         )
+        return p
 
-    common(sub.add_parser("check", help="run the law checks on an algebra"))
-    common(sub.add_parser("derive", help="print pairings, coproducts and handle elements"))
-    common(sub.add_parser("orbifold", help="emit the invariant subalgebra as an algebra file"))
+    formatted(sub.add_parser("check", help="run the law checks on an algebra"))
+    formatted(sub.add_parser("derive", help="print pairings, coproducts and handle elements"))
+    formatted(sub.add_parser("orbifold", help="emit the invariant subalgebra as an algebra file"))
 
-    p_eval = sub.add_parser("eval", help="evaluate a surface word")
-    common(p_eval)
+    p_eval = formatted(sub.add_parser("eval", help="evaluate a surface word"))
     p_eval.add_argument("--cobordism", required=True, help="word text or a file containing it")
 
-    p_cerf = sub.add_parser("cerf", help="compare alternative decompositions")
-    common(p_cerf)
+    p_cerf = formatted(sub.add_parser("cerf", help="compare alternative decompositions"))
     p_cerf.add_argument("--case", required=True, choices=CERF_CASES)
     p_cerf.add_argument("--labels", help="comma-separated element names")
     p_cerf.add_argument("--all-labels", action="store_true", dest="all_labels")

@@ -108,12 +108,6 @@ class SignatureMismatch(EngineError):
     category = "type"
 
 
-class NotClosed(EngineError):
-    """A product left the invariant subspace (cannot occur for valid input)."""
-
-    category = "check-failure"
-
-
 class FlatnessViolation(EngineError):
     """Closed-surface holonomies whose commutator product is not the identity."""
 

@@ -24,22 +24,22 @@ built only for the basis, the invariant algebra and the witnesses
 trace check reads the invariant algebra's `algebra.inverted_pairings`,
 on a product int image handed over from those numerators.
 
-The sector decomposition cross-checks the basis by another method: each
-sector basis is row-reduced from its own diagonal block of the projector.
-It then runs on the same int forms: the sector bases as int rows, the
-class expansion on the action's int image, the restriction on the
-invariant int rows, all tested by `_in_span`; `Fraction`s are built only
-for the change-of-basis matrices and the `NotClosed` texts.
+The last entry certifies that the basis is invariant: every phi_k fixes
+every basis row, each side an int vector over s d_a summed on the action's
+int image over the row's grade parts.  A vector v that every phi_k fixes
+has P v = v for the average P of the phi_k, so it lies in the image of P,
+the span of the basis; once every basis row is fixed too, that span is
+exactly the space every phi_k fixes, whether or not the phi_k form an
+action.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
 from .algebra import GFrobeniusAlgebra, frobenius_untwisted, inverted_pairings, table_image
-from .errors import NotClosed, check_budget
+from .errors import check_budget
 from .exactlin import (
     Matrix,
     Tensor3,
@@ -50,7 +50,6 @@ from .exactlin import (
     rref,
     vector_literal,
 )
-from .groups import conjugacy
 from .report import CheckReport, Witness, descaled, failing, first_failure, passing, renderer
 
 
@@ -113,18 +112,6 @@ def _in_span(
     return coords, [s * x for x in w], add_scaled([0] * len(w), coords, rows)
 
 
-def _coordinates(
-    rows: Sequence[list[int]], s: int, pivots: Sequence[int], w: list[int], t: int, what: str
-) -> Vector:
-    """The `Fraction` coordinates of the int vector w over t in the reduced
-    int rows over s; NotClosed, quoting w, if it lies outside their span."""
-    coords, lhs, spanned = _in_span(rows, s, pivots, w)
-    if lhs != spanned:
-        vec = vector_literal(fraction_rows((w,), t)[0])
-        raise NotClosed(f"{what} leaves the invariant span: {vec}")
-    return fraction_rows((coords,), t)[0]
-
-
 def invariant_projector(a: GFrobeniusAlgebra) -> Matrix:
     """The averaging projector over the whole conjugation action: the
     action blocks of every k, summed on the int image of the action into
@@ -140,30 +127,16 @@ def invariant_projector(a: GFrobeniusAlgebra) -> Matrix:
     return Matrix._wrap(total, total, fraction_rows(grid, group.order * d_a))
 
 
-class SectorDecomposition:
-    """The mutually inverse change-of-basis matrices between the direct sum
-    of the centralizer-invariant sectors of the class representatives and
-    the invariant basis of the whole algebra.
-    """
-
-    __slots__ = ("expand", "restrict")
-
-    def __init__(self, expand, restrict):
-        self.expand = expand
-        self.restrict = restrict
-
-
 class OrbifoldAlgebra:
     """The invariant subalgebra, certified as an ordinary Frobenius algebra;
     `trivial` is that algebra over the trivial group, as the file format
     saves it."""
 
-    __slots__ = ("basis", "trivial", "class_data", "certification")
+    __slots__ = ("basis", "trivial", "certification")
 
-    def __init__(self, basis, trivial, class_data, certification):
+    def __init__(self, basis, trivial, certification):
         self.basis = basis
         self.trivial = trivial
-        self.class_data = class_data
         self.certification = certification
 
     @property
@@ -171,82 +144,22 @@ class OrbifoldAlgebra:
         return len(self.basis)
 
 
-def _sector_decomposition(
-    a: GFrobeniusAlgebra, projector: Matrix, rows: Sequence[list[int]], s: int, pivots: Sequence[int]
-) -> SectorDecomposition:
-    """The sector change of basis for the invariant basis given as reduced
-    int rows over s with these pivots; NotClosed when it fails."""
-    group = a.group
-    offsets, total = _offsets(a)
-    classes = conjugacy(group)
-    action, d_a = table_image(a, "action")
-
-    # The (r, r) diagonal block of the invariant projector is
-    # (1/n) * sum of action[(k, r)] over the k with k r k^-1 = r, that is
-    # over the centralizer C(r): |C(r)|/n times the centralizer's own
-    # averaging projector, so its image has the same reduced basis, here
-    # as int rows over t with their pivots.
-    sectors: list[tuple[list[list[int]], int, tuple[int, ...]]] = []
-    for rep in classes.representatives:
-        start, stop = offsets[rep], offsets[rep] + a.dims[rep]
-        block = tuple(row[start:stop] for row in projector.data[start:stop])
-        basis, sector_pivots = _image_basis(Matrix._wrap(stop - start, stop - start, block))
-        sectors.append((*int_rows(basis), sector_pivots))
-
-    # expansion: a centralizer-invariant sector vector spreads over its
-    # class, each member h reached by the least k with k rep k^-1 = h; the
-    # spread vector is an int vector over t d_a
-    expand_cols: list[Vector] = []
-    for rep, (sector_rows, t, _) in zip(classes.representatives, sectors):
-        movers: dict[int, int] = {}
-        for k in group.elements():
-            movers.setdefault(group.conj(k, rep), k)
-        for w in sector_rows:
-            full = [0] * total
-            for h, k in movers.items():
-                base = offsets[h]
-                for i, j, v in action[(k, rep)]:
-                    full[base + i] += v * w[j]
-            expand_cols.append(_coordinates(rows, s, pivots, full, t * d_a, "class expansion"))
-
-    dim_inv = len(rows)
-    dim_sec = len(expand_cols)
-    expand = Matrix._wrap(dim_inv, dim_sec, tuple(zip(*expand_cols)))
-
-    # restriction: an invariant vector is determined by its representative
-    # parts, int vectors over s
-    restrict_cols: list[list[Fraction]] = []
-    for row in rows:
-        coords: list[Fraction] = []
-        for rep, (sector_rows, t, sector_pivots) in zip(classes.representatives, sectors):
-            part = row[offsets[rep] : offsets[rep] + a.dims[rep]]
-            coords.extend(_coordinates(sector_rows, t, sector_pivots, part, s, "restriction"))
-        restrict_cols.append(coords)
-    restrict = Matrix._wrap(dim_sec, dim_inv, tuple(zip(*restrict_cols)))
-
-    # square matrices: one product is the identity exactly when the other is
-    if dim_sec != dim_inv or restrict @ expand != Matrix.identity(dim_sec):
-        raise NotClosed("sector change of basis failed to invert")
-    return SectorDecomposition(expand, restrict)
-
-
 def orbifold_algebra(a: GFrobeniusAlgebra) -> OrbifoldAlgebra:
     """Restrict the algebra to its invariants and certify the result.
 
     The certification report covers closure of the product, commutativity,
     associativity, unit membership and the unit law, nondegeneracy of the
-    restricted trace pairing, and the sector isomorphism (`class_data`,
-    None when the sector change of basis fails).  Products and a unit that
-    leave the invariant span are zero-filled, so that every entry is still
-    computed.  Row-reducing the total x total projector is cubic in the
-    total dimension, and so are the d^3 associativity cases (d <= total),
-    so total^3 is checked against the work budget before anything is built.
+    restricted trace pairing, and invariance of the basis under every k.
+    Products and a unit that leave the invariant span are zero-filled, so
+    that every entry is still computed.  Row-reducing the total x total
+    projector is cubic in the total dimension, and so are the d^3
+    associativity cases (d <= total), so total^3 is checked against the
+    work budget before anything is built.
     """
     group = a.group
     offsets, total = _offsets(a)
     check_budget(total**3, "units of orbifold work")
-    projector = invariant_projector(a)
-    basis, pivots = _image_basis(projector)
+    basis, pivots = _image_basis(invariant_projector(a))
     d = len(basis)
     rows, s = int_rows(basis)
     parts = [_int_parts(a, offsets, row) for row in rows]
@@ -341,17 +254,27 @@ def orbifold_algebra(a: GFrobeniusAlgebra) -> OrbifoldAlgebra:
     else:
         entries.append(failing(name, (("gram", "determinant"),), "0", "nonzero determinant"))
 
-    name = "orbifold-sector-isomorphism"
-    try:
-        class_data = _sector_decomposition(a, projector, rows, s, pivots)
-    except NotClosed as exc:
-        class_data = None
-        entries.append(failing(name, (("error", str(exc)),), "", ""))
-    else:
-        entries.append(passing(name))
-    return OrbifoldAlgebra(
-        basis=basis,
-        trivial=trivial,
-        class_data=class_data,
-        certification=CheckReport(tuple(entries)),
+    # every phi_k fixes every basis row: phi_k(v_i), summed on the action's
+    # int image over the row's grade parts, against d_a v_i, over s d_a
+    action, d_a = table_image(a, "action")
+    fixed_rows = [[d_a * x for x in row] for row in rows]
+
+    def invariance():
+        for k in group.elements():
+            for i, row_parts in enumerate(parts):
+                moved = [0] * total
+                for g, part in row_parts:
+                    base = offsets[group.conj(k, g)]
+                    for p, j, v in action[(k, g)]:
+                        moved[base + p] += v * part[j]
+                yield (k, i), moved, fixed_rows[i]
+
+    def render_fixed(context, lhs, rhs) -> Witness:
+        k, i = context
+        names = (("k", group.name(k)), ("i", str(i)))
+        return Witness(names, vector_literal(lhs), vector_literal(rhs))
+
+    entries.append(
+        first_failure("orbifold-invariance", invariance(), descaled(render_fixed, s * d_a))
     )
+    return OrbifoldAlgebra(basis=basis, trivial=trivial, certification=CheckReport(tuple(entries)))

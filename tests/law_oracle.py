@@ -16,8 +16,11 @@ arithmetic from basis vectors and one `apply_product` per basis pair,
 independently of the package's `pairing_matrix` and `handle_element`.
 `derive_coproducts` is the two-formula `Fraction` derive that the
 package's int-image `derive` is compared with, and `orbifold_reference`
-the `Fraction` orbifold route, sector decomposition included, that its int
-rows are compared with.  `action_on_dual_basis_check`
+the `Fraction` orbifold route that its int rows are compared with.
+`sector_change_of_basis` is the check the orbifold no longer makes: the
+centralizer-invariant sectors at the class representatives mapped onto
+the invariant basis and back; the tests hold it as the reference that the
+invariance entry loses no verdict of.  `action_on_dual_basis_check`
 is a law the package does not check at all; the tests and goldens use it as
 an oracle for the derived dual bases.  `cerf_reference` is the surface table
 compared as `Matrix` values, word by word, where the package compares the
@@ -30,7 +33,7 @@ import itertools
 
 from gtqft.algebra import _group_renderer, frobenius_untwisted, inverted_pairings
 from gtqft.cobordism import case_label_count, cerf_case_words
-from gtqft.errors import CoproductMismatch, DimensionMismatch, NotClosed
+from gtqft.errors import CoproductMismatch, DimensionMismatch
 from gtqft.exactlin import (
     ZERO,
     Matrix,
@@ -43,13 +46,7 @@ from gtqft.exactlin import (
     vector_literal,
 )
 from gtqft.groups import conjugacy
-from gtqft.orbifold import (
-    SectorDecomposition,
-    _component,
-    _image_basis,
-    _offsets,
-    invariant_projector,
-)
+from gtqft.orbifold import _component, _image_basis, _offsets, invariant_projector
 from gtqft.report import (
     CheckEntry,
     CheckReport,
@@ -485,19 +482,23 @@ def _span_coordinates(basis, pivots, vec) -> tuple[tuple, tuple]:
     return coords, tuple(add_scaled([ZERO] * len(vec), coords, basis))
 
 
-def _coordinates(basis, pivots, vec, what: str) -> tuple:
-    """Coordinates of `vec` in an echelonized basis; NotClosed if outside the span."""
+def _coordinates(basis, pivots, vec) -> tuple | None:
+    """Coordinates of `vec` in an echelonized basis; None if outside the span."""
     coords, spanned = _span_coordinates(basis, pivots, vec)
-    if spanned != tuple(vec):
-        raise NotClosed(f"{what} leaves the invariant span: {vector_literal(vec)}")
-    return coords
+    return coords if spanned == tuple(vec) else None
 
 
-def _sector_decomposition(a, projector, inv_basis, inv_pivots) -> SectorDecomposition:
-    """The sector change of basis in `Fraction`s: sector vectors moved by
-    `Matrix.apply` of the action blocks, coordinates from `_coordinates`."""
+def sector_change_of_basis(a) -> tuple[Matrix, Matrix] | str:
+    """The sector change of basis in `Fraction`s: each sector basis is
+    row-reduced from its own diagonal block of the projector, spread over
+    its class by `Matrix.apply` of the action blocks and read in the
+    invariant basis (`expand`); each invariant vector's representative
+    parts are read in the sector bases (`restrict`).  Returns the mutually
+    inverse (expand, restrict), or the text of the first way it fails."""
     group = a.group
     offsets, total = _offsets(a)
+    projector = invariant_projector(a)
+    inv_basis, inv_pivots = _image_basis(projector)
     classes = conjugacy(group)
 
     sector_bases = []
@@ -517,7 +518,10 @@ def _sector_decomposition(a, projector, inv_basis, inv_pivots) -> SectorDecompos
         for w in sector_bases[ci]:
             moved = [(h, a.action[(movers[h], rep)].apply(w)) for h in sorted(movers)]
             full = _total_vector(offsets, total, moved)
-            expand_cols.append(_coordinates(inv_basis, inv_pivots, full, "class expansion"))
+            coords = _coordinates(inv_basis, inv_pivots, full)
+            if coords is None:
+                return f"class expansion leaves the invariant span: {vector_literal(full)}"
+            expand_cols.append(coords)
 
     dim_inv = len(inv_basis)
     dim_sec = len(expand_cols)
@@ -528,28 +532,30 @@ def _sector_decomposition(a, projector, inv_basis, inv_pivots) -> SectorDecompos
         coords = []
         for ci, rep in enumerate(classes.representatives):
             part = _component(a, offsets, v, rep)
-            coords.extend(_coordinates(sector_bases[ci], sector_pivots[ci], part, "restriction"))
+            sector = _coordinates(sector_bases[ci], sector_pivots[ci], part)
+            if sector is None:
+                return f"restriction leaves the invariant span: {vector_literal(part)}"
+            coords.extend(sector)
         restrict_cols.append(tuple(coords))
     restrict = Matrix(dim_inv, dim_sec, restrict_cols).transpose()
 
     if dim_sec != dim_inv or restrict @ expand != Matrix.identity(dim_sec):
-        raise NotClosed("sector change of basis failed to invert")
-    return SectorDecomposition(expand, restrict)
+        return "sector change of basis failed to invert"
+    return expand, restrict
 
 
 def orbifold_reference(a):
-    """The certification, the invariant algebra and the sector change of
-    basis of `orbifold_algebra(a)`, with closure, commutativity, the unit
-    law and the sector decomposition computed in `Fraction`s: every product
-    of two invariant basis vectors is one `apply_product` per pair of their
-    nonzero grades, and its coordinates and span come from
-    `_span_coordinates`.  The projector, the basis and the trace pairing are
-    the package's own.  Returns (certification, trivial algebra,
-    `SectorDecomposition` or None)."""
+    """The certification and the invariant algebra of `orbifold_algebra(a)`,
+    with closure, commutativity, the unit law and invariance computed in
+    `Fraction`s: every product of two invariant basis vectors is one
+    `apply_product` per pair of their nonzero grades, and its coordinates
+    and span come from `_span_coordinates`; each basis vector is moved by
+    `Matrix.apply` of the action blocks of its nonzero grades.  The
+    projector, the basis and the trace pairing are the package's own.
+    Returns (certification, trivial algebra)."""
     group = a.group
     offsets, total = _offsets(a)
-    projector = invariant_projector(a)
-    basis, pivots = _image_basis(projector)
+    basis, pivots = _image_basis(invariant_projector(a))
     d = len(basis)
     parts = [_grade_parts(a, offsets, v) for v in basis]
     inside = "a vector inside the invariant span"
@@ -603,15 +609,15 @@ def orbifold_reference(a):
     else:
         entries.append(failing(name, (("gram", "determinant"),), "0", "nonzero determinant"))
 
-    name = "orbifold-sector-isomorphism"
-    try:
-        class_data = _sector_decomposition(a, projector, basis, pivots)
-    except NotClosed as exc:
-        class_data = None
-        entries.append(failing(name, (("error", str(exc)),), "", ""))
-    else:
-        entries.append(passing(name))
-    return CheckReport(tuple(entries)), trivial, class_data
+    def invariance():
+        for k in group.elements():
+            for i, v in enumerate(basis):
+                moved = [(group.conj(k, g), a.action[(k, g)].apply(x)) for g, x in parts[i]]
+                yield (k, str(i)), _total_vector(offsets, total, moved), v
+
+    fixed = _group_renderer(group, ("k", "i"), vector_literal)
+    entries.append(first_failure("orbifold-invariance", invariance(), fixed))
+    return CheckReport(tuple(entries)), trivial
 
 
 def action_on_dual_basis_check(a, d) -> CheckReport:

@@ -252,6 +252,11 @@ USAGE_ERRORS = {
     "fuzz-seed": (
         ["fuzz", "--algebra", "a.json", "--seed", "x"], "--seed: invalid int value: 'x'"
     ),
+    # fuzz prints only text, so it takes no --format
+    "fuzz-format": (
+        ["fuzz", "--algebra", "a.json", "--format", "records"],
+        "unrecognized arguments: --format records",
+    ),
     "unknown": (["frobnicate"], "invalid choice: 'frobnicate'"),
     "no-command": ([], "the following arguments are required: command"),
     "case": ([*S3_CHECK, "--case", "111"], "unrecognized arguments: --case 111"),
@@ -352,7 +357,7 @@ class TestSharedParser:
         help_, bad_check = ["fuzz", "--help"], ["check", "--algebra", str(path)]
         sequence = [errors[0], help_, errors[1], S3_CHECK, errors[2], bad_check, *errors[3:]]
         first = [_outcome(capsys, argv) for argv in sequence]
-        assert [status for status, _, _ in first] == [2, ("exit", 0), 2, 0, 2, 1, 2, 2, 2, 2]
+        assert [status for status, _, _ in first] == [2, ("exit", 0), 2, 0, 2, 1, 2, 2, 2, 2, 2]
         assert [_outcome(capsys, argv) for argv in sequence] == first
 
     def test_main_builds_no_parser_after_the_first_call(self, monkeypatch):
@@ -573,10 +578,20 @@ class TestOrbifoldCommand:
         assert doc["group"] == "cyclic:1"
         assert doc["dims"] == {"e": 3}
 
-    def test_failed_sector_isomorphism_is_a_failed_check(self, tmp_path, s3, capsys):
+    @pytest.mark.parametrize(
+        "block,failure",
+        [
+            # the identity acts as 2 on p102
+            (("e", "p102"), "[k=e i=2]  left=(0, 0, 2, 0, 0, 0)  right=(0, 0, 1, 0, 0, 0)"),
+            # p021 doubles delta_e: every other orbifold entry passes
+            (("p021", "e"), "[k=p021 i=0]  left=(2, 0, 0, 0, 0, 0)  right=(1, 0, 0, 0, 0, 0)"),
+        ],
+        ids=["identity-doubles-p102", "p021-doubles-e"],
+    )
+    def test_non_invariant_basis_is_a_failed_check(self, tmp_path, s3, capsys, block, failure):
         doc = save_algebra(group_algebra(s3))
         for entry in doc["action"]:
-            if entry["k"] == "e" and entry["g"] == "p102":
+            if (entry["k"], entry["g"]) == block:
                 entry["value"] = "2"
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -584,10 +599,7 @@ class TestOrbifoldCommand:
         captured = capsys.readouterr()
         assert status == 1
         assert json.loads(captured.out)["group"] == "cyclic:1"
-        assert captured.err.splitlines()[-1] == (
-            "FAIL  orbifold-sector-isomorphism  "
-            "[error=sector change of basis failed to invert]  left=  right="
-        )
+        assert captured.err.splitlines()[-1] == f"FAIL  orbifold-invariance  {failure}"
 
     S3_GROUP_ALGEBRA = ["--group", "symmetric:3", "--algebra", "builtin:group-algebra"]
 

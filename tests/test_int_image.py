@@ -241,6 +241,7 @@ def test_every_law_draws_every_case(drawn, request, fixture):
         "orbifold-commutativity": m * (m - 1) // 2,
         "orbifold-associativity": m**3,
         "orbifold-unit": 1 + m,
+        "orbifold-invariance": n * m,
     }
     assert drawn == {name: count for name, count in expected.items() if name not in failing}
 

@@ -4,12 +4,15 @@ algebra that passes every law.
 The kill table (see `kill_table`) of three fixtures: the dual-number Z3
 algebra and twisted Klein run every Cerf row; the S3 group algebra runs
 none, and is here because it is the one fixture with mutants that fail
-`orbifold-closure` and `orbifold-trace-nondegenerate`.
+`orbifold-closure` and `orbifold-trace-nondegenerate`.  The `Fraction`
+sector change of basis (`law_oracle.sector_change_of_basis`), which the
+orbifold no longer runs, fails on no mutant that the orbifold passes.
 """
 
 import pytest
 
-from conftest import dual_number_group_algebra
+import law_oracle
+from conftest import dual_number_group_algebra, mutated
 from gtqft import GFrobeniusAlgebra, check_axioms, load_algebra, save_algebra
 from gtqft.cobordism import CERF_CASES
 from gtqft.exactlin import Matrix, Tensor3
@@ -21,7 +24,7 @@ ORBIFOLD = (
     "orbifold-associativity",
     "orbifold-unit",
     "orbifold-trace-nondegenerate",
-    "orbifold-sector-isomorphism",
+    "orbifold-invariance",
 )
 
 
@@ -88,3 +91,14 @@ def test_no_field_theory_check_fails_where_every_law_holds(tables, laws):
                     entry for entry in failed
                     if entry == "derive" or entry.startswith(("cerf-", "orbifold-"))
                 }, (name, mutant, failed)
+
+
+def test_the_sector_reference_fails_only_where_the_orbifold_does(fixtures, tables):
+    caught = 0
+    for name, table in tables.items():
+        a, _ = fixtures[name]
+        for (site, value), failed in table.items():
+            if isinstance(law_oracle.sector_change_of_basis(mutated(a, site, value)), str):
+                assert failed & set(ORBIFOLD), (name, site, value)
+                caught += 1
+    assert caught

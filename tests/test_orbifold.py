@@ -9,8 +9,10 @@ import gtqft.orbifold
 import law_oracle
 from conftest import mutated, sites, value_at
 from gtqft import (
+    CheckEntry,
     GFrobeniusAlgebra,
     Matrix,
+    Witness,
     builtin,
     check_axioms,
     conjugacy,
@@ -214,22 +216,30 @@ class TestOrbifoldAlgebra:
             "orbifold-associativity",
             "orbifold-unit",
             "orbifold-trace-nondegenerate",
-            "orbifold-sector-isomorphism",
+            "orbifold-invariance",
         ]
 
-
-    def test_failed_sector_decomposition_is_reported(self, s3):
-        # the identity acts as 2 on grade p102: not an automorphism action
+    @pytest.mark.parametrize(
+        "block,witness",
+        [
+            # the identity acts as 2 on grade p102: the class sum of the
+            # transpositions, basis vector 2, is doubled on that grade
+            (("e", "p102"), ("e", "2", "(0, 0, 2, 0, 0, 0)", "(0, 0, 1, 0, 0, 0)")),
+            # p021 doubles delta_e: every other entry passes
+            (("p021", "e"), ("p021", "0", "(2, 0, 0, 0, 0, 0)", "(1, 0, 0, 0, 0, 0)")),
+        ],
+        ids=["identity-doubles-p102", "p021-doubles-e"],
+    )
+    def test_non_invariant_basis_is_reported(self, s3, block, witness):
         a = group_algebra(s3)
         action = dict(a.action)
-        action[(s3.identity, s3.index("p102"))] = Matrix.from_rows([[2]])
+        action[tuple(s3.index(name) for name in block)] = Matrix.from_rows([[2]])
         broken = GFrobeniusAlgebra(s3, a.dims, a.product, action, a.unit, a.trace)
-        orb = orbifold_algebra(broken)
-        assert orb.class_data is None
-        assert [e.name for e in orb.certification.failures()] == ["orbifold-sector-isomorphism"]
-        entry = orb.certification.entry("orbifold-sector-isomorphism")
-        assert entry.witness.context == (("error", "sector change of basis failed to invert"),)
-        assert (entry.witness.left, entry.witness.right) == ("", "")
+        certification = orbifold_algebra(broken).certification
+        assert [e.name for e in certification.failures()] == ["orbifold-invariance"]
+        entry = certification.entry("orbifold-invariance")
+        k, i, left, right = witness
+        assert entry.witness == Witness((("k", k), ("i", i)), left, right)
 
     @pytest.mark.parametrize(
         "block,error",
@@ -241,7 +251,8 @@ class TestOrbifoldAlgebra:
     def test_sector_witness_quotes_the_vector(self, twisted_d4, block, error):
         # one action block of twisted D4 doubled: the sector vector it moves
         # leaves the invariant span, or an invariant vector's representative
-        # part leaves its sector, and the witness quotes that vector
+        # part leaves its sector, and the sector reference quotes that
+        # vector; the orbifold finds a basis vector that the block moves
         group = twisted_d4.group
         key = tuple(group.index(name) for name in block)
         action = dict(twisted_d4.action)
@@ -249,21 +260,20 @@ class TestOrbifoldAlgebra:
         broken = GFrobeniusAlgebra(
             group, twisted_d4.dims, twisted_d4.product, action, twisted_d4.unit, twisted_d4.trace
         )
-        orb = orbifold_algebra(broken)
-        assert orb.class_data is None
-        entry = orb.certification.entry("orbifold-sector-isomorphism")
-        assert entry.witness.context == (("error", error),)
+        assert law_oracle.sector_change_of_basis(broken) == error
+        entry = orbifold_algebra(broken).certification.entry("orbifold-invariance")
+        assert not entry.passed and entry.witness.context[0] == ("k", block[0])
 
     def test_passing_certification_has_six_entries(self, s3_algebra):
         orb = orbifold_algebra(s3_algebra)
         assert len(orb.certification.entries) == 6
-        assert orb.class_data is not None
+        assert orb.certification.entries[-1] == CheckEntry("orbifold-invariance", True)
 
 
 def _sectors(a: GFrobeniusAlgebra) -> tuple[Matrix, Matrix]:
-    """The (expand, restrict) change of basis the orbifold certified."""
-    data = orbifold_algebra(a).class_data
-    return data.expand, data.restrict
+    """The (expand, restrict) change of basis of the `Fraction` sector
+    reference between the sectors and the orbifold's invariant basis."""
+    return law_oracle.sector_change_of_basis(a)
 
 
 class TestSectorIsomorphism:
@@ -319,22 +329,15 @@ ORBIFOLD_LAWS = (
 
 
 def assert_matches_the_fraction_route(a: GFrobeniusAlgebra):
-    """Assert that the certification, the saved invariant algebra and the
-    sector change of basis of `a` are those of the `Fraction` route, and
-    that the invariant algebra's product int image, which the orbifold
-    hands over, is the one `int_image` builds; returns the certification."""
+    """Assert that the certification and the saved invariant algebra of `a`
+    are those of the `Fraction` route, and that the invariant algebra's
+    product int image, which the orbifold hands over, is the one
+    `int_image` builds; returns the certification."""
     orb = orbifold_algebra(a)
-    certification, trivial, class_data = law_oracle.orbifold_reference(a)
+    certification, trivial = law_oracle.orbifold_reference(a)
     assert repr(orb.certification) == repr(certification)
     assert save_algebra(orb.trivial) == save_algebra(trivial)
     assert orb.trivial._built["product"] == int_image(orb.trivial.product)
-    if class_data is None:
-        assert orb.class_data is None
-    else:
-        assert (orb.class_data.expand, orb.class_data.restrict) == (
-            class_data.expand,
-            class_data.restrict,
-        )
     return orb.certification
 
 
@@ -353,11 +356,10 @@ class TestFractionRoute:
 
     def test_no_invariants(self):
         # a zero-dimensional identity grade and no action: nothing is
-        # invariant, and both changes of basis are 0x0 (no columns to zip)
+        # invariant, and both changes of basis of the sector reference are 0x0
         doc = {"group": "cyclic:2", "dims": {"e": 0, "g1": 1}, "unit": [], "trace": []}
         assert_matches_the_fraction_route(load_algebra(doc))
-        class_data = orbifold_algebra(load_algebra(doc)).class_data
-        for m in (class_data.expand, class_data.restrict):
+        for m in law_oracle.sector_change_of_basis(load_algebra(doc)):
             assert (m.rows, m.cols, m.data) == (0, 0, ())
 
     def test_single_entry_mutations(self, request):
@@ -376,21 +378,55 @@ class TestFractionRoute:
         assert all(fractional.get(name) for name in ORBIFOLD_LAWS), fractional
 
     def test_twisted_action_sweep(self, twisted_d4):
-        # every action entry of twisted D4 set to each value: the sector
-        # decomposition fails in each of its three ways, and each failure
-        # and each change of basis is the Fraction route's
+        # every action entry of twisted D4 set to each value: each
+        # certification is the Fraction route's, the sector reference fails
+        # in each of its three ways, and the orbifold fails wherever it does
         sector_errors: dict[str, int] = {}
+        not_invariant = 0
         for site in sites(twisted_d4):
             if site[0] != "action":
                 continue
             for value in (F(2), F(-1, 2), F(0), F(1)):
-                certification = assert_matches_the_fraction_route(mutated(twisted_d4, site, value))
-                entry = certification.entry("orbifold-sector-isomorphism")
-                if not entry.passed:
-                    error = entry.witness.context[0][1].split(":")[0]
+                mutant = mutated(twisted_d4, site, value)
+                certification = assert_matches_the_fraction_route(mutant)
+                not_invariant += not certification.entry("orbifold-invariance").passed
+                error = law_oracle.sector_change_of_basis(mutant)
+                if isinstance(error, str):
+                    assert not certification.passed, (site, value, error)
+                    error = error.split(":")[0]
                     sector_errors[error] = sector_errors.get(error, 0) + 1
         assert sector_errors == {
             "class expansion leaves the invariant span": 28,
             "restriction leaves the invariant span": 28,
             "sector change of basis failed to invert": 118,
         }
+        assert not_invariant == 220
+
+
+# fixture -> its single-entry action mutants (x + 1 and -x/2, or -1/2 for
+# x = 0), and how many of them pass the sector reference and every
+# orbifold entry but invariance
+ACTION_MUTANTS = [("s3_algebra", 72, 10), ("rich_s3", 288, 40), ("twisted_d4", 128, 14)]
+
+
+@pytest.mark.parametrize("fixture,mutants,hidden", ACTION_MUTANTS)
+def test_only_invariance_sees_a_moved_basis(request, fixture, mutants, hidden):
+    # the mutants whose action is no action and whose basis, the projector
+    # image, is not invariant, while the sectors still map onto it: only
+    # the invariance entry fails on them
+    base = request.getfixturevalue(fixture)
+    drawn = 0
+    unseen = []
+    for site in sites(base):
+        if site[0] != "action":
+            continue
+        x = value_at(base, site)
+        for value in (x + 1, -x / 2 if x else F(-1, 2)):
+            mutant = mutated(base, site, value)
+            drawn += 1
+            failed = {e.name for e in orbifold_algebra(mutant).certification.failures()}
+            sectors = law_oracle.sector_change_of_basis(mutant)
+            if failed <= {"orbifold-invariance"} and not isinstance(sectors, str):
+                unseen.append(failed)
+    assert drawn == mutants
+    assert unseen == [{"orbifold-invariance"}] * hidden

