@@ -77,13 +77,15 @@ The rows and `derive` read the tables through their int images
 (`table_image`, `dual_image`): the product over D_P, the action over D_A,
 the dual bases of all grades over D_dual and the coproducts over D_C, each
 the lcm of its table's denominators, so group and rich algebras have every
-D equal to 1.  A side that multiplies k table entries is the exact value
-times the product of their k denominators; the side with fewer factors is
-multiplied by the missing ones, so that both sides of a case are at one
-total scale S (associativity D_P^2 on both sides; twisted commutativity,
-the action automorphism and twisted cocommutativity multiply their left
-side by D_A; Frobenius is D_P*D_C and the torus identity D_P*D_A*D_dual on
-both sides; both coproduct formulas are at D_P*D_dual).
+D equal to 1.  The rows read an image's columns (`table_columns`), also
+built once per table and direction and kept on its owner.  A side that
+multiplies k table entries is the exact value times the product of their k
+denominators; the side with fewer factors is multiplied by the missing
+ones, so that both sides of a case are at one total scale S (associativity
+D_P^2 on both sides; twisted commutativity, the action automorphism and
+twisted cocommutativity multiply their left side by D_A; Frobenius is
+D_P*D_C and the torus identity D_P*D_A*D_dual on both sides; both coproduct
+formulas are at D_P*D_dual).
 Since x = y exactly when S*x = S*y, the comparison is still exact, and
 `report.row_locator` gives a witness's sides as ``Fraction(x, S)``, the
 same bytes as a side computed in `Fraction` arithmetic.
@@ -144,9 +146,9 @@ class GFrobeniusAlgebra:
 
     Nothing mutates an algebra after it is built, so ``_built`` keeps each
     table derived from it once built (`_once`): the `derive` structure, the
-    `inverted_pairings`, the `table_image` of ``product`` and ``action``,
-    the `dual_image`, and the evaluator's piece, layer and kernel form
-    (``forms``) caches, which fill as words need them.
+    `inverted_pairings`, the `table_image` of ``product`` and ``action``
+    and their `table_columns`, the `dual_image`, and the evaluator's piece,
+    layer and kernel form (``forms``) caches, which fill as words need them.
 
     Blocks are immutable, so equal blocks may be one object (`load_algebra`,
     `group_algebra`, and one zero block per shape for missing keys), and
@@ -171,11 +173,12 @@ class GFrobeniusAlgebra:
         if any(d < 0 for d in dims):
             raise ShapeError("component dimensions must be non-negative")
 
+        T, inv = group.table, group.inverse
         zeros: dict[tuple, Tensor3 | Matrix] = {}  # shape -> its one zero block
         full_product: dict[tuple[int, int], Tensor3] = {}
         for g in range(n):
             for h in range(n):
-                want = (dims[g], dims[h], dims[group.mul(g, h)])
+                want = (dims[g], dims[h], dims[T[g][h]])
                 tensor = product.get((g, h))
                 if tensor is None:
                     tensor = zeros.get(want) or zeros.setdefault(want, Tensor3.zeros(*want))
@@ -189,8 +192,7 @@ class GFrobeniusAlgebra:
         full_action: dict[tuple[int, int], Matrix] = {}
         for k in range(n):
             for g in range(n):
-                target = group.conj(k, g)
-                want_rows, want_cols = dims[target], dims[g]
+                want_rows, want_cols = dims[T[T[k][g]][inv[k]]], dims[g]
                 block = action.get((k, g))
                 if block is None:
                     want = (want_rows, want_cols)
@@ -327,6 +329,14 @@ def load_algebra(doc) -> GFrobeniusAlgebra:
     here; run `check_axioms` on the result.  A document whose blocks would
     hold more cells than the work budget raises BudgetExceeded before any
     block is built.  Blocks of equal shape and entries load as one object.
+
+    The entries are read in one pass.  Each distinct scalar literal is
+    parsed once, and equal values ("1/2" and "2/4", 1 and "1") become one
+    canonical `Fraction`, which the blocks store as it is.  A plainly valid
+    field (an int index, a known name string, a literal seen before) is
+    taken inline; any other goes through the helper that names its fault,
+    in the same field order, so every error keeps its type, its message and
+    its place in the document.
     """
     if not isinstance(doc, dict):
         raise SchemaError("algebra document must be an object")
@@ -357,34 +367,55 @@ def load_algebra(doc) -> GFrobeniusAlgebra:
     )
     check_budget(cells, "table cells")
 
+    literals: dict = {}  # str or int literal -> its canonical value
+    canonical: dict[Fraction, Fraction] = {}
+
+    def scalar(raw, where: str) -> Fraction:
+        value = _scalar_from_json(raw, where)
+        value = canonical.setdefault(value, value)
+        if type(raw) is str or type(raw) is int:
+            literals[raw] = value
+        return value
+
+    names = group._index  # name -> element, read without a call per field
     product_entries: dict[tuple[int, int], dict[tuple[int, int, int], Fraction]] = {}
     raw_product = doc.get("product", [])
     if not isinstance(raw_product, list):
         raise SchemaError('algebra "product" must be a list of entries')
     for pos, entry in enumerate(raw_product):
-        where = f"product[{pos}]"
         if not isinstance(entry, dict):
-            raise SchemaError(f"{where}: entries must be objects")
-        g = _element_index(group, entry.get("g"), where)
-        h = _element_index(group, entry.get("h"), where)
-        i = _int_field(entry, "i", where)
-        j = _int_field(entry, "j", where)
-        k = _int_field(entry, "k", where)
-        value = _scalar_from_json(entry.get("value"), where)
-        gh = group.mul(g, h)
+            raise SchemaError(f"product[{pos}]: entries must be objects")
+        get = entry.get
+        g, h, i, j, k, value = get("g"), get("h"), get("i"), get("j"), get("k"), get("value")
+        g = names.get(g) if type(g) is str else None
+        if g is None:
+            g = _element_index(group, get("g"), f"product[{pos}]")
+        h = names.get(h) if type(h) is str else None
+        if h is None:
+            h = _element_index(group, get("h"), f"product[{pos}]")
+        if type(i) is not int:
+            i = _int_field(entry, "i", f"product[{pos}]")
+        if type(j) is not int:
+            j = _int_field(entry, "j", f"product[{pos}]")
+        if type(k) is not int:
+            k = _int_field(entry, "k", f"product[{pos}]")
+        value = literals.get(value) if type(value) is str or type(value) is int else None
+        if value is None:
+            value = scalar(get("value"), f"product[{pos}]")
+        gh = T[g][h]
         if not 0 <= i < dims[g] or not 0 <= j < dims[h]:
             raise ShapeError(
-                f"{where}: basis index ({i}, {j}) outside components of dimension "
+                f"product[{pos}]: basis index ({i}, {j}) outside components of dimension "
                 f"({dims[g]}, {dims[h]})"
             )
         if not 0 <= k < dims[gh]:
             raise ShapeError(
-                f"{where}: target index {k} lands outside the {group.name(gh)} component "
-                f"of dimension {dims[gh]}"
+                f"product[{pos}]: target index {k} lands outside the {group.name(gh)} "
+                f"component of dimension {dims[gh]}"
             )
         cell = product_entries.setdefault((g, h), {})
         if (i, j, k) in cell:
-            raise SchemaError(f"{where}: duplicate product coordinate")
+            raise SchemaError(f"product[{pos}]: duplicate product coordinate")
         cell[(i, j, k)] = value
 
     action_entries: dict[tuple[int, int], dict[tuple[int, int], Fraction]] = {}
@@ -392,27 +423,36 @@ def load_algebra(doc) -> GFrobeniusAlgebra:
     if not isinstance(raw_action, list):
         raise SchemaError('algebra "action" must be a list of entries')
     for pos, entry in enumerate(raw_action):
-        where = f"action[{pos}]"
         if not isinstance(entry, dict):
-            raise SchemaError(f"{where}: entries must be objects")
-        k = _element_index(group, entry.get("k"), where)
-        g = _element_index(group, entry.get("g"), where)
-        i = _int_field(entry, "i", where)
-        j = _int_field(entry, "j", where)
-        value = _scalar_from_json(entry.get("value"), where)
-        target = group.conj(k, g)
+            raise SchemaError(f"action[{pos}]: entries must be objects")
+        get = entry.get
+        k, g, i, j, value = get("k"), get("g"), get("i"), get("j"), get("value")
+        k = names.get(k) if type(k) is str else None
+        if k is None:
+            k = _element_index(group, get("k"), f"action[{pos}]")
+        g = names.get(g) if type(g) is str else None
+        if g is None:
+            g = _element_index(group, get("g"), f"action[{pos}]")
+        if type(i) is not int:
+            i = _int_field(entry, "i", f"action[{pos}]")
+        if type(j) is not int:
+            j = _int_field(entry, "j", f"action[{pos}]")
+        value = literals.get(value) if type(value) is str or type(value) is int else None
+        if value is None:
+            value = scalar(get("value"), f"action[{pos}]")
+        target = conj(k, g)
         if not 0 <= i < dims[target]:
             raise ShapeError(
-                f"{where}: row index {i} lands outside the {group.name(target)} component "
-                f"of dimension {dims[target]}"
+                f"action[{pos}]: row index {i} lands outside the {group.name(target)} "
+                f"component of dimension {dims[target]}"
             )
         if not 0 <= j < dims[g]:
             raise ShapeError(
-                f"{where}: column index {j} outside a component of dimension {dims[g]}"
+                f"action[{pos}]: column index {j} outside a component of dimension {dims[g]}"
             )
         cell = action_entries.setdefault((k, g), {})
         if (i, j) in cell:
-            raise SchemaError(f"{where}: duplicate action coordinate")
+            raise SchemaError(f"action[{pos}]: duplicate action coordinate")
         cell[(i, j)] = value
 
     de = dims[group.identity]
@@ -422,14 +462,15 @@ def load_algebra(doc) -> GFrobeniusAlgebra:
         raise SchemaError(f'algebra "unit" must be a list of {de} scalars')
     if not isinstance(raw_trace, list) or len(raw_trace) != de:
         raise SchemaError(f'algebra "trace" must be a list of {de} scalars')
-    unit = tuple(_scalar_from_json(v, f"unit[{i}]") for i, v in enumerate(raw_unit))
-    trace = tuple(_scalar_from_json(v, f"trace[{i}]") for i, v in enumerate(raw_trace))
+    unit = tuple(scalar(v, f"unit[{i}]") for i, v in enumerate(raw_unit))
+    trace = tuple(scalar(v, f"trace[{i}]") for i, v in enumerate(raw_trace))
 
-    # one block per distinct shape and cell, keyed before any block is built
+    # one block per distinct shape and cell, keyed before any block is
+    # built; equal values are one object, so no Fraction is hashed here
     blocks: dict[tuple, Tensor3 | Matrix] = {}
 
     def interned(build, shape: tuple, cell: dict):
-        key = (shape, frozenset(cell.items()))
+        key = (shape, frozenset(zip(cell, map(id, cell.values()))))
         block = blocks.get(key)
         if block is None:
             block = blocks[key] = build(*shape, cell)
@@ -491,8 +532,9 @@ class DerivedStructure:
 
     `derive` hands one structure to every caller on an algebra, so the three
     mappings are read-only views.  ``_built`` keeps the int image of
-    ``coproducts`` (`table_image`) on this structure, not on the algebra,
-    so a structure built by hand is checked on its own coproducts.
+    ``coproducts`` (`table_image`) and its `table_columns` on this
+    structure, not on the algebra, so a structure built by hand is checked
+    on its own coproducts.
     """
 
     __slots__ = ("pairings", "coproducts", "euler", "_built")
@@ -516,6 +558,15 @@ def _once(owner, key, build):
 def table_image(owner, name: str) -> tuple[dict, int]:
     """The int image of the table attribute `name` of `owner`, built once."""
     return _once(owner, name, lambda: int_image(getattr(owner, name)))
+
+
+def table_columns(owner, name: str, n: int, first: bool = False) -> list[list]:
+    """``exactlin.batch_columns(image, n, first)`` of the int image
+    ``table_image(owner, name)``, built once per direction and kept on
+    `owner` beside the image."""
+    return _once(
+        owner, (name, first), lambda: batch_columns(table_image(owner, name)[0], n, first)
+    )
 
 
 def pairing_matrix(a: GFrobeniusAlgebra, g: int) -> Matrix:
@@ -694,9 +745,9 @@ def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
     A_image, d_a = table_image(a, "action")
     # over_right[x]: the entries of P[(x, y)] as columns over y; over_left[y]:
     # of P[(x, y)] over x; acts[k]: of A[(k, g)] over g
-    over_right = batch_columns(P_image, n)
-    over_left = batch_columns(P_image, n, first=True)
-    acts = batch_columns(A_image, n)
+    over_right = table_columns(a, "product", n)
+    over_left = table_columns(a, "product", n, first=True)
+    acts = table_columns(a, "action", n)
     conj_by = [[conj(k, g) for g in range(n)] for k in range(n)]
     # A[(k, g)][b, j] along g keyed by b, with j at stride D: the action on
     # the last leg of the automorphism and the twisted commutativity
@@ -792,7 +843,7 @@ def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
             """Entries (x, y, value) as a factor keyed by the pair x*D + y."""
             return {x * D + y: [(0, v)] for x, y, v in entries}
 
-        acted_on = batch_columns(A_image, n, first=True)  # A[(h, g)] along h
+        acted_on = table_columns(a, "action", n, first=True)  # A[(h, g)] along h
         conjugates = list(zip(*conj_by))  # conjugates[g][h] = h g h^-1
         # P[(h, g h^-1 g^-1)] along h, for each g
         diagonal = batch_columns(
@@ -909,8 +960,8 @@ def check_frobenius_diagram(a: GFrobeniusAlgebra, d: DerivedStructure) -> CheckR
     D = max(dims, default=0)
     D2, D3 = D * D, D**3
     P_image, d_p = table_image(a, "product")
-    C_image, d_c = table_image(d, "coproducts")
-    products, splits = batch_columns(P_image, n), batch_columns(C_image, n)
+    _, d_c = table_image(d, "coproducts")
+    products, splits = table_columns(a, "product", n), table_columns(d, "coproducts", n)
     # positions (i, c, p, b); the left side sums over x in grade h, the
     # right side over q in grade ghk
     firsts = {key: factor(entries, 1, (D3, D)) for key, entries in P_image.items()}
@@ -943,10 +994,10 @@ def check_cocommutativity(a: GFrobeniusAlgebra, d: DerivedStructure) -> CheckRep
     n = group.order
     dims, T, conj = a.dims, group.table, group.conj
     D = max(dims, default=0)
-    A_image, d_a = table_image(a, "action")
-    C_image, d_c = table_image(d, "coproducts")
-    acts, splits = batch_columns(A_image, n), batch_columns(C_image, n)
-    merged = batch_columns(C_image, n, first=True)
+    _, d_a = table_image(a, "action")
+    _, d_c = table_image(d, "coproducts")
+    acts, splits = table_columns(a, "action", n), table_columns(d, "coproducts", n)
+    merged = table_columns(d, "coproducts", n, first=True)
     # positions (c, i, j); the right side sums over b in grade h
     acts_by_b = [factor(cols, 1, (D,)) for cols in acts]
     splits_by_b = [factor(cols, 2, (D * D, 1)) for cols in splits]

@@ -129,9 +129,11 @@ class Matrix:
 
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries: dict) -> "Matrix":
+        """The matrix with the given (i, j) entries and zeros elsewhere;
+        `Fraction` values are stored as they are, others converted."""
         grid = [[ZERO] * cols for _ in range(rows)]
         for (i, j), value in entries.items():
-            grid[i][j] = Fraction(value)
+            grid[i][j] = value if type(value) is Fraction else Fraction(value)
         return cls._wrap(rows, cols, tuple(map(tuple, grid)))
 
     def __eq__(self, other) -> bool:
@@ -280,9 +282,10 @@ class Tensor3:
 
     @classmethod
     def from_entries(cls, dim0: int, dim1: int, dim2: int, entries: dict) -> "Tensor3":
+        """As `Matrix.from_entries`, with (i, j, k) entries."""
         grid = [[[ZERO] * dim2 for _ in range(dim1)] for _ in range(dim0)]
         for (i, j, k), value in entries.items():
-            grid[i][j][k] = Fraction(value)
+            grid[i][j][k] = value if type(value) is Fraction else Fraction(value)
         return cls._wrap(
             dim0, dim1, dim2, tuple(tuple(tuple(row) for row in plane) for plane in grid)
         )

@@ -17,8 +17,9 @@ from gtqft import (
     load_algebra,
     save_algebra,
 )
-from gtqft.algebra import pairing_matrix
+import gtqft.algebra
 import gtqft.errors
+from gtqft.algebra import DerivedStructure, pairing_matrix
 from gtqft.errors import (
     BudgetExceeded,
     CoproductMismatch,
@@ -26,7 +27,7 @@ from gtqft.errors import (
     SchemaError,
     ShapeError,
 )
-from gtqft.exactlin import Matrix, Tensor3, basis_vector
+from gtqft.exactlin import Matrix, Tensor3, basis_vector, batch_columns
 from law_oracle import action_on_dual_basis_check, derive_coproducts
 from test_row_laws import derived, mixed_dims_algebra, package_coproducts
 
@@ -166,6 +167,148 @@ class TestLoad:
         for name, a in saved.items():
             assert json.dumps(save_algebra(a)) == json.dumps(SAVED_ALGEBRAS[name]), name
             assert load_algebra(save_algebra(a)) == a
+
+
+# One bad field in the second entry of "product" or "action" on
+# `entry_error_doc`: (table, field, value or MISSING, error, message).  A
+# field is replaced, a MISSING one deleted; field None replaces the whole
+# entry, and "duplicate" repeats it.
+MISSING = object()
+NAMES = 'element references must be name strings'
+SCALARS = 'scalar values must be strings like "p/q" or integers'
+ENTRY_ERRORS = [
+    ("product", None, 5, SchemaError, "product[1]: entries must be objects"),
+    *[
+        ("product", field, bad, SchemaError, f"product[1]: {NAMES}")
+        for field in ("g", "h")
+        for bad in (MISSING, 3, ["e"])
+    ],
+    ("product", "g", "zz", SchemaError, "product[1]: unknown element name 'zz'"),
+    ("product", "h", "zz", SchemaError, "product[1]: unknown element name 'zz'"),
+    *[
+        ("product", field, bad, SchemaError, f"product[1]: field {field!r} must be an integer index")
+        for field in ("i", "j", "k")
+        for bad in (MISSING, True, 1.0, "1")
+    ],
+    ("product", "i", 2, ShapeError,
+     "product[1]: basis index (2, 0) outside components of dimension (2, 2)"),
+    ("product", "j", 2, ShapeError,
+     "product[1]: basis index (1, 2) outside components of dimension (2, 2)"),
+    ("product", "k", 2, ShapeError,
+     "product[1]: target index 2 lands outside the e component of dimension 1"),
+    ("product", "value", MISSING, SchemaError, f"product[1]: {SCALARS}"),
+    ("product", "value", True, SchemaError, "product[1]: boolean is not a scalar"),
+    ("product", "value", 1.0, SchemaError, f"product[1]: {SCALARS}"),
+    ("product", "value", ["1"], SchemaError, f"product[1]: {SCALARS}"),
+    ("product", "value", "1.5", SchemaError, "product[1]: not a rational literal: '1.5'"),
+    ("product", "value", "1/0", SchemaError, "product[1]: not a rational literal: '1/0'"),
+    ("product", "duplicate", None, SchemaError, "product[2]: duplicate product coordinate"),
+    ("action", None, 5, SchemaError, "action[1]: entries must be objects"),
+    *[
+        ("action", field, bad, SchemaError, f"action[1]: {NAMES}")
+        for field in ("k", "g")
+        for bad in (MISSING, 3, ["e"])
+    ],
+    ("action", "k", "zz", SchemaError, "action[1]: unknown element name 'zz'"),
+    ("action", "g", "zz", SchemaError, "action[1]: unknown element name 'zz'"),
+    *[
+        ("action", field, bad, SchemaError, f"action[1]: field {field!r} must be an integer index")
+        for field in ("i", "j")
+        for bad in (MISSING, True, 1.0, "1")
+    ],
+    ("action", "i", 2, ShapeError,
+     "action[1]: row index 2 lands outside the g1 component of dimension 2"),
+    ("action", "j", 2, ShapeError,
+     "action[1]: column index 2 outside a component of dimension 2"),
+    ("action", "value", MISSING, SchemaError, f"action[1]: {SCALARS}"),
+    ("action", "value", True, SchemaError, "action[1]: boolean is not a scalar"),
+    ("action", "value", 1.0, SchemaError, f"action[1]: {SCALARS}"),
+    ("action", "value", ["1"], SchemaError, f"action[1]: {SCALARS}"),
+    ("action", "value", "1.5", SchemaError, "action[1]: not a rational literal: '1.5'"),
+    ("action", "value", "1/0", SchemaError, "action[1]: not a rational literal: '1/0'"),
+    ("action", "duplicate", None, SchemaError, "action[2]: duplicate action coordinate"),
+]
+
+
+def entry_error_doc():
+    """cyclic:2 with dims (1, 2); the first entry of each table has the int
+    value 1, so a later True or 1.0 meets a parsed literal equal to it."""
+    return {
+        "group": "cyclic:2",
+        "dims": {"e": 1, "g1": 2},
+        "product": [
+            {"g": "e", "h": "e", "i": 0, "j": 0, "k": 0, "value": 1},
+            {"g": "g1", "h": "g1", "i": 1, "j": 0, "k": 0, "value": "1/2"},
+        ],
+        "action": [
+            {"k": "e", "g": "e", "i": 0, "j": 0, "value": 1},
+            {"k": "g1", "g": "g1", "i": 1, "j": 0, "value": "1/2"},
+        ],
+        "unit": ["1"],
+        "trace": ["1"],
+    }
+
+
+class TestLoadErrors:
+    """Each bad field of an entry raises its own error type and message,
+    and the first fault in document order is the one reported."""
+
+    @pytest.mark.parametrize("table,field,bad,error,message", ENTRY_ERRORS)
+    def test_one_bad_field(self, table, field, bad, error, message):
+        doc = entry_error_doc()
+        entries = doc[table]
+        if field is None:
+            entries[1] = bad
+        elif field == "duplicate":
+            entries.append(dict(entries[1]))
+        elif bad is MISSING:
+            del entries[1][field]
+        else:
+            entries[1][field] = bad
+        with pytest.raises(error) as info:
+            load_algebra(doc)
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_first_field_of_an_entry_first(self):
+        doc = entry_error_doc()
+        doc["product"][1].update(h="zz", k=True, value="x")
+        with pytest.raises(SchemaError, match=r"^product\[1\]: unknown element name 'zz'$"):
+            load_algebra(doc)
+        doc["product"][1].update(h="g1", i=7)
+        with pytest.raises(SchemaError, match=r"^product\[1\]: field 'k' must be"):
+            load_algebra(doc)
+
+    def test_first_entry_first(self):
+        doc = entry_error_doc()
+        doc["product"].append({"g": "e", "h": "e", "i": 0, "j": 0, "k": 0, "value": "1.5"})
+        doc["product"][1]["value"] = "1/0"
+        doc["action"][0]["value"] = True
+        with pytest.raises(SchemaError, match=r"^product\[1\]: not a rational literal: '1/0'$"):
+            load_algebra(doc)
+
+    def test_equal_values_load_as_one_block(self):
+        # "1/2" and "2/4" are one value, and so are 1 and "1": the blocks
+        # (g1, g1) of the four documents are one object in each pair
+        spelled = [("1/2", 1), ("2/4", "1"), ("1/2", "1"), ("2/4", 1)]
+        loaded = []
+        for half, one in spelled:
+            doc = entry_error_doc()
+            doc["action"] = [
+                {"k": k, "g": "g1", "i": 1, "j": 0, "value": v}
+                for k, v in (("e", "1/2"), ("g1", half))
+            ] + [{"k": k, "g": "g1", "i": 0, "j": 0, "value": one} for k in ("e", "g1")]
+            a = load_algebra(doc)
+            assert a.action[(0, 1)] is a.action[(1, 1)]
+            loaded.append(a.action[(0, 1)])
+        assert all(m == Matrix.from_rows([[1, 0], [F(1, 2), 0]]) for m in loaded)
+
+    def test_from_entries_converts_ints_and_keeps_fractions(self):
+        half = F(1, 2)
+        t = Tensor3.from_entries(1, 1, 2, {(0, 0, 0): 1, (0, 0, 1): half})
+        m = Matrix.from_entries(1, 2, {(0, 0): 1, (0, 1): half})
+        for row in (t.data[0][0], m.data[0]):
+            assert type(row[0]) is F and row[0] == 1
+            assert row[1] is half
 
 
 class TestLoadBudget:
@@ -396,15 +539,17 @@ class TestDiagramChecks:
         assert check_frobenius_diagram(dual_numbers, d).passed
 
     def test_mutated_coproduct_detected(self, s3_algebra):
+        # the columns of the true coproducts are built first; the doctored
+        # structure is still checked on its own
         d = derive(s3_algebra)
+        assert check_frobenius_diagram(s3_algebra, d).passed
         coproducts = dict(d.coproducts)
         coproducts[(1, 2)] = Tensor3.from_entries(1, 1, 1, {(0, 0, 0): 5})
-        from gtqft.algebra import DerivedStructure
-
         doctored = DerivedStructure(d.pairings, coproducts, d.euler)
         report = check_frobenius_diagram(s3_algebra, doctored)
         assert not report.passed
         assert report.failures()[0].witness.context
+        assert check_frobenius_diagram(s3_algebra, d).passed
 
     def test_s3_cocommutativity(self, s3_algebra):
         d = derive(s3_algebra)
@@ -432,6 +577,34 @@ class TestDiagramChecks:
                 for j in range(2):
                     assert t[(c, i, j)] == t[(c, j, i)]
         assert check_cocommutativity(dual_numbers, d).passed
+
+
+class TestTableColumns:
+    """`table_columns` builds the columns of each table and direction once,
+    on the table's owner."""
+
+    def check(self, a):
+        d = derive(a)
+        reports = (check_axioms(a), check_frobenius_diagram(a, d), check_cocommutativity(a, d))
+        return all(report.passed for report in reports)
+
+    def test_built_once_per_table_and_direction(self, rich_s3, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:])
+            return batch_columns(*args, **kwargs)
+
+        monkeypatch.setattr(gtqft.algebra, "batch_columns", counted)
+        a = load_algebra(save_algebra(rich_s3))  # nothing built on it yet
+        assert self.check(a)
+        # the product and the action across each key, the coproducts across
+        # the first, and the torus identity's two tables of its own; read
+        # table by table, the three checks would build 11
+        assert len(calls) == 8
+        calls.clear()
+        assert self.check(a)
+        assert len(calls) == 2  # only the torus identity's own tables
 
 
 class TestDualBasisEquivariance:

@@ -26,6 +26,67 @@ def compose_perms(p, q):
     return tuple(p[q[x]] for x in range(len(p)))
 
 
+def cubic_associativity_failure(table):
+    """The first (a, b, c) in lexicographic order with (ab)c != a(bc), or
+    None: the direct n^3 check that Light's test in `FiniteGroup` is
+    compared with."""
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return a, b, c
+    return None
+
+
+def loops(n, rng=None):
+    """Every Latin square of order n with identity 0 (a loop), by
+    backtracking cell by cell; with `rng`, in a random order."""
+    table = [[0] * n for _ in range(n)]
+    table[0] = list(range(n))
+    for i in range(n):
+        table[i][0] = i
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(at):
+        if at == len(cells):
+            yield [list(row) for row in table]
+            return
+        i, j = cells[at]
+        used = set(table[i][:j]) | {table[r][j] for r in range(i)}
+        candidates = [x for x in range(n) if x not in used]
+        if rng is not None:
+            rng.shuffle(candidates)
+        for x in candidates:
+            table[i][j] = x
+            yield from fill(at + 1)
+
+    return fill(0)
+
+
+def relabeled(table, perm):
+    """The table with element x renamed perm[x]."""
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[perm[a]][perm[b]] = perm[table[a][b]]
+    return out
+
+
+def assert_light_agrees(table):
+    """`FiniteGroup` accepts the Latin table with an identity exactly when
+    the cubic check does, and a rejection names a failing triple."""
+    names = [f"x{i}" for i in range(len(table))]
+    if cubic_associativity_failure(table) is None:
+        assert FiniteGroup(names, table).table == tuple(map(tuple, table))
+        return
+    with pytest.raises(NotAGroup, match=r"^associativity fails at \(x\d+, x\d+, x\d+\)$") as info:
+        FiniteGroup(names, table)
+    x, s, y = (int(w.strip(" x()")) for w in str(info.value).split("at ")[1].split(","))
+    assert table[table[x][s]][y] != table[x][table[s][y]]
+
+
 class TestFromTable:
     def test_z2(self):
         g = FiniteGroup(["e", "a"], [[0, 1], [1, 0]])
@@ -41,17 +102,20 @@ class TestFromTable:
         with pytest.raises(NotAGroup, match="identity"):
             FiniteGroup(["a", "b", "c"], [[0, 1, 2], [2, 0, 1], [1, 2, 0]])
 
+    # rows/columns are permutations but (1*1)*2 != 1*(1*2)
+    NON_ASSOCIATIVE = [
+        [0, 1, 2, 3, 4],
+        [1, 0, 3, 4, 2],
+        [2, 4, 0, 1, 3],
+        [3, 2, 4, 0, 1],
+        [4, 3, 1, 2, 0],
+    ]
+
     def test_non_associative_rejected(self):
-        # rows/columns are permutations but (1*1)*2 != 1*(1*2)
-        table = [
-            [0, 1, 2, 3, 4],
-            [1, 0, 3, 4, 2],
-            [2, 4, 0, 1, 3],
-            [3, 2, 4, 0, 1],
-            [4, 3, 1, 2, 0],
-        ]
-        with pytest.raises(NotAGroup, match="associativity"):
+        table = self.NON_ASSOCIATIVE
+        with pytest.raises(NotAGroup, match=r"^associativity fails at \(a, a, b\)$"):
             FiniteGroup(list("eabcd"), table)
+        assert cubic_associativity_failure(table) == (1, 1, 2)
 
     def test_s3_from_permutation_composition(self):
         # independent construction: compose permutations directly
@@ -63,6 +127,81 @@ class TestFromTable:
         assert g.order == 6
         assert g == FiniteGroup(g.names, g.table)
         assert builtin("symmetric", 3).table == g.table
+
+
+class TestLightsTest:
+    """Associativity over greedy generators against the cubic check."""
+
+    @pytest.mark.parametrize(
+        "name,params",
+        [("cyclic", range(1, 31)), ("dihedral", range(1, 13)), ("symmetric", range(1, 6))],
+    )
+    def test_builtins(self, name, params):
+        # `builtin` builds through `FiniteGroup`, so Light's test accepted
+        for param in params:
+            assert cubic_associativity_failure(builtin(name, param).table) is None
+
+    def test_quaternion8(self):
+        assert cubic_associativity_failure(builtin("quaternion8").table) is None
+
+    def test_every_loop_up_to_order_5(self):
+        # the 1 + 1 + 1 + 4 + 56 reduced Latin squares of orders 1..5, of
+        # which 1 + 1 + 1 + 4 + 6 are groups
+        verdicts = {}
+        for n in range(1, 6):
+            for table in loops(n):
+                assert_light_agrees(table)
+                group = cubic_associativity_failure(table) is None
+                verdicts[n, group] = verdicts.get((n, group), 0) + 1
+        assert verdicts == {
+            (1, True): 1, (2, True): 1, (3, True): 1, (4, True): 4, (5, True): 6, (5, False): 50,
+        }
+
+    def test_nucleus_generated_first(self):
+        # Z2^3 x the five-element loop of test_non_associative_rejected,
+        # indexed so that Z2^3 x {e} comes first: the first three greedy
+        # generators lie in the middle nucleus, where (x s) y = x (s y)
+        # holds, and only a generator from the loop factor sees the failure
+        loop = TestFromTable.NON_ASSOCIATIVE
+        table = [
+            [(loop[l][m] << 3) | (g ^ h) for m in range(5) for h in range(8)]
+            for l in range(5)
+            for g in range(8)
+        ]
+        assert cubic_associativity_failure(table) is not None
+        assert_light_agrees(table)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 9), st.integers(0, 2**32 - 1))
+    def test_random_loops(self, n, seed):
+        rng = random.Random(seed)
+        table = next(loops(n, rng))
+        perm = list(range(n))
+        rng.shuffle(perm)  # the identity anywhere, and other generators
+        assert_light_agrees(relabeled(table, perm))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_groups_with_one_intercalate_swapped(self, seed):
+        # a 2x2 subsquare off the identity's row and column with its two
+        # symbols swapped: still a Latin table with an identity, and (for
+        # these seeds) never associative
+        rng = random.Random(seed)
+        group = builtin(*rng.choice([("dihedral", 4), ("quaternion8", None), ("cyclic", 8)]))
+        table = [list(row) for row in group.table]
+        n = len(table)
+        swaps = [
+            (r1, r2, c1, c2)
+            for r1, r2 in itertools.combinations(range(1, n), 2)
+            for c1, c2 in itertools.combinations(range(1, n), 2)
+            if table[r1][c1] == table[r2][c2] and table[r1][c2] == table[r2][c1]
+        ]
+        r1, r2, c1, c2 = rng.choice(swaps)
+        table[r1][c1], table[r1][c2] = table[r1][c2], table[r1][c1]
+        table[r2][c1], table[r2][c2] = table[r2][c2], table[r2][c1]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        assert cubic_associativity_failure(table) is not None
+        assert_light_agrees(relabeled(table, perm))
 
 
 class TestBuiltin:
