@@ -167,11 +167,11 @@ class GFrobeniusAlgebra:
         trace: Sequence,
     ):
         n = group.order
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(dims)
         if len(dims) != n:
             raise ShapeError(f"got {len(dims)} dimensions for {n} group elements")
-        if any(d < 0 for d in dims):
-            raise ShapeError("component dimensions must be non-negative")
+        if any(type(d) is not int or d < 0 for d in dims):
+            raise ShapeError("component dimensions must be non-negative integers")
 
         T, inv = group.table, group.inverse
         zeros: dict[tuple, Tensor3 | Matrix] = {}  # shape -> its one zero block

@@ -7,8 +7,8 @@ Dimensions in this problem domain are tiny (graded components of dimension
 ones.  `add_scaled` is the one loop that scales and sums rows, of
 `Fraction`s or of ints: `Matrix.__matmul__`, `Matrix.apply`, `rref`'s
 elimination and `algebra._plane_sum` call it on `Fraction` rows, and
-`orbifold._in_span`, the orbifold's one span test (closure, the unit and
-the sector decomposition), on int rows.
+`orbifold._in_span`, the orbifold's one span test (closure and the unit),
+on int rows.
 `Matrix.det` keeps its own elimination, because it is the independent
 oracle that `inverse` is tested against.  `Matrix.inverse` is the right
 half of `rref` of ``[M | I]`` (M is singular when a pivot falls in the

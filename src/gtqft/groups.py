@@ -4,14 +4,22 @@ Elements are referenced by index internally and by name in file formats.
 Builtin families use a documented deterministic ordering with the identity
 first (see `builtin`).
 
-Every table, builtin or user-given, is validated on one path.  Associativity
-is decided by Light's test (Clifford and Preston, *The Algebraic Theory of
-Semigroups* I, 1961, section 1.2): the elements s with (x s) y = x (s y) for
-all x and y form a submagma, so the law holds everywhere once it holds for
-each s of a generating set.  The generators are picked greedily, each the
-least element that right products from the identity by the earlier ones do
-not reach, so a group of order n needs at most log2(n) of them and the test
-costs O(n^2 |S|) lookups in place of n^3.
+Every table, builtin or user-given, is validated on one path, and only by
+checks that can fail on their own.  Each row is read once: its length, its
+entries (plain ints), and that it is a permutation of 0..n-1, which leaves
+no entry out of range.  Then come a two-sided identity and associativity.
+Columns are not checked: Latin rows, a two-sided identity and
+associativity make a group, and a group's columns are permutations, so a
+table with a repeated column entry fails the identity or the associativity
+check.  `load_group` checks only the document's shape.
+
+Associativity is decided by Light's test (Clifford and Preston, *The
+Algebraic Theory of Semigroups* I, 1961, section 1.2): the elements s with
+(x s) y = x (s y) for all x and y form a submagma, so the law holds
+everywhere once it holds for each s of a generating set.  The generators are
+picked greedily, each the least element that right products from the
+identity by the earlier ones do not reach, so a group of order n needs at
+most log2(n) of them and the test costs O(n^2 |S|) lookups in place of n^3.
 """
 
 from __future__ import annotations
@@ -25,8 +33,8 @@ from .errors import NotAGroup, SchemaError, UnknownElement, UnknownGroup
 class FiniteGroup:
     """A finite group given by element names and an index multiplication table.
 
-    Construction validates the group laws (Latin square, two-sided
-    identity, associativity) and locates identity and inverses.
+    Construction validates the group laws (rows that are permutations, a
+    two-sided identity, associativity) and locates identity and inverses.
     Instances are immutable and freely shareable, except for `signatures`,
     the table of piece boundaries that `gtqft.cobordism` fills lazily.
     """
@@ -42,24 +50,20 @@ class FiniteGroup:
             raise NotAGroup("duplicate element names")
         if len(table) != n:
             raise NotAGroup(f"table has {len(table)} rows for {n} elements")
+        full = frozenset(range(n))
         rows = []
         for i, row in enumerate(table):
-            row = tuple(map(int, row))
+            row = tuple(row)
             if len(row) != n:
                 raise NotAGroup(f"row {i} has length {len(row)}, expected {n}")
-            if min(row) < 0 or max(row) >= n:
-                raise NotAGroup(f"row {i} contains an out-of-range index")
+            if set(map(type, row)) != {int}:  # plain ints: no bools, floats or strings
+                raise SchemaError("group table entries must be integers")
+            # n ints holding each of 0..n-1 once: no entry is out of range
+            if frozenset(row) != full:
+                raise NotAGroup(f"row {i} ({names[i]}) is not a permutation")
             rows.append(row)
         table = tuple(rows)
-
-        full = frozenset(range(n))
-        for i in range(n):
-            if frozenset(table[i]) != full:
-                raise NotAGroup(f"row {i} ({names[i]}) is not a permutation")
         columns = tuple(zip(*table))
-        for j in range(n):
-            if frozenset(columns[j]) != full:
-                raise NotAGroup(f"column {j} ({names[j]}) is not a permutation")
 
         # a two-sided identity's row and column both read 0..n-1
         plain = tuple(range(n))
@@ -277,9 +281,6 @@ def load_group(doc) -> FiniteGroup:
         raise SchemaError('group "names" must be a list of strings')
     if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
         raise SchemaError('group "table" must be a list of index rows')
-    for row in table:
-        if not all(isinstance(x, int) and not isinstance(x, bool) for x in row):
-            raise SchemaError("group table entries must be integers")
     return FiniteGroup(names, table)
 
 

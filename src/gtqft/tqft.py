@@ -50,9 +50,13 @@ the product of all handle contributions, cross-checked against the explicit
 word for genus at most two.  No global normalisation (no 1/|G| weight) is
 applied; weighting belongs to callers.
 
-Every function here takes the algebra alone: `derive` computes its
-pairings, dual bases and coproducts once per algebra, and every later
-evaluator, check and closed invariant on it reuses them.  The piece
+Every function here takes the algebra, not its derived structure:
+`derive` computes its pairings, dual bases and coproducts once per
+algebra, and every later evaluator, check and closed invariant on it
+reuses them.  Three functions of `algebra` take more: the diagram checks
+`check_frobenius_diagram(a, d)` and `check_cocommutativity(a, d)` take the
+derived structure, and `handle_element(a, euler, x, y)`, which
+`closed_invariant` calls, takes an Euler matrix read from it.  The piece
 matrices are stored on the algebra as well, in one cache that every
 `Evaluator` on it shares and that fills piece by piece as words need them.
 Kernel forms are kept per distinct block object (of a `cyl`, `merge` or

@@ -311,6 +311,81 @@ class TestLoadErrors:
             assert row[1] is half
 
 
+# whole-document faults, each a SchemaError: (change to trivial_algebra_doc,
+# message); also run through `gtqft check --algebra` in test_cli
+DOCUMENT_ERRORS = {
+    "not-an-object": (lambda d: [d], "algebra document must be an object"),
+    "negative-dims": (
+        lambda d: {**d, "dims": {"e": -1}},
+        "dims['e'] must be a non-negative integer",
+    ),
+    "product-not-a-list": (
+        lambda d: {**d, "product": {}},
+        'algebra "product" must be a list of entries',
+    ),
+    "action-not-a-list": (
+        lambda d: {**d, "action": "e"},
+        'algebra "action" must be a list of entries',
+    ),
+    "trace-length": (
+        lambda d: {**d, "trace": ["1", "1"]},
+        'algebra "trace" must be a list of 1 scalars',
+    ),
+    "group-names": (
+        lambda d: {**d, "group": {"names": "ea", "table": [[0, 1], [1, 0]]}},
+        'group "names" must be a list of strings',
+    ),
+    "group-table": (
+        lambda d: {**d, "group": {"names": ["e", "g1"], "table": [0, 1]}},
+        'group "table" must be a list of index rows',
+    ),
+}
+
+
+class TestDocumentErrors:
+    @pytest.mark.parametrize("change,message", DOCUMENT_ERRORS.values(), ids=DOCUMENT_ERRORS.keys())
+    def test_document_error(self, change, message):
+        with pytest.raises(SchemaError) as info:
+            load_algebra(change(trivial_algebra_doc()))
+        assert type(info.value) is SchemaError and str(info.value) == message
+        assert info.value.category == "parse"
+
+
+class TestConstructorErrors:
+    """`GFrobeniusAlgebra` refuses data of the wrong shape with a
+    ShapeError, and converts no dimension: a float or a bool is refused."""
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            (dict(dims=(1,)), "got 1 dimensions for 2 group elements"),
+            (dict(dims=(1, 1, 1)), "got 3 dimensions for 2 group elements"),
+            (dict(dims=(1, -1)), "component dimensions must be non-negative integers"),
+            (dict(dims=(1.7, 1)), "component dimensions must be non-negative integers"),
+            (dict(dims=(1, 1.0)), "component dimensions must be non-negative integers"),
+            (dict(dims=(True, 1)), "component dimensions must be non-negative integers"),
+            (
+                dict(product={(0, 1): Tensor3.zeros(1, 1, 2)}),
+                "product tensor for (e, g1) has shape (1, 1, 2), expected (1, 1, 1)",
+            ),
+            (
+                dict(action={(1, 0): Matrix.zeros(2, 1)}),
+                "action block for (g1, e) has shape 2x1, expected 1x1",
+            ),
+            (dict(unit=(1, 1)), "unit vector has length 2, expected 1"),
+            (dict(trace=()), "trace covector has length 0, expected 1"),
+        ],
+    )
+    def test_shape_error(self, z2_algebra, change, message):
+        a = z2_algebra
+        data = dict(dims=a.dims, product={}, action={}, unit=a.unit, trace=a.trace)
+        data.update(change)
+        with pytest.raises(ShapeError) as info:
+            GFrobeniusAlgebra(a.group, **data)
+        assert type(info.value) is ShapeError and str(info.value) == message
+        assert info.value.category == "type"
+
+
 class TestLoadBudget:
     """The cells of a document's blocks are counted before any entry is
     read or block built.  Only small documents are loaded here: each test

@@ -33,6 +33,7 @@ from gtqft.cobordism import CERF_CASES, Cobordism, PieceKind, cyl, parse as pars
 from gtqft.errors import SchemaError
 from gtqft.exactlin import Matrix, Tensor3
 from gtqft.report import Witness, failing, passing
+from test_algebra import DOCUMENT_ERRORS, trivial_algebra_doc
 
 
 class TestFormatReport:
@@ -310,6 +311,22 @@ class TestBadInputIsAParseError:
         status, err = self._status_and_error(capsys, argv)
         assert status == 2
         assert err == "error: category=parse group table entries must be integers\n"
+
+    @pytest.mark.parametrize("change,message", DOCUMENT_ERRORS.values(), ids=DOCUMENT_ERRORS.keys())
+    def test_document_error(self, tmp_path, capsys, change, message):
+        path = tmp_path / "algebra.json"
+        path.write_text(json.dumps(change(trivial_algebra_doc())))
+        status, err = self._status_and_error(capsys, ["check", "--algebra", str(path)])
+        assert status == 2
+        assert err == f"error: category=parse {message}\n"
+
+    def test_group_document_that_is_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "group.json"
+        path.write_text("[[0]]")
+        argv = ["check", "--algebra", "builtin:group-algebra", "--group", str(path)]
+        status, err = self._status_and_error(capsys, argv)
+        assert status == 2
+        assert err == "error: category=parse group document must be an object\n"
 
     def test_json_nested_too_deep(self, tmp_path, capsys):
         path = tmp_path / "deep.json"

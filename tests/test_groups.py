@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtqft import FiniteGroup, builtin, builtin_from_string, conjugacy
-from gtqft.errors import NotAGroup, UnknownElement, UnknownGroup
+from gtqft.errors import EngineError, NotAGroup, SchemaError, UnknownElement, UnknownGroup
 from gtqft.groups import load_group, save_group
 
 BUILTINS = [
@@ -129,6 +129,116 @@ class TestFromTable:
         assert builtin("symmetric", 3).table == g.table
 
 
+def group_oracle(table):
+    """(identity, inverses) when a table whose rows are permutations is a
+    group by the checks `FiniteGroup` no longer makes (Latin columns) and
+    the ones it does (a two-sided identity, associativity, here cubic), or
+    None when it is not a group."""
+    n = len(table)
+    if any(sorted(column) != list(range(n)) for column in zip(*table)):
+        return None
+    identities = [e for e in range(n) if all(table[e][x] == x == table[x][e] for x in range(n))]
+    if not identities or cubic_associativity_failure(table) is not None:
+        return None
+    (e,) = identities
+    inverses = tuple(next(y for y in range(n) if table[x][y] == e == table[y][x]) for x in range(n))
+    return e, inverses
+
+
+def assert_oracle_agrees(table):
+    """`FiniteGroup` accepts the table exactly when the oracle calls it a
+    group, with the oracle's identity and inverses, and refuses it
+    otherwise with a parse error."""
+    names = [f"x{i}" for i in range(len(table))]
+    expected = group_oracle(table)
+    if expected is None:
+        with pytest.raises(EngineError) as info:
+            FiniteGroup(names, table)
+        assert info.value.category == "parse"
+        return False
+    g = FiniteGroup(names, table)
+    assert (g.identity, g.inverse) == expected
+    assert g.table == tuple(map(tuple, table))
+    return True
+
+
+class TestDeletedChecks:
+    """`FiniteGroup` checks neither the range of an entry nor that columns
+    are permutations: a row of n ints that is a permutation of 0..n-1
+    holds no out-of-range entry, and a table with Latin rows, a two-sided
+    identity and associativity is a group, whose columns are permutations.
+    The oracle checks the columns as well and must agree."""
+
+    def test_every_table_of_permutation_rows_up_to_order_3(self):
+        groups = {}
+        for n in range(1, 4):
+            perms = [list(p) for p in itertools.permutations(range(n))]
+            for rows in itertools.product(perms, repeat=n):
+                groups[n] = groups.get(n, 0) + assert_oracle_agrees([list(r) for r in rows])
+        # the labelled tables of Z1, Z2 and Z3: n! / |Aut(Zn)| of each
+        assert groups == {1: 1, 2: 2, 3: 3}
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_seeded_sample(self, n):
+        # random permutation rows (almost never a group), the groups of
+        # order n relabelled, and those with two entries of one row
+        # swapped: Latin rows with a repeated column entry
+        rng = random.Random(n)
+        groups = [builtin("cyclic", n).table]
+        if n == 4:
+            groups.append([[a ^ b for b in range(4)] for a in range(4)])
+        accepted = 0
+        for _ in range(2000):
+            assert_oracle_agrees([rng.sample(range(n), n) for _ in range(n)])
+            perm = rng.sample(range(n), n)
+            table = relabeled(rng.choice(groups), perm)
+            accepted += assert_oracle_agrees(table)
+            row = rng.choice(table)
+            a, b = rng.sample(range(n), 2)
+            row[a], row[b] = row[b], row[a]
+            assert not assert_oracle_agrees(table)
+        assert accepted == 2000
+
+    @pytest.mark.parametrize(
+        "table,error,message",
+        [
+            ([[0, 1], [1, 2]], NotAGroup, "row 1 (a) is not a permutation"),
+            ([[0, -1], [1, 0]], NotAGroup, "row 0 (e) is not a permutation"),
+            ([[0, 1.9], [1, 0]], SchemaError, "group table entries must be integers"),
+            ([[0, True], [1, 0]], SchemaError, "group table entries must be integers"),
+            ([[0, "1"], [1, 0]], SchemaError, "group table entries must be integers"),
+            ([[0, 1.0], [1, 0]], SchemaError, "group table entries must be integers"),
+            # int() of each entry reads this as Z2
+            ([[0, 1.9], [True, "0"]], SchemaError, "group table entries must be integers"),
+            # each row is read once, in order: a fault of an earlier row first
+            ([[0, 0], [1.5, 0]], NotAGroup, "row 0 (e) is not a permutation"),
+            ([[0], [1.5, 0]], NotAGroup, "row 0 has length 1, expected 2"),
+            ([[0, 1], [1.5, 0]], SchemaError, "group table entries must be integers"),
+        ],
+    )
+    def test_refused_entries(self, table, error, message):
+        with pytest.raises(error) as info:
+            FiniteGroup(["e", "a"], table)
+        assert type(info.value) is error and str(info.value) == message
+        assert info.value.category == "parse"
+
+    @pytest.mark.parametrize(
+        "table,message",
+        [
+            # Z3 with the last two entries of row b swapped: column a reads
+            # (a, b, a), and Light's test refuses it
+            ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], "associativity fails at (a, a, a)"),
+            # column a reads (e, a, a), and no element is a two-sided identity
+            ([[1, 0, 2], [0, 1, 2], [2, 1, 0]], "no two-sided identity element"),
+        ],
+    )
+    def test_repeated_column_entry(self, table, message):
+        assert group_oracle(table) is None
+        with pytest.raises(NotAGroup) as info:
+            FiniteGroup(["e", "a", "b"], table)
+        assert str(info.value) == message
+
+
 class TestLightsTest:
     """Associativity over greedy generators against the cubic check."""
 
@@ -240,12 +350,18 @@ class TestBuiltin:
         assert g.names[0] == "e"
 
     def test_unknown(self):
-        with pytest.raises(UnknownGroup):
-            builtin("sporadic", 1)
-        with pytest.raises(UnknownGroup):
-            builtin("symmetric", 6)
-        with pytest.raises(UnknownGroup):
-            builtin_from_string("cyclic:x")
+        for spec, message in [
+            ("sporadic:1", "unknown builtin group 'sporadic'"),
+            ("symmetric:6", "symmetric supports degrees 1..5, got 6"),
+            ("cyclic:x", "bad builtin parameter in 'cyclic:x'"),
+            ("cyclic:0", "cyclic needs a positive order, got 0"),
+            ("cyclic", "cyclic needs a positive order, got None"),
+            ("dihedral:-1", "dihedral needs a positive parameter, got -1"),
+            ("quaternion8:8", "quaternion8 takes no parameter"),
+        ]:
+            with pytest.raises(UnknownGroup) as info:
+                builtin_from_string(spec)
+            assert str(info.value) == message and info.value.category == "parse"
 
     def test_from_string(self):
         assert builtin_from_string("dihedral:4").order == 8
@@ -324,6 +440,41 @@ class TestSerialization:
         g = builtin("dihedral", 3)
         doc = save_group(g)
         assert load_group(doc) == g
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ([], "group document must be an object"),
+            ({"names": "ea", "table": [[0]]}, 'group "names" must be a list of strings'),
+            ({"names": ["e", 1], "table": [[0]]}, 'group "names" must be a list of strings'),
+            ({"table": [[0]]}, 'group "names" must be a list of strings'),
+            ({"names": ["e"], "table": [0]}, 'group "table" must be a list of index rows'),
+            ({"names": ["e"], "table": ((0,),)}, 'group "table" must be a list of index rows'),
+            ({"names": ["e"]}, 'group "table" must be a list of index rows'),
+        ],
+    )
+    def test_document_errors(self, doc, message):
+        with pytest.raises(SchemaError) as info:
+            load_group(doc)
+        assert type(info.value) is SchemaError and str(info.value) == message
+        assert info.value.category == "parse"
+
+    @pytest.mark.parametrize(
+        "names,table,message",
+        [
+            ([], [], "a group needs at least one element"),
+            (["e", "e"], [[0, 1], [1, 0]], "duplicate element names"),
+            (["e", "a"], [[0, 1]], "table has 1 rows for 2 elements"),
+            (["e", "a"], [[0, 1], [1, 0], [0, 1]], "table has 3 rows for 2 elements"),
+            (["e", "a"], [[0, 1], [1, 0, 1]], "row 1 has length 3, expected 2"),
+            (["e", "a"], [[0], [1, 0]], "row 0 has length 1, expected 2"),
+        ],
+    )
+    def test_table_shape_errors(self, names, table, message):
+        with pytest.raises(NotAGroup) as info:
+            FiniteGroup(names, table)
+        assert type(info.value) is NotAGroup and str(info.value) == message
+        assert info.value.category == "parse"
 
     def test_unknown_element_lookup(self):
         g = builtin("cyclic", 2)

@@ -13,6 +13,7 @@ from gtqft import (
     Evaluator,
     Matrix,
     cerf_check,
+    check_axioms,
     closed_invariant,
     closed_surface_word,
     cyl,
@@ -564,6 +565,19 @@ class TestCerfBudget:
             cerf_check(s3_algebra, "111", labels=(1, 2, 3, 0))
 
 
+# every fixture that passes all laws
+PASSING_FIXTURES = [
+    "z2_algebra",
+    "s3_algebra",
+    "dual_numbers",
+    "rich_s3",
+    "rescaled_s3",
+    "rescaled_rich_s3",
+    "twisted_klein",
+    "twisted_d4",
+]
+
+
 class TestClosedInvariant:
     def test_genus_zero(self, s3_algebra):
         assert closed_invariant(s3_algebra, ()) == 1
@@ -601,6 +615,30 @@ class TestClosedInvariant:
         value = closed_invariant(rich_s3, labels)
         word = closed_surface_word(group, labels)
         assert evaluate(rich_s3, word).data[0][0] == value
+
+    def test_handle_formula_against_the_word(self, s3_algebra):
+        # a doubled unit breaks the unit law: the handle formula reads the
+        # unit once, the explicit word at each of its two caps
+        a = s3_algebra
+        doubled = GFrobeniusAlgebra(a.group, a.dims, a.product, a.action, (2,), a.trace)
+        with pytest.raises(EngineError) as info:
+            closed_invariant(doubled, (0, 0))
+        assert type(info.value) is EngineError and info.value.category == "check-failure"
+        assert str(info.value) == "handle formula gives 2 but the explicit word gives 4"
+
+    @pytest.mark.parametrize("name", PASSING_FIXTURES)
+    def test_no_passing_fixture_fails_the_word_check(self, request, name):
+        a = request.getfixturevalue(name)
+        assert check_axioms(a).passed
+        flat = 0
+        for genus in (1, 2):
+            for labels in itertools.product(a.group.elements(), repeat=2 * genus):
+                try:
+                    closed_invariant(a, labels)
+                except FlatnessViolation:
+                    continue
+                flat += 1
+        assert flat == sum(hom_count_oracle(a.group, genus) for genus in (1, 2))
 
     def test_closed_word_signature(self, z2):
         w = closed_surface_word(z2, (1, 1))
