@@ -113,8 +113,8 @@ from .exactlin import (
     Tensor3,
     Vector,
     add_scaled,
-    as_vector,
     basis_vector,
+    exact,
     format_scalar,
     batch_columns,
     contract,
@@ -204,8 +204,8 @@ class GFrobeniusAlgebra:
                     )
                 full_action[(k, g)] = block
 
-        unit = as_vector(unit)
-        trace = as_vector(trace)
+        unit = tuple(map(exact, unit))
+        trace = tuple(map(exact, trace))
         de = dims[group.identity]
         if len(unit) != de:
             raise ShapeError(f"unit vector has length {len(unit)}, expected {de}")

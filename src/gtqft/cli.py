@@ -130,8 +130,6 @@ def _load_group_source(source: str) -> FiniteGroup:
 
 def _load_algebra_source(config: RunConfig) -> GFrobeniusAlgebra:
     source = config.algebra
-    if source is None:
-        raise SchemaError("--algebra is required for this command")
     if source == "builtin:group-algebra":
         if config.group is None:
             raise SchemaError("builtin:group-algebra needs --group")
@@ -243,8 +241,6 @@ def _cmd_orbifold(config: RunConfig) -> int:
 
 def _cmd_eval(config: RunConfig) -> int:
     a = _load_algebra_source(config)
-    if config.cobordism is None:
-        raise SchemaError("--cobordism is required for eval")
     text = _read_cobordism_text(config.cobordism)
     word = parse(text, a.group)
     print(_print_block_map(word, evaluate(a, word), config.fmt))
@@ -255,8 +251,6 @@ def _cmd_cerf(config: RunConfig) -> int:
     if config.all_labels and config.labels is not None:
         raise SchemaError("cerf takes --labels or --all-labels, not both")
     a = _load_algebra_source(config)
-    if config.case is None:
-        raise SchemaError("--case is required for cerf")
     if config.all_labels:
         report = cerf_check(a, config.case, all_labels=True)
     else:
@@ -372,12 +366,8 @@ _COMMANDS = {
 
 def run(config: RunConfig) -> int:
     """Execute one command; returns the process exit status."""
-    handler = _COMMANDS.get(config.command)
-    if handler is None:
-        print(f"error: category=parse unknown command {config.command!r}", file=sys.stderr)
-        return 2
     try:
-        status = handler(config)
+        status = _COMMANDS[config.command](config)
         sys.stdout.flush()
         return status
     except BrokenPipeError as exc:

@@ -59,7 +59,8 @@ class SchemaError(EngineError):
 
 
 class ShapeError(EngineError):
-    """A structure constant addresses a coordinate outside its graded component."""
+    """A structure constant addresses a coordinate outside its graded
+    component, or a dimension or scalar has the wrong type."""
 
     category = "type"
 

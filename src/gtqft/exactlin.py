@@ -2,6 +2,13 @@
 
 Scalars at every interface are `fractions.Fraction`; every operation here
 is exact and no tolerance parameter exists anywhere in the package.
+
+What a constructor accepts as a scalar is decided in one place, `exact`: a
+`Fraction` is kept as it is, a plain int is converted, and anything else
+(a float, a bool, a string, a `Decimal`) is refused with `ShapeError`.
+`Matrix`, `Tensor3`, both `from_entries` and the unit and trace of
+`algebra.GFrobeniusAlgebra` all pass their scalars through it.
+
 Dimensions in this problem domain are tiny (graded components of dimension
 0..6), so storage is dense and the algorithms are the straightforward cubic
 ones.  `add_scaled` is the one loop that scales and sums rows, of
@@ -56,7 +63,7 @@ from fractions import Fraction
 from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DimensionMismatch, SingularMatrix
+from .errors import DimensionMismatch, ShapeError, SingularMatrix
 
 Vector = tuple[Fraction, ...]
 
@@ -79,8 +86,15 @@ def format_scalar(value: Fraction) -> str:
     return str(value)
 
 
-def as_vector(values: Iterable) -> Vector:
-    return tuple(Fraction(v) for v in values)
+def exact(value) -> Fraction:
+    """`value` as an exact scalar: a `Fraction` as it is, a plain int
+    converted; anything else (a float, a bool, a string) raises
+    `ShapeError`."""
+    if type(value) is Fraction:
+        return value
+    if type(value) is int:
+        return Fraction(value)
+    raise ShapeError(f"scalars must be ints or Fractions, got {type(value).__name__}")
 
 
 def basis_vector(n: int, i: int) -> Vector:
@@ -95,7 +109,7 @@ class Matrix:
     def __init__(self, rows: int, cols: int, data: Sequence[Sequence]):
         if rows < 0 or cols < 0:
             raise DimensionMismatch("matrix dimensions must be non-negative")
-        grid = tuple(tuple(Fraction(x) for x in row) for row in data)
+        grid = tuple(tuple(map(exact, row)) for row in data)
         if len(grid) != rows or any(len(row) != cols for row in grid):
             raise DimensionMismatch(f"expected a {rows}x{cols} entry grid")
         self.rows = rows
@@ -130,10 +144,10 @@ class Matrix:
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries: dict) -> "Matrix":
         """The matrix with the given (i, j) entries and zeros elsewhere;
-        `Fraction` values are stored as they are, others converted."""
+        its values pass through `exact`."""
         grid = [[ZERO] * cols for _ in range(rows)]
         for (i, j), value in entries.items():
-            grid[i][j] = value if type(value) is Fraction else Fraction(value)
+            grid[i][j] = value if type(value) is Fraction else exact(value)
         return cls._wrap(rows, cols, tuple(map(tuple, grid)))
 
     def __eq__(self, other) -> bool:
@@ -253,7 +267,7 @@ class Tensor3:
     __slots__ = ("dim0", "dim1", "dim2", "data")
 
     def __init__(self, dim0: int, dim1: int, dim2: int, data: Sequence):
-        grid = tuple(tuple(tuple(Fraction(x) for x in row) for row in plane) for plane in data)
+        grid = tuple(tuple(tuple(map(exact, row)) for row in plane) for plane in data)
         if (
             len(grid) != dim0
             or any(len(plane) != dim1 for plane in grid)
@@ -285,7 +299,7 @@ class Tensor3:
         """As `Matrix.from_entries`, with (i, j, k) entries."""
         grid = [[[ZERO] * dim2 for _ in range(dim1)] for _ in range(dim0)]
         for (i, j, k), value in entries.items():
-            grid[i][j][k] = value if type(value) is Fraction else Fraction(value)
+            grid[i][j][k] = value if type(value) is Fraction else exact(value)
         return cls._wrap(
             dim0, dim1, dim2, tuple(tuple(tuple(row) for row in plane) for plane in grid)
         )

@@ -4,14 +4,18 @@ Elements are referenced by index internally and by name in file formats.
 Builtin families use a documented deterministic ordering with the identity
 first (see `builtin`).
 
-Every table, builtin or user-given, is validated on one path, and only by
-checks that can fail on their own.  Each row is read once: its length, its
-entries (plain ints), and that it is a permutation of 0..n-1, which leaves
-no entry out of range.  Then come a two-sided identity and associativity.
-Columns are not checked: Latin rows, a two-sided identity and
-associativity make a group, and a group's columns are permutations, so a
-table with a repeated column entry fails the identity or the associativity
-check.  `load_group` checks only the document's shape.
+Every group, builtin or user-given, is validated on one path,
+`FiniteGroup`, and only by checks that can fail on their own.  The names
+must be strings, distinct and at least one.  Each row is read once: its
+length, its entries (plain ints), and that it is a permutation of 0..n-1,
+which leaves no entry out of range.  Then come a two-sided identity and
+associativity.  Columns are not checked: Latin rows, a two-sided identity
+and associativity make a group, and a group's columns are permutations, so
+a table with a repeated column entry fails the identity or the
+associativity check.  `load_group` checks only the document's shape: an
+object whose names are a list and whose table is a list of lists.  A
+builtin cyclic or dihedral table of n elements is checked against the work
+budget (n^2 cells) before it is built; a user table is input already.
 
 Associativity is decided by Light's test (Clifford and Preston, *The
 Algebraic Theory of Semigroups* I, 1961, section 1.2): the elements s with
@@ -27,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import NotAGroup, SchemaError, UnknownElement, UnknownGroup
+from .errors import NotAGroup, SchemaError, UnknownElement, UnknownGroup, check_budget
 
 
 class FiniteGroup:
@@ -42,10 +46,12 @@ class FiniteGroup:
     __slots__ = ("names", "table", "identity", "inverse", "_index", "signatures")
 
     def __init__(self, names, table):
-        names = tuple(str(x) for x in names)
+        names = tuple(names)
         n = len(names)
         if n == 0:
             raise NotAGroup("a group needs at least one element")
+        if not all(isinstance(x, str) for x in names):
+            raise SchemaError('group "names" must be a list of strings')
         if len(set(names)) != n:
             raise NotAGroup("duplicate element names")
         if len(table) != n:
@@ -243,10 +249,12 @@ def builtin(name: str, parameter: int | None = None) -> FiniteGroup:
     if name == "cyclic":
         if parameter is None or parameter < 1:
             raise UnknownGroup(f"cyclic needs a positive order, got {parameter!r}")
+        check_budget(parameter**2, "group table cells")
         return _cyclic(parameter)
     if name == "dihedral":
         if parameter is None or parameter < 1:
             raise UnknownGroup(f"dihedral needs a positive parameter, got {parameter!r}")
+        check_budget((2 * parameter) ** 2, "group table cells")
         return _dihedral(parameter)
     if name == "symmetric":
         if parameter is None or not 1 <= parameter <= 5:
@@ -277,7 +285,7 @@ def load_group(doc) -> FiniteGroup:
         raise SchemaError("group document must be an object")
     names = doc.get("names")
     table = doc.get("table")
-    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+    if not isinstance(names, list):
         raise SchemaError('group "names" must be a list of strings')
     if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
         raise SchemaError('group "table" must be a list of index rows')

@@ -21,8 +21,7 @@ Commutativity and associativity read those numerators, over s^2 d_p, and
 the unit law compares int vectors over one scale as well.  `Fraction`s are
 built only for the basis, the invariant algebra and the witnesses
 (`report.descaled`).  The projector reads the action's int image, and the
-trace check reads the invariant algebra's `algebra.inverted_pairings`,
-on a product int image handed over from those numerators.
+trace check reads the invariant algebra's `algebra.inverted_pairings`.
 
 The last entry certifies that the basis is invariant: every phi_k fixes
 every basis row, each side an int vector over s d_a summed on the action's
@@ -35,7 +34,6 @@ action.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 from .algebra import GFrobeniusAlgebra, frobenius_untwisted, inverted_pairings, table_image
@@ -238,16 +236,6 @@ def orbifold_algebra(a: GFrobeniusAlgebra) -> OrbifoldAlgebra:
     product_tensor = Tensor3._wrap(d, d, d, tuple(fraction_rows(row, d_o) for row in products))
     unit_exact = fraction_rows((unit_coords,), d_u)[0]
     trivial = frobenius_untwisted(d, product_tensor, unit_exact, trace_coords)
-    # the product's int image as `int_image` builds it: the numerators and
-    # d_o divided by their gcd
-    common = math.gcd(d_o, *(c for row in constants for ij in row for _, c in ij))
-    image = [
-        (i, j, m, c // common)
-        for i, row in enumerate(constants)
-        for j, ij in enumerate(row)
-        for m, c in ij
-    ]
-    trivial._built["product"] = {(0, 0): image}, d_o // common
     name = "orbifold-trace-nondegenerate"
     if inverted_pairings(trivial)[0][1] is not None:
         entries.append(passing(name))

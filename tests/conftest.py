@@ -117,6 +117,61 @@ def twisted_group_algebra(cover, z: str) -> GFrobeniusAlgebra:
     return GFrobeniusAlgebra(group, (1,) * n, product, action, (1,), (1,))
 
 
+def gset_algebra(group, act) -> GFrobeniusAlgebra:
+    """The G-set algebra of the action ``act[g][x] = g x`` of `group` on
+    the points 0..m-1: the Dijkgraaf-Witten algebra of the action groupoid.
+
+    A_g = Q[X^g] has the fixed points of g as basis, in increasing order;
+    delta_x^g delta_y^h = [x = y] delta_x^{gh}, phi_k(delta_x^g) =
+    delta_{kx}^{kgk^-1}, and the unit and the trace are 1 on each
+    delta_x^e.  The action blocks are permutation matrices, off the
+    diagonal wherever k moves a fixed point of g.
+    """
+    n, mul = group.order, group.mul
+    points = range(len(act[group.identity]))
+    assert all(act[group.identity][x] == x for x in points)
+    for g, h in itertools.product(group.elements(), repeat=2):
+        assert all(act[mul(g, h)][x] == act[g][act[h][x]] for x in points)
+    fixed = [[x for x in points if act[g][x] == x] for g in group.elements()]
+    product = {
+        (g, h): Tensor3.from_entries(
+            len(fixed[g]),
+            len(fixed[h]),
+            len(fixed[mul(g, h)]),
+            {
+                (i, fixed[h].index(x), fixed[mul(g, h)].index(x)): 1
+                for i, x in enumerate(fixed[g])
+                if x in fixed[h]
+            },
+        )
+        for g in range(n)
+        for h in range(n)
+    }
+    action = {
+        (k, g): Matrix.from_entries(
+            len(fixed[group.conj(k, g)]),
+            len(fixed[g]),
+            {(fixed[group.conj(k, g)].index(act[k][x]), j): 1 for j, x in enumerate(fixed[g])},
+        )
+        for k in range(n)
+        for g in range(n)
+    }
+    dims = tuple(map(len, fixed))
+    ones = (1,) * dims[group.identity]
+    return GFrobeniusAlgebra(group, dims, product, action, ones, ones)
+
+
+def point_action(s3) -> list[tuple[int, ...]]:
+    """S3 permuting {0, 1, 2}: the element named "pabc" sends x to digit x
+    of "abc"."""
+    return [(0, 1, 2) if name == "e" else tuple(map(int, name[1:])) for name in s3.names]
+
+
+def conjugation_action(group) -> list[list[int]]:
+    """The group acting on itself by conjugation."""
+    return [[group.conj(k, x) for x in group.elements()] for k in group.elements()]
+
+
 def zero_grade_algebra(group) -> GFrobeniusAlgebra:
     """Dual numbers on the identity grade and zero-dimensional components
     everywhere else, so that words can pass through empty tensor legs."""
@@ -259,3 +314,13 @@ def twisted_klein(q8):
 @pytest.fixture(scope="session")
 def twisted_d4():
     return twisted_group_algebra(builtin("dihedral", 8), "r4")
+
+
+@pytest.fixture(scope="session")
+def s3_on_points(s3):
+    return gset_algebra(s3, point_action(s3))
+
+
+@pytest.fixture(scope="session")
+def s3_by_conjugation(s3):
+    return gset_algebra(s3, conjugation_action(s3))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -968,3 +969,76 @@ class TestMainEntry:
         assert done.returncode == 2
         assert done.stderr.startswith("error: category=output ")
         assert len(done.stderr.splitlines()) == 1
+
+
+class TestReachableUsageOutputs:
+    """Outputs that `main` reaches on flags argparse cannot judge alone, and
+    what `run` does with a `RunConfig` that argparse never built."""
+
+    def test_the_group_algebra_needs_a_group(self, capsys):
+        status = main(["check", "--algebra", "builtin:group-algebra"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err == "error: category=parse builtin:group-algebra needs --group\n"
+
+    def test_cerf_needs_a_labels_flag(self, capsys):
+        argv = ["cerf", "--group", "cyclic:2", "--algebra", "builtin:group-algebra"]
+        status = main([*argv, "--case", "111"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err == "error: category=parse cerf needs --labels or --all-labels\n"
+
+    def test_derive_prints_empty_grades(self, tmp_path, zero_grade_z3, capsys):
+        path = tmp_path / "zero-grade.json"
+        path.write_text(json.dumps(save_algebra(zero_grade_z3)))
+        assert main(["derive", "--algebra", str(path)]) == 0
+        splitting = "(matrix of the splitting map, rows flatten the two output legs):"
+        euler = "(rows: grade, cols: inverse grade):"
+        identity_block = ["[ 0  1 ]", "[ 1  0 ]"]
+        expected = ["pairing[e]:", *identity_block]
+        expected += [line for g in ("g1", "g2") for line in (f"pairing[{g}]:", "[ ] (0x0)")]
+        expected += [f"euler-element[e] {euler}", *identity_block]
+        for g in ("g1", "g2"):
+            expected += [f"euler-element[{g}] {euler}", "[ ] (0x0)"]
+        expected += [f"coproduct[e,e] {splitting}", "[ 0  0 ]", "[ 1  0 ]", "[ 1  0 ]", "[ 0  1 ]"]
+        for g, h in itertools.product(("e", "g1", "g2"), repeat=2):
+            if (g, h) != ("e", "e"):
+                # (g1, g2) and (g2, g1) split the two-dimensional e grade
+                shape = "0x2" if {g, h} == {"g1", "g2"} else "0x0"
+                expected += [f"coproduct[{g},{h}] {splitting}", f"[ ] ({shape})"]
+        assert capsys.readouterr().out.splitlines() == expected
+
+    S3 = {"group": "symmetric:3", "algebra": "builtin:group-algebra"}
+
+    @pytest.mark.parametrize(
+        "config,err",
+        [
+            (
+                RunConfig(command="check"),
+                "error: category=parse empty source: expected a file name or an inline value",
+            ),
+            (
+                RunConfig(command="eval", **S3),
+                "error: category=parse empty source: expected a file name or an inline value",
+            ),
+            (
+                RunConfig(command="cerf", all_labels=True, **S3),
+                "error: category=type unknown move case None; expected one of "
+                "('111', '202', '301', '103', 'cylinder', 'twist', 'pants')",
+            ),
+            (
+                RunConfig(command="frobnicate", **S3),
+                "error: category=internal KeyError: 'frobnicate'",
+            ),
+        ],
+        ids=["no-algebra", "no-cobordism", "no-case", "unknown-command"],
+    )
+    def test_a_config_argparse_never_built(self, capsys, config, err):
+        # `main` cannot build these: argparse requires the flags and knows the commands
+        status = run(config)
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err == err + "\n"

@@ -5,8 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gtqft.errors
+import gtqft.groups
 from gtqft import FiniteGroup, builtin, builtin_from_string, conjugacy
-from gtqft.errors import EngineError, NotAGroup, SchemaError, UnknownElement, UnknownGroup
+from gtqft.cli import main
+from gtqft.errors import (
+    BudgetExceeded,
+    EngineError,
+    NotAGroup,
+    SchemaError,
+    UnknownElement,
+    UnknownGroup,
+)
 from gtqft.groups import load_group, save_group
 
 BUILTINS = [
@@ -375,6 +385,50 @@ class TestBuiltin:
                 assert g.inv(g.mul(a, b)) == g.mul(g.inv(b), g.inv(a))
 
 
+class TestBuiltinBudget:
+    """A builtin cyclic or dihedral table is estimated, n^2 cells for n
+    elements, before it is built.  Only the estimate is tested: the budget
+    is lowered, and building a table raises."""
+
+    @pytest.fixture
+    def no_tables(self, monkeypatch):
+        def refuse(parameter):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(gtqft.groups, "_cyclic", refuse)
+        monkeypatch.setattr(gtqft.groups, "_dihedral", refuse)
+
+    @pytest.mark.parametrize(
+        "spec,cells", [("cyclic:4", 16), ("dihedral:2", 16), ("dihedral:3", 36)]
+    )
+    def test_over_the_budget(self, monkeypatch, no_tables, spec, cells):
+        monkeypatch.setattr(gtqft.errors, "WORK_BUDGET", cells - 1)
+        with pytest.raises(BudgetExceeded) as info:
+            builtin_from_string(spec)
+        message = f"{cells} group table cells exceed the budget of {cells - 1}"
+        assert str(info.value) == message and info.value.category == "budget"
+
+    @pytest.mark.parametrize("spec,order", [("cyclic:4", 4), ("dihedral:2", 4)])
+    def test_at_the_budget(self, monkeypatch, spec, order):
+        monkeypatch.setattr(gtqft.errors, "WORK_BUDGET", order * order)
+        assert builtin_from_string(spec).order == order
+
+    def test_parameters_are_checked_first(self, monkeypatch, no_tables):
+        # (-3)^2 and (2 * -3)^2 cells would exceed the budget
+        monkeypatch.setattr(gtqft.errors, "WORK_BUDGET", 0)
+        for name in ("cyclic", "dihedral"):
+            with pytest.raises(UnknownGroup):
+                builtin(name, -3)
+
+    def test_the_cli_exits_with_a_budget_error(self, monkeypatch, no_tables, capsys):
+        monkeypatch.setattr(gtqft.errors, "WORK_BUDGET", 15)
+        status = main(["check", "--group", "cyclic:4", "--algebra", "builtin:group-algebra"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err == "error: category=budget 16 group table cells exceed the budget of 15\n"
+
+
 class TestConjugacy:
     def test_trivial_group(self):
         data = conjugacy(builtin("cyclic", 1))
@@ -451,6 +505,8 @@ class TestSerialization:
             ({"names": ["e"], "table": [0]}, 'group "table" must be a list of index rows'),
             ({"names": ["e"], "table": ((0,),)}, 'group "table" must be a list of index rows'),
             ({"names": ["e"]}, 'group "table" must be a list of index rows'),
+            # the document's shape is checked before `FiniteGroup` reads the names
+            ({"names": [1], "table": [0]}, 'group "table" must be a list of index rows'),
         ],
     )
     def test_document_errors(self, doc, message):

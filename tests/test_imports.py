@@ -7,7 +7,9 @@ with `ast`; a name bound by ``import`` or ``from ... import`` counts as
 used when it appears anywhere else in the module as a name.  A relative
 import of an underscore name is private: the one allowed is
 `algebra._once`, through which the evaluator keeps its piece and layer
-caches in the algebra's ``_built``.
+caches in the algebra's ``_built``.  No module but `algebra.py` names the
+attribute ``_built`` at all, so every table derived from an algebra is
+built by its one owner, through `_once`.
 """
 
 import ast
@@ -66,3 +68,24 @@ def test_no_private_name_is_imported(path):
 def test_a_private_import_is_found():
     source = "from .tqft import Evaluator, _identity_rows\nfrom .algebra import _once\n"
     assert private_imports(source) == ["tqft._identity_rows"]
+
+
+def built_attributes(source: str) -> list[int]:
+    """The lines of `source` that name the attribute ``_built``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "_built"
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "algebra.py"], ids=lambda p: p.name
+)
+def test_only_the_algebra_names_its_built_tables(path):
+    assert built_attributes(path.read_text()) == []
+
+
+def test_a_built_attribute_is_found():
+    source = "image = table_image(a)\na._built['product'] = image\nb = a.built\n"
+    assert built_attributes(source) == [2]

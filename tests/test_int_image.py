@@ -290,11 +290,10 @@ def test_check_builds_each_table_once(builds, capsys):
 
 def test_orbifold_reads_the_one_nondegeneracy_decision(builds, capsys):
     assert main(["orbifold", *S3_GROUP_ALGEBRA]) == 0
-    # the action and the product, read through `table_image`; the invariant
-    # structure constants are the product's numerators and need no image,
-    # and the invariant algebra's pairing reads the product image that the
-    # orbifold hands over from those numerators
-    assert len(builds["int_image"]) == len(set(builds["int_image"])) == 2
+    # the action and the product, read through `table_image`, and the
+    # invariant algebra's product, which its pairing reads through
+    # `table_image` like every other algebra's
+    assert len(builds["int_image"]) == len(set(builds["int_image"])) == 3
     # the invariant algebra's one pairing, and no determinant
     assert (builds["pairing_matrix"], builds["inverse"], builds["det"]) == (1, 1, 0)
 
