@@ -732,7 +732,9 @@ def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
 
     Failures are report entries (with the first counterexample), never
     exceptions.  The torus identity needs dual bases, so it is reported as
-    blocked when some pairing is degenerate.
+    blocked when some pairing is degenerate.  The n³ grade triples are
+    counted against the work budget before any image is built; the torus
+    identity's n² rows run after them and need no estimate of their own.
     """
     group = a.group
     n = group.order
@@ -741,6 +743,7 @@ def check_axioms(a: GFrobeniusAlgebra) -> CheckReport:
     T, conj, inv = group.table, group.conj, group.inv
     D = max(dims, default=0)
     D2, D3, de, total = D * D, D**3, dims[e], sum(dims)
+    check_budget(n**3, "grade triples")
     P_image, d_p = table_image(a, "product")
     A_image, d_a = table_image(a, "action")
     # over_right[x]: the entries of P[(x, y)] as columns over y; over_left[y]:
@@ -953,12 +956,14 @@ def check_frobenius_diagram(a: GFrobeniusAlgebra, d: DerivedStructure) -> CheckR
     """Product and coproduct exchange: (m x 1)(1 x D) = D m on all grade triples.
 
     Both sides are evaluated on the int images of the product and of the
-    coproducts of `d`, over d_p * d_c, a row (g, h) at a time along k."""
+    coproducts of `d`, over d_p * d_c, a row (g, h) at a time along k; the
+    n³ grade triples are counted against the work budget first."""
     group = a.group
     n = group.order
     dims, T = a.dims, group.table
     D = max(dims, default=0)
     D2, D3 = D * D, D**3
+    check_budget(n**3, "grade triples")
     P_image, d_p = table_image(a, "product")
     _, d_c = table_image(d, "coproducts")
     products, splits = table_columns(a, "product", n), table_columns(d, "coproducts", n)

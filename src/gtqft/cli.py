@@ -8,8 +8,12 @@ to stderr.  A usage error is ``parse``; ``output`` is a stdout whose
 reader has gone away.  ``internal`` is any exception that is not a
 package error, a fault of the program rather than of the input, printed
 as ``error: category=internal <Type>: <message>``.  Output is
-deterministic for fixed inputs and seed.  The argument parser is built
-once per process, on the first `main` call, and reused by every later one.
+deterministic for fixed inputs and seed.  `main(argv)` is the one way
+into a run: the argument parser owns the options, their defaults and which
+flags go together (`cerf` takes exactly one of `--labels` and
+`--all-labels`), and each command reads the parsed namespace.  The parser
+is built once per process, on the first `main` call, and reused by every
+later one.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .algebra import (
@@ -48,21 +51,6 @@ from .tqft import (
     split_matrix,
     word_functoriality_witness,
 )
-
-
-@dataclass
-class RunConfig:
-    command: str
-    group: str | None = None
-    algebra: str | None = None
-    cobordism: str | None = None
-    case: str | None = None
-    labels: str | None = None
-    all_labels: bool = False
-    seed: int = 0
-    budget: int = 8
-    count: int = 1000
-    fmt: str = "human"
 
 
 def format_report(report: CheckReport, mode: str = "human") -> str:
@@ -128,12 +116,12 @@ def _load_group_source(source: str) -> FiniteGroup:
     return builtin_from_string(source)
 
 
-def _load_algebra_source(config: RunConfig) -> GFrobeniusAlgebra:
-    source = config.algebra
+def _load_algebra_source(args: argparse.Namespace) -> GFrobeniusAlgebra:
+    source = args.algebra
     if source == "builtin:group-algebra":
-        if config.group is None:
+        if args.group is None:
             raise SchemaError("builtin:group-algebra needs --group")
-        return group_algebra(_load_group_source(config.group))
+        return group_algebra(_load_group_source(args.group))
     path = _source_file(source)
     if path is None:
         raise SchemaError(f"algebra file not found: {source}")
@@ -177,8 +165,8 @@ def _print_block_map(word: Cobordism, value: Matrix, mode: str) -> str:
     return "\n".join(lines)
 
 
-def _cmd_check(config: RunConfig) -> int:
-    a = _load_algebra_source(config)
+def _cmd_check(args: argparse.Namespace) -> int:
+    a = _load_algebra_source(args)
     report = check_axioms(a)
     try:
         d = derive(a)
@@ -189,12 +177,12 @@ def _cmd_check(config: RunConfig) -> int:
     else:
         report = report.merge(check_frobenius_diagram(a, d))
         report = report.merge(check_cocommutativity(a, d))
-    print(format_report(report, config.fmt))
+    print(format_report(report, args.fmt))
     return 0 if report.passed else 1
 
 
-def _cmd_derive(config: RunConfig) -> int:
-    a = _load_algebra_source(config)
+def _cmd_derive(args: argparse.Namespace) -> int:
+    a = _load_algebra_source(args)
     d = derive(a)
     name, elements = a.group.name, a.group.elements()
     euler = "(rows: grade, cols: inverse grade):"
@@ -213,7 +201,7 @@ def _cmd_derive(config: RunConfig) -> int:
     out = []
     for record, grades, block, header in entries:
         coproduct = record == "coproduct"
-        if config.fmt == "records":
+        if args.fmt == "records":
             rec = {"record": record, **dict(zip("gh", map(name, grades)))}
             if coproduct:
                 rec["tensor"] = [_scalars(plane) for plane in block.data]
@@ -227,41 +215,37 @@ def _cmd_derive(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_orbifold(config: RunConfig) -> int:
-    a = _load_algebra_source(config)
+def _cmd_orbifold(args: argparse.Namespace) -> int:
+    a = _load_algebra_source(args)
     orb = orbifold_algebra(a)
     doc = save_algebra(orb.trivial)
     doc["group"] = "cyclic:1"
     print(json.dumps(doc, indent=2, sort_keys=True))
     if not orb.certification.passed:
-        print(format_report(orb.certification, config.fmt), file=sys.stderr)
+        print(format_report(orb.certification, args.fmt), file=sys.stderr)
         return 1
     return 0
 
 
-def _cmd_eval(config: RunConfig) -> int:
-    a = _load_algebra_source(config)
-    text = _read_cobordism_text(config.cobordism)
+def _cmd_eval(args: argparse.Namespace) -> int:
+    a = _load_algebra_source(args)
+    text = _read_cobordism_text(args.cobordism)
     word = parse(text, a.group)
-    print(_print_block_map(word, evaluate(a, word), config.fmt))
+    print(_print_block_map(word, evaluate(a, word), args.fmt))
     return 0
 
 
-def _cmd_cerf(config: RunConfig) -> int:
-    if config.all_labels and config.labels is not None:
-        raise SchemaError("cerf takes --labels or --all-labels, not both")
-    a = _load_algebra_source(config)
-    if config.all_labels:
-        report = cerf_check(a, config.case, all_labels=True)
+def _cmd_cerf(args: argparse.Namespace) -> int:
+    a = _load_algebra_source(args)
+    if args.all_labels:
+        report = cerf_check(a, args.case, all_labels=True)
     else:
-        if config.labels is None:
-            raise SchemaError("cerf needs --labels or --all-labels")
-        names = [s.strip() for s in config.labels.split(",")]
+        names = [s.strip() for s in args.labels.split(",")]
         if "" in names:
-            raise SchemaError(f"--labels {config.labels!r} has an empty element name")
+            raise SchemaError(f"--labels {args.labels!r} has an empty element name")
         labels = tuple(a.group.index(name) for name in names)
-        report = cerf_check(a, config.case, labels=labels)
-    print(format_report(report, config.fmt))
+        report = cerf_check(a, args.case, labels=labels)
+    print(format_report(report, args.fmt))
     return 0 if report.passed else 1
 
 
@@ -310,18 +294,18 @@ def minimize_word(word: Cobordism, predicate) -> Cobordism:
     return current
 
 
-def _cmd_fuzz(config: RunConfig) -> int:
-    if config.budget < 1:
-        raise SchemaError(f"--budget must be at least 1, got {config.budget}")
-    if config.count < 0:
-        raise SchemaError(f"--count must be non-negative, got {config.count}")
-    a = _load_algebra_source(config)
+def _cmd_fuzz(args: argparse.Namespace) -> int:
+    if args.budget < 1:
+        raise SchemaError(f"--budget must be at least 1, got {args.budget}")
+    if args.count < 0:
+        raise SchemaError(f"--count must be non-negative, got {args.count}")
+    a = _load_algebra_source(args)
     ev = Evaluator(a)
-    rng = random.Random(config.seed)
+    rng = random.Random(args.seed)
     previous: Cobordism | None = None
     previous_value: RunningMap | None = None
-    for index in range(config.count):
-        word = random_cobordism(a.group, rng.getrandbits(32), config.budget)
+    for index in range(args.count):
+        word = random_cobordism(a.group, rng.getrandbits(32), args.budget)
         value, witness = word_functoriality_witness(ev, word)
         if witness is not None:
             shrunk = minimize_word(
@@ -348,8 +332,8 @@ def _cmd_fuzz(config: RunConfig) -> int:
                 return 1
         previous, previous_value = word, value
     print(
-        f"fuzz: {config.count} words over budget {config.budget} passed "
-        f"functoriality, rewrite-equality and type checks (seed={config.seed})"
+        f"fuzz: {args.count} words over budget {args.budget} passed "
+        f"functoriality, rewrite-equality and type checks (seed={args.seed})"
     )
     return 0
 
@@ -362,26 +346,6 @@ _COMMANDS = {
     "cerf": _cmd_cerf,
     "fuzz": _cmd_fuzz,
 }
-
-
-def run(config: RunConfig) -> int:
-    """Execute one command; returns the process exit status."""
-    try:
-        status = _COMMANDS[config.command](config)
-        sys.stdout.flush()
-        return status
-    except BrokenPipeError as exc:
-        # nobody reads stdout any more: send it, and the flush at exit, nowhere
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print(f"error: category=output cannot write to stdout: {exc}", file=sys.stderr)
-    except EngineError as exc:
-        category = getattr(exc, "category", "check-failure")
-        print(f"error: category={category} {exc}", file=sys.stderr)
-    except Exception as exc:  # a fault of the program, not of the input
-        print(f"error: category=internal {type(exc).__name__}: {exc}", file=sys.stderr)
-    return 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -417,6 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--format",
             dest="fmt",
             choices=["human", "records"],
+            default="human",
             help="human-readable table or line-delimited JSON records",
         )
         return p
@@ -430,31 +395,38 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cerf = formatted(sub.add_parser("cerf", help="compare alternative decompositions"))
     p_cerf.add_argument("--case", required=True, choices=CERF_CASES)
-    p_cerf.add_argument("--labels", help="comma-separated element names")
-    p_cerf.add_argument("--all-labels", action="store_true", dest="all_labels")
+    labelled = p_cerf.add_mutually_exclusive_group(required=True)
+    labelled.add_argument("--labels", help="comma-separated element names")
+    labelled.add_argument("--all-labels", action="store_true", dest="all_labels")
 
     p_fuzz = sub.add_parser("fuzz", help="random words with functoriality assertions")
     common(p_fuzz)
-    p_fuzz.add_argument("--seed", type=int)
-    p_fuzz.add_argument("--budget", type=int, help="maximum pieces per word")
-    p_fuzz.add_argument("--count", type=int, help="number of words")
+    p_fuzz.add_argument("--seed", type=int, default=0)
+    p_fuzz.add_argument("--budget", type=int, default=8, help="maximum pieces per word")
+    p_fuzz.add_argument("--count", type=int, default=1000, help="number of words")
 
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """The run the parsed arguments ask for; an option not given keeps its
-    `RunConfig` default."""
-    return RunConfig(**{key: value for key, value in vars(args).items() if value is not None})
-
-
 def main(argv=None) -> int:
+    """Parse and execute one command line; returns the process exit status.
+    A usage error is the parser's `SchemaError`, reported as any other."""
     try:
         args = build_parser().parse_args(argv)
-    except SchemaError as exc:
-        print(f"error: category=parse {exc}", file=sys.stderr)
-        return 2
-    return run(config_from_args(args))
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError as exc:
+        # nobody reads stdout any more: send it, and the flush at exit, nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: category=output cannot write to stdout: {exc}", file=sys.stderr)
+    except EngineError as exc:
+        print(f"error: category={exc.category} {exc}", file=sys.stderr)
+    except Exception as exc:  # a fault of the program, not of the input
+        print(f"error: category=internal {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

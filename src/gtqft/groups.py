@@ -247,17 +247,17 @@ def _quaternion8() -> FiniteGroup:
 def builtin(name: str, parameter: int | None = None) -> FiniteGroup:
     """A named builtin group: cyclic n, dihedral n, symmetric n<=5, quaternion8."""
     if name == "cyclic":
-        if parameter is None or parameter < 1:
+        if type(parameter) is not int or parameter < 1:
             raise UnknownGroup(f"cyclic needs a positive order, got {parameter!r}")
         check_budget(parameter**2, "group table cells")
         return _cyclic(parameter)
     if name == "dihedral":
-        if parameter is None or parameter < 1:
+        if type(parameter) is not int or parameter < 1:
             raise UnknownGroup(f"dihedral needs a positive parameter, got {parameter!r}")
         check_budget((2 * parameter) ** 2, "group table cells")
         return _dihedral(parameter)
     if name == "symmetric":
-        if parameter is None or not 1 <= parameter <= 5:
+        if type(parameter) is not int or not 1 <= parameter <= 5:
             raise UnknownGroup(f"symmetric supports degrees 1..5, got {parameter!r}")
         return _symmetric(parameter)
     if name == "quaternion8":

@@ -66,9 +66,6 @@ class CheckReport:
     def passed(self) -> bool:
         return all(entry.passed for entry in self.entries)
 
-    def failures(self) -> tuple[CheckEntry, ...]:
-        return tuple(entry for entry in self.entries if not entry.passed)
-
     def merge(self, other: "CheckReport") -> "CheckReport":
         return CheckReport(self.entries + other.entries)
 

@@ -435,6 +435,41 @@ class TestLoadBudget:
             load_algebra(doc)
 
 
+class TestLawBudget:
+    """`check_axioms` and `check_frobenius_diagram` count their n^3 grade
+    triples against the work budget before any int image is built.  Only
+    the estimate is tested: the budget is lowered, and building an image
+    raises."""
+
+    TRIPLES = 6**3  # the S3 group algebra
+
+    @pytest.fixture
+    def s3_pair(self):
+        a = group_algebra(builtin("symmetric", 3))
+        return a, derive(a)
+
+    @pytest.fixture
+    def no_images(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an image was built")
+
+        monkeypatch.setattr(gtqft.algebra, "table_image", refuse)
+
+    @pytest.mark.parametrize("check", ["axioms", "frobenius"])
+    def test_over_the_budget(self, monkeypatch, s3_pair, no_images, check):
+        a, d = s3_pair
+        monkeypatch.setattr(gtqft.errors, "WORK_BUDGET", self.TRIPLES - 1)
+        message = "^216 grade triples exceed the budget of 215$"
+        with pytest.raises(BudgetExceeded, match=message) as info:
+            check_axioms(a) if check == "axioms" else check_frobenius_diagram(a, d)
+        assert info.value.category == "budget"
+
+    def test_at_the_budget(self, monkeypatch, s3_pair):
+        a, d = s3_pair
+        monkeypatch.setattr(gtqft.errors, "WORK_BUDGET", self.TRIPLES)
+        assert check_axioms(a).passed and check_frobenius_diagram(a, d).passed
+
+
 class TestGroupAlgebra:
     def test_trivial_group(self, trivial_group):
         a = group_algebra(trivial_group)
@@ -449,7 +484,7 @@ class TestGroupAlgebra:
 
     def test_s3_passes_checker(self, s3_algebra):
         report = check_axioms(s3_algebra)
-        assert report.passed, report.failures()
+        assert report.passed, [e for e in report.entries if not e.passed]
 
     @pytest.mark.parametrize("name,param", CRITERION_GROUPS)
     def test_all_builtins_pass(self, name, param):
@@ -511,7 +546,7 @@ def mutated_group_algebra(group, rng) -> GFrobeniusAlgebra:
 def algebra_fails_somewhere(a) -> bool:
     report = check_axioms(a)
     if not report.passed:
-        witnessed = [e for e in report.failures() if e.witness is not None]
+        witnessed = [e for e in report.entries if not e.passed and e.witness is not None]
         assert witnessed, "failures must carry witnesses"
         return True
     try:
@@ -534,7 +569,7 @@ class TestCheckAxioms:
         broken = GFrobeniusAlgebra(s3, a.dims, product, a.action, a.unit, a.trace)
         report = check_axioms(broken)
         assert not report.passed
-        bad = report.failures()[0]
+        bad = next(e for e in report.entries if not e.passed)
         assert bad.witness is not None and bad.witness.context
 
     def test_scaled_action_on_own_grade_fails(self, z3):
@@ -629,7 +664,7 @@ class TestDiagramChecks:
         doctored = DerivedStructure(d.pairings, coproducts, d.euler)
         report = check_frobenius_diagram(s3_algebra, doctored)
         assert not report.passed
-        assert report.failures()[0].witness.context
+        assert next(e for e in report.entries if not e.passed).witness.context
         assert check_frobenius_diagram(s3_algebra, d).passed
 
     def test_s3_cocommutativity(self, s3_algebra):

@@ -21,15 +21,7 @@ from gtqft import (
     group_algebra,
     save_algebra,
 )
-from gtqft.cli import (
-    RunConfig,
-    build_parser,
-    config_from_args,
-    format_report,
-    main,
-    minimize_word,
-    run,
-)
+from gtqft.cli import build_parser, format_report, main, minimize_word
 from gtqft.cobordism import CERF_CASES, Cobordism, PieceKind, cyl, parse as parse_word
 from gtqft.errors import SchemaError
 from gtqft.exactlin import Matrix, Tensor3
@@ -68,7 +60,7 @@ class TestFormatReport:
 
 class TestCheckCommand:
     def test_builtin_group_algebra_passes(self, capsys):
-        status = run(RunConfig(command="check", group="cyclic:2", algebra="builtin:group-algebra"))
+        status = main(["check", "--group", "cyclic:2", "--algebra", "builtin:group-algebra"])
         out = capsys.readouterr().out
         assert status == 0
         assert "0 failed" in out
@@ -77,7 +69,7 @@ class TestCheckCommand:
         doc = save_algebra(group_algebra(z2))
         path = tmp_path / "z2.json"
         path.write_text(json.dumps(doc))
-        status = run(RunConfig(command="check", algebra=str(path)))
+        status = main(["check", "--algebra", str(path)])
         assert status == 0
         assert "PASS  torus-identity" in capsys.readouterr().out
 
@@ -88,30 +80,24 @@ class TestCheckCommand:
                 entry["value"] = "2"
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        status = run(RunConfig(command="check", algebra=str(path)))
+        status = main(["check", "--algebra", str(path)])
         out = capsys.readouterr().out
         assert status == 1
         assert "FAIL" in out
 
     def test_deterministic_output(self, capsys):
-        cfg = RunConfig(command="check", group="symmetric:3", algebra="builtin:group-algebra")
-        run(cfg)
+        argv = ["check", "--group", "symmetric:3", "--algebra", "builtin:group-algebra"]
+        main(argv)
         first = capsys.readouterr().out
-        run(cfg)
+        main(argv)
         second = capsys.readouterr().out
         assert first == second
 
 
 class TestEvalCommand:
     def test_identity_over_trivial_algebra(self, capsys):
-        status = run(
-            RunConfig(
-                command="eval",
-                group="cyclic:1",
-                algebra="builtin:group-algebra",
-                cobordism="id(e)",
-            )
-        )
+        argv = ["eval", "--group", "cyclic:1", "--algebra", "builtin:group-algebra"]
+        status = main([*argv, "--cobordism", "id(e)"])
         out = capsys.readouterr().out
         assert status == 0
         assert "matrix (1 x 1)" in out and "[ 1 ]" in out
@@ -119,39 +105,21 @@ class TestEvalCommand:
     def test_word_from_file(self, tmp_path, capsys):
         path = tmp_path / "word.txt"
         path.write_text("cap ; split(g1,g1) ; merge(g1,g1) ; cup\n")
-        status = run(
-            RunConfig(
-                command="eval",
-                group="cyclic:2",
-                algebra="builtin:group-algebra",
-                cobordism=str(path),
-            )
-        )
+        argv = ["eval", "--group", "cyclic:2", "--algebra", "builtin:group-algebra"]
+        status = main([*argv, "--cobordism", str(path)])
         assert status == 0
         assert "[ 1 ]" in capsys.readouterr().out
 
     def test_parse_error_category(self, capsys):
-        status = run(
-            RunConfig(
-                command="eval",
-                group="cyclic:2",
-                algebra="builtin:group-algebra",
-                cobordism="id(",
-            )
-        )
+        argv = ["eval", "--group", "cyclic:2", "--algebra", "builtin:group-algebra"]
+        status = main([*argv, "--cobordism", "id("])
         captured = capsys.readouterr()
         assert status == 2
         assert "error: category=parse" in captured.err
 
     def test_type_error_category(self, capsys):
-        status = run(
-            RunConfig(
-                command="eval",
-                group="symmetric:3",
-                algebra="builtin:group-algebra",
-                cobordism="merge(p021,p102) ; split(p102,p021)",
-            )
-        )
+        argv = ["eval", "--group", "symmetric:3", "--algebra", "builtin:group-algebra"]
+        status = main([*argv, "--cobordism", "merge(p021,p102) ; split(p102,p021)"])
         captured = capsys.readouterr()
         assert status == 2
         assert "error: category=type" in captured.err
@@ -174,9 +142,7 @@ class TestEvalCommand:
         }
         path = tmp_path / "degenerate.json"
         path.write_text(json.dumps(doc))
-        status = run(
-            RunConfig(command="derive", algebra=str(path))
-        )
+        status = main(["derive", "--algebra", str(path)])
         captured = capsys.readouterr()
         assert status == 2
         assert "error: category=degenerate-pairing" in captured.err
@@ -410,28 +376,14 @@ class TestSharedParser:
 
 class TestCerfCommand:
     def test_all_labels_pass(self, capsys):
-        status = run(
-            RunConfig(
-                command="cerf",
-                group="cyclic:3",
-                algebra="builtin:group-algebra",
-                case="111",
-                all_labels=True,
-            )
-        )
+        argv = ["cerf", "--group", "cyclic:3", "--algebra", "builtin:group-algebra"]
+        status = main([*argv, "--case", "111", "--all-labels"])
         assert status == 0
         assert "PASS" in capsys.readouterr().out
 
     def test_single_labeling(self, capsys):
-        status = run(
-            RunConfig(
-                command="cerf",
-                group="symmetric:3",
-                algebra="builtin:group-algebra",
-                case="301",
-                labels="p021,p102,p120,e",
-            )
-        )
+        argv = ["cerf", "--group", "symmetric:3", "--algebra", "builtin:group-algebra"]
+        status = main([*argv, "--case", "301", "--labels", "p021,p102,p120,e"])
         assert status == 0
         capsys.readouterr()
 
@@ -442,9 +394,7 @@ class TestCerfCommand:
                 entry["value"] = "2"
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        status = run(
-            RunConfig(command="cerf", algebra=str(path), case="111", all_labels=True)
-        )
+        status = main(["cerf", "--algebra", str(path), "--case", "111", "--all-labels"])
         out = capsys.readouterr().out
         assert status == 1
         assert "FAIL" in out and "labels=" in out
@@ -530,7 +480,7 @@ class TestCerfCommand:
         assert status == 2
         assert captured.out == ""
         assert captured.err == (
-            "error: category=parse cerf takes --labels or --all-labels, not both\n"
+            "error: category=parse argument --all-labels: not allowed with argument --labels\n"
         )
 
 
@@ -587,9 +537,7 @@ class TestRescaledWitnesses:
 
 class TestOrbifoldCommand:
     def test_emits_trivial_group_document(self, capsys):
-        status = run(
-            RunConfig(command="orbifold", group="symmetric:3", algebra="builtin:group-algebra")
-        )
+        status = main(["orbifold", "--group", "symmetric:3", "--algebra", "builtin:group-algebra"])
         out = capsys.readouterr().out
         assert status == 0
         doc = json.loads(out)
@@ -641,32 +589,18 @@ class TestOrbifoldCommand:
 
 class TestFuzzCommand:
     def test_small_run_passes(self, capsys):
-        status = run(
-            RunConfig(
-                command="fuzz",
-                group="symmetric:3",
-                algebra="builtin:group-algebra",
-                seed=11,
-                budget=6,
-                count=150,
-            )
-        )
+        argv = ["--group", "symmetric:3", "--algebra", "builtin:group-algebra"]
+        status = main(["fuzz", *argv, "--seed", "11", "--budget", "6", "--count", "150"])
         out = capsys.readouterr().out
         assert status == 0
         assert "150 words" in out
 
     def test_deterministic(self, capsys):
-        cfg = RunConfig(
-            command="fuzz",
-            group="cyclic:4",
-            algebra="builtin:group-algebra",
-            seed=7,
-            budget=5,
-            count=50,
-        )
-        run(cfg)
+        argv = ["fuzz", "--group", "cyclic:4", "--algebra", "builtin:group-algebra"]
+        argv += ["--seed", "7", "--budget", "5", "--count", "50"]
+        main(argv)
         first = capsys.readouterr().out
-        run(cfg)
+        main(argv)
         second = capsys.readouterr().out
         assert first == second
 
@@ -818,47 +752,53 @@ class TestFuzzGolden:
 
 
 class TestArguments:
-    """Options not given on the command line keep the `RunConfig` defaults."""
+    """The parsed namespace is the whole run: every option of the command,
+    with the parser's default where it was not given."""
+
+    FUZZ = {"command": "fuzz", "group": None, "algebra": "a.json"}
+    CERF = {"command": "cerf", "group": None, "algebra": "a.json", "fmt": "human"}
 
     @pytest.mark.parametrize(
         "argv,expected",
         [
-            (["fuzz", "--algebra", "a.json"], RunConfig(command="fuzz", algebra="a.json")),
+            (["fuzz", "--algebra", "a.json"], {**FUZZ, "seed": 0, "budget": 8, "count": 1000}),
             (
                 ["fuzz", "--algebra", "a.json", "--seed", "3", "--budget", "5", "--count", "0"],
-                RunConfig(command="fuzz", algebra="a.json", seed=3, budget=5, count=0),
+                {**FUZZ, "seed": 3, "budget": 5, "count": 0},
             ),
             (
                 ["check", "--group", "cyclic:2", "--algebra", "b", "--format", "records"],
-                RunConfig(command="check", group="cyclic:2", algebra="b", fmt="records"),
+                {"command": "check", "group": "cyclic:2", "algebra": "b", "fmt": "records"},
             ),
             (
                 ["cerf", "--algebra", "a.json", "--case", "202", "--all-labels"],
-                RunConfig(command="cerf", algebra="a.json", case="202", all_labels=True),
+                {**CERF, "case": "202", "labels": None, "all_labels": True},
             ),
             (
                 ["cerf", "--algebra", "a.json", "--case", "twist", "--labels", "e,g1"],
-                RunConfig(command="cerf", algebra="a.json", case="twist", labels="e,g1"),
+                {**CERF, "case": "twist", "labels": "e,g1", "all_labels": False},
             ),
             (
                 ["cerf", "--algebra", "a.json", "--case", "pants", "--all-labels"],
-                RunConfig(command="cerf", algebra="a.json", case="pants", all_labels=True),
+                {**CERF, "case": "pants", "labels": None, "all_labels": True},
             ),
         ],
     )
     def test_config(self, argv, expected):
-        assert config_from_args(build_parser().parse_args(argv)) == expected
+        assert vars(build_parser().parse_args(argv)) == expected
 
     def test_cerf_cases_are_the_table(self):
+        argv = ["cerf", "--algebra", "a.json", "--all-labels", "--case"]
         for case in CERF_CASES:
-            args = build_parser().parse_args(["cerf", "--algebra", "a.json", "--case", case])
-            assert args.case == case
+            assert build_parser().parse_args([*argv, case]).case == case
         with pytest.raises(SchemaError, match="invalid choice: 'nope'"):
-            build_parser().parse_args(["cerf", "--algebra", "a.json", "--case", "nope"])
+            build_parser().parse_args([*argv, "nope"])
 
     def test_defaults(self):
-        config = RunConfig(command="fuzz")
-        assert (config.seed, config.budget, config.count, config.fmt) == (0, 8, 1000, "human")
+        fuzz = build_parser().parse_args(["fuzz", "--algebra", "a.json"])
+        assert (fuzz.seed, fuzz.budget, fuzz.count) == (0, 8, 1000)
+        for command in ("check", "derive", "orbifold"):
+            assert build_parser().parse_args([command, "--algebra", "a.json"]).fmt == "human"
 
 
 class TestMinimize:
@@ -973,7 +913,7 @@ class TestMainEntry:
 
 class TestReachableUsageOutputs:
     """Outputs that `main` reaches on flags argparse cannot judge alone, and
-    what `run` does with a `RunConfig` that argparse never built."""
+    the flag errors it reaches before any source is read."""
 
     def test_the_group_algebra_needs_a_group(self, capsys):
         status = main(["check", "--algebra", "builtin:group-algebra"])
@@ -983,12 +923,15 @@ class TestReachableUsageOutputs:
         assert captured.err == "error: category=parse builtin:group-algebra needs --group\n"
 
     def test_cerf_needs_a_labels_flag(self, capsys):
-        argv = ["cerf", "--group", "cyclic:2", "--algebra", "builtin:group-algebra"]
-        status = main([*argv, "--case", "111"])
-        captured = capsys.readouterr()
-        assert status == 2
-        assert captured.out == ""
-        assert captured.err == "error: category=parse cerf needs --labels or --all-labels\n"
+        # the flag error comes before any source is read, an empty one included
+        for algebra in (["--group", "cyclic:2", "--algebra", "builtin:group-algebra"], ["--algebra", ""]):
+            status = main(["cerf", *algebra, "--case", "111"])
+            captured = capsys.readouterr()
+            assert status == 2
+            assert captured.out == ""
+            assert captured.err == (
+                "error: category=parse one of the arguments --labels --all-labels is required\n"
+            )
 
     def test_derive_prints_empty_grades(self, tmp_path, zero_grade_z3, capsys):
         path = tmp_path / "zero-grade.json"
@@ -1009,36 +952,3 @@ class TestReachableUsageOutputs:
                 shape = "0x2" if {g, h} == {"g1", "g2"} else "0x0"
                 expected += [f"coproduct[{g},{h}] {splitting}", f"[ ] ({shape})"]
         assert capsys.readouterr().out.splitlines() == expected
-
-    S3 = {"group": "symmetric:3", "algebra": "builtin:group-algebra"}
-
-    @pytest.mark.parametrize(
-        "config,err",
-        [
-            (
-                RunConfig(command="check"),
-                "error: category=parse empty source: expected a file name or an inline value",
-            ),
-            (
-                RunConfig(command="eval", **S3),
-                "error: category=parse empty source: expected a file name or an inline value",
-            ),
-            (
-                RunConfig(command="cerf", all_labels=True, **S3),
-                "error: category=type unknown move case None; expected one of "
-                "('111', '202', '301', '103', 'cylinder', 'twist', 'pants')",
-            ),
-            (
-                RunConfig(command="frobnicate", **S3),
-                "error: category=internal KeyError: 'frobnicate'",
-            ),
-        ],
-        ids=["no-algebra", "no-cobordism", "no-case", "unknown-command"],
-    )
-    def test_a_config_argparse_never_built(self, capsys, config, err):
-        # `main` cannot build these: argparse requires the flags and knows the commands
-        status = run(config)
-        captured = capsys.readouterr()
-        assert status == 2
-        assert captured.out == ""
-        assert captured.err == err + "\n"

@@ -373,6 +373,19 @@ class TestBuiltin:
                 builtin_from_string(spec)
             assert str(info.value) == message and info.value.category == "parse"
 
+    def test_a_parameter_that_is_not_an_int(self):
+        for name, parameter, message in [
+            ("cyclic", True, "cyclic needs a positive order, got True"),
+            ("cyclic", 2.5, "cyclic needs a positive order, got 2.5"),
+            ("dihedral", False, "dihedral needs a positive parameter, got False"),
+            ("dihedral", "3", "dihedral needs a positive parameter, got '3'"),
+            ("symmetric", 3.0, "symmetric supports degrees 1..5, got 3.0"),
+            ("symmetric", None, "symmetric supports degrees 1..5, got None"),
+        ]:
+            with pytest.raises(UnknownGroup) as info:
+                builtin(name, parameter)
+            assert str(info.value) == message and info.value.category == "parse"
+
     def test_from_string(self):
         assert builtin_from_string("dihedral:4").order == 8
         assert builtin_from_string("quaternion8").order == 8

@@ -216,7 +216,8 @@ def test_every_law_draws_every_case(drawn, request, fixture):
         check_cocommutativity(a, d),
         orb.certification,
     )
-    assert tuple(entry.name for report in reports for entry in report.failures()) == failing
+    entries = (entry for report in reports for entry in report.entries)
+    assert tuple(entry.name for entry in entries if not entry.passed) == failing
     for name in failing:
         del drawn[name]
     m = orb.dimension
