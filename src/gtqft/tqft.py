@@ -17,18 +17,23 @@ lcm of their denominators (`exactlin.int_rows`, the one conversion from
 `Fraction` rows); a layer's scale is the product of its pieces'
 denominators, and a word's scale the product of its layers' scales, so on
 group and rich algebras every scale is 1 and no scaling work is done.
-Pieces whose matrix is exactly the identity are skipped.  A word's value
-is one `RunningMap`, which owns both equality and division.  No row of a
-running map holds an exact zero, so two running maps of one signature and
-scale are equal exactly when their rows are; over different scales they
-are compared entry by entry, cross-multiplied.  `RunningMap.matrix` is the
-one place that divides: it builds the Fraction `Matrix` of the word's
-value, with the word's `dom` and `cod` as its signatures, filling a zero
-grid from the sparse rows itself (densified rows through
-`exactlin.fraction_rows` measured slower on `fuzz`).  `cerf` applies
-the words of a labelling to one identity map on their common domain, one
-per domain dimension shared by all labellings, compares them as running
-maps and builds a `Matrix` only to print a witness.  The functoriality
+A piece whose matrix is c * I for some c != 0 (every piece of an algebra
+with one-dimensional grades, such as a twisted group algebra) is not
+applied: c * I on some legs is c times the whole map, so the numerators of
+a word's such pieces multiply into one int factor, which multiplies the
+rows once, and their denominators go into the scale; the identity, c = 1,
+costs nothing.  A word's value is one `RunningMap`, which owns both
+equality and division.  No row of a running map holds an exact zero, so
+two running maps of one signature and scale are equal exactly when their
+rows are; over different scales they are compared entry by entry,
+cross-multiplied.  `RunningMap.matrix` is the one place that divides: it
+builds the Fraction `Matrix` of the word's value, with the word's `dom`
+and `cod` as its signatures, filling a zero grid from the sparse rows
+itself (densified rows through `exactlin.fraction_rows` measured slower
+on `fuzz`).  `cerf` applies the words of a labelling to one identity map
+on their common domain, one per domain dimension shared by all
+labellings, compares them as running maps and builds a `Matrix` only to
+print a witness.  The functoriality
 probe multiplies running maps in row form too, and returns the word's value as
 a `RunningMap` with its witness, both from one forward pass, so the fuzz
 loop evaluates each word once and compares its rewrite as running maps.
@@ -62,17 +67,17 @@ matrices are stored on the algebra as well, in one cache that every
 Kernel forms are kept per distinct block object (of a `cyl`, `merge` or
 `split`) or per dimensions (of an `id` or `swap`), and pieces share them.
 Each layer is compiled once per algebra and direction, next to the pieces:
-its plan holds its scale and the strides and kernel terms of its
-non-identity pieces, so a layer that recurs costs no piece lookups.  A
-layer of identity pieces (every layer of a group algebra) gets the one
-shared plan that applies nothing, stored for both directions at its first
+its plan holds its scale, the factor of its c * I pieces, and the
+strides and kernel terms of its other pieces, so a layer that recurs costs
+no piece lookups.  A layer of identity pieces (every layer of a group
+algebra) gets the one shared plan that applies nothing, and a layer of
+c * I pieces its own plan, each stored for both directions at its first
 compile, so it is never compiled transposed.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 
 from .algebra import GFrobeniusAlgebra, _once, derive, handle_element
@@ -208,18 +213,24 @@ class _PieceMatrix(Matrix):
     `terms[o]` lists the (input index, coefficient) pairs of the nonzero
     entries in row o, and `transposed[i]` does the same for column i; the
     coefficients are ints over `denominator`, the lcm of the entries'
-    denominators.  Both are None when the matrix is exactly the identity,
-    so the kernel skips the piece.
+    denominators.  A square matrix c * I with c != 0 (the identity and a
+    0 x 0 block among them) has no terms: its `factor`, the int numerator
+    of c over `denominator`, is folded into the running map instead of
+    applied, since c * I on some legs is c times the whole map.  Any other
+    matrix has factor None.
     """
 
-    __slots__ = ("terms", "transposed", "denominator")
+    __slots__ = ("terms", "transposed", "denominator", "factor")
 
     def __init__(self, m: Matrix):
         self.rows, self.cols, self.data = m.rows, m.cols, m.data
         grid, self.denominator = int_rows(m.data)
-        if m.rows == m.cols and m == Matrix.identity(m.rows):
-            self.terms = self.transposed = None
+        n = m.rows
+        c = grid[0][0] if n == m.cols > 0 else 1  # a 0 x 0 block is the identity
+        if n == m.cols and c and grid == [[c if i == j else 0 for j in range(n)] for i in range(n)]:
+            self.factor, self.terms, self.transposed = c, None, None
             return
+        self.factor = None
         self.terms = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in grid)
         self.transposed = tuple(
             tuple((i, grid[i][j]) for i in range(m.rows) if grid[i][j]) for j in range(m.cols)
@@ -227,8 +238,8 @@ class _PieceMatrix(Matrix):
 
 
 # The plan of a layer whose pieces are all identities, shared by every such
-# layer (every layer of a group algebra).
-_IDENTITY_PLAN = (1,)
+# layer (every layer of a group algebra): scale 1, factor 1 and no steps.
+_IDENTITY_PLAN = (1, 1)
 
 
 class Evaluator:
@@ -294,14 +305,16 @@ class Evaluator:
 
     def _compile_layer(self, layer, transposed: bool) -> tuple:
         """A layer's plan, stored for the next use: the product of its
-        pieces' denominators, then `(terms, left, src, right)` for each
-        piece that is not the identity, in the order they are applied.  A
-        layer of identity pieces stores the shared identity plan for both
-        directions at once, so it is never compiled transposed."""
+        pieces' denominators, the product of the factors of its c * I
+        pieces, then `(terms, left, src, right)` for each other piece, in
+        the order they are applied.  A layer of identity pieces stores the
+        shared identity plan, and a layer of c * I pieces (its own
+        transpose) its one plan, for both directions at once, so neither is
+        ever compiled transposed."""
         mats = [self.piece_matrix(piece) for piece in layer]
         # a plain loop: `all` over a generator costs a frame per new layer
         for m in mats:
-            if m.terms is not None:
+            if m.factor != 1 or m.denominator != 1:
                 break
         else:  # identities, each over denominator 1
             self._layers[0][layer] = self._layers[1][layer] = _IDENTITY_PLAN
@@ -315,14 +328,18 @@ class Evaluator:
         right = [1] * len(ops)
         for i in range(len(ops) - 1, 0, -1):
             right[i - 1] = right[i] * ops[i][0]
-        scale = math.prod(m.denominator for m in mats)
-        plan = [scale]
-        left = 1
-        for (src, dst, terms), r in zip(ops, right):
-            if terms is not None:
-                plan.append((terms, left, src, r))
+        scale = factor = left = 1
+        steps = []
+        for m, (src, dst, terms), r in zip(mats, ops, right):
+            scale *= m.denominator
+            if terms is None:
+                factor *= m.factor
+            else:
+                steps.append((terms, left, src, r))
             left *= dst
-        plan = self._layers[transposed][layer] = tuple(plan)
+        plan = self._layers[transposed][layer] = (scale, factor, *steps)
+        if not steps:
+            self._layers[not transposed][layer] = plan
         return plan
 
     def _apply_layers(
@@ -330,20 +347,24 @@ class Evaluator:
     ) -> tuple[list[dict], int]:
         """Apply layers, in the order given, to a running map, each piece to
         its own legs only; returns the new rows and the product of the
-        layers' scales, by which the map's scale grows.
+        layers' scales, by which the map's scale grows.  The factors of
+        the layers' c * I pieces multiply the rows once, at the end.
 
         Transposed, the rows index a layer's codomain and the transposed
         pieces carry them back to its domain, so that the running map is a
         transposed suffix of a word.
         """
         plans = self._layers[transposed]
-        scale = 1
+        scale = factor = 1
         for layer in layers:
             plan = plans.get(layer) or self._compile_layer(layer, transposed)
             if plan is not _IDENTITY_PLAN:
                 scale *= plan[0]
-                for terms, left, src, right in plan[1:]:
+                factor *= plan[1]
+                for terms, left, src, right in plan[2:]:
                     rows = _apply_piece(rows, terms, left, src, right)
+        if factor != 1:  # never 0, so the rows still hold no zeros
+            rows = [{j: factor * x for j, x in row.items()} for row in rows]
         return rows, scale
 
     def _start(self, word: Cobordism) -> list[dict]:

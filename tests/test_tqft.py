@@ -272,11 +272,16 @@ class TestLegwiseKernel:
         # integral algebras never scale; the others do on some words
         assert (scales == {1}) == (name not in FRACTIONAL), scales
 
-    @pytest.mark.parametrize("name", ["s3_algebra", "rich_s3", "rescaled_rich_s3"])
+    @pytest.mark.parametrize(
+        "name",
+        ["s3_algebra", "rich_s3", "rescaled_rich_s3", "rescaled_s3", "twisted_klein", "twisted_d4"],
+    )
     def test_closed_surfaces_match_kronecker_layers(self, request, name):
         a = request.getfixturevalue(name)
         ev = Evaluator(a)
         for labels in ((0, 0), (1, 1), (3, 0), (1, 1, 3, 3), (2, 4, 0, 5)):
+            if max(labels) >= a.group.order:  # the Klein group has four elements
+                continue
             try:
                 word = closed_surface_word(a.group, labels)
             except FlatnessViolation:
@@ -348,6 +353,132 @@ class TestLegwiseKernel:
                     whole = ev.layer_matrix(layer)
                     rows, scale = ev._apply_layers(_identity_rows(whole.cols), (layer,))
                     assert RunningMap(rows, whole.cols, scale).matrix() == whole, layer
+
+
+def _kernel_matrix(m) -> Matrix:
+    """A piece's matrix rebuilt from its kernel terms over its denominator."""
+    entries = {(o, i): F(x, m.denominator) for o, row in enumerate(m.terms) for i, x in row}
+    return Matrix.from_entries(m.rows, m.cols, entries)
+
+
+def _action_scaled(a: GFrobeniusAlgebra, factors: dict) -> GFrobeniusAlgebra:
+    """The algebra with each action block (k, g), named by group elements,
+    multiplied by its factor."""
+    action = dict(a.action)
+    for (k, g), c in factors.items():
+        key = (a.group.index(k), a.group.index(g))
+        action[key] = Matrix.from_rows([[c * x for x in row] for row in a.action[key].data])
+    return GFrobeniusAlgebra(a.group, a.dims, a.product, action, a.unit, a.trace)
+
+
+class TestScalarPieces:
+    """A piece whose matrix is c * I, c != 0, is folded into one factor per
+    call of the kernel instead of being applied to rows."""
+
+    @pytest.mark.parametrize("c", [F(2), F(-1), F(3, 4)], ids=["2", "-1", "3/4"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_scalar_blocks_fold(self, c, n):
+        block = Matrix.from_rows([[c if i == j else 0 for j in range(n)] for i in range(n)])
+        m = gtqft.tqft._PieceMatrix(block)
+        assert m.terms is None and m.transposed is None
+        assert (m.factor, m.denominator) == (c.numerator, c.denominator)
+
+    def test_identity_and_empty_blocks_fold_to_one(self):
+        for n in (0, 1, 2):
+            m = gtqft.tqft._PieceMatrix(Matrix.identity(n))
+            assert (m.factor, m.denominator, m.terms) == (1, 1, None)
+
+    def test_other_blocks_keep_their_kernel_terms(self, rich_s3):
+        ev = Evaluator(_fresh_copy(rich_s3))
+        blocks = {
+            "zero": Matrix.from_rows([[0]]),
+            "diag(1, 2)": Matrix.from_rows([[1, 0], [0, 2]]),
+            "cap": ev.piece_matrix(cap()),  # 2 x 1: the unit of a two-dimensional grade
+            "swap": ev.piece_matrix(swap(1, 2)),  # the 4 x 4 flip of two legs
+        }
+        assert (blocks["cap"].rows, blocks["cap"].cols) == (2, 1)
+        assert blocks["swap"].rows == blocks["swap"].cols == 4
+        for name, block in blocks.items():
+            m = gtqft.tqft._PieceMatrix(block)
+            assert m.factor is None, name
+            assert _kernel_matrix(m) == block, name
+            rebuilt = {(o, i): x for i, col in enumerate(m.transposed) for o, x in col}
+            assert rebuilt == {(o, i): x for o, row in enumerate(m.terms) for i, x in row}, name
+
+    @pytest.mark.parametrize("name", ["rescaled_s3", "twisted_d4"])
+    def test_scalar_layers_apply_no_piece(self, monkeypatch, request, name):
+        # every grade is one-dimensional, so every piece is c * I: words
+        # evaluate, forward and transposed, with no kernel call
+        a = request.getfixturevalue(name)
+        ev = Evaluator(_fresh_copy(a))
+        calls = [0]
+        real = gtqft.tqft._apply_piece
+
+        def counted(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(gtqft.tqft, "_apply_piece", counted)
+        scalar_layers = 0
+        for seed in range(60):
+            word = random_cobordism(a.group, seed, 8)
+            assert ev(word) == kron_reference(ev, word), word.to_text()
+            for layer in word.layers:
+                whole = ev.layer_matrix(layer)
+                rows, scale = ev._apply_layers(_identity_rows(whole.rows), (layer,), transposed=True)
+                assert RunningMap(rows, whole.rows, scale).matrix() == whole.transpose(), layer
+                plan = ev._layers[0][layer]
+                assert ev._layers[1][layer] is plan and len(plan) == 2
+                scalar_layers += plan is not gtqft.tqft._IDENTITY_PLAN
+        assert calls[0] == 0
+        assert scalar_layers > 0
+
+    def test_mixed_layers_match_the_layer_matrix(self, rich_s3):
+        # scalar cylinders, 2 * I and 3/4 * I, beside merges and splits
+        a = _action_scaled(rich_s3, {("e", "p102"): 2, ("e", "p021"): F(3, 4)})
+        ev = Evaluator(a)
+        g, h = a.group.index("p102"), a.group.index("p021")
+        assert (ev.piece_matrix(cyl(g, 0)).factor, ev.piece_matrix(cyl(h, 0)).denominator) == (2, 4)
+        layers = [
+            (cyl(g, 0), merge(1, 2)),
+            (merge(1, 2), cyl(h, 0)),
+            (cyl(g, 0), split(1, 2), cyl(h, 0)),
+            (split(2, 3), cyl(g, 0), id_piece(4)),
+        ]
+        for layer in layers:
+            whole = ev.layer_matrix(layer)
+            for transposed, expected in ((False, whole), (True, whole.transpose())):
+                rows, scale = ev._apply_layers(_identity_rows(expected.cols), (layer,), transposed)
+                assert RunningMap(rows, expected.cols, scale).matrix() == expected, layer
+                plan = ev._layers[transposed][layer]
+                assert len(plan) == 3, layer  # one step, for the merge or split
+
+    def test_a_negative_factor_leaves_nonzero_int_rows(self, twisted_d4):
+        ev = Evaluator(_fresh_copy(twisted_d4))
+        n = twisted_d4.group.order
+        pieces = [f(g, h) for f in (cyl, merge, split) for g in range(n) for h in range(n)]
+        negative = [p for p in pieces if ev.piece_matrix(p).factor == -1]
+        assert negative
+        for p in negative:
+            word = Cobordism(twisted_d4.group, ((p,),))
+            running = ev.running_map(word)
+            assert running.rows and all(
+                type(x) is int and x != 0 for row in running.rows for x in row.values()
+            )
+            assert running.matrix() == kron_reference(ev, word)
+
+    def test_doubled_scalar_block_fails_the_cylinder(self, monkeypatch, rescaled_s3):
+        # the negative control of the fold: the identity acting as 2 on p102,
+        # a 1 x 1 block that is folded and never applied, fails the cylinder
+        # row with the witness of the kernel that applied it
+        a = _action_scaled(rescaled_s3, {("e", "p102"): 2})
+        assert Evaluator(a).piece_matrix(cyl(a.group.index("p102"), 0)).factor == 2
+        monkeypatch.setattr(gtqft.tqft, "_apply_piece", None)
+        report = cerf_check(a, "cylinder", all_labels=True)
+        assert [e.passed for e in report.entries] == [False] + [True] * 5
+        witness = report.entries[0].witness
+        assert witness.context == (("labels", "p102"), ("alternative", "1"))
+        assert (witness.left, witness.right) == ("[[2]]", "[[1]]")
 
 
 class TestRewriteEquality:
@@ -801,10 +932,11 @@ class TestSharedPieces:
         assert len(caches) == 2
         for forward, transposed in caches.values():
             assert forward.keys() == transposed.keys()
-            # scale 1 and no steps: every plan is the one shared identity plan
+            # scale 1, factor 1 and no steps: every plan is the one shared
+            # identity plan
             plans = [*forward.values(), *transposed.values()]
             assert all(plan is gtqft.tqft._IDENTITY_PLAN for plan in plans)
-        assert gtqft.tqft._IDENTITY_PLAN == (1,)
+        assert gtqft.tqft._IDENTITY_PLAN == (1, 1)
 
     def test_forward_and_transposed_plans_are_kept_apart(self, rich_s3):
         ev = Evaluator(_fresh_copy(rich_s3))
@@ -813,8 +945,8 @@ class TestSharedPieces:
         forward, scale = ev._apply_layers(_identity_rows(8), (layer,))
         transposed, transposed_scale = ev._apply_layers(_identity_rows(4), (layer,), transposed=True)
         assert scale == transposed_scale == 1
-        assert ev._layers[0][layer] == (1, (piece.terms, 2, 4, 1))
-        assert ev._layers[1][layer] == (1, (piece.transposed, 2, 2, 1))
+        assert ev._layers[0][layer] == (1, 1, (piece.terms, 2, 4, 1))
+        assert ev._layers[1][layer] == (1, 1, (piece.transposed, 2, 2, 1))
         whole = ev.layer_matrix(layer)
         assert RunningMap(forward, 8, 1).matrix() == whole
         assert RunningMap(transposed, 4, 1).matrix() == whole.transpose()
